@@ -10,13 +10,9 @@ Outside that band the bound says nothing, and the engine reports the
 point as out-of-regime rather than clamping; an inapplicable theorem is a
 finding the report must show.
 
-Tag scheme for the wrappers (hazard / reliability per family):
-
-    weibull  Thm1 / Thm2       nli  Cor5 / Cor6
-    nld      Cor1 / Cor2       li   Cor7 / Cor8
-    ld       Cor3 / Cor4       constant  Cor9 / Cor10
-
-and the per-module-injection variant: Thm3 (hazard), Thm4 (reliability).
+The theorem tag of an X-variant bound is the family's hazard or
+reliability tag in ``hazards.FAMILIES``; the per-module-injection (Y)
+variant is Thm3 (hazard) and Thm4 (reliability), weibull models only.
 
 The kernel works in log space; exp() happens once at the end so the
 interesting near-zero bounds at large l do not underflow prematurely.
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Union
 
 from .errors import DomainError, InvalidInputError, OutOfRegimeError
-from .hazards import HazardFamily, HazardModel, hazard_at, reliability_tail_threshold
+from .hazards import FAMILIES, HazardFamily, HazardModel, hazard_at, reliability_tail_threshold
 from .outcome import (
     SdpOutcome,
     expected_hazard_x,
@@ -69,25 +65,6 @@ class BoundKind(str, enum.Enum):
 class Variant(str, enum.Enum):
     X = "X"
     Y = "Y"
-
-
-_HAZARD_TAG = {
-    HazardFamily.WEIBULL: "Thm1",
-    HazardFamily.NONLINEAR_DECREASING: "Cor1",
-    HazardFamily.LINEAR_DECREASING: "Cor3",
-    HazardFamily.NONLINEAR_INCREASING: "Cor5",
-    HazardFamily.LINEAR_INCREASING: "Cor7",
-    HazardFamily.CONSTANT: "Cor9",
-}
-
-_RELIABILITY_TAG = {
-    HazardFamily.WEIBULL: "Thm2",
-    HazardFamily.NONLINEAR_DECREASING: "Cor2",
-    HazardFamily.LINEAR_DECREASING: "Cor4",
-    HazardFamily.NONLINEAR_INCREASING: "Cor6",
-    HazardFamily.LINEAR_INCREASING: "Cor8",
-    HazardFamily.CONSTANT: "Cor10",
-}
 
 
 @dataclass(frozen=True)
@@ -186,12 +163,43 @@ def chernoff_lower_tail(
     )
 
 
+def _bound(
+    outcome: SdpOutcome,
+    model: HazardModel,
+    t: float,
+    kind: BoundKind,
+    variant: Variant,
+    corrected: bool = True,
+) -> BoundResult:
+    """Resolve (kind, variant, corrected) to the (mu, threshold, tag,
+    sign_mode) of one named bound at time t and apply the kernel."""
+    injected = variant is Variant.Y
+    if injected and model.family is not HazardFamily.WEIBULL:
+        raise InvalidInputError(
+            f"injection-variant bounds compare against a weibull manual-testing "
+            f"model only, got {model.family.value!r}"
+        )
+    sign_mode = None
+    if kind is BoundKind.HAZARD:
+        if injected:
+            mu, tag = expected_hazard_y(outcome, t), "Thm3"
+        else:
+            mu, tag = expected_hazard_x(outcome), FAMILIES[model.family].hazard_tag
+        threshold = hazard_at(model, t)
+    else:
+        if injected:
+            mu, tag = expected_reliability_bound_y(outcome, t, corrected=corrected), "Thm4"
+            sign_mode = "corrected" if corrected else "as-published"
+        else:
+            mu, tag = expected_reliability_bound_x(outcome, t), FAMILIES[model.family].reliability_tag
+        threshold = reliability_tail_threshold(model, t)
+    return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
+
+
 def hazard_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
     """Bound on Pr[X < z(t)]: fewer failures under prediction-based testing
     than the manual-testing hazard level."""
-    mu = expected_hazard_x(outcome)
-    threshold = hazard_at(model, t)
-    return chernoff_lower_tail(mu, threshold, theorem_tag=_HAZARD_TAG[model.family], t=t)
+    return _bound(outcome, model, t, BoundKind.HAZARD, Variant.X)
 
 
 def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
@@ -201,25 +209,12 @@ def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> Boun
     The comparison reduces to Pr[X < H(t)/t]; the expectation slot holds
     the expected-reliability bound, following the source derivation.
     """
-    mu = expected_reliability_bound_x(outcome, t)
-    threshold = reliability_tail_threshold(model, t)
-    return chernoff_lower_tail(mu, threshold, theorem_tag=_RELIABILITY_TAG[model.family], t=t)
-
-
-def _require_weibull(model: HazardModel) -> None:
-    if model.family is not HazardFamily.WEIBULL:
-        raise InvalidInputError(
-            f"injection-variant bounds compare against a weibull manual-testing "
-            f"model only, got {model.family.value!r}"
-        )
+    return _bound(outcome, model, t, BoundKind.RELIABILITY, Variant.X)
 
 
 def hazard_bound_y(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
     """Y-variant of the hazard bound: Pr[Y < K*t^m] with mean l*p*Khat*t^mhat."""
-    _require_weibull(model)
-    mu = expected_hazard_y(outcome, t)
-    threshold = hazard_at(model, t)
-    return chernoff_lower_tail(mu, threshold, theorem_tag="Thm3", t=t)
+    return _bound(outcome, model, t, BoundKind.HAZARD, Variant.Y)
 
 
 def reliability_bound_y(
@@ -227,16 +222,7 @@ def reliability_bound_y(
 ) -> BoundResult:
     """Y-variant of the reliability bound; ``corrected`` selects the sign
     convention of the expected-reliability factor (see outcome module)."""
-    _require_weibull(model)
-    mu = expected_reliability_bound_y(outcome, t, corrected=corrected)
-    threshold = reliability_tail_threshold(model, t)
-    return chernoff_lower_tail(
-        mu,
-        threshold,
-        theorem_tag="Thm4",
-        t=t,
-        sign_mode="corrected" if corrected else "as-published",
-    )
+    return _bound(outcome, model, t, BoundKind.RELIABILITY, Variant.Y, corrected)
 
 
 SweepEntry = Union[BoundResult, OutOfRegime]
@@ -269,17 +255,10 @@ def bound_sweep(
 
     kind = BoundKind(kind)
     variant = Variant(variant)
-    if variant is Variant.X:
-        op = hazard_bound if kind is BoundKind.HAZARD else reliability_bound
-        kwargs = {}
-    else:
-        op = hazard_bound_y if kind is BoundKind.HAZARD else reliability_bound_y
-        kwargs = {} if kind is BoundKind.HAZARD else {"corrected": corrected}
-
     entries: List[SweepEntry] = []
     for t in grid:
         try:
-            entries.append(op(outcome, model, t, **kwargs))
+            entries.append(_bound(outcome, model, t, kind, variant, corrected))
         except OutOfRegimeError as err:
             entries.append(OutOfRegime.from_error(err))
     return entries

@@ -15,6 +15,10 @@ Reliability is R(t) = exp(-H(t)) with H(t) the cumulative hazard
 ratio H(t)/t is the threshold at which a reliability comparison between
 two systems reduces to a hazard-level comparison, and is what the bound
 engine consumes.
+
+Each family is one row of ``FAMILIES``: its parameters, the closed forms
+of z, H and H/t, its time domain and its theorem tags. Nothing else in
+the package branches on the family, so a new family is one new row.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError, InvalidInputError, ParseError
 
@@ -47,17 +52,6 @@ class HazardFamily(str, enum.Enum):
     CONSTANT = "constant"
 
 
-#: which parameters each family requires in a JSON descriptor
-_REQUIRED_FIELDS = {
-    HazardFamily.WEIBULL: ("K", "m"),
-    HazardFamily.NONLINEAR_DECREASING: ("K",),
-    HazardFamily.LINEAR_DECREASING: ("K", "m"),
-    HazardFamily.NONLINEAR_INCREASING: ("K",),
-    HazardFamily.LINEAR_INCREASING: ("K",),
-    HazardFamily.CONSTANT: ("lambda",),
-}
-
-
 @dataclass(frozen=True)
 class HazardModel:
     """One hazard-curve family with its parameters.
@@ -72,26 +66,15 @@ class HazardModel:
     lam: float | None = None
 
     def __post_init__(self):
-        fam = self.family
-        if fam is HazardFamily.CONSTANT:
-            if self.lam is None or not self.lam > 0:
-                raise InvalidInputError(f"constant hazard requires lambda > 0, got {self.lam!r}")
-            return
-        if self.K is None or not self.K > 0:
-            raise InvalidInputError(f"{fam.value} hazard requires K > 0, got {self.K!r}")
-        if fam is HazardFamily.WEIBULL:
-            if self.m is None or not self.m > -1:
-                raise InvalidInputError(f"weibull hazard requires m > -1, got {self.m!r}")
-        elif fam is HazardFamily.LINEAR_DECREASING:
-            if self.m is None or not self.m > 0:
-                raise InvalidInputError(f"ld hazard requires slope m > 0, got {self.m!r}")
+        for field, lower, rule in FAMILIES[self.family].params:
+            value = getattr(self, _ATTRIBUTE[field])
+            if value is None or not value > lower:
+                raise InvalidInputError(f"{self.family.value} hazard requires {rule}, got {value!r}")
 
     @property
     def max_time(self) -> float:
         """Upper end of the valid time domain (inf unless linearly decreasing)."""
-        if self.family is HazardFamily.LINEAR_DECREASING:
-            return self.K / self.m
-        return math.inf
+        return FAMILIES[self.family].max_time(self)
 
     def to_descriptor(self) -> dict:
         d = {"family": self.family.value}
@@ -104,38 +87,87 @@ class HazardModel:
         return d
 
 
-def _check_time(model: HazardModel, t: float, positive: bool) -> None:
+@dataclass(frozen=True)
+class FamilySpec:
+    """One family: its theorem tags, its descriptor fields (each with the
+    exclusive lower bound its value must exceed and the rule as printed in
+    errors), the closed forms z(t), H(t) and H(t)/t, the end of its time
+    domain and whether z is singular at t = 0."""
+
+    hazard_tag: str
+    reliability_tag: str
+    params: tuple[tuple[str, float, str], ...]
+    z: Callable[[HazardModel, float], float]
+    H: Callable[[HazardModel, float], float]
+    H_over_t: Callable[[HazardModel, float], float]
+    max_time: Callable[[HazardModel], float] = lambda model: math.inf
+    singular_at_zero: Callable[[HazardModel], bool] = lambda model: False
+
+
+#: descriptor field -> HazardModel attribute
+_ATTRIBUTE = {"K": "K", "m": "m", "lambda": "lam"}
+_K = ("K", 0.0, "K > 0")
+
+FAMILIES = {
+    HazardFamily.WEIBULL: FamilySpec(
+        hazard_tag="Thm1", reliability_tag="Thm2", params=(_K, ("m", -1.0, "m > -1")),
+        z=lambda model, t: model.K * t**model.m,
+        H=lambda model, t: model.K * t ** (model.m + 1) / (model.m + 1),
+        H_over_t=lambda model, t: model.K * t**model.m / (model.m + 1),
+        singular_at_zero=lambda model: model.m < 0,
+    ),
+    HazardFamily.NONLINEAR_DECREASING: FamilySpec(
+        hazard_tag="Cor1", reliability_tag="Cor2", params=(_K,),
+        z=lambda model, t: model.K / math.sqrt(t),
+        H=lambda model, t: 2.0 * model.K * math.sqrt(t),
+        H_over_t=lambda model, t: 2.0 * model.K / math.sqrt(t),
+        singular_at_zero=lambda model: True,
+    ),
+    HazardFamily.LINEAR_DECREASING: FamilySpec(
+        hazard_tag="Cor3", reliability_tag="Cor4", params=(_K, ("m", 0.0, "slope m > 0")),
+        z=lambda model, t: model.K - model.m * t,
+        H=lambda model, t: model.K * t - model.m * t**2 / 2.0,
+        H_over_t=lambda model, t: model.K - model.m * t / 2.0,
+        max_time=lambda model: model.K / model.m,
+    ),
+    HazardFamily.NONLINEAR_INCREASING: FamilySpec(
+        hazard_tag="Cor5", reliability_tag="Cor6", params=(_K,),
+        z=lambda model, t: model.K * t**2,
+        H=lambda model, t: model.K * t**3 / 3.0,
+        H_over_t=lambda model, t: model.K * t**2 / 3.0,
+    ),
+    HazardFamily.LINEAR_INCREASING: FamilySpec(
+        hazard_tag="Cor7", reliability_tag="Cor8", params=(_K,),
+        z=lambda model, t: model.K * t,
+        H=lambda model, t: model.K * t**2 / 2.0,
+        H_over_t=lambda model, t: model.K * t / 2.0,
+    ),
+    HazardFamily.CONSTANT: FamilySpec(
+        hazard_tag="Cor9", reliability_tag="Cor10", params=(("lambda", 0.0, "lambda > 0"),),
+        z=lambda model, t: model.lam,
+        H=lambda model, t: model.lam * t,
+        H_over_t=lambda model, t: model.lam,
+    ),
+}
+
+
+def _check_time(model: HazardModel, spec: FamilySpec, t: float, positive: bool) -> None:
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t!r}")
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
     if positive and t == 0:
         raise DomainError(f"{model.family.value} evaluation requires t > 0")
-    if t > model.max_time:
-        raise DomainError(
-            f"ld hazard is negative beyond t = K/m = {model.max_time!r}; got t = {t!r}"
-        )
+    end = spec.max_time(model)
+    if t > end:
+        raise DomainError(f"ld hazard is negative beyond t = K/m = {end!r}; got t = {t!r}")
 
 
 def hazard_at(model: HazardModel, t: float) -> float:
     """Instantaneous hazard rate z(t)."""
-    fam = model.family
-    # t = 0 is singular for nld and for weibull with m < 0
-    singular_at_zero = fam is HazardFamily.NONLINEAR_DECREASING or (
-        fam is HazardFamily.WEIBULL and model.m < 0
-    )
-    _check_time(model, t, positive=singular_at_zero)
-    if fam is HazardFamily.WEIBULL:
-        return model.K * t**model.m
-    if fam is HazardFamily.NONLINEAR_DECREASING:
-        return model.K / math.sqrt(t)
-    if fam is HazardFamily.LINEAR_DECREASING:
-        return model.K - model.m * t
-    if fam is HazardFamily.NONLINEAR_INCREASING:
-        return model.K * t**2
-    if fam is HazardFamily.LINEAR_INCREASING:
-        return model.K * t
-    return model.lam
+    spec = FAMILIES[model.family]
+    _check_time(model, spec, t, positive=t == 0 and spec.singular_at_zero(model))
+    return spec.z(model, t)
 
 
 def cumulative_hazard(model: HazardModel, t: float) -> float:
@@ -144,19 +176,9 @@ def cumulative_hazard(model: HazardModel, t: float) -> float:
     Defined at t = 0 (where it is 0) even for families whose hazard is
     singular there, because the singularity is integrable.
     """
-    _check_time(model, t, positive=False)
-    fam = model.family
-    if fam is HazardFamily.WEIBULL:
-        return model.K * t ** (model.m + 1) / (model.m + 1)
-    if fam is HazardFamily.NONLINEAR_DECREASING:
-        return 2.0 * model.K * math.sqrt(t)
-    if fam is HazardFamily.LINEAR_DECREASING:
-        return model.K * t - model.m * t**2 / 2.0
-    if fam is HazardFamily.NONLINEAR_INCREASING:
-        return model.K * t**3 / 3.0
-    if fam is HazardFamily.LINEAR_INCREASING:
-        return model.K * t**2 / 2.0
-    return model.lam * t
+    spec = FAMILIES[model.family]
+    _check_time(model, spec, t, positive=False)
+    return spec.H(model, t)
 
 
 def reliability_at(model: HazardModel, t: float) -> float:
@@ -166,24 +188,11 @@ def reliability_at(model: HazardModel, t: float) -> float:
 
 def reliability_tail_threshold(model: HazardModel, t: float) -> float:
     """c(t) = H(t)/t, the hazard-level threshold equivalent to a reliability
-    comparison at time t.
-
-    Per family: weibull K*t^m/(m+1); nld 2K/sqrt(t); ld K - m*t/2;
-    nli K*t^2/3; li K*t/2; constant lambda.
+    comparison at time t (see ``FAMILIES`` for the closed form per family).
     """
-    _check_time(model, t, positive=True)
-    fam = model.family
-    if fam is HazardFamily.WEIBULL:
-        return model.K * t**model.m / (model.m + 1)
-    if fam is HazardFamily.NONLINEAR_DECREASING:
-        return 2.0 * model.K / math.sqrt(t)
-    if fam is HazardFamily.LINEAR_DECREASING:
-        return model.K - model.m * t / 2.0
-    if fam is HazardFamily.NONLINEAR_INCREASING:
-        return model.K * t**2 / 3.0
-    if fam is HazardFamily.LINEAR_INCREASING:
-        return model.K * t / 2.0
-    return model.lam
+    spec = FAMILIES[model.family]
+    _check_time(model, spec, t, positive=True)
+    return spec.H_over_t(model, t)
 
 
 def model_from_descriptor(payload: dict) -> HazardModel:
@@ -201,21 +210,14 @@ def model_from_descriptor(payload: dict) -> HazardModel:
     except ValueError:
         valid = ", ".join(f.value for f in HazardFamily)
         raise ParseError(f"unknown hazard family {payload['family']!r}; expected one of: {valid}") from None
-    required = _REQUIRED_FIELDS[family]
+    required = [field for field, _, _ in FAMILIES[family].params]
     missing = set(required) - payload.keys()
     if missing:
         raise ParseError(f"{family.value} descriptor missing fields: {sorted(missing)}")
     extra = payload.keys() - {"family", *required}
     if extra:
         raise ParseError(f"{family.value} descriptor has extraneous fields: {sorted(extra)}")
-    kwargs = {}
-    if "K" in required:
-        kwargs["K"] = float(payload["K"])
-    if "m" in required:
-        kwargs["m"] = float(payload["m"])
-    if "lambda" in required:
-        kwargs["lam"] = float(payload["lambda"])
-    return HazardModel(family=family, **kwargs)
+    return HazardModel(family=family, **{_ATTRIBUTE[field]: float(payload[field]) for field in required})
 
 
 def model_from_json(text: str) -> HazardModel:

@@ -35,10 +35,6 @@ __all__ = [
     "verify_bound",
 ]
 
-#: above this l the MC sampler switches from CDF inversion to Bernoulli sums
-BERNOULLI_CUTOFF = 100_000
-
-
 class TailMethod(str, enum.Enum):
     EXACT = "exact"
     MONTE_CARLO = "monte-carlo"
@@ -88,6 +84,18 @@ def _strict_upper_index(threshold: float, l: int) -> int:
     return math.floor(threshold)
 
 
+def _log_pmf(l: int, p: float, k_max: int) -> np.ndarray:
+    """log Pr[X = k] for k = 0..k_max, X ~ Binomial(l, p), via log-gamma."""
+    ks = np.arange(k_max + 1)
+    return (
+        gammaln(l + 1)
+        - gammaln(ks + 1)
+        - gammaln(l - ks + 1)
+        + ks * math.log(p)
+        + (l - ks) * math.log1p(-p)
+    )
+
+
 def exact_binomial_tail(query: TailQuery) -> TailEstimate:
     """Pr[X < threshold] for X ~ Binomial(l, p), computed exactly.
 
@@ -100,15 +108,7 @@ def exact_binomial_tail(query: TailQuery) -> TailEstimate:
         return TailEstimate(value=0.0, method=TailMethod.EXACT)
     if k_star >= query.l:
         return TailEstimate(value=1.0, method=TailMethod.EXACT)
-    l, p = query.l, query.p
-    ks = np.arange(k_star + 1)
-    log_terms = (
-        gammaln(l + 1)
-        - gammaln(ks + 1)
-        - gammaln(l - ks + 1)
-        + ks * math.log(p)
-        + (l - ks) * math.log1p(-p)
-    )
+    log_terms = _log_pmf(query.l, query.p, k_star)
     shift = log_terms.max()
     value = float(math.exp(shift) * np.exp(log_terms - shift).sum())
     return TailEstimate(value=min(value, 1.0), method=TailMethod.EXACT)
@@ -134,37 +134,12 @@ def exact_reliability_tail(l: int, p: float, t: float, r_threshold: float) -> Ta
     return exact_binomial_tail(TailQuery(l=l, p=p, threshold=-math.log(r_threshold) / t))
 
 
-def _sample_binomial_inversion(rng: np.random.Generator, l: int, p: float, trials: int) -> np.ndarray:
-    """Inversion on the exact CDF: one uniform per trial."""
-    ks = np.arange(l + 1)
-    log_pmf = (
-        gammaln(l + 1)
-        - gammaln(ks + 1)
-        - gammaln(l - ks + 1)
-        + ks * math.log(p)
-        + (l - ks) * math.log1p(-p)
-    )
-    cdf = np.cumsum(np.exp(log_pmf))
-    cdf[-1] = 1.0
-    u = rng.random(trials)
-    return np.searchsorted(cdf, u, side="right")
-
-
-def _sample_binomial_bernoulli(rng: np.random.Generator, l: int, p: float, trials: int) -> np.ndarray:
-    """Sum of l Bernoulli draws per trial, chunked to bound memory."""
-    out = np.empty(trials, dtype=np.int64)
-    chunk = max(1, 10_000_000 // l)
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        draws = rng.random((stop - start, l)) < p
-        out[start:stop] = draws.sum(axis=1)
-    return out
-
-
 def sample_binomial(rng: np.random.Generator, l: int, p: float, trials: int) -> np.ndarray:
-    if l <= BERNOULLI_CUTOFF:
-        return _sample_binomial_inversion(rng, l, p, trials)
-    return _sample_binomial_bernoulli(rng, l, p, trials)
+    """``trials`` Binomial(l, p) draws by inversion on the exact CDF: one
+    uniform per trial, O(l) setup whatever the trial count."""
+    cdf = np.cumsum(np.exp(_log_pmf(l, p, l)))
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, rng.random(trials), side="right")
 
 
 def mc_tail(query: TailQuery, trials: int, seed: int) -> TailEstimate:

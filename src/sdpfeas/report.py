@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -38,7 +37,6 @@ from .oracle import (
     TailQuery,
     VerificationRecord,
     exact_binomial_tail,
-    exact_scaled_tail_y,
     mc_tail,
     verify_bound,
 )
@@ -57,14 +55,17 @@ __all__ = [
 
 DEFAULT_EPSILON = 0.05
 SEED_ENV_VAR = "SDPFEAS_SEED"
-#: test hook: multiply every computed bound by this factor before
-#: verification, to exercise the failure path end to end
-CORRUPT_ENV_VAR = "SDPFEAS_TEST_CORRUPT_BOUND"
 
 
 def _format_float(x: float) -> str:
     """17 significant digits: round-trip exact for 64-bit floats."""
     return format(x, ".17g")
+
+
+def _boolean(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _build_grid(payload: dict) -> List[float]:
@@ -157,8 +158,8 @@ class ScenarioConfig:
             grid=grid,
             kinds=kinds,
             variant=variant,
-            corrected=bool(payload.get("corrected", True)),
-            verify_exact=bool(verify.get("exact", True)),
+            corrected=_boolean(payload.get("corrected", True), "corrected"),
+            verify_exact=_boolean(verify.get("exact", True), "verify.exact"),
             mc_trials=mc_trials,
             seed=None if seed is None else int(seed),
             epsilon=float(payload.get("epsilon", DEFAULT_EPSILON)),
@@ -191,61 +192,31 @@ def run_sweep(config: ScenarioConfig) -> List[SweepEntry]:
     return entries
 
 
-def _oracle_for(config: ScenarioConfig, entry: BoundResult):
-    """Exact oracle for the event the entry bounds, plus the MC query.
+def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> List[VerificationRecord]:
+    """Check every in-regime row against the exact and/or MC oracle.
 
     Every bound in the engine is a lower-tail statement about the
     underlying count X (reliability events transform to X < H(t)/t, and
     Y = scale * X at fixed t), so one scaled binomial query covers all
     four kinds.
     """
-    l = config.outcome.l
-    p = config.outcome.p_value
-    if config.variant is Variant.X:
-        scale = 1.0
-    else:
-        scale = config.outcome.injection.scale_at(entry.t)
-    query = TailQuery(l=l, p=p, threshold=entry.threshold / scale)
-    exact = exact_scaled_tail_y(l, p, scale, entry.threshold)
-    return query, exact
-
-
-def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> List[VerificationRecord]:
+    l, p = config.outcome.l, config.outcome.p_value
+    seed = config.seed if config.seed is not None else 0
     records: List[VerificationRecord] = []
-    corrupt = float(os.environ.get(CORRUPT_ENV_VAR, "1") or "1")
     for entry in entries:
         if not isinstance(entry, BoundResult):
             continue
-        checked = entry
-        if corrupt != 1.0:
-            checked = BoundResult(
-                theorem_tag=entry.theorem_tag,
-                mu=entry.mu,
-                threshold=entry.threshold,
-                delta=entry.delta,
-                bound=entry.bound * corrupt,
-                log_bound=entry.log_bound + math.log(corrupt),
-                regime=entry.regime,
-                t=entry.t,
-                sign_mode=entry.sign_mode,
-            )
-        query, exact = _oracle_for(config, entry)
+        if config.variant is Variant.X:
+            scale = 1.0
+        else:
+            scale = config.outcome.injection.scale_at(entry.t)
+        query = TailQuery(l=l, p=p, threshold=entry.threshold / scale)
         event = f"{entry.theorem_tag} @ t={entry.t!r}: {query.describe()}"
         if config.verify_exact:
-            records.append(verify_bound(checked, exact, event=event))
+            records.append(verify_bound(entry, exact_binomial_tail(query), event=event))
         if config.mc_trials > 0:
-            seed = config.seed if config.seed is not None else 0
-            records.append(
-                verify_bound(checked, mc_tail(query, config.mc_trials, seed), event=event)
-            )
+            records.append(verify_bound(entry, mc_tail(query, config.mc_trials, seed), event=event))
     return records
-
-
-def _condense_ranges(points: List[float]) -> List[List[float]]:
-    """[t...] -> [[lo, hi], ...] merging adjacent grid points."""
-    if not points:
-        return []
-    return [[points[0], points[-1]]] if len(points) > 1 else [[points[0], points[0]]]
 
 
 @dataclass
@@ -261,27 +232,33 @@ class FeasibilityReport:
         return all(r.holds for r in self.verification)
 
     def verdict(self) -> dict:
+        """Classify each grid point and report each class as [lo, hi]
+        ranges, one per run of consecutive grid points in that class."""
         by_time: dict[float, List[SweepEntry]] = {}
         for row in self.rows:
             by_time.setdefault(row.t, []).append(row)
-        feasible, infeasible, out_of_regime = [], [], []
+        ranges = {"feasible_at": [], "infeasible_at": [], "out_of_regime_at": []}
+        previous = None
         for t in sorted(by_time):
             bounds = [r.bound for r in by_time[t] if isinstance(r, BoundResult)]
             if not bounds:
-                out_of_regime.append(t)
+                key = "out_of_regime_at"
             elif min(bounds) <= self.epsilon:
-                infeasible.append(t)
+                key = "infeasible_at"
             else:
-                feasible.append(t)
+                key = "feasible_at"
+            if key == previous:
+                ranges[key][-1][1] = t
+            else:
+                ranges[key].append([t, t])
+            previous = key
         return {
             "epsilon": self.epsilon,
             "note": (
                 "bound <= epsilon means the chance that prediction-based testing "
                 "beats manual testing at this t is small (tool convention)"
             ),
-            "feasible_at": _condense_ranges(feasible),
-            "infeasible_at": _condense_ranges(infeasible),
-            "out_of_regime_at": _condense_ranges(out_of_regime),
+            **ranges,
         }
 
     def to_dict(self) -> dict:

@@ -528,6 +528,8 @@ class TestCriterion9:
         pairs = [
             (HazardModel(LI, K=0.9), HazardModel(WEIBULL, K=0.9, m=1.0)),
             (HazardModel(NLI, K=0.4), HazardModel(WEIBULL, K=0.4, m=2.0)),
+            (HazardModel(NLD, K=1.3), HazardModel(WEIBULL, K=1.3, m=-0.5)),
+            (HazardModel(CONST, lam=0.7), HazardModel(WEIBULL, K=0.7, m=0.0)),
         ]
         for special, general in pairs:
             for t in np.linspace(0.1, 6.0, 25):
@@ -539,7 +541,8 @@ class TestCriterion9:
                 assert reliability_tail_threshold(special, t) == pytest.approx(
                     reliability_tail_threshold(general, t), rel=1e-12
                 )
-        _line(9, True, "li and nli agree with the m=1 and m=2 power laws at rel 1e-12")
+        _line(9, True, "li, nli, nld and constant agree with the m=1, 2, -1/2 and 0 "
+                       "power laws at rel 1e-12")
 
 
 class TestCriterion10:

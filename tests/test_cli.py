@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
+from sdpfeas import report as report_module
 from sdpfeas.cli import (
     EXIT_ASSUMPTION,
     EXIT_OK,
@@ -13,7 +15,7 @@ from sdpfeas.cli import (
     EXIT_VERIFICATION,
     main,
 )
-from sdpfeas.report import CORRUPT_ENV_VAR, SEED_ENV_VAR
+from sdpfeas.report import SEED_ENV_VAR
 
 DESK_COUNTS = '{"tp": 5, "fn": 3, "fp": 2, "tn": 17}'
 
@@ -140,6 +142,15 @@ class TestBound:
         _, out, _ = run(["bound", "--config", config, "--corrected"], expect=EXIT_OK)
         assert json.loads(out)["sign_mode"] == "corrected"
 
+    @pytest.mark.parametrize(
+        "override", [{"corrected": "false"}, {"corrected": 0}, {"verify": {"exact": "no"}}]
+    )
+    def test_non_boolean_flags_rejected(self, run, tmp_path, override):
+        config = write_scenario(tmp_path, dict(DESK_SCENARIO, **override))
+        _, out, err = run(["bound", "--config", config], expect=EXIT_USAGE)
+        assert out == ""
+        assert err.startswith("error:") and "true or false" in err
+
 
 class TestSweep:
     def li_scenario(self):
@@ -210,7 +221,15 @@ class TestVerify:
         assert report["scenario"] == DESK_SCENARIO
 
     def test_corrupted_bound_exits_4(self, run, tmp_path, monkeypatch):
-        monkeypatch.setenv(CORRUPT_ENV_VAR, "1e-6")
+        verify_bound = report_module.verify_bound
+
+        def verify_scaled(bound, oracle, event=""):
+            scaled = dataclasses.replace(
+                bound, bound=bound.bound * 1e-6, log_bound=bound.log_bound + math.log(1e-6)
+            )
+            return verify_bound(scaled, oracle, event=event)
+
+        monkeypatch.setattr(report_module, "verify_bound", verify_scaled)
         config = write_scenario(tmp_path, DESK_SCENARIO)
         _, out, _ = run(["verify", "--config", config], expect=EXIT_VERIFICATION)
         report = json.loads(out)
@@ -268,6 +287,28 @@ class TestVerify:
         # default 0.05 cutoff; at t=4: exp(-0.1) ~ 0.9
         assert summary["feasible_at"] == [[1.0, 4.0]]
         assert summary["infeasible_at"] == []
+
+    def test_verdict_ranges_are_disjoint_runs_covering_the_grid(self, run, tmp_path):
+        # the Y-variant reliability bound dips below epsilon and recovers,
+        # so the feasible points form two runs around an infeasible one
+        scenario = {
+            "outcome": {"l": 2000, "p": 0.0044, "injection": {"K_hat": 1.3, "m_hat": 0.375}},
+            "model": {"family": "weibull", "K": 2.65, "m": 2.1},
+            "time_grid": {"start": 1e-3, "stop": 100.0, "steps": 60, "spacing": "log"},
+            "kinds": ["hazard", "reliability"],
+            "variant": "Y",
+            "epsilon": 0.6,
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["verify", "--config", config])
+        report = json.loads(out)
+        summary = report["summary"]
+        ranges = summary["feasible_at"] + summary["infeasible_at"] + summary["out_of_regime_at"]
+        grid = sorted({row["t"] for row in report["rows"]})
+        assert len(grid) == 60
+        for t in grid:
+            assert sum(lo <= t <= hi for lo, hi in ranges) == 1, t
+        assert len(summary["feasible_at"]) > 1
 
 
 class TestTopLevel:
