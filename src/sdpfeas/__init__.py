@@ -29,6 +29,7 @@ from .errors import (
     AssumptionViolationError,
     DomainError,
     InvalidInputError,
+    NumericOverflowError,
     OutOfRegimeError,
     ParseError,
     SdpFeasError,

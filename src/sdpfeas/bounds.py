@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Union
 
-from .errors import DomainError, InvalidInputError, OutOfRegimeError
+from .errors import InvalidInputError, NumericOverflowError, OutOfRegimeError
 from .hazards import FAMILIES, HazardFamily, HazardModel, hazard_at, reliability_tail_threshold
 from .outcome import (
     SdpOutcome,
@@ -172,28 +172,34 @@ def _bound(
     corrected: bool = True,
 ) -> BoundResult:
     """Resolve (kind, variant, corrected) to the (mu, threshold, tag,
-    sign_mode) of one named bound at time t and apply the kernel."""
+    sign_mode) of one named bound at time t and apply the kernel. An
+    overflow (the as-published Thm4 form at moderate t, for one) raises
+    NumericOverflowError naming the bound and t."""
     injected = variant is Variant.Y
     if injected and model.family is not HazardFamily.WEIBULL:
         raise InvalidInputError(
             f"injection-variant bounds compare against a weibull manual-testing "
             f"model only, got {model.family.value!r}"
         )
-    sign_mode = None
-    if kind is BoundKind.HAZARD:
-        if injected:
-            mu, tag = expected_hazard_y(outcome, t), "Thm3"
-        else:
-            mu, tag = expected_hazard_x(outcome), FAMILIES[model.family].hazard_tag
-        threshold = hazard_at(model, t)
+    spec, hazard = FAMILIES[model.family], kind is BoundKind.HAZARD
+    if injected:
+        tag, sign_mode = ("Thm3", None) if hazard else ("Thm4", "corrected" if corrected else "as-published")
     else:
-        if injected:
-            mu, tag = expected_reliability_bound_y(outcome, t, corrected=corrected), "Thm4"
-            sign_mode = "corrected" if corrected else "as-published"
+        tag, sign_mode = (spec.hazard_tag if hazard else spec.reliability_tag), None
+    try:
+        if hazard:
+            mu = expected_hazard_y(outcome, t) if injected else expected_hazard_x(outcome)
+            threshold = hazard_at(model, t)
+        elif injected:
+            mu = expected_reliability_bound_y(outcome, t, corrected)
+            threshold = reliability_tail_threshold(model, t)
         else:
-            mu, tag = expected_reliability_bound_x(outcome, t), FAMILIES[model.family].reliability_tag
-        threshold = reliability_tail_threshold(model, t)
-    return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
+            mu = expected_reliability_bound_x(outcome, t)
+            threshold = reliability_tail_threshold(model, t)
+        return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
+    except OverflowError as exc:
+        form = tag if sign_mode is None else f"{tag} ({sign_mode})"
+        raise NumericOverflowError(f"{form} overflows a 64-bit float at t = {t!r}") from exc
 
 
 def hazard_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:

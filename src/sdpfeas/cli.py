@@ -20,13 +20,7 @@ from pathlib import Path
 
 from .bounds import BoundResult
 from .confusion import counts_from_json, false_omission_rate, records_from_csv
-from .errors import (
-    AssumptionViolationError,
-    InvalidInputError,
-    OutOfRegimeError,
-    ParseError,
-    SdpFeasError,
-)
+from .errors import AssumptionViolationError, OutOfRegimeError, SdpFeasError
 from .report import ScenarioConfig, build_report, run_sweep, sweep_to_csv
 
 EXIT_OK = 0
@@ -45,13 +39,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SdpFeasError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -61,24 +52,14 @@ def _write_output(text: str, out: str | None) -> None:
     try:
         Path(out).write_text(text)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
+        raise SdpFeasError(f"cannot write {out}: {exc}") from exc
 
 
 def _load_config(args) -> ScenarioConfig:
+    """The scenario file with the command-line flags applied, checked alike."""
     config = ScenarioConfig.from_json(_read_text(args.config))
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["mc_trials"] = args.trials
-    if getattr(args, "corrected", None) is not None:
-        overrides["corrected"] = args.corrected
-    if getattr(args, "epsilon", None) is not None:
-        overrides["epsilon"] = args.epsilon
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    flags = {"seed": args.seed, "mc_trials": args.trials, "corrected": args.corrected, "epsilon": args.epsilon}
+    return dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def cmd_metrics(args) -> int:
@@ -170,8 +151,6 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
     except AssumptionViolationError as exc:
         print(
             f"error: assumption {exc.assumption} violated "
@@ -182,9 +161,6 @@ def main(argv=None) -> int:
     except OutOfRegimeError as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return EXIT_OUT_OF_REGIME
-    except (ParseError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SdpFeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

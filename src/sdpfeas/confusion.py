@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AssumptionViolationError, InvalidInputError, ParseError
+from .errors import AssumptionViolationError, InvalidInputError, ParseError, read_integer, read_json, read_object
 
 __all__ = [
     "ConfusionMatrix",
@@ -22,6 +21,7 @@ __all__ = [
     "confusion_from_counts",
     "confusion_from_records",
     "false_omission_rate",
+    "counts_from_descriptor",
     "counts_from_json",
     "records_from_csv",
 ]
@@ -46,9 +46,7 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         for name in ("tp", "fn_", "fp", "tn"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidInputError(f"count {name!r} must be an integer, got {value!r}")
+            value = read_integer(getattr(self, name), f"count {name!r}")
             if value < 0:
                 raise InvalidInputError(f"count {name!r} must be >= 0, got {value}")
 
@@ -160,21 +158,15 @@ def false_omission_rate(matrix: ConfusionMatrix) -> FailureProbability:
     )
 
 
+def counts_from_descriptor(payload: dict) -> ConfusionMatrix:
+    """Build a matrix from the object ``{"tp":int,"fn":int,"fp":int,"tn":int}``."""
+    read_object(payload, "counts document", required=("tp", "fn", "fp", "tn"))
+    return confusion_from_counts(tp=payload["tp"], fn_=payload["fn"], fp=payload["fp"], tn=payload["tn"])
+
+
 def counts_from_json(text: str) -> ConfusionMatrix:
     """Parse the JSON counts format ``{"tp":int,"fn":int,"fp":int,"tn":int}``."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"counts document must be a JSON object, got {type(payload).__name__}")
-    missing = {"tp", "fn", "fp", "tn"} - payload.keys()
-    if missing:
-        raise ParseError(f"counts document missing keys: {sorted(missing)}")
-    extra = payload.keys() - {"tp", "fn", "fp", "tn"}
-    if extra:
-        raise ParseError(f"counts document has unknown keys: {sorted(extra)}")
-    return confusion_from_counts(tp=payload["tp"], fn_=payload["fn"], fp=payload["fp"], tn=payload["tn"])
+    return counts_from_descriptor(read_json(text))
 
 
 def records_from_csv(text: str, aliases: Mapping[str, str] | None = None) -> ConfusionMatrix:

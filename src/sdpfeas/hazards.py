@@ -24,12 +24,11 @@ the package branches on the family, so a new family is one new row.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, InvalidInputError, ParseError
+from .errors import DomainError, InvalidInputError, ParseError, read_choice, read_number, read_object
 
 __all__ = [
     "HazardFamily",
@@ -39,7 +38,6 @@ __all__ = [
     "reliability_at",
     "reliability_tail_threshold",
     "model_from_descriptor",
-    "model_from_json",
 ]
 
 
@@ -75,16 +73,6 @@ class HazardModel:
     def max_time(self) -> float:
         """Upper end of the valid time domain (inf unless linearly decreasing)."""
         return FAMILIES[self.family].max_time(self)
-
-    def to_descriptor(self) -> dict:
-        d = {"family": self.family.value}
-        if self.K is not None:
-            d["K"] = self.K
-        if self.m is not None:
-            d["m"] = self.m
-        if self.lam is not None:
-            d["lambda"] = self.lam
-        return d
 
 
 @dataclass(frozen=True)
@@ -201,28 +189,13 @@ def model_from_descriptor(payload: dict) -> HazardModel:
 
     Only the family-appropriate fields are accepted; extras are rejected.
     """
-    if not isinstance(payload, dict):
-        raise ParseError(f"model descriptor must be an object, got {type(payload).__name__}")
+    read_object(payload, "model descriptor", optional=None)
     if "family" not in payload:
         raise ParseError("model descriptor missing 'family'")
-    try:
-        family = HazardFamily(payload["family"])
-    except ValueError:
-        valid = ", ".join(f.value for f in HazardFamily)
-        raise ParseError(f"unknown hazard family {payload['family']!r}; expected one of: {valid}") from None
-    required = [field for field, _, _ in FAMILIES[family].params]
-    missing = set(required) - payload.keys()
-    if missing:
-        raise ParseError(f"{family.value} descriptor missing fields: {sorted(missing)}")
-    extra = payload.keys() - {"family", *required}
-    if extra:
-        raise ParseError(f"{family.value} descriptor has extraneous fields: {sorted(extra)}")
-    return HazardModel(family=family, **{_ATTRIBUTE[field]: float(payload[field]) for field in required})
-
-
-def model_from_json(text: str) -> HazardModel:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return model_from_descriptor(payload)
+    family = read_choice(payload["family"], "hazard family", HazardFamily)
+    fields = [field for field, _, _ in FAMILIES[family].params]
+    read_object(payload, f"{family.value} descriptor", required=fields, optional=["family"])
+    return HazardModel(
+        family=family,
+        **{_ATTRIBUTE[field]: read_number(payload[field], f"{family.value} {field}") for field in fields},
+    )

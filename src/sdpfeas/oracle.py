@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .bounds import BoundResult, Regime
+from .bounds import BoundResult
 from .errors import InvalidInputError
 
 __all__ = [
@@ -63,13 +63,19 @@ class TailQuery:
 @dataclass(frozen=True)
 class TailEstimate:
     """A tail probability with its provenance; MC entries carry trials,
-    standard error and the seed that reproduces them."""
+    standard error and the seed that reproduces them. ``log_value`` (by
+    default log(value)) stays finite where ``value`` underflows."""
 
     value: float
     method: TailMethod
     trials: int | None = None
     stderr: float | None = None
     seed: int | None = None
+    log_value: float | None = None
+
+    def __post_init__(self):
+        if self.log_value is None:
+            object.__setattr__(self, "log_value", math.log(self.value) if self.value > 0 else -math.inf)
 
 
 def _strict_upper_index(threshold: float, l: int) -> int:
@@ -110,8 +116,10 @@ def exact_binomial_tail(query: TailQuery) -> TailEstimate:
         return TailEstimate(value=1.0, method=TailMethod.EXACT)
     log_terms = _log_pmf(query.l, query.p, k_star)
     shift = log_terms.max()
-    value = float(math.exp(shift) * np.exp(log_terms - shift).sum())
-    return TailEstimate(value=min(value, 1.0), method=TailMethod.EXACT)
+    total = np.exp(log_terms - shift).sum()
+    log_value = min(float(shift + math.log(total)), 0.0)
+    value = min(float(math.exp(shift) * total), 1.0)
+    return TailEstimate(value=value, method=TailMethod.EXACT, log_value=log_value)
 
 
 def exact_scaled_tail_y(l: int, p: float, scale: float, threshold: float) -> TailEstimate:
@@ -196,7 +204,8 @@ class VerificationRecord:
 
 
 def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> VerificationRecord:
-    """Check the strict inequality oracle < bound.
+    """Check the strict inequality oracle < bound, in log space so that
+    the verdict holds where the bound or the oracle underflows to 0.0.
 
     Exact oracles are compared directly; MC oracles pass when the point
     estimate minus three standard errors stays below the bound, with an
@@ -206,14 +215,18 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
         raise InvalidInputError(
             f"verification needs a computed BoundResult, got {type(bound).__name__}"
         )
-    if bound.regime not in (Regime.VALID, Regime.TRIVIAL):
-        raise InvalidInputError(f"cannot verify a bound in regime {bound.regime!r}")
+    below = oracle.log_value < bound.log_bound
     advisory = False
     if oracle.method is TailMethod.EXACT:
-        holds = oracle.value < bound.bound
+        holds = below
     else:
-        holds = oracle.value - 3.0 * oracle.stderr < bound.bound
-        advisory = holds and not (oracle.value < bound.bound)
+        lower = oracle.value - 3.0 * oracle.stderr
+        holds = lower <= 0 or math.log(lower) < bound.log_bound
+        advisory = holds and not below
+    try:  # an underflowed bound takes its ratio from the logs
+        ratio = oracle.value / bound.bound if bound.bound > 0 else math.exp(oracle.log_value - bound.log_bound)
+    except OverflowError:
+        ratio = math.inf
     return VerificationRecord(
         event=event,
         bound=bound.bound,
@@ -221,7 +234,7 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
         method=oracle.method,
         holds=holds,
         slack=bound.bound - oracle.value,
-        ratio=oracle.value / bound.bound if bound.bound > 0 else math.inf,
+        ratio=ratio,
         seed=oracle.seed,
         advisory=advisory,
     )

@@ -17,12 +17,12 @@ form is consistent with simulation. Both are kept, clearly labelled.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .confusion import FailureProbability, counts_from_json, false_omission_rate
+from .confusion import FailureProbability, counts_from_descriptor, false_omission_rate
 from .errors import DomainError, InvalidInputError, ParseError, WrongVariantError
+from .errors import read_integer, read_number, read_object
 
 __all__ = [
     "WeibullInjection",
@@ -81,11 +81,11 @@ class SdpOutcome:
     n: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 1:
+        if read_integer(self.l, "module count l") < 1:
             raise InvalidInputError(f"module count l must be an integer >= 1, got {self.l!r}")
         if isinstance(self.p, float):
             object.__setattr__(self, "p", FailureProbability.from_float(self.p))
-        if self.n is not None and self.n < self.l:
+        if self.n is not None and read_integer(self.n, "total module count n") < self.l:
             raise InvalidInputError(f"total module count n={self.n} cannot be below l={self.l}")
 
     @property
@@ -173,24 +173,15 @@ def outcome_from_descriptor(payload: dict) -> SdpOutcome:
     (p derived as the false omission rate), plus optional
     ``"injection": {"K_hat": num, "m_hat": num}`` and ``"n": int``.
     """
-    if not isinstance(payload, dict):
-        raise ParseError(f"outcome descriptor must be an object, got {type(payload).__name__}")
-    allowed = {"l", "p", "confusion", "injection", "n"}
-    extra = payload.keys() - allowed
-    if extra:
-        raise ParseError(f"outcome descriptor has unknown fields: {sorted(extra)}")
-    if "l" not in payload:
-        raise ParseError("outcome descriptor missing 'l'")
+    read_object(payload, "outcome descriptor", required=("l",), optional=("p", "confusion", "injection", "n"))
     if ("p" in payload) == ("confusion" in payload):
         raise ParseError("outcome descriptor needs exactly one of 'p' or 'confusion'")
     if "p" in payload:
-        p = FailureProbability.from_float(float(payload["p"]))
+        p = read_number(payload["p"], "outcome p")
     else:
-        p = false_omission_rate(counts_from_json(json.dumps(payload["confusion"])))
+        p = false_omission_rate(counts_from_descriptor(payload["confusion"]))
     injection = None
     if "injection" in payload:
-        inj = payload["injection"]
-        if not isinstance(inj, dict) or inj.keys() != {"K_hat", "m_hat"}:
-            raise ParseError("injection descriptor must be {'K_hat': num, 'm_hat': num}")
-        injection = WeibullInjection(K_hat=float(inj["K_hat"]), m_hat=float(inj["m_hat"]))
-    return SdpOutcome(l=int(payload["l"]), p=p, injection=injection, n=payload.get("n"))
+        fields = read_object(payload["injection"], "injection descriptor", required=("K_hat", "m_hat"))
+        injection = WeibullInjection(read_number(fields["K_hat"], "K_hat"), read_number(fields["m_hat"], "m_hat"))
+    return SdpOutcome(l=payload["l"], p=p, injection=injection, n=payload.get("n"))

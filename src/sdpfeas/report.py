@@ -31,7 +31,8 @@ from .bounds import (
     Variant,
     bound_sweep,
 )
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError, read_boolean, read_choice, read_integer, read_json, read_list
+from .errors import read_number, read_object
 from .hazards import HazardModel, model_from_descriptor
 from .oracle import (
     TailQuery,
@@ -62,29 +63,19 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _boolean(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ParseError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
 def _build_grid(payload: dict) -> List[float]:
-    if payload.keys() == {"t"}:
-        t = float(payload["t"])
+    if "t" in read_object(payload, "time_grid", optional=None):
+        t = read_number(read_object(payload, "time_grid", required=("t",))["t"], "time_grid t")
         if not t > 0:
             raise InvalidInputError(f"time point must be > 0, got {t!r}")
         return [t]
-    required = {"start", "stop", "steps"}
-    extra = payload.keys() - (required | {"spacing"})
-    if extra:
-        raise ParseError(f"time_grid has unknown fields: {sorted(extra)}")
-    missing = required - payload.keys()
-    if missing:
-        raise ParseError(f"time_grid missing fields: {sorted(missing)}")
-    start = float(payload["start"])
-    stop = float(payload["stop"])
-    steps = int(payload["steps"])
+    read_object(payload, "time_grid", required=("start", "stop", "steps"), optional=("spacing",))
+    start = read_number(payload["start"], "time_grid start")
+    stop = read_number(payload["stop"], "time_grid stop")
+    steps = read_integer(payload["steps"], "time_grid steps")
     spacing = payload.get("spacing", "linear")
+    if spacing not in ("linear", "log"):
+        raise ParseError(f"time_grid spacing must be 'linear' or 'log', got {spacing!r}")
     if not start > 0:
         raise InvalidInputError(f"time_grid start must be > 0, got {start!r}")
     if steps < 1:
@@ -93,17 +84,15 @@ def _build_grid(payload: dict) -> List[float]:
         return [start]
     if not stop > start:
         raise InvalidInputError(f"time_grid requires stop > start, got {start!r}..{stop!r}")
-    if spacing == "linear":
-        grid = np.linspace(start, stop, steps)
-    elif spacing == "log":
-        grid = np.geomspace(start, stop, steps)
-    else:
-        raise ParseError(f"time_grid spacing must be 'linear' or 'log', got {spacing!r}")
+    grid = np.linspace(start, stop, steps) if spacing == "linear" else np.geomspace(start, stop, steps)
     return [float(t) for t in grid]
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A checked scenario; ``__post_init__`` also checks the settings that
+    CLI flags override through ``dataclasses.replace``."""
+
     outcome: SdpOutcome
     model: HazardModel
     grid: List[float]
@@ -116,63 +105,58 @@ class ScenarioConfig:
     epsilon: float = DEFAULT_EPSILON
     raw: dict = field(default_factory=dict, compare=False)
 
+    def __post_init__(self):
+        read_boolean(self.corrected, "corrected")
+        read_boolean(self.verify_exact, "verify.exact")
+        if read_integer(self.mc_trials, "mc_trials") < 0:
+            raise InvalidInputError(f"mc_trials must be >= 0, got {self.mc_trials}")
+        if self.seed is not None and not 0 <= read_integer(self.seed, "seed") < 2**128:
+            raise InvalidInputError(f"seed must lie in the Philox key range [0, 2**128), got {self.seed}")
+        if not 0.0 < read_number(self.epsilon, "epsilon") < 1.0:
+            raise InvalidInputError(f"epsilon must lie strictly in (0, 1), got {self.epsilon!r}")
+
     @classmethod
     def from_descriptor(cls, payload: dict) -> "ScenarioConfig":
-        if not isinstance(payload, dict):
-            raise ParseError(f"scenario must be a JSON object, got {type(payload).__name__}")
-        allowed = {"outcome", "model", "time_grid", "kinds", "variant", "corrected", "verify", "epsilon"}
-        extra = payload.keys() - allowed
-        if extra:
-            raise ParseError(f"scenario has unknown fields: {sorted(extra)}")
-        for key in ("outcome", "model", "time_grid"):
-            if key not in payload:
-                raise ParseError(f"scenario missing {key!r}")
+        read_object(
+            payload,
+            "scenario",
+            required=("outcome", "model", "time_grid"),
+            optional=("kinds", "variant", "corrected", "verify", "epsilon"),
+        )
         outcome = outcome_from_descriptor(payload["outcome"])
         model = model_from_descriptor(payload["model"])
         grid = _build_grid(payload["time_grid"])
         kinds_raw = payload.get("kinds", ["hazard"])
-        try:
-            kinds = [BoundKind(k) for k in kinds_raw]
-        except ValueError:
-            raise ParseError(f"kinds must be a subset of ['hazard', 'reliability'], got {kinds_raw!r}") from None
+        kinds = [read_choice(kind, "bound kind", BoundKind) for kind in read_list(kinds_raw, "kinds")]
         if not kinds or len(set(kinds)) != len(kinds):
             raise ParseError(f"kinds must be a non-empty set, got {kinds_raw!r}")
-        try:
-            variant = Variant(payload.get("variant", "X"))
-        except ValueError:
-            raise ParseError(f"variant must be 'X' or 'Y', got {payload.get('variant')!r}") from None
+        variant = read_choice(payload.get("variant", "X"), "variant", Variant)
         if variant is Variant.Y and outcome.injection is None:
             raise ParseError("variant 'Y' requires an outcome with an 'injection' descriptor")
-        verify = payload.get("verify", {})
-        if not isinstance(verify, dict) or verify.keys() - {"exact", "mc_trials", "seed"}:
-            raise ParseError(f"verify block must contain only exact/mc_trials/seed, got {verify!r}")
-        mc_trials = int(verify.get("mc_trials", 0))
-        if mc_trials < 0:
-            raise InvalidInputError(f"mc_trials must be >= 0, got {mc_trials}")
+        verify = read_object(payload.get("verify", {}), "verify", optional=("exact", "mc_trials", "seed"))
         seed = verify.get("seed")
         if seed is None and SEED_ENV_VAR in os.environ:
-            seed = int(os.environ[SEED_ENV_VAR])
+            try:
+                seed = int(os.environ[SEED_ENV_VAR])
+            except ValueError:
+                raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}") from None
         return cls(
             outcome=outcome,
             model=model,
             grid=grid,
             kinds=kinds,
             variant=variant,
-            corrected=_boolean(payload.get("corrected", True), "corrected"),
-            verify_exact=_boolean(verify.get("exact", True), "verify.exact"),
-            mc_trials=mc_trials,
-            seed=None if seed is None else int(seed),
-            epsilon=float(payload.get("epsilon", DEFAULT_EPSILON)),
+            corrected=payload.get("corrected", True),
+            verify_exact=verify.get("exact", True),
+            mc_trials=verify.get("mc_trials", 0),
+            seed=seed,
+            epsilon=payload.get("epsilon", DEFAULT_EPSILON),
             raw=payload,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        return cls.from_descriptor(payload)
+        return cls.from_descriptor(read_json(text))
 
 
 def run_sweep(config: ScenarioConfig) -> List[SweepEntry]:

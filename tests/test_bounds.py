@@ -11,9 +11,11 @@ from sdpfeas import (
     HazardFamily,
     HazardModel,
     InvalidInputError,
+    NumericOverflowError,
     OutOfRegime,
     OutOfRegimeError,
     Regime,
+    SdpFeasError,
     SdpOutcome,
     Variant,
     WeibullInjection,
@@ -216,6 +218,14 @@ class TestReliabilityWrappersMatchPrintedForms:
 
 
 class TestInjectedVariant:
+    @pytest.mark.parametrize("t", [2.65, 3.0, 8.0])
+    def test_as_published_overflow_is_labelled(self, t):
+        o = injected(50, 0.1, 1.0, 0.5)
+        model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
+        with pytest.raises(NumericOverflowError, match=rf"Thm4 \(as-published\) .* t = {t!r}") as info:
+            reliability_bound_y(o, model, t, corrected=False)
+        assert isinstance(info.value, OverflowError) and isinstance(info.value, SdpFeasError)
+
     def test_frozen_example(self):
         o = injected(10, 0.5, 2.0, 1.0)
         model = HazardModel(HazardFamily.WEIBULL, K=6.0, m=1.0)

@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import csv
 import dataclasses
 import io
@@ -5,6 +7,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sdpfeas import report as report_module
 from sdpfeas.cli import (
@@ -309,6 +313,154 @@ class TestVerify:
         for t in grid:
             assert sum(lo <= t <= hi for lo, hi in ranges) == 1, t
         assert len(summary["feasible_at"]) > 1
+
+
+def _replace(path, value, base=DESK_SCENARIO):
+    """A copy of ``base`` with the field at ``path`` (a tuple of keys) set to ``value``."""
+    scenario = copy.deepcopy(base)
+    target = scenario
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return scenario
+
+
+#: id -> (scenario, extra argv, SDPFEAS_SEED): a value of the wrong JSON type
+#: or out of range, from the file, a flag or the environment
+MALFORMED = {
+    "steps string": (_replace(("time_grid",), {"start": 1.0, "stop": 2.0, "steps": "x"}), [], None),
+    "p string": (_replace(("outcome", "p"), "abc"), [], None),
+    "time_grid list": (_replace(("time_grid",), [1, 2]), [], None),
+    "n string": (_replace(("outcome", "n"), "x"), [], None),
+    "kinds number": (_replace(("kinds",), 5), [], None),
+    "seed string": (_replace(("verify", "seed"), "x"), [], None),
+    "t string": (_replace(("time_grid",), {"t": "x"}), [], None),
+    "l float": (_replace(("outcome", "l"), 100.7), [], None),
+    "l bool": (_replace(("outcome", "l"), True), [], None),
+    "K string": (_replace(("model",), {"family": "li", "K": "1"}), [], None),
+    "mc_trials float": (_replace(("verify", "mc_trials"), 2.9), [], None),
+    "epsilon string": (_replace(("epsilon",), "nan"), [], None),
+    "env seed string": (_replace(("verify",), {"exact": True, "mc_trials": 10}), [], "x"),
+    "flag seed negative": (DESK_SCENARIO, ["--seed", "-1"], None),
+    "flag epsilon negative": (DESK_SCENARIO, ["--epsilon", "-3"], None),
+    "flag trials negative": (DESK_SCENARIO, ["--trials", "-5"], None),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_1_with_one_error_line(self, run, tmp_path, monkeypatch, case):
+        scenario, flags, env_seed = MALFORMED[case]
+        if env_seed is None:
+            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+        config = write_scenario(tmp_path, scenario)
+        _, out, err = run(["verify", "--config", config, *flags], expect=EXIT_USAGE)
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_null_seed_means_default(self, run, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        config = write_scenario(tmp_path, _replace(("verify",), {"exact": True, "mc_trials": 1000, "seed": None}))
+        _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
+        assert {r.get("seed") for r in json.loads(out)["verification"]} == {None, 0}
+
+    def test_unreadable_config_is_an_error_line(self, run, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xff\xfe{")
+        _, _, err = run(["verify", "--config", str(path)], expect=EXIT_USAGE)
+        assert err.startswith("error: cannot read")
+
+
+#: the as-published Y reliability bound overflows past t = 2.62
+Y_PUBLISHED = {
+    "outcome": {"l": 50, "p": 0.1, "injection": {"K_hat": 1.0, "m_hat": 0.5}},
+    "model": {"family": "weibull", "K": 2.0, "m": 0.5},
+    "kinds": ["hazard", "reliability"],
+    "variant": "Y",
+    "corrected": False,
+}
+
+
+class TestNumericLimits:
+    @pytest.mark.parametrize("t", [2.65, 3.0, 8.0])
+    def test_as_published_overflow_is_an_error_line(self, run, tmp_path, t):
+        config = write_scenario(tmp_path, dict(Y_PUBLISHED, time_grid={"t": t}))
+        _, out, err = run(["sweep", "--config", config], expect=EXIT_USAGE)
+        assert out == ""
+        assert err == f"error: Thm4 (as-published) overflows a 64-bit float at t = {t!r}\n"
+
+    def test_as_published_below_overflow_still_sweeps(self, run, tmp_path):
+        config = write_scenario(tmp_path, dict(Y_PUBLISHED, time_grid={"t": 2.62}))
+        _, out, _ = run(["sweep", "--config", config], expect=EXIT_OK)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["theorem"], r["regime"]) for r in rows] == [("Thm3", "valid"), ("Thm4", "valid")]
+
+    def test_underflowed_sound_bound_verifies(self, run, tmp_path):
+        # li K = 200 at t = 0.5: mu = 2000, threshold 100, log bound -902.5;
+        # the bound and the exact tail both print as 0.0
+        scenario = {
+            "outcome": {"l": 200_000, "p": 0.01},
+            "model": {"family": "li", "K": 200},
+            "time_grid": {"t": 0.5},
+            "verify": {"exact": True, "mc_trials": 20, "seed": 3},
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
+        report = json.loads(out)
+        assert report["rows"][0]["bound"] == 0.0
+        assert [r["holds"] for r in report["verification"]] == [True, True]
+
+
+#: a valid scenario whose one-field mutations must stay inside the exit-code
+#: contract; hazard-only X bounds are sound, so a verify never exits 4
+FUZZ_BASE = {
+    "outcome": {"l": 60, "p": 0.05, "n": 80},
+    "model": {"family": "weibull", "K": 0.5, "m": 0.5},
+    "time_grid": {"start": 0.5, "stop": 4.0, "steps": 3, "spacing": "log"},
+    "kinds": ["hazard"],
+    "variant": "X",
+    "corrected": True,
+    "epsilon": 0.05,
+    "verify": {"exact": True, "mc_trials": 0, "seed": 1},
+}
+
+
+def _paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+FUZZ_PATHS = sorted(_paths(FUZZ_BASE))
+
+FUZZ_VALUES = st.one_of(
+    st.text(max_size=6),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.none(),
+    st.just(math.nan),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-300, allow_infinity=True),
+)
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(FUZZ_PATHS), value=FUZZ_VALUES)
+    def test_one_bad_field_stays_in_the_exit_code_contract(self, tmp_path, path, value):
+        config = tmp_path / "fuzz.json"
+        config.write_text(json.dumps(_replace(path, value, base=FUZZ_BASE)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--config", str(config)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_ASSUMPTION, EXIT_OUT_OF_REGIME), err.getvalue()
+        if code == EXIT_USAGE:
+            assert err.getvalue().startswith("error:")
 
 
 class TestTopLevel:

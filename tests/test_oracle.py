@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
+from scipy.stats import binom
 
 from sdpfeas import (
     InvalidInputError,
@@ -83,6 +85,20 @@ class TestExactTail:
         mu = l * p
         est = exact_binomial_tail(TailQuery(l=l, p=p, threshold=0.99 * mu))
         assert 0.0 < est.value < chernoff_lower_tail(mu, 0.99 * mu).bound
+
+    def test_log_value_survives_underflow(self):
+        # the tail is about 1e-702: value underflows to 0.0, its log does not
+        query = TailQuery(l=200_000, p=0.01, threshold=100.0)
+        reference = logsumexp(binom.logpmf(np.arange(100), 200_000, 0.01))
+        est = exact_binomial_tail(query)
+        assert est.value == 0.0
+        assert est.log_value == pytest.approx(reference, rel=1e-10)
+
+    def test_log_value_matches_value(self):
+        est = exact_binomial_tail(TailQuery(l=100, p=0.05, threshold=2.0))
+        assert est.log_value == pytest.approx(math.log(est.value), rel=1e-13)
+        assert TailEstimate(value=0.25, method=TailMethod.EXACT).log_value == math.log(0.25)
+        assert TailEstimate(value=0.0, method=TailMethod.EXACT).log_value == -math.inf
 
     def test_rejects_bad_query(self):
         with pytest.raises(InvalidInputError):
@@ -229,6 +245,27 @@ class TestVerifyBound:
         )
         record = verify_bound(bound, oracle)
         assert not record.holds
+
+    def test_underflowed_bound_decided_in_log_space(self):
+        # mu = 2000, threshold = 100: log bound -902.5, log tail about -1615.7;
+        # both print as 0.0, the verdict still holds
+        bound = chernoff_lower_tail(2000.0, 100.0)
+        query = TailQuery(l=200_000, p=0.01, threshold=100.0)
+        assert bound.bound == 0.0
+        exact = verify_bound(bound, exact_binomial_tail(query))
+        assert exact.holds
+        assert exact.ratio == pytest.approx(math.exp(exact_binomial_tail(query).log_value + 902.5), rel=1e-9)
+        assert 0.0 < exact.ratio < 1e-300
+        mc = verify_bound(bound, mc_tail(query, trials=20, seed=1))
+        assert mc.holds and not mc.advisory and mc.ratio == 0.0
+
+    def test_underflowed_bound_still_fails_a_larger_oracle(self):
+        bound = chernoff_lower_tail(2000.0, 100.0)
+        record = verify_bound(bound, TailEstimate(value=1e-300, method=TailMethod.EXACT))
+        assert not record.holds
+        assert record.ratio == pytest.approx(math.exp(math.log(1e-300) + 902.5), rel=1e-9)
+        # a ratio past the float range reads inf
+        assert verify_bound(bound, TailEstimate(value=0.5, method=TailMethod.EXACT)).ratio == math.inf
 
     def test_rejects_non_bound(self):
         oracle = exact_binomial_tail(TailQuery(l=10, p=0.3, threshold=2.0))
