@@ -53,6 +53,7 @@ from .oracle import (
     exact_reliability_tail,
     exact_scaled_tail_y,
     mc_tail,
+    mc_tails,
     verify_bound,
 )
 from .outcome import (

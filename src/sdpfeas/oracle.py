@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,6 +33,7 @@ __all__ = [
     "exact_scaled_tail_y",
     "exact_reliability_tail",
     "mc_tail",
+    "mc_tails",
     "verify_bound",
 ]
 
@@ -150,24 +152,41 @@ def sample_binomial(rng: np.random.Generator, l: int, p: float, trials: int) -> 
     return np.searchsorted(cdf, rng.random(trials), side="right")
 
 
+def mc_tails(queries: Sequence[TailQuery], trials: int, seed: int) -> List[TailEstimate]:
+    """Monte-Carlo estimates of every Pr[X < threshold] in ``queries`` from
+    one draw of ``trials`` seeded Binomial(l, p) samples; the queries must
+    share (l, p). Each estimate is bit-identical to a draw of its own.
+
+    The estimates share one sample, so they are perfectly correlated: a
+    3-sigma test of each record is not a test of the whole campaign.
+    """
+    if not isinstance(trials, int) or trials < 1:
+        raise InvalidInputError(f"trials must be an integer >= 1, got {trials!r}")
+    if len({(query.l, query.p) for query in queries}) > 1:
+        raise InvalidInputError("queries of one Monte-Carlo draw must share (l, p)")
+    if not queries:
+        return []
+    l, p = queries[0].l, queries[0].p
+    draws = sample_binomial(np.random.Generator(np.random.Philox(key=seed)), l, p, trials)
+    draws.sort()
+    # draws are integers, so X < threshold is X <= k*, with k* from the
+    # strictness convention above
+    keys = [_strict_upper_index(query.threshold, l) + 1 for query in queries]
+    estimates = []
+    for hits in np.searchsorted(draws, keys, side="left").tolist():
+        value = hits / trials
+        stderr = math.sqrt(value * (1.0 - value) / trials)
+        estimates.append(
+            TailEstimate(value=value, method=TailMethod.MONTE_CARLO, trials=trials, stderr=stderr, seed=seed)
+        )
+    return estimates
+
+
 def mc_tail(query: TailQuery, trials: int, seed: int) -> TailEstimate:
     """Monte-Carlo estimate of Pr[X < threshold] from ``trials`` seeded
     Binomial(l, p) draws; reruns with the same (seed, trials, query) are
     bit-identical."""
-    if not isinstance(trials, int) or trials < 1:
-        raise InvalidInputError(f"trials must be an integer >= 1, got {trials!r}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = sample_binomial(rng, query.l, query.p, trials)
-    hits = int((samples < query.threshold).sum())
-    value = hits / trials
-    stderr = math.sqrt(value * (1.0 - value) / trials)
-    return TailEstimate(
-        value=value,
-        method=TailMethod.MONTE_CARLO,
-        trials=trials,
-        stderr=stderr,
-        seed=seed,
-    )
+    return mc_tails([query], trials, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -194,7 +213,8 @@ class VerificationRecord:
             "method": self.method.value,
             "holds": self.holds,
             "slack": self.slack,
-            "ratio": self.ratio,
+            # JSON has no infinity: a ratio past the float range is null
+            "ratio": self.ratio if math.isfinite(self.ratio) else None,
         }
         if self.seed is not None:
             payload["seed"] = self.seed
@@ -223,8 +243,11 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
         lower = oracle.value - 3.0 * oracle.stderr
         holds = lower <= 0 or math.log(lower) < bound.log_bound
         advisory = holds and not below
-    try:  # an underflowed bound takes its ratio from the logs
-        ratio = oracle.value / bound.bound if bound.bound > 0 else math.exp(oracle.log_value - bound.log_bound)
+    try:  # an underflowed bound or oracle takes the ratio from the logs
+        if bound.bound > 0 and oracle.value > 0:
+            ratio = oracle.value / bound.bound
+        else:
+            ratio = math.exp(oracle.log_value - bound.log_bound)
     except OverflowError:
         ratio = math.inf
     return VerificationRecord(

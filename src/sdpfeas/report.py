@@ -38,7 +38,7 @@ from .oracle import (
     TailQuery,
     VerificationRecord,
     exact_binomial_tail,
-    mc_tail,
+    mc_tails,
     verify_bound,
 )
 from .outcome import SdpOutcome, outcome_from_descriptor
@@ -56,6 +56,8 @@ __all__ = [
 
 DEFAULT_EPSILON = 0.05
 SEED_ENV_VAR = "SDPFEAS_SEED"
+#: grid points a time_grid may ask for, checked before the grid is allocated
+MAX_STEPS = 10**6
 
 
 def _format_float(x: float) -> str:
@@ -78,8 +80,8 @@ def _build_grid(payload: dict) -> List[float]:
         raise ParseError(f"time_grid spacing must be 'linear' or 'log', got {spacing!r}")
     if not start > 0:
         raise InvalidInputError(f"time_grid start must be > 0, got {start!r}")
-    if steps < 1:
-        raise InvalidInputError(f"time_grid steps must be >= 1, got {steps!r}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise InvalidInputError(f"time_grid steps must lie in [1, {MAX_STEPS}], got {steps!r}")
     if steps == 1:
         return [start]
     if not stop > start:
@@ -186,7 +188,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
     """
     l, p = config.outcome.l, config.outcome.p_value
     seed = config.seed if config.seed is not None else 0
-    records: List[VerificationRecord] = []
+    checks = []
     for entry in entries:
         if not isinstance(entry, BoundResult):
             continue
@@ -195,11 +197,18 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
         else:
             scale = config.outcome.injection.scale_at(entry.t)
         query = TailQuery(l=l, p=p, threshold=entry.threshold / scale)
-        event = f"{entry.theorem_tag} @ t={entry.t!r}: {query.describe()}"
+        checks.append((entry, query, f"{entry.theorem_tag} @ t={entry.t!r}: {query.describe()}"))
+    # one MC draw answers every row
+    if config.mc_trials > 0:
+        estimates = mc_tails([query for _, query, _ in checks], config.mc_trials, seed)
+    else:
+        estimates = [None] * len(checks)
+    records: List[VerificationRecord] = []
+    for (entry, query, event), estimate in zip(checks, estimates):
         if config.verify_exact:
             records.append(verify_bound(entry, exact_binomial_tail(query), event=event))
-        if config.mc_trials > 0:
-            records.append(verify_bound(entry, mc_tail(query, config.mc_trials, seed), event=event))
+        if estimate is not None:
+            records.append(verify_bound(entry, estimate, event=event))
     return records
 
 

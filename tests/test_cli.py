@@ -10,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sdpfeas import InvalidInputError
+from sdpfeas import oracle as oracle_module
 from sdpfeas import report as report_module
 from sdpfeas.cli import (
     EXIT_ASSUMPTION,
@@ -20,6 +22,7 @@ from sdpfeas.cli import (
     main,
 )
 from sdpfeas.report import SEED_ENV_VAR
+from test_golden import VERIFY as GOLDEN_VERIFY
 
 DESK_COUNTS = '{"tp": 5, "fn": 3, "fp": 2, "tn": 17}'
 
@@ -275,6 +278,20 @@ class TestVerify:
         )
         assert mc["seed"] == 42
 
+    def test_one_mc_draw_per_verify(self, run, tmp_path, monkeypatch):
+        draws, sample_binomial = [], oracle_module.sample_binomial
+
+        def counting(rng, l, p, trials):
+            draws.append((l, p, trials))
+            return sample_binomial(rng, l, p, trials)
+
+        monkeypatch.setattr(oracle_module, "sample_binomial", counting)
+        config = write_scenario(tmp_path, GOLDEN_VERIFY)
+        _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
+        mc = [r for r in json.loads(out)["verification"] if r["method"] == "monte-carlo"]
+        assert len(mc) > 1
+        assert draws == [(2000, 0.004, 4000)]
+
     def test_verdict_ranges(self, run, tmp_path):
         scenario = {
             "outcome": {"l": 100, "p": 0.05},
@@ -344,6 +361,7 @@ MALFORMED = {
     "flag seed negative": (DESK_SCENARIO, ["--seed", "-1"], None),
     "flag epsilon negative": (DESK_SCENARIO, ["--epsilon", "-3"], None),
     "flag trials negative": (DESK_SCENARIO, ["--trials", "-5"], None),
+    "steps too many": (_replace(("time_grid",), {"start": 1.0, "stop": 2.0, "steps": 10**9}), [], None),
 }
 
 
@@ -366,6 +384,12 @@ class TestMalformedInput:
         config = write_scenario(tmp_path, _replace(("verify",), {"exact": True, "mc_trials": 1000, "seed": None}))
         _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
         assert {r.get("seed") for r in json.loads(out)["verification"]} == {None, 0}
+
+    def test_steps_limit_is_inclusive(self):
+        grid = report_module._build_grid({"start": 1.0, "stop": 2.0, "steps": report_module.MAX_STEPS})
+        assert len(grid) == report_module.MAX_STEPS == 10**6
+        with pytest.raises(InvalidInputError, match="steps"):
+            report_module._build_grid({"start": 1.0, "stop": 2.0, "steps": report_module.MAX_STEPS + 1})
 
     def test_unreadable_config_is_an_error_line(self, run, tmp_path):
         path = tmp_path / "scenario.json"
@@ -412,6 +436,21 @@ class TestNumericLimits:
         report = json.loads(out)
         assert report["rows"][0]["bound"] == 0.0
         assert [r["holds"] for r in report["verification"]] == [True, True]
+
+    def test_underflowed_oracle_ratio_from_logs(self, run, tmp_path):
+        # constant lambda = 2500: the bound is 3.68e-272, the exact tail
+        # prints as 0.0, and its ratio to the bound is about 1e-78
+        scenario = {
+            "outcome": {"l": 100_000, "p": 0.05},
+            "model": {"family": "constant", "lambda": 2500},
+            "time_grid": {"t": 1.0},
+            "verify": {"exact": True},
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
+        (record,) = json.loads(out)["verification"]
+        assert record["oracle"] == 0.0 and 0.0 < record["bound"]
+        assert 0.0 < record["ratio"] < 1e-70
 
 
 #: a valid scenario whose one-field mutations must stay inside the exit-code

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.special import logsumexp
 from scipy.stats import binom
 
 from sdpfeas import (
+    FeasibilityReport,
     InvalidInputError,
     TailEstimate,
     TailMethod,
@@ -17,6 +19,7 @@ from sdpfeas import (
     exact_reliability_tail,
     exact_scaled_tail_y,
     mc_tail,
+    mc_tails,
     verify_bound,
 )
 from sdpfeas.oracle import _strict_upper_index, sample_binomial
@@ -197,6 +200,51 @@ class TestMonteCarlo:
             mc_tail(TailQuery(l=10, p=0.5, threshold=2.0), trials=0, seed=1)
 
 
+class TestSharedDraw:
+    L, P, TRIALS, SEED = 50, 0.3, 5000, 3
+    #: at or below 0, beyond l, on and off the lattice, and Y-scaled
+    THRESHOLDS = [-2.0, 0.0, 0.5, 1.0, 7.0, 14.0, 14.5, 15.0, 49.0, 50.0, 50.5, 1e9,
+                  15.0 / 0.37, 9.0 / 1.7, 12.0 / 0.5]
+
+    def queries(self):
+        return [TailQuery(l=self.L, p=self.P, threshold=t) for t in self.THRESHOLDS]
+
+    def test_equals_one_draw_per_query(self):
+        shared = mc_tails(self.queries(), self.TRIALS, self.SEED)
+        assert shared == [mc_tail(q, self.TRIALS, self.SEED) for q in self.queries()]
+        # the hit count of one unsorted draw, compared with '<' per query
+        rng = np.random.Generator(np.random.Philox(key=self.SEED))
+        samples = sample_binomial(rng, self.L, self.P, self.TRIALS)
+        for estimate, threshold in zip(shared, self.THRESHOLDS):
+            value = int((samples < threshold).sum()) / self.TRIALS
+            assert estimate == TailEstimate(
+                value=value,
+                method=TailMethod.MONTE_CARLO,
+                trials=self.TRIALS,
+                stderr=math.sqrt(value * (1.0 - value) / self.TRIALS),
+                seed=self.SEED,
+            )
+
+    def test_empty_and_certain_events(self):
+        estimates = mc_tails(self.queries(), self.TRIALS, self.SEED)
+        by_threshold = dict(zip(self.THRESHOLDS, estimates))
+        assert by_threshold[-2.0].value == by_threshold[0.0].value == 0.0
+        assert by_threshold[50.5].value == by_threshold[1e9].value == 1.0
+
+    @pytest.mark.parametrize("other", [TailQuery(l=51, p=0.3, threshold=2.0), TailQuery(l=50, p=0.31, threshold=2.0)])
+    def test_rejects_mixed_l_p(self, other):
+        with pytest.raises(InvalidInputError):
+            mc_tails([TailQuery(l=50, p=0.3, threshold=2.0), other], self.TRIALS, self.SEED)
+
+    @pytest.mark.parametrize("trials", [0, -5, 2.0])
+    def test_trials_validated(self, trials):
+        with pytest.raises(InvalidInputError):
+            mc_tails(self.queries(), trials, self.SEED)
+
+    def test_no_queries_no_draw(self):
+        assert mc_tails([], self.TRIALS, self.SEED) == []
+
+
 class TestVerifyBound:
     def test_exact_pass(self):
         bound = chernoff_lower_tail(5.0, 2.0)
@@ -266,6 +314,29 @@ class TestVerifyBound:
         assert record.ratio == pytest.approx(math.exp(math.log(1e-300) + 902.5), rel=1e-9)
         # a ratio past the float range reads inf
         assert verify_bound(bound, TailEstimate(value=0.5, method=TailMethod.EXACT)).ratio == math.inf
+
+    def test_underflowed_oracle_takes_ratio_from_logs(self):
+        # l = 1e5, p = 0.05, constant lambda = 2500 at t = 1: the bound is
+        # 3.68e-272 (log -625), the exact tail underflows to 0.0
+        bound = chernoff_lower_tail(5000.0, 2500.0)
+        exact = exact_binomial_tail(TailQuery(l=100_000, p=0.05, threshold=2500.0))
+        assert bound.bound > 0.0 and exact.value == 0.0 and math.isfinite(exact.log_value)
+        record = verify_bound(bound, exact)
+        assert record.holds
+        assert record.ratio == pytest.approx(math.exp(exact.log_value - bound.log_bound), rel=1e-9)
+        assert 0.0 < record.ratio < 1e-70
+
+    def test_report_writes_an_overflowed_ratio_as_null(self):
+        bound = chernoff_lower_tail(2000.0, 100.0)
+        record = verify_bound(bound, TailEstimate(value=0.5, method=TailMethod.EXACT))
+        assert record.ratio == math.inf
+        report = FeasibilityReport(scenario={}, rows=[], verification=[record], epsilon=0.05, timestamp="")
+
+        def reject(constant):
+            raise ValueError(f"not valid JSON: {constant}")
+
+        payload = json.loads(report.to_json(), parse_constant=reject)
+        assert payload["verification"][0]["ratio"] is None
 
     def test_rejects_non_bound(self):
         oracle = exact_binomial_tail(TailQuery(l=10, p=0.3, threshold=2.0))
