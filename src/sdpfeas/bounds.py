@@ -14,6 +14,12 @@ The theorem tag of an X-variant bound is the family's hazard or
 reliability tag in ``hazards.FAMILIES``; the per-module-injection (Y)
 variant is Thm3 (hazard) and Thm4 (reliability), weibull models only.
 
+One resolver gives both the named bounds and the sweep: it resolves a
+(kind, variant, sign mode) to its tag, mean and threshold once per grid,
+then makes one pass over the grid. A named bound is a one-point grid.
+Inside a sweep an out-of-regime point is an entry, not an exception;
+only the named bounds and ``chernoff_lower_tail`` raise OutOfRegimeError.
+
 The kernel works in log space; exp() happens once at the end so the
 interesting near-zero bounds at large l do not underflow prematurely.
 """
@@ -21,12 +27,14 @@ interesting near-zero bounds at large l do not underflow prematurely.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List, Sequence, Union
 
 from .errors import InvalidInputError, NumericOverflowError, OutOfRegimeError
-from .hazards import FAMILIES, HazardFamily, HazardModel, hazard_at, reliability_tail_threshold
+from .hazards import FAMILIES, HazardFamily, HazardModel, check_time
 from .outcome import (
     SdpOutcome,
     expected_hazard_x,
@@ -131,24 +139,19 @@ class OutOfRegime:
         )
 
 
-def chernoff_lower_tail(
-    mu: float,
-    threshold: float,
-    theorem_tag: str = "Chernoff",
-    t: float | None = None,
-    sign_mode: str | None = None,
-) -> BoundResult:
-    """The kernel: bound on Pr[X < threshold] for a variable with mean mu.
+SweepEntry = Union[BoundResult, OutOfRegime]
 
-    Requires 0 <= threshold < mu; raises OutOfRegimeError otherwise.
-    """
+
+def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign_mode: str | None) -> SweepEntry:
+    """The kernel as a sweep entry: an OutOfRegime entry, not an exception,
+    when the band misses (0, 1]. Malformed mu or threshold still raise."""
     if not (mu > 0 and math.isfinite(mu)):
         raise InvalidInputError(f"expectation mu must be positive and finite, got {mu!r}")
     if not math.isfinite(threshold):
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
     delta = 1.0 - threshold / mu
     if threshold >= mu or threshold < 0:
-        raise OutOfRegimeError(mu=mu, threshold=threshold, theorem_tag=theorem_tag, t=t)
+        return OutOfRegime(theorem_tag=theorem_tag, mu=mu, threshold=threshold, delta=delta, t=t)
     log_bound = -((mu - threshold) ** 2) / (2.0 * mu)
     return BoundResult(
         theorem_tag=theorem_tag,
@@ -163,18 +166,46 @@ def chernoff_lower_tail(
     )
 
 
+def chernoff_lower_tail(
+    mu: float,
+    threshold: float,
+    theorem_tag: str = "Chernoff",
+    t: float | None = None,
+    sign_mode: str | None = None,
+) -> BoundResult:
+    """The kernel: bound on Pr[X < threshold] for a variable with mean mu.
+
+    Requires 0 <= threshold < mu; raises OutOfRegimeError otherwise.
+    """
+    return _in_regime(_kernel(mu, threshold, theorem_tag, t, sign_mode))
+
+
+def _in_regime(entry: SweepEntry) -> BoundResult:
+    """``entry`` if it is a bound; an OutOfRegime entry raises its error."""
+    if isinstance(entry, OutOfRegime):
+        raise OutOfRegimeError(mu=entry.mu, threshold=entry.threshold, theorem_tag=entry.theorem_tag, t=entry.t)
+    return entry
+
+
 def _bound(
     outcome: SdpOutcome,
     model: HazardModel,
-    t: float,
+    grid: Sequence[float],
     kind: BoundKind,
     variant: Variant,
     corrected: bool = True,
-) -> BoundResult:
-    """Resolve (kind, variant, corrected) to the (mu, threshold, tag,
-    sign_mode) of one named bound at time t and apply the kernel. An
-    overflow (the as-published Thm4 form at moderate t, for one) raises
-    NumericOverflowError naming the bound and t."""
+) -> List[SweepEntry]:
+    """One named bound over ``grid`` in one pass.
+
+    (kind, variant, corrected) is resolved once to the theorem tag, the
+    sign mode, the mean (an ``outcome`` function of t, whose own check
+    rejects an outcome of the other variant) and the threshold (a
+    ``FAMILIES`` closed form); each point then costs one mean, one
+    threshold and one kernel call. Out-of-regime points are entries. The
+    first point whose mean, threshold or kernel fails raises, mean first,
+    as if evaluated alone: a time outside the family's domain raises
+    DomainError, and an overflow (the as-published Thm4 form at moderate
+    t, for one) raises NumericOverflowError naming the bound and t."""
     injected = variant is Variant.Y
     if injected and model.family is not HazardFamily.WEIBULL:
         raise InvalidInputError(
@@ -184,28 +215,40 @@ def _bound(
     spec, hazard = FAMILIES[model.family], kind is BoundKind.HAZARD
     if injected:
         tag, sign_mode = ("Thm3", None) if hazard else ("Thm4", "corrected" if corrected else "as-published")
+        mean = expected_hazard_y if hazard else functools.partial(expected_reliability_bound_y, corrected=corrected)
     else:
         tag, sign_mode = (spec.hazard_tag if hazard else spec.reliability_tag), None
-    try:
         if hazard:
-            mu = expected_hazard_y(outcome, t) if injected else expected_hazard_x(outcome)
-            threshold = hazard_at(model, t)
-        elif injected:
-            mu = expected_reliability_bound_y(outcome, t, corrected)
-            threshold = reliability_tail_threshold(model, t)
+            mean_failures = expected_hazard_x(outcome)
+            mean = lambda outcome, t: mean_failures  # l*p, the same at every t
         else:
-            mu = expected_reliability_bound_x(outcome, t)
-            threshold = reliability_tail_threshold(model, t)
-        return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
+            mean = expected_reliability_bound_x
+    threshold = spec.z if hazard else spec.H_over_t
+    # times every domain admits skip the check; the rest get its message
+    end, singular = min(spec.max_time(model), sys.float_info.max), spec.singular_at_zero(model)
+    entries: List[SweepEntry] = []
+    try:
+        for t in grid:
+            mu = mean(outcome, t)
+            if not 0.0 < t <= end:
+                check_time(model, spec, t, positive=not hazard or (t == 0 and singular))
+            entries.append(_kernel(mu, threshold(model, t), tag, t, sign_mode))
     except OverflowError as exc:
         form = tag if sign_mode is None else f"{tag} ({sign_mode})"
         raise NumericOverflowError(f"{form} overflows a 64-bit float at t = {t!r}") from exc
+    return entries
+
+
+def _one(outcome, model, t, kind, variant, corrected=True) -> BoundResult:
+    """``_bound`` at the single time t; an out-of-regime point raises."""
+    [entry] = _bound(outcome, model, [t], kind, variant, corrected)
+    return _in_regime(entry)
 
 
 def hazard_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
     """Bound on Pr[X < z(t)]: fewer failures under prediction-based testing
     than the manual-testing hazard level."""
-    return _bound(outcome, model, t, BoundKind.HAZARD, Variant.X)
+    return _one(outcome, model, t, BoundKind.HAZARD, Variant.X)
 
 
 def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
@@ -215,12 +258,12 @@ def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> Boun
     The comparison reduces to Pr[X < H(t)/t]; the expectation slot holds
     the expected-reliability bound, following the source derivation.
     """
-    return _bound(outcome, model, t, BoundKind.RELIABILITY, Variant.X)
+    return _one(outcome, model, t, BoundKind.RELIABILITY, Variant.X)
 
 
 def hazard_bound_y(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
     """Y-variant of the hazard bound: Pr[Y < K*t^m] with mean l*p*Khat*t^mhat."""
-    return _bound(outcome, model, t, BoundKind.HAZARD, Variant.Y)
+    return _one(outcome, model, t, BoundKind.HAZARD, Variant.Y)
 
 
 def reliability_bound_y(
@@ -228,10 +271,8 @@ def reliability_bound_y(
 ) -> BoundResult:
     """Y-variant of the reliability bound; ``corrected`` selects the sign
     convention of the expected-reliability factor (see outcome module)."""
-    return _bound(outcome, model, t, BoundKind.RELIABILITY, Variant.Y, corrected)
+    return _one(outcome, model, t, BoundKind.RELIABILITY, Variant.Y, corrected)
 
-
-SweepEntry = Union[BoundResult, OutOfRegime]
 
 #: CSV column contract for serialized sweeps
 SWEEP_COLUMNS = ("t", "theorem", "mu", "threshold", "delta", "bound", "regime")
@@ -259,12 +300,4 @@ def bound_sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("time grid must be strictly increasing")
 
-    kind = BoundKind(kind)
-    variant = Variant(variant)
-    entries: List[SweepEntry] = []
-    for t in grid:
-        try:
-            entries.append(_bound(outcome, model, t, kind, variant, corrected))
-        except OutOfRegimeError as err:
-            entries.append(OutOfRegime.from_error(err))
-    return entries
+    return _bound(outcome, model, grid, BoundKind(kind), Variant(variant), corrected)

@@ -139,7 +139,7 @@ FAMILIES = {
 }
 
 
-def _check_time(model: HazardModel, spec: FamilySpec, t: float, positive: bool) -> None:
+def check_time(model: HazardModel, spec: FamilySpec, t: float, positive: bool) -> None:
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t!r}")
     if t < 0:
@@ -154,7 +154,7 @@ def _check_time(model: HazardModel, spec: FamilySpec, t: float, positive: bool) 
 def hazard_at(model: HazardModel, t: float) -> float:
     """Instantaneous hazard rate z(t)."""
     spec = FAMILIES[model.family]
-    _check_time(model, spec, t, positive=t == 0 and spec.singular_at_zero(model))
+    check_time(model, spec, t, positive=t == 0 and spec.singular_at_zero(model))
     return spec.z(model, t)
 
 
@@ -165,7 +165,7 @@ def cumulative_hazard(model: HazardModel, t: float) -> float:
     singular there, because the singularity is integrable.
     """
     spec = FAMILIES[model.family]
-    _check_time(model, spec, t, positive=False)
+    check_time(model, spec, t, positive=False)
     return spec.H(model, t)
 
 
@@ -179,7 +179,7 @@ def reliability_tail_threshold(model: HazardModel, t: float) -> float:
     comparison at time t (see ``FAMILIES`` for the closed form per family).
     """
     spec = FAMILIES[model.family]
-    _check_time(model, spec, t, positive=True)
+    check_time(model, spec, t, positive=True)
     return spec.H_over_t(model, t)
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bounds import BoundResult
 from .errors import InvalidInputError
@@ -94,6 +93,10 @@ def _strict_upper_index(threshold: float, l: int) -> int:
 
 def _log_pmf(l: int, p: float, k_max: int) -> np.ndarray:
     """log Pr[X = k] for k = 0..k_max, X ~ Binomial(l, p), via log-gamma."""
+    # imported here, its only use, so that sweep, bound and metrics, which
+    # never reach an oracle, do not pay scipy's import time and memory
+    from scipy.special import gammaln
+
     ks = np.arange(k_max + 1)
     return (
         gammaln(l + 1)

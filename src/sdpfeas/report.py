@@ -60,9 +60,10 @@ SEED_ENV_VAR = "SDPFEAS_SEED"
 MAX_STEPS = 10**6
 
 
-def _format_float(x: float) -> str:
-    """17 significant digits: round-trip exact for 64-bit floats."""
-    return format(x, ".17g")
+#: one CSV row per entry type; %.17g gives format(x, ".17g"), 17
+#: significant digits, which round-trip every 64-bit float exactly
+_VALID_ROW = "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s"
+_OUT_OF_REGIME_ROW = "%.17g,%s,%.17g,%.17g,%.17g,,out-of-regime"
 
 
 def _build_grid(payload: dict) -> List[float]:
@@ -87,7 +88,7 @@ def _build_grid(payload: dict) -> List[float]:
     if not stop > start:
         raise InvalidInputError(f"time_grid requires stop > start, got {start!r}..{stop!r}")
     grid = np.linspace(start, stop, steps) if spacing == "linear" else np.geomspace(start, stop, steps)
-    return [float(t) for t in grid]
+    return grid.tolist()
 
 
 @dataclass(frozen=True)
@@ -289,26 +290,11 @@ def build_report(config: ScenarioConfig, verify: bool = True) -> FeasibilityRepo
 def sweep_to_csv(entries: Sequence[SweepEntry]) -> str:
     """Serialize sweep rows to the CSV contract
     ``t,theorem,mu,threshold,delta,bound,regime`` with 17-significant-digit
-    numbers (round-trip exact)."""
+    numbers (round-trip exact), one format string per row."""
     lines = [",".join(SWEEP_COLUMNS)]
-    for entry in entries:
-        if isinstance(entry, BoundResult):
-            bound_field = _format_float(entry.bound)
-            regime = entry.regime.value
+    for e in entries:
+        if isinstance(e, BoundResult):
+            lines.append(_VALID_ROW % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound, e.regime.value))
         else:
-            bound_field = ""
-            regime = "out-of-regime"
-        lines.append(
-            ",".join(
-                [
-                    _format_float(entry.t),
-                    entry.theorem_tag,
-                    _format_float(entry.mu),
-                    _format_float(entry.threshold),
-                    _format_float(entry.delta),
-                    bound_field,
-                    regime,
-                ]
-            )
-        )
+            lines.append(_OUT_OF_REGIME_ROW % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta))
     return "\n".join(lines) + "\n"

@@ -21,11 +21,18 @@ from sdpfeas import (
     WeibullInjection,
     bound_sweep,
     chernoff_lower_tail,
+    expected_hazard_x,
+    expected_hazard_y,
+    expected_reliability_bound_x,
+    expected_reliability_bound_y,
+    hazard_at,
     hazard_bound,
     hazard_bound_y,
     reliability_bound,
     reliability_bound_y,
+    reliability_tail_threshold,
 )
+from sdpfeas.hazards import FAMILIES
 
 
 def injected(l, p, K_hat, m_hat):
@@ -226,6 +233,15 @@ class TestInjectedVariant:
             reliability_bound_y(o, model, t, corrected=False)
         assert isinstance(info.value, OverflowError) and isinstance(info.value, SdpFeasError)
 
+    def test_as_published_overflow_names_first_grid_point(self):
+        # from 2.64 on the mean is finite (about 1.6e156) but the kernel's
+        # square overflows; the first such point is the one named
+        o = injected(50, 0.1, 1.0, 0.5)
+        model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
+        grid = [2.0, 2.62, 2.63, 2.64, 2.65]
+        with pytest.raises(NumericOverflowError, match=r"^Thm4 \(as-published\) .* at t = 2\.64$"):
+            bound_sweep(o, model, grid, kind=BoundKind.RELIABILITY, variant=Variant.Y, corrected=False)
+
     def test_frozen_example(self):
         o = injected(10, 0.5, 2.0, 1.0)
         model = HazardModel(HazardFamily.WEIBULL, K=6.0, m=1.0)
@@ -303,12 +319,79 @@ class TestInjectedVariant:
         assert r.bound < 1e-300  # ~exp(-mu/2) at mu ~ 5385
 
 
+def scalar_entry(outcome, model, t, kind, variant, corrected):
+    """One sweep entry composed from the public per-point functions: the
+    outcome mean, the family threshold and the kernel at t alone."""
+    hazard, injected = kind is BoundKind.HAZARD, variant is Variant.Y
+    if injected and model.family is not HazardFamily.WEIBULL:
+        raise InvalidInputError(
+            f"injection-variant bounds compare against a weibull manual-testing model only, got {model.family.value!r}"
+        )
+    spec = FAMILIES[model.family]
+    tag = ("Thm3" if hazard else "Thm4") if injected else (spec.hazard_tag if hazard else spec.reliability_tag)
+    sign_mode = ("corrected" if corrected else "as-published") if injected and not hazard else None
+    try:
+        if hazard:
+            mu = expected_hazard_y(outcome, t) if injected else expected_hazard_x(outcome)
+            threshold = hazard_at(model, t)
+        else:
+            if injected:
+                mu = expected_reliability_bound_y(outcome, t, corrected)
+            else:
+                mu = expected_reliability_bound_x(outcome, t)
+            threshold = reliability_tail_threshold(model, t)
+        return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
+    except OutOfRegimeError as err:
+        return OutOfRegime.from_error(err)
+    except OverflowError as exc:
+        form = tag if sign_mode is None else f"{tag} ({sign_mode})"
+        raise NumericOverflowError(f"{form} overflows a 64-bit float at t = {t!r}") from exc
+
+
+@st.composite
+def sweep_cases(draw):
+    """(outcome, model, grid, kind, variant, corrected). One case in ten
+    pairs the variant with the wrong outcome or a Y bound with a
+    non-weibull model; one grid in ten ends at inf, outside every domain."""
+    kind, variant = draw(st.sampled_from(list(BoundKind))), draw(st.sampled_from(list(Variant)))
+    matched = draw(st.sampled_from([True] * 9 + [False]))
+    if variant is Variant.Y and matched:
+        family = HazardFamily.WEIBULL
+    else:
+        family = draw(st.sampled_from(list(HazardFamily)))
+    K = draw(st.floats(0.01, 10.0))
+    if family is HazardFamily.WEIBULL:
+        model = HazardModel(family, K=K, m=draw(st.floats(-0.9, 3.0)))
+    elif family is HazardFamily.LINEAR_DECREASING:
+        model = HazardModel(family, K=K, m=draw(st.floats(0.01, 5.0)))
+    elif family is HazardFamily.CONSTANT:
+        model = HazardModel(family, lam=draw(st.floats(0.01, 10.0)))
+    else:
+        model = HazardModel(family, K=K)
+    injection = None
+    if (variant is Variant.Y) == matched:
+        injection = WeibullInjection(K_hat=draw(st.floats(0.05, 3.0)), m_hat=draw(st.floats(-0.9, 2.0)))
+    outcome = SdpOutcome(l=draw(st.integers(1, 500)), p=draw(st.floats(0.001, 0.999)), injection=injection)
+    grid = sorted(draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=8, unique=True)))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        grid.append(math.inf)
+    return outcome, model, grid, kind, variant, draw(st.booleans())
+
+
 class TestSweep:
-    def test_single_point_matches_scalar(self):
-        o = SdpOutcome(l=100, p=0.05)
-        model = HazardModel(HazardFamily.CONSTANT, lam=2.0)
-        [entry] = bound_sweep(o, model, [5.0], kind=BoundKind.HAZARD)
-        assert entry == hazard_bound(o, model, 5.0)
+    @settings(max_examples=300, deadline=None)
+    @given(case=sweep_cases())
+    def test_matches_scalar_composition(self, case):
+        outcome, model, grid, kind, variant, corrected = case
+        try:
+            expected = [scalar_entry(outcome, model, t, kind, variant, corrected) for t in grid]
+        except SdpFeasError as exc:
+            # the sweep fails as its first failing point does alone
+            with pytest.raises(SdpFeasError) as info:
+                bound_sweep(outcome, model, grid, kind=kind, variant=variant, corrected=corrected)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        else:
+            assert bound_sweep(outcome, model, grid, kind=kind, variant=variant, corrected=corrected) == expected
 
     def test_constant_hazard_flat_across_grid(self):
         o = SdpOutcome(l=100, p=0.05)

@@ -5,6 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -517,3 +521,31 @@ class TestTopLevel:
             3,
             4,
         )
+
+
+#: runs each argv list through cli.main in one fresh interpreter and prints,
+#: after each, its exit code and whether scipy has been imported by then
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from sdpfeas.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, "scipy" in sys.modules]))
+"""
+
+
+class TestImports:
+    def test_sweep_and_metrics_never_import_scipy(self, tmp_path):
+        counts = tmp_path / "counts.json"
+        counts.write_text(DESK_COUNTS)
+        config = write_scenario(tmp_path, DESK_SCENARIO)
+        calls = [["metrics", "--counts", str(counts)], ["sweep", "--config", config], ["verify", "--config", config]]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        # verify reaches an oracle; their shared log-pmf is scipy's only user
+        assert [json.loads(line) for line in result.stdout.splitlines()] == [[0, False], [0, False], [0, True]]
