@@ -60,7 +60,6 @@ from .outcome import (
     SdpOutcome,
     WeibullInjection,
     exact_expected_reliability_x,
-    exact_expected_reliability_y,
     expected_hazard_x,
     expected_hazard_y,
     expected_reliability_bound_x,

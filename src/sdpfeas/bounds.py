@@ -152,7 +152,13 @@ def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign
     delta = 1.0 - threshold / mu
     if threshold >= mu or threshold < 0:
         return OutOfRegime(theorem_tag=theorem_tag, mu=mu, threshold=threshold, delta=delta, t=t)
-    log_bound = -((mu - threshold) ** 2) / (2.0 * mu)
+    try:
+        log_bound = -((mu - threshold) ** 2) / (2.0 * mu)
+    except OverflowError:
+        # the square passes the float range from mu ~ 1.3e154 on, the log
+        # bound (about -mu/2) does not; 0 < d/mu <= 1 keeps this finite
+        d = mu - threshold
+        log_bound = -0.5 * (d / mu) * d
     return BoundResult(
         theorem_tag=theorem_tag,
         mu=mu,

@@ -32,7 +32,6 @@ __all__ = [
     "expected_reliability_bound_x",
     "expected_reliability_bound_y",
     "exact_expected_reliability_x",
-    "exact_expected_reliability_y",
     "outcome_from_descriptor",
 ]
 
@@ -152,18 +151,6 @@ def expected_reliability_bound_y(outcome: SdpOutcome, t: float, corrected: bool 
     if corrected:
         exponent = -exponent
     return math.exp(outcome.mean_failures * math.expm1(exponent))
-
-
-def exact_expected_reliability_y(outcome: SdpOutcome, t: float, corrected: bool = True) -> float:
-    """Exact product form of the Y-variant expected reliability,
-    (p*(exp(±Khat*t^(mhat+1)) - 1) + 1)**l, sign per ``corrected``."""
-    _require_variant(outcome, injected=True)
-    if t <= 0:
-        raise DomainError(f"reliability expectation requires t > 0, got {t!r}")
-    exponent = outcome.injection.cumulative_at(t)
-    if corrected:
-        exponent = -exponent
-    return (outcome.p_value * math.expm1(exponent) + 1.0) ** outcome.l
 
 
 def outcome_from_descriptor(payload: dict) -> SdpOutcome:

@@ -37,6 +37,7 @@ from .hazards import HazardModel, model_from_descriptor
 from .oracle import (
     TailQuery,
     VerificationRecord,
+    binomial_window,
     exact_binomial_tail,
     mc_tails,
     verify_bound,
@@ -199,15 +200,16 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
             scale = config.outcome.injection.scale_at(entry.t)
         query = TailQuery(l=l, p=p, threshold=entry.threshold / scale)
         checks.append((entry, query, f"{entry.theorem_tag} @ t={entry.t!r}: {query.describe()}"))
-    # one MC draw answers every row
+    # one log-pmf window answers every exact tail, one MC draw every MC row
+    window = binomial_window(l, p) if checks and (config.verify_exact or config.mc_trials > 0) else None
     if config.mc_trials > 0:
-        estimates = mc_tails([query for _, query, _ in checks], config.mc_trials, seed)
+        estimates = mc_tails([query for _, query, _ in checks], config.mc_trials, seed, window)
     else:
         estimates = [None] * len(checks)
     records: List[VerificationRecord] = []
     for (entry, query, event), estimate in zip(checks, estimates):
         if config.verify_exact:
-            records.append(verify_bound(entry, exact_binomial_tail(query), event=event))
+            records.append(verify_bound(entry, exact_binomial_tail(query, window), event=event))
         if estimate is not None:
             records.append(verify_bound(entry, estimate, event=event))
     return records

@@ -97,4 +97,9 @@ def thm4_injected_reliability(l, p, K_hat, m_hat, K, m, t, corrected):
     if corrected:
         inner = -inner
     mu = math.exp(l * p * (math.exp(inner) - 1.0))
-    return math.exp(-((mu - K * t**m / (m + 1.0)) ** 2) / (2.0 * mu))
+    try:
+        return math.exp(-((mu - K * t**m / (m + 1.0)) ** 2) / (2.0 * mu))
+    except OverflowError:
+        # a finite mean past about 1.3e154 squares past the float range;
+        # the printed form is then exp(-inf) = 0
+        return 0.0

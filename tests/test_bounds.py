@@ -225,22 +225,37 @@ class TestReliabilityWrappersMatchPrintedForms:
 
 
 class TestInjectedVariant:
-    @pytest.mark.parametrize("t", [2.65, 3.0, 8.0])
+    @pytest.mark.parametrize("t", [3.0, 8.0])
     def test_as_published_overflow_is_labelled(self, t):
+        # the mean itself passes the float range
         o = injected(50, 0.1, 1.0, 0.5)
         model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
         with pytest.raises(NumericOverflowError, match=rf"Thm4 \(as-published\) .* t = {t!r}") as info:
             reliability_bound_y(o, model, t, corrected=False)
         assert isinstance(info.value, OverflowError) and isinstance(info.value, SdpFeasError)
 
-    def test_as_published_overflow_names_first_grid_point(self):
-        # from 2.64 on the mean is finite (about 1.6e156) but the kernel's
-        # square overflows; the first such point is the one named
+    @pytest.mark.parametrize("t", [2.64, 2.65])
+    def test_finite_mean_past_the_square_range_is_a_row(self, t):
+        # the mean is finite (1.6e156 at 2.64) but (mu - threshold)**2 is not;
+        # the log bound, about -mu/2, is
         o = injected(50, 0.1, 1.0, 0.5)
         model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
-        grid = [2.0, 2.62, 2.63, 2.64, 2.65]
-        with pytest.raises(NumericOverflowError, match=r"^Thm4 \(as-published\) .* at t = 2\.64$"):
+        r = reliability_bound_y(o, model, t, corrected=False)
+        assert r.mu > 1e156 and r.bound == 0.0 and r.regime is Regime.VALID
+        d = r.mu - r.threshold
+        assert r.log_bound == pytest.approx(-0.5 * d * (d / r.mu), rel=1e-15)
+        assert math.isfinite(r.log_bound)
+
+    def test_as_published_overflow_names_first_grid_point(self):
+        # up to 2.65 every mean is finite and makes a row; from 3.0 on the
+        # mean overflows, and the first such point is the one named
+        o = injected(50, 0.1, 1.0, 0.5)
+        model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
+        grid = [2.0, 2.62, 2.63, 2.64, 2.65, 3.0, 8.0]
+        with pytest.raises(NumericOverflowError, match=r"^Thm4 \(as-published\) .* at t = 3\.0$"):
             bound_sweep(o, model, grid, kind=BoundKind.RELIABILITY, variant=Variant.Y, corrected=False)
+        rows = bound_sweep(o, model, grid[:5], kind=BoundKind.RELIABILITY, variant=Variant.Y, corrected=False)
+        assert [r.t for r in rows] == grid[:5]
 
     def test_frozen_example(self):
         o = injected(10, 0.5, 2.0, 1.0)

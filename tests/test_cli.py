@@ -283,17 +283,26 @@ class TestVerify:
         assert mc["seed"] == 42
 
     def test_one_mc_draw_per_verify(self, run, tmp_path, monkeypatch):
-        draws, sample_binomial = [], oracle_module.sample_binomial
+        evaluations, draws = [], []
+        log_pmf, sample_binomial = oracle_module._log_pmf, oracle_module.sample_binomial
 
-        def counting(rng, l, p, trials):
-            draws.append((l, p, trials))
-            return sample_binomial(rng, l, p, trials)
+        def counting_log_pmf(l, p, ks):
+            evaluations.append((l, p, len(ks)))
+            return log_pmf(l, p, ks)
 
-        monkeypatch.setattr(oracle_module, "sample_binomial", counting)
+        def counting_sample(rng, window, trials):
+            draws.append((window.l, window.p, trials))
+            return sample_binomial(rng, window, trials)
+
+        monkeypatch.setattr(oracle_module, "_log_pmf", counting_log_pmf)
+        monkeypatch.setattr(oracle_module, "sample_binomial", counting_sample)
         config = write_scenario(tmp_path, GOLDEN_VERIFY)
         _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
-        mc = [r for r in json.loads(out)["verification"] if r["method"] == "monte-carlo"]
-        assert len(mc) > 1
+        records = json.loads(out)["verification"]
+        assert sum(r["method"] == "exact" for r in records) > 1
+        assert sum(r["method"] == "monte-carlo" for r in records) > 1
+        # l = 2000, p = 0.004: mean 8, sigma 2.8, so the window is [0, 161]
+        assert evaluations == [(2000, 0.004, 162)]
         assert draws == [(2000, 0.004, 4000)]
 
     def test_verdict_ranges(self, run, tmp_path):
@@ -402,7 +411,7 @@ class TestMalformedInput:
         assert err.startswith("error: cannot read")
 
 
-#: the as-published Y reliability bound overflows past t = 2.62
+#: the as-published Y reliability mean overflows between t = 2.65 and 3
 Y_PUBLISHED = {
     "outcome": {"l": 50, "p": 0.1, "injection": {"K_hat": 1.0, "m_hat": 0.5}},
     "model": {"family": "weibull", "K": 2.0, "m": 0.5},
@@ -413,7 +422,7 @@ Y_PUBLISHED = {
 
 
 class TestNumericLimits:
-    @pytest.mark.parametrize("t", [2.65, 3.0, 8.0])
+    @pytest.mark.parametrize("t", [3.0, 8.0])
     def test_as_published_overflow_is_an_error_line(self, run, tmp_path, t):
         config = write_scenario(tmp_path, dict(Y_PUBLISHED, time_grid={"t": t}))
         _, out, err = run(["sweep", "--config", config], expect=EXIT_USAGE)
@@ -425,6 +434,15 @@ class TestNumericLimits:
         _, out, _ = run(["sweep", "--config", config], expect=EXIT_OK)
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [(r["theorem"], r["regime"]) for r in rows] == [("Thm3", "valid"), ("Thm4", "valid")]
+
+    @pytest.mark.parametrize("t", [2.64, 2.65])
+    def test_finite_mean_past_the_square_range_sweeps(self, run, tmp_path, t):
+        # the kernel's square would overflow here; the row's bound is 0.0
+        config = write_scenario(tmp_path, dict(Y_PUBLISHED, time_grid={"t": t}))
+        _, out, _ = run(["sweep", "--config", config], expect=EXIT_OK)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["theorem"], r["regime"]) for r in rows] == [("Thm3", "valid"), ("Thm4", "valid")]
+        assert rows[1]["bound"] == "0"
 
     def test_underflowed_sound_bound_verifies(self, run, tmp_path):
         # li K = 200 at t = 0.5: mu = 2000, threshold 100, log bound -902.5;
@@ -547,5 +565,5 @@ class TestImports:
             [sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        # verify reaches an oracle; their shared log-pmf is scipy's only user
-        assert [json.loads(line) for line in result.stdout.splitlines()] == [[0, False], [0, False], [0, True]]
+        # verify reaches both oracles, whose log-pmf needs no scipy
+        assert [json.loads(line) for line in result.stdout.splitlines()] == [[0, False], [0, False], [0, False]]

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from sdpfeas import (
     mc_tails,
     verify_bound,
 )
-from sdpfeas.oracle import _strict_upper_index, sample_binomial
+from sdpfeas.oracle import _STIRLERR_SMALL, _log_pmf, _strict_upper_index, binomial_window, sample_binomial
 
 
 def naive_tail(l, p, threshold):
@@ -110,6 +111,117 @@ class TestExactTail:
             TailQuery(l=10, p=1.0, threshold=1.0)
 
 
+def reference_log_pmf(l, p, k):
+    """log Pr[X = k] in 50-digit arithmetic, p taken as the exact binary float."""
+    with mpmath.workdps(50):
+        P = mpmath.mpf(p)
+        value = (
+            mpmath.loggamma(l + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(l - k + 1)
+            + k * mpmath.log(P) + (l - k) * mpmath.log(1 - P)
+        )
+        return float(value)
+
+
+def reference_log_cdf(l, p):
+    """log Pr[X <= k] for k = 0..l, each a 30-digit sum over the full
+    support [0, k] (terms by the ratio recurrence from q**l)."""
+    with mpmath.workdps(30):
+        P = mpmath.mpf(p)
+        ratio = P / (1 - P)
+        term = (1 - P) ** l
+        total, out = term, [float(mpmath.log(term))]
+        for k in range(1, l + 1):
+            term = term * (l - k + 1) * ratio / k
+            total += term
+            out.append(float(mpmath.log(total)))
+        return out
+
+
+def close_in_log(got, want, tol=1e-12):
+    """|got - want| within tol, relative once |want| > 1: the log's error is
+    the relative error of the probability, where that is representable."""
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+class TestLoaderLogPmf:
+    def test_stirlerr_table(self):
+        with mpmath.workdps(50):
+            for n in range(1, 16):
+                exact = mpmath.loggamma(n + 1) - (n + 0.5) * mpmath.log(n) + n - mpmath.log(2 * mpmath.pi) / 2
+                assert _STIRLERR_SMALL[n] == float(exact)
+
+    @pytest.mark.parametrize("l", [10, 2_000, 100_000, 1_000_000])
+    #: at 1 - 3e-7 and l = 1e6, Pr[X = l - 1] is about 0.22: the term's
+    #: k(l - k)/l must not lose digits as k nears l
+    @pytest.mark.parametrize("p", [0.004, 0.3, 0.9, 1 - 3e-7])
+    def test_matches_mpmath(self, l, p):
+        window = binomial_window(l, p)
+        edges = [0, 1, l - 1, l, window.lo, window.hi, window.mode, max(window.lo - 1, 0), min(window.hi + 1, l)]
+        inside = np.linspace(window.lo, window.hi, 13).astype(int).tolist()
+        outside = np.linspace(0, l, 9).astype(int).tolist()
+        ks = sorted(set(edges + inside + outside))
+        for k, got in zip(ks, _log_pmf(l, p, np.array(ks))):
+            want = reference_log_pmf(l, p, k)
+            assert close_in_log(got, want), (l, p, k, got, want)
+        # the window stores exactly these terms
+        assert np.array_equal(window.log_pmf, _log_pmf(l, p, np.arange(window.lo, window.hi + 1)))
+
+    def test_window_is_mean_plus_minus_40_sigma_plus_40(self):
+        window = binomial_window(200_000, 0.01)
+        assert (window.lo, window.hi, window.mode) == (180, 3820, 2000)
+        assert len(window.log_pmf) == 3641
+        # clipped to the support
+        assert (binomial_window(2_000, 0.004).lo, binomial_window(2_000, 0.004).hi) == (0, 161)
+        assert (binomial_window(10, 0.5).lo, binomial_window(10, 0.5).hi) == (0, 10)
+
+
+class TestWindowedTail:
+    """The exact tail read from one window, against a full-support sum.
+    At (20000, 0.5) the window is [7131, 12869] and at (3000, 0.7) it is
+    [1056, 3000]: below its low edge, and just above it, a tail evaluates
+    its own run down from k*."""
+
+    @pytest.mark.parametrize("l,p", [(20_000, 0.5), (20_000, 0.9)])
+    def test_against_full_support_sum(self, l, p):
+        window = binomial_window(l, p)
+        assert 0 < window.lo and window.hi < l
+        log_cdf = reference_log_cdf(l, p)
+        cases = {
+            "at lo": window.lo,
+            "at lo + 1": window.lo + 1,
+            "at the mode": window.mode,
+            "deep below lo": window.lo // 2,
+            "just below lo": window.lo - 1,
+            "at 0": 0,
+            "above hi": window.hi + 7,
+            "at l - 1": l - 1,
+        }
+        for name, k_star in cases.items():
+            query = TailQuery(l=l, p=p, threshold=k_star + 0.5)
+            shared = exact_binomial_tail(query, window)
+            assert close_in_log(shared.log_value, log_cdf[k_star]), (name, shared.log_value, log_cdf[k_star])
+            assert shared == exact_binomial_tail(query)
+            if log_cdf[k_star] > -700:
+                assert shared.value == pytest.approx(math.exp(log_cdf[k_star]), rel=1e-12)
+
+    def test_every_threshold(self):
+        l, p = 3_000, 0.7
+        window = binomial_window(l, p)
+        assert (window.lo, window.hi) == (1056, 3000)
+        log_cdf = reference_log_cdf(l, p)
+        for k_star in range(l):
+            got = exact_binomial_tail(TailQuery(l=l, p=p, threshold=k_star + 0.5), window).log_value
+            assert close_in_log(got, log_cdf[k_star]), (k_star, got, log_cdf[k_star])
+
+    def test_rejects_a_window_of_another_binomial(self):
+        query = TailQuery(l=100, p=0.05, threshold=3.0)
+        for window in (binomial_window(101, 0.05), binomial_window(100, 0.06)):
+            with pytest.raises(InvalidInputError):
+                exact_binomial_tail(query, window)
+            with pytest.raises(InvalidInputError):
+                mc_tails([query], 100, 1, window)
+
+
 class TestScaledTail:
     @given(
         l=st.integers(1, 30),
@@ -189,7 +301,7 @@ class TestMonteCarlo:
         """At l = 2e5 the sampler's tail frequency must match the exact
         tail within four standard errors."""
         l, p, threshold, trials = 200_000, 0.01, 1990.0, 100_000
-        draws = sample_binomial(np.random.Generator(np.random.Philox(key=5)), l, p, trials)
+        draws = sample_binomial(np.random.Generator(np.random.Philox(key=5)), binomial_window(l, p), trials)
         freq = (draws < threshold).mean()
         exact = exact_binomial_tail(TailQuery(l=l, p=p, threshold=threshold)).value
         assert 0.1 < exact < 0.9
@@ -214,7 +326,7 @@ class TestSharedDraw:
         assert shared == [mc_tail(q, self.TRIALS, self.SEED) for q in self.queries()]
         # the hit count of one unsorted draw, compared with '<' per query
         rng = np.random.Generator(np.random.Philox(key=self.SEED))
-        samples = sample_binomial(rng, self.L, self.P, self.TRIALS)
+        samples = sample_binomial(rng, binomial_window(self.L, self.P), self.TRIALS)
         for estimate, threshold in zip(shared, self.THRESHOLDS):
             value = int((samples < threshold).sum()) / self.TRIALS
             assert estimate == TailEstimate(
