@@ -14,11 +14,9 @@ from sdpfeas import (
     HazardFamily,
     HazardModel,
     SdpOutcome,
-    TailQuery,
-    exact_binomial_tail,
+    binomial_window,
     false_omission_rate,
     hazard_bound,
-    mc_tail,
     verify_bound,
 )
 
@@ -40,10 +38,12 @@ print(f"\n{result.theorem_tag}: Pr[X < {result.threshold}] < {result.bound:.6f}"
 print(f"  mu = {result.mu}, delta = {result.delta}, regime = {result.regime.value}")
 
 # step 3: check it against the exact binomial tail and a seeded
-# Monte-Carlo estimate. Both must land below the bound.
-query = TailQuery(l=100, p=0.05, threshold=2.0)
-for oracle in (exact_binomial_tail(query), mc_tail(query, trials=200_000, seed=42)):
-    record = verify_bound(result, oracle, event=query.describe())
+# Monte-Carlo estimate, both read from one window of Binomial(100, 0.05).
+# Both must land below the bound.
+window = binomial_window(outcome.l, outcome.p_value)
+[mc] = window.mc_tails([result.threshold], trials=200_000, seed=42)
+for oracle in (window.exact_tail(result.threshold), mc):
+    record = verify_bound(result, oracle, event=window.describe(result.threshold))
     print(f"\n{oracle.method.value}: oracle = {record.oracle:.6f}")
     print(f"  holds = {record.holds}, slack = {record.slack:.6f}")
 

@@ -15,8 +15,7 @@ from sdpfeas import (
     InvalidInputError,
     OutOfRegimeError,
     SdpOutcome,
-    TailQuery,
-    exact_binomial_tail,
+    binomial_window,
     hazard_bound,
     reliability_bound,
 )
@@ -44,14 +43,13 @@ def campaign(models, bound_fn):
         for l in LS:
             for p in PS:
                 outcome = SdpOutcome(l=l, p=p)
+                window = binomial_window(l, p)
                 for t in TS:
                     try:
                         result = bound_fn(outcome, model, t)
                     except (OutOfRegimeError, InvalidInputError):
                         continue
-                    oracle = exact_binomial_tail(
-                        TailQuery(l=l, p=p, threshold=result.threshold)
-                    )
+                    oracle = window.exact_tail(result.threshold)
                     if oracle.value < result.bound:
                         held += 1
                     else:

@@ -44,22 +44,10 @@ from .hazards import (
     reliability_at,
     reliability_tail_threshold,
 )
-from .oracle import (
-    TailEstimate,
-    TailMethod,
-    TailQuery,
-    VerificationRecord,
-    exact_binomial_tail,
-    exact_reliability_tail,
-    exact_scaled_tail_y,
-    mc_tail,
-    mc_tails,
-    verify_bound,
-)
+from .oracle import BinomialWindow, TailEstimate, TailMethod, VerificationRecord, binomial_window, verify_bound
 from .outcome import (
     SdpOutcome,
     WeibullInjection,
-    exact_expected_reliability_x,
     expected_hazard_x,
     expected_hazard_y,
     expected_reliability_bound_x,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .bounds import BoundResult
 from .confusion import counts_from_json, false_omission_rate, records_from_csv
-from .errors import AssumptionViolationError, OutOfRegimeError, SdpFeasError
+from .errors import AssumptionViolationError, SdpFeasError
 from .report import ScenarioConfig, build_report, run_sweep, sweep_to_csv
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     """Run the sweep plus oracle verification and emit a feasibility report."""
     config = _load_config(args)
-    report = build_report(config, verify=True)
+    report = build_report(config)
     _write_output(report.to_json() + "\n", args.out)
     return EXIT_OK if report.all_hold else EXIT_VERIFICATION
 
@@ -158,9 +158,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_ASSUMPTION
-    except OutOfRegimeError as exc:
-        print(f"finding: {exc}", file=sys.stderr)
-        return EXIT_OUT_OF_REGIME
     except SdpFeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

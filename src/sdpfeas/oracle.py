@@ -3,16 +3,16 @@ Monte-Carlo simulation.
 
 Strictness convention, stated once and relied on everywhere: for an
 integer-valued X and integral threshold k, Pr[X < k] = CDF(k - 1). An
-off-by-one here would silently invalidate every soundness check, so the
-tail helpers centralise it.
+off-by-one here would silently invalidate every soundness check, so one
+helper, ``_strict_upper_index``, centralises it.
 
-Both oracles read one log-pmf window: Loader's saddle-point log Pr[X = k]
-over mean +- (40 sigma + 40), evaluated once per (l, p) of a campaign in
-O(sqrt(l)) time. Each exact tail sums the terms within 40 nats of its
-largest one; the sampler inverts the window's CDF.
+Both oracles are methods of one object, ``binomial_window(l, p)``: Loader's
+saddle-point log Pr[X = k] over mean +- (40 sigma + 40), evaluated once per
+(l, p) of a campaign in O(sqrt(l)) time. ``exact_tail`` sums the terms
+within 40 nats of the largest one; ``mc_tails`` inverts the window's CDF.
 
 The Monte-Carlo sampler uses the Philox counter-based generator, so a
-(seed, trials, query) triple maps to a bit-reproducible estimate
+(seed, trials, threshold) triple maps to a bit-reproducible estimate
 regardless of how the trials are scheduled.
 """
 
@@ -30,42 +30,16 @@ from .errors import InvalidInputError
 
 __all__ = [
     "TailMethod",
-    "TailQuery",
     "TailEstimate",
     "VerificationRecord",
     "BinomialWindow",
     "binomial_window",
-    "exact_binomial_tail",
-    "exact_scaled_tail_y",
-    "exact_reliability_tail",
-    "mc_tail",
-    "mc_tails",
     "verify_bound",
 ]
 
 class TailMethod(str, enum.Enum):
     EXACT = "exact"
     MONTE_CARLO = "monte-carlo"
-
-
-@dataclass(frozen=True)
-class TailQuery:
-    """The event Pr[X < threshold] for X ~ Binomial(l, p), strict '<'."""
-
-    l: int
-    p: float
-    threshold: float
-
-    def __post_init__(self):
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 1:
-            raise InvalidInputError(f"l must be an integer >= 1, got {self.l!r}")
-        if not 0.0 < self.p < 1.0:
-            raise InvalidInputError(f"p must lie strictly in (0, 1), got {self.p!r}")
-        if not math.isfinite(self.threshold):
-            raise InvalidInputError(f"threshold must be finite, got {self.threshold!r}")
-
-    def describe(self) -> str:
-        return f"Pr[X < {self.threshold!r}], X ~ Binomial(l={self.l}, p={self.p!r})"
 
 
 @dataclass(frozen=True)
@@ -89,6 +63,8 @@ class TailEstimate:
 def _strict_upper_index(threshold: float, l: int) -> int:
     """Largest k with Pr[X <= k] contributing to Pr[X < threshold];
     -1 means the event is empty, >= l means it is certain."""
+    if not math.isfinite(threshold):
+        raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
     if threshold <= 0:
         return -1
     if threshold > l:
@@ -178,7 +154,7 @@ def _log_pmf(l: int, p: float, ks: np.ndarray) -> np.ndarray:
 class BinomialWindow:
     """log Pr[X = k] for k = lo..hi, X ~ Binomial(l, p): the window mean
     +- (40 sigma + 40) clipped to [0, l], which holds all but exp(-55) of
-    the mass. One window serves every exact tail and the Monte-Carlo draw
+    the mass. One window answers every exact tail and the Monte-Carlo draw
     of a verify campaign; it is evaluated once, in O(sqrt(l pq)) time."""
 
     l: int
@@ -194,8 +170,39 @@ class BinomialWindow:
     def mode(self) -> int:
         return min(math.floor((self.l + 1) * self.p), self.l)
 
-    def log_tail(self, k_star: int) -> float:
-        """log Pr[X <= k_star] for 0 <= k_star < l; see exact_binomial_tail."""
+    def describe(self, threshold: float) -> str:
+        """The event Pr[X < threshold], strict '<', as the report prints it."""
+        return f"Pr[X < {threshold!r}], X ~ Binomial(l={self.l}, p={self.p!r})"
+
+    def exact_tail(self, threshold: float) -> TailEstimate:
+        """Pr[X < threshold], from Loader's log-pmf.
+
+        The terms are read from this window: from the largest term of
+        [0, k*] down to the first term more than 40 nats below it, and up
+        to min(k*, hi). Where that first term lies below the window (k*
+        below or just above its low edge), the tail evaluates its own short
+        run down from k*. The binomial pmf is log-concave: the terms rise up
+        to the mode, and below the cut each term falls from the one above
+        by at least the mean step of the J summed terms below the peak,
+        which is over 40/J nats. The dropped terms below therefore sum to
+        less than exp(-40) * (1 + J/40) of the tail, and those above the
+        window to less than exp(-55).
+
+        Tested against 30-digit full-support sums to 1e-12 relative (of the
+        log, once the tail is below 1/e) at l = 3000 for every k* and at
+        l = 2e4 at the window's edges, the mode and the deep tail; the terms
+        themselves are tested to the same bound up to l = 1e6.
+        """
+        k_star = _strict_upper_index(threshold, self.l)
+        if k_star < 0:
+            return TailEstimate(value=0.0, method=TailMethod.EXACT)
+        if k_star >= self.l:
+            return TailEstimate(value=1.0, method=TailMethod.EXACT)
+        log_value = min(self._log_cdf(k_star), 0.0)
+        return TailEstimate(value=math.exp(log_value), method=TailMethod.EXACT, log_value=log_value)
+
+    def _log_cdf(self, k_star: int) -> float:
+        """log Pr[X <= k_star] for 0 <= k_star < l; see exact_tail."""
         l, p = self.l, self.p
         peak_at = min(k_star, self.mode)
         if peak_at >= self.lo:
@@ -216,72 +223,49 @@ class BinomialWindow:
         terms = _log_pmf(l, p, np.arange(peak_at - width, peak_at + 1))
         return _log_sum(terms, terms[-1])
 
+    def mc_tails(self, thresholds: Sequence[float], trials: int, seed: int) -> List[TailEstimate]:
+        """Monte-Carlo estimates of Pr[X < threshold] for each of
+        ``thresholds`` from one draw of ``trials`` Binomial(l, p) samples,
+        seeded by ``seed`` and inverted over this window. Reruns with the
+        same (seed, trials) are bit-identical, and each estimate equals
+        the one a draw for its threshold alone would give.
+
+        The estimates share one sample, so they are perfectly correlated: a
+        3-sigma test of each record is not a test of the whole campaign.
+        """
+        if not isinstance(trials, int) or trials < 1:
+            raise InvalidInputError(f"trials must be an integer >= 1, got {trials!r}")
+        # draws are integers, so X < threshold is X <= k*, with k* from the
+        # strictness convention above
+        keys = [_strict_upper_index(threshold, self.l) + 1 for threshold in thresholds]
+        if not keys:
+            return []
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        draws = sample_binomial(rng, self, trials)
+        draws.sort()
+        estimates = []
+        for hits in np.searchsorted(draws, keys, side="left").tolist():
+            value = hits / trials
+            stderr = math.sqrt(value * (1.0 - value) / trials)
+            estimates.append(
+                TailEstimate(value=value, method=TailMethod.MONTE_CARLO, trials=trials, stderr=stderr, seed=seed)
+            )
+        return estimates
+
 
 def binomial_window(l: int, p: float) -> BinomialWindow:
     """The log-pmf window of Binomial(l, p); see BinomialWindow."""
+    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
+        raise InvalidInputError(f"l must be an integer >= 1, got {l!r}")
+    if not 0.0 < p < 1.0:
+        raise InvalidInputError(f"p must lie strictly in (0, 1), got {p!r}")
     mean, half = l * p, WINDOW_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
     lo, hi = max(0, math.floor(mean - half)), min(l, math.ceil(mean + half))
     return BinomialWindow(l=l, p=p, lo=lo, log_pmf=_log_pmf(l, p, np.arange(lo, hi + 1)))
 
 
-def _window_for(l: int, p: float, window: BinomialWindow | None) -> BinomialWindow:
-    if window is None:
-        return binomial_window(l, p)
-    if (window.l, window.p) != (l, p):
-        raise InvalidInputError(f"window of Binomial({window.l}, {window.p!r}) asked for Binomial({l}, {p!r})")
-    return window
-
-
 def _log_sum(terms: np.ndarray, shift: float) -> float:
     return float(shift + math.log(np.exp(terms - shift).sum()))
-
-
-def exact_binomial_tail(query: TailQuery, window: BinomialWindow | None = None) -> TailEstimate:
-    """Pr[X < threshold] for X ~ Binomial(l, p), from Loader's log-pmf.
-
-    The terms are read from ``window`` (evaluated here when not given):
-    from the largest term of [0, k*] down to the first term more than 40
-    nats below it, and up to min(k*, the window's hi). Where that first
-    term lies below the window (k* below or just above its low edge), the
-    tail evaluates its own short run down from k*. The binomial pmf is
-    log-concave: the terms rise up to the mode, and below the cut each
-    term falls from the one above by at least the mean step of the J
-    summed terms below the peak, which is over 40/J nats. The dropped
-    terms below therefore sum to less than exp(-40) * (1 + J/40) of the
-    tail, and those above the window to less than exp(-55).
-
-    Tested against 30-digit full-support sums to 1e-12 relative (of the
-    log, once the tail is below 1/e) at l = 3000 for every k* and at
-    l = 2e4 at the window's edges, the mode and the deep tail; the terms
-    themselves are tested to the same bound up to l = 1e6.
-    """
-    k_star = _strict_upper_index(query.threshold, query.l)
-    if k_star < 0:
-        return TailEstimate(value=0.0, method=TailMethod.EXACT)
-    if k_star >= query.l:
-        return TailEstimate(value=1.0, method=TailMethod.EXACT)
-    log_value = min(_window_for(query.l, query.p, window).log_tail(k_star), 0.0)
-    return TailEstimate(value=math.exp(log_value), method=TailMethod.EXACT, log_value=log_value)
-
-
-def exact_scaled_tail_y(l: int, p: float, scale: float, threshold: float) -> TailEstimate:
-    """Pr[Y < threshold] where Y = scale * Binomial(l, p) at a fixed time.
-
-    ``scale`` is the common per-module hazard Khat * t**mhat.
-    """
-    if not scale > 0:
-        raise InvalidInputError(f"scale must be > 0, got {scale!r}")
-    return exact_binomial_tail(TailQuery(l=l, p=p, threshold=threshold / scale))
-
-
-def exact_reliability_tail(l: int, p: float, t: float, r_threshold: float) -> TailEstimate:
-    """Pr[exp(-X*t) > r_threshold], transformed to the equivalent
-    lower-tail event Pr[X < -ln(r_threshold)/t]."""
-    if not 0.0 < r_threshold < 1.0:
-        raise InvalidInputError(f"r_threshold must lie strictly in (0, 1), got {r_threshold!r}")
-    if not t > 0:
-        raise InvalidInputError(f"t must be > 0, got {t!r}")
-    return exact_binomial_tail(TailQuery(l=l, p=p, threshold=-math.log(r_threshold) / t))
 
 
 def sample_binomial(rng: np.random.Generator, window: BinomialWindow, trials: int) -> np.ndarray:
@@ -291,47 +275,6 @@ def sample_binomial(rng: np.random.Generator, window: BinomialWindow, trials: in
     cdf = np.cumsum(np.exp(window.log_pmf))
     cdf[-1] = 1.0
     return window.lo + np.searchsorted(cdf, rng.random(trials), side="right")
-
-
-def mc_tails(
-    queries: Sequence[TailQuery], trials: int, seed: int, window: BinomialWindow | None = None
-) -> List[TailEstimate]:
-    """Monte-Carlo estimates of every Pr[X < threshold] in ``queries`` from
-    one draw of ``trials`` seeded Binomial(l, p) samples, inverted over
-    ``window`` (evaluated here when not given); the queries must share
-    (l, p). Each estimate is bit-identical to a draw of its own.
-
-    The estimates share one sample, so they are perfectly correlated: a
-    3-sigma test of each record is not a test of the whole campaign.
-    """
-    if not isinstance(trials, int) or trials < 1:
-        raise InvalidInputError(f"trials must be an integer >= 1, got {trials!r}")
-    if len({(query.l, query.p) for query in queries}) > 1:
-        raise InvalidInputError("queries of one Monte-Carlo draw must share (l, p)")
-    if not queries:
-        return []
-    l, p = queries[0].l, queries[0].p
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = sample_binomial(rng, _window_for(l, p, window), trials)
-    draws.sort()
-    # draws are integers, so X < threshold is X <= k*, with k* from the
-    # strictness convention above
-    keys = [_strict_upper_index(query.threshold, l) + 1 for query in queries]
-    estimates = []
-    for hits in np.searchsorted(draws, keys, side="left").tolist():
-        value = hits / trials
-        stderr = math.sqrt(value * (1.0 - value) / trials)
-        estimates.append(
-            TailEstimate(value=value, method=TailMethod.MONTE_CARLO, trials=trials, stderr=stderr, seed=seed)
-        )
-    return estimates
-
-
-def mc_tail(query: TailQuery, trials: int, seed: int) -> TailEstimate:
-    """Monte-Carlo estimate of Pr[X < threshold] from ``trials`` seeded
-    Binomial(l, p) draws; reruns with the same (seed, trials, query) are
-    bit-identical."""
-    return mc_tails([query], trials, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ hazard Khat*t^mhat instead of a single failure, making Y a scaled
 binomial at any fixed t.
 
 The expected reliability of the X-variant system is bounded above by
-exp(l*p*(exp(-t) - 1)); the exact product form is also exposed because
-verification needs it. The Y-variant bound carries a ``corrected`` sign
+exp(l*p*(exp(-t) - 1)). The Y-variant bound carries a ``corrected`` sign
 flag: the published form uses exp(+Khat*t^(mhat+1)) inside the outer
 exponent, which contradicts the per-module reliability exp(-Y*t) and can
 exceed 1. The corrected form flips that inner sign; only the corrected
@@ -31,7 +30,6 @@ __all__ = [
     "expected_hazard_y",
     "expected_reliability_bound_x",
     "expected_reliability_bound_y",
-    "exact_expected_reliability_x",
     "outcome_from_descriptor",
 ]
 
@@ -122,18 +120,6 @@ def expected_reliability_bound_x(outcome: SdpOutcome, t: float) -> float:
     if t <= 0:
         raise DomainError(f"reliability bound requires t > 0, got {t!r}")
     return math.exp(outcome.mean_failures * math.expm1(-t))
-
-
-def exact_expected_reliability_x(outcome: SdpOutcome, t: float) -> float:
-    """The exact expectation E[exp(-X*t)] = (p*(exp(-t)-1) + 1)**l.
-
-    Always strictly below ``expected_reliability_bound_x``; exposed so the
-    verification layer can check the bound against truth.
-    """
-    _require_variant(outcome, injected=False)
-    if t <= 0:
-        raise DomainError(f"reliability expectation requires t > 0, got {t!r}")
-    return (outcome.p_value * math.expm1(-t) + 1.0) ** outcome.l
 
 
 def expected_reliability_bound_y(outcome: SdpOutcome, t: float, corrected: bool = True) -> float:

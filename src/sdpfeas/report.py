@@ -34,14 +34,7 @@ from .bounds import (
 from .errors import InvalidInputError, ParseError, read_boolean, read_choice, read_integer, read_json, read_list
 from .errors import read_number, read_object
 from .hazards import HazardModel, model_from_descriptor
-from .oracle import (
-    TailQuery,
-    VerificationRecord,
-    binomial_window,
-    exact_binomial_tail,
-    mc_tails,
-    verify_bound,
-)
+from .oracle import VerificationRecord, binomial_window, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
 
 __all__ = [
@@ -188,28 +181,26 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
     Y = scale * X at fixed t), so one scaled binomial query covers all
     four kinds.
     """
-    l, p = config.outcome.l, config.outcome.p_value
-    seed = config.seed if config.seed is not None else 0
-    checks = []
-    for entry in entries:
-        if not isinstance(entry, BoundResult):
-            continue
-        if config.variant is Variant.X:
-            scale = 1.0
-        else:
-            scale = config.outcome.injection.scale_at(entry.t)
-        query = TailQuery(l=l, p=p, threshold=entry.threshold / scale)
-        checks.append((entry, query, f"{entry.theorem_tag} @ t={entry.t!r}: {query.describe()}"))
+    checks = [entry for entry in entries if isinstance(entry, BoundResult)]
+    if not checks or not (config.verify_exact or config.mc_trials > 0):
+        return []
+    if config.variant is Variant.X:
+        thresholds = [entry.threshold for entry in checks]
+    else:
+        scale_at = config.outcome.injection.scale_at
+        thresholds = [entry.threshold / scale_at(entry.t) for entry in checks]
     # one log-pmf window answers every exact tail, one MC draw every MC row
-    window = binomial_window(l, p) if checks and (config.verify_exact or config.mc_trials > 0) else None
+    window = binomial_window(config.outcome.l, config.outcome.p_value)
     if config.mc_trials > 0:
-        estimates = mc_tails([query for _, query, _ in checks], config.mc_trials, seed, window)
+        seed = config.seed if config.seed is not None else 0
+        estimates = window.mc_tails(thresholds, config.mc_trials, seed)
     else:
         estimates = [None] * len(checks)
     records: List[VerificationRecord] = []
-    for (entry, query, event), estimate in zip(checks, estimates):
+    for entry, threshold, estimate in zip(checks, thresholds, estimates):
+        event = f"{entry.theorem_tag} @ t={entry.t!r}: {window.describe(threshold)}"
         if config.verify_exact:
-            records.append(verify_bound(entry, exact_binomial_tail(query, window), event=event))
+            records.append(verify_bound(entry, window.exact_tail(threshold), event=event))
         if estimate is not None:
             records.append(verify_bound(entry, estimate, event=event))
     return records
@@ -277,13 +268,12 @@ class FeasibilityReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def build_report(config: ScenarioConfig, verify: bool = True) -> FeasibilityReport:
+def build_report(config: ScenarioConfig) -> FeasibilityReport:
     rows = run_sweep(config)
-    verification = run_verification(config, rows) if verify else []
     return FeasibilityReport(
         scenario=config.raw,
         rows=rows,
-        verification=verification,
+        verification=run_verification(config, rows),
         epsilon=config.epsilon,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )

@@ -18,6 +18,11 @@ def inv_mu_r(l, p, t):
     return math.exp(l * p * (1.0 - math.exp(-t)))
 
 
+def exact_expected_reliability_x(l, p, t):
+    # E[exp(-X t)] for X ~ Binomial(l, p), the product of l module terms
+    return (1.0 + p * math.expm1(-t)) ** l
+
+
 # -- hazard-side bounds, expectation l*p ------------------------------------
 
 def thm1_weibull_hazard(l, p, K, m, t):

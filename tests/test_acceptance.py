@@ -26,16 +26,13 @@ from sdpfeas import (
     InvalidInputError,
     OutOfRegimeError,
     SdpOutcome,
-    TailQuery,
     WeibullInjection,
+    binomial_window,
     chernoff_lower_tail,
     cumulative_hazard,
-    exact_binomial_tail,
-    exact_scaled_tail_y,
     hazard_at,
     hazard_bound,
     hazard_bound_y,
-    mc_tail,
     reliability_at,
     reliability_bound,
     reliability_bound_y,
@@ -120,7 +117,7 @@ def _campaign(models, bound_fn, oracle_fn):
 
 
 def _count_oracle(outcome, result):
-    return exact_binomial_tail(TailQuery(l=outcome.l, p=outcome.p_value, threshold=result.threshold))
+    return binomial_window(outcome.l, outcome.p_value).exact_tail(result.threshold)
 
 
 class TestCriterion1:
@@ -192,7 +189,7 @@ def _y_campaign(models, bound_fn, threshold_to_query):
                             continue
                         valid += 1
                         scale = injection.scale_at(t)
-                        oracle = exact_scaled_tail_y(l, p, scale, result.threshold)
+                        oracle = binomial_window(l, p).exact_tail(result.threshold / scale)
                         if not oracle.value < result.bound:
                             violations.append(
                                 (l, p, injection, t, scale, oracle.value, result.bound)
@@ -398,7 +395,7 @@ class TestCriterion5:
         for l in range(1, 31):
             for p in (0.1, 0.3, 0.5, 0.7, 0.9):
                 for k in range(0, l + 2):
-                    exact = exact_binomial_tail(TailQuery(l=l, p=p, threshold=float(k))).value
+                    exact = binomial_window(l, p).exact_tail(float(k)).value
                     naive = sum(
                         math.comb(l, j) * p**j * (1 - p) ** (l - j) for j in range(min(k, l + 1))
                     )
@@ -412,27 +409,29 @@ class TestCriterion5:
 
 
 class TestCriterion6:
+    #: (l, p, threshold)
     QUERIES = [
-        TailQuery(l=10, p=0.3, threshold=2.0),
-        TailQuery(l=10, p=0.5, threshold=5.0),
-        TailQuery(l=50, p=0.1, threshold=4.0),
-        TailQuery(l=50, p=0.5, threshold=24.0),
-        TailQuery(l=100, p=0.05, threshold=4.0),
-        TailQuery(l=100, p=0.3, threshold=28.0),
-        TailQuery(l=200, p=0.2, threshold=38.0),
-        TailQuery(l=500, p=0.05, threshold=24.0),
-        TailQuery(l=1000, p=0.01, threshold=9.0),
-        TailQuery(l=2000, p=0.1, threshold=195.0),
+        (10, 0.3, 2.0),
+        (10, 0.5, 5.0),
+        (50, 0.1, 4.0),
+        (50, 0.5, 24.0),
+        (100, 0.05, 4.0),
+        (100, 0.3, 28.0),
+        (200, 0.2, 38.0),
+        (500, 0.05, 24.0),
+        (1000, 0.01, 9.0),
+        (2000, 0.1, 195.0),
     ]
 
     def test_mc_consistency(self):
         trials = 100_000
         within = 0
         total = 0
-        for query in self.QUERIES:
-            exact = exact_binomial_tail(query).value
+        for l, p, threshold in self.QUERIES:
+            window = binomial_window(l, p)
+            exact = window.exact_tail(threshold).value
             for seed in range(100):
-                est = mc_tail(query, trials=trials, seed=seed)
+                [est] = window.mc_tails([threshold], trials=trials, seed=seed)
                 total += 1
                 if abs(est.value - exact) <= 3.0 * max(est.stderr, 1e-12):
                     within += 1
@@ -443,10 +442,11 @@ class TestCriterion6:
         assert ok
 
     def test_bit_identical_reruns(self):
-        for query in self.QUERIES:
+        for l, p, threshold in self.QUERIES:
             for seed in (0, 57, 99):
-                assert mc_tail(query, 20_000, seed) == mc_tail(query, 20_000, seed)
-        _line(6, True, "reruns at fixed (seed, trials, query) are bit-identical")
+                rerun = [binomial_window(l, p).mc_tails([threshold], 20_000, seed) for _ in range(2)]
+                assert rerun[0] == rerun[1]
+        _line(6, True, "reruns at fixed (seed, trials, threshold) are bit-identical")
 
 
 class TestCriterion7:
@@ -617,7 +617,7 @@ class TestSoundSubdomains:
                                 result = hazard_bound_y(outcome, model, t)
                             except OutOfRegimeError:
                                 continue
-                            oracle = exact_scaled_tail_y(l, p, scale, result.threshold)
+                            oracle = binomial_window(l, p).exact_tail(result.threshold / scale)
                             assert oracle.value < result.bound
                             checked += 1
         assert checked >= 200

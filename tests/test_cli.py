@@ -117,7 +117,9 @@ class TestBound:
     def test_out_of_regime_exits_3_with_diagnostics(self, run, tmp_path):
         scenario = dict(DESK_SCENARIO, model={"family": "constant", "lambda": 7.0}, verify={})
         config = write_scenario(tmp_path, scenario)
-        _, out, _ = run(["bound", "--config", config], expect=EXIT_OUT_OF_REGIME)
+        _, out, err = run(["bound", "--config", config], expect=EXIT_OUT_OF_REGIME)
+        # a finding, not an error: the row goes to stdout, nothing to stderr
+        assert err == ""
         payload = json.loads(out)
         assert payload["regime"] == "out-of-regime"
         assert payload["mu"] == pytest.approx(5.0)

@@ -1,5 +1,5 @@
-"""Golden outputs: sweep CSVs for every family and both kinds, one verify
-report with exact and Monte-Carlo records, and the exception type and
+"""Golden outputs: sweep CSVs for every family and both kinds, an X and a
+Y verify report with exact and Monte-Carlo records, and the exception type and
 message of each invalid input below. Refactors of the family table, the
 bound resolver or the sampler must leave every byte unchanged.
 
@@ -100,6 +100,18 @@ VERIFY = {
     "verify": {"exact": True, "mc_trials": 4000, "seed": 11},
 }
 
+#: Y rows are checked in count units, threshold / (K_hat * t**m_hat); this
+#: model puts a different non-integral count threshold at each point
+VERIFY_Y = {
+    "outcome": {"l": 200, "p": 0.05, "injection": {"K_hat": 1.0, "m_hat": 0.5}},
+    "model": {"family": "weibull", "K": 7.5, "m": 0.7},
+    "time_grid": {"start": 0.05, "stop": 2.0, "steps": 6, "spacing": "log"},
+    "kinds": BOTH,
+    "variant": "Y",
+    "corrected": True,
+    "verify": {"exact": True, "mc_trials": 2000, "seed": 5},
+}
+
 W = HazardFamily.WEIBULL
 LD = HazardFamily.LINEAR_DECREASING
 X_OUT = SdpOutcome(l=100, p=0.05)
@@ -155,8 +167,8 @@ def sweep_csv(name: str) -> str:
     return sweep_to_csv(run_sweep(config))
 
 
-def verify_json() -> str:
-    report = build_report(ScenarioConfig.from_descriptor(VERIFY)).to_dict()
+def verify_json(descriptor: dict) -> str:
+    report = build_report(ScenarioConfig.from_descriptor(descriptor)).to_dict()
     report.pop("timestamp")
     return json.dumps(report, indent=2) + "\n"
 
@@ -176,7 +188,8 @@ def errors_text() -> str:
 #: golden file name -> thunk producing its text
 OUTPUTS = {
     **{f"sweep-{name}.csv": (lambda name=name: sweep_csv(name)) for name in SWEEPS},
-    "verify-weibull.json": verify_json,
+    "verify-weibull.json": lambda: verify_json(VERIFY),
+    "verify-y.json": lambda: verify_json(VERIFY_Y),
     "errors.txt": errors_text,
 }
 

@@ -14,16 +14,11 @@ from sdpfeas import (
     InvalidInputError,
     TailEstimate,
     TailMethod,
-    TailQuery,
+    binomial_window,
     chernoff_lower_tail,
-    exact_binomial_tail,
-    exact_reliability_tail,
-    exact_scaled_tail_y,
-    mc_tail,
-    mc_tails,
     verify_bound,
 )
-from sdpfeas.oracle import _STIRLERR_SMALL, _log_pmf, _strict_upper_index, binomial_window, sample_binomial
+from sdpfeas.oracle import _STIRLERR_SMALL, _log_pmf, _strict_upper_index, sample_binomial
 
 
 def naive_tail(l, p, threshold):
@@ -54,22 +49,22 @@ class TestExactTail:
     def test_frozen_small_example(self):
         # sum of the k=0 and k=1 terms of Binomial(10, 0.3), checked by hand:
         # 0.7^10 + 10*0.3*0.7^9
-        est = exact_binomial_tail(TailQuery(l=10, p=0.3, threshold=2.0))
+        est = binomial_window(10, 0.3).exact_tail(2.0)
         assert est.value == pytest.approx(0.14930834589999992, rel=1e-14)
         assert est.method is TailMethod.EXACT
 
     def test_frozen_desk_example(self):
-        est = exact_binomial_tail(TailQuery(l=100, p=0.05, threshold=2.0))
+        est = binomial_window(100, 0.05).exact_tail(2.0)
         assert est.value == pytest.approx(0.037081209327355036, rel=1e-12)
 
     def test_dyadic_example(self):
         # Pr[Binom(10, 1/2) < 3] = 56/1024 exactly
-        est = exact_binomial_tail(TailQuery(l=10, p=0.5, threshold=3.0))
+        est = binomial_window(10, 0.5).exact_tail(3.0)
         assert est.value == pytest.approx(56.0 / 1024.0, rel=1e-14)
 
     def test_empty_and_certain(self):
-        assert exact_binomial_tail(TailQuery(l=10, p=0.3, threshold=0.0)).value == 0.0
-        assert exact_binomial_tail(TailQuery(l=10, p=0.3, threshold=11.0)).value == 1.0
+        assert binomial_window(10, 0.3).exact_tail(0.0).value == 0.0
+        assert binomial_window(10, 0.3).exact_tail(11.0).value == 1.0
 
     @given(
         l=st.integers(1, 30),
@@ -77,38 +72,42 @@ class TestExactTail:
         threshold=st.floats(-1.0, 32.0),
     )
     def test_matches_naive_summation(self, l, p, threshold):
-        est = exact_binomial_tail(TailQuery(l=l, p=p, threshold=threshold))
+        est = binomial_window(l, p).exact_tail(threshold)
         assert est.value == pytest.approx(naive_tail(l, p, threshold), abs=1e-12)
 
     def test_large_l_stays_normalised(self):
-        est = exact_binomial_tail(TailQuery(l=10**6, p=0.3, threshold=10**6 + 1))
+        est = binomial_window(10**6, 0.3).exact_tail(10**6 + 1)
         assert est.value == 1.0
 
     def test_large_l_tail_below_chernoff(self):
         l, p = 10**6, 0.3
         mu = l * p
-        est = exact_binomial_tail(TailQuery(l=l, p=p, threshold=0.99 * mu))
+        est = binomial_window(l, p).exact_tail(0.99 * mu)
         assert 0.0 < est.value < chernoff_lower_tail(mu, 0.99 * mu).bound
 
     def test_log_value_survives_underflow(self):
         # the tail is about 1e-702: value underflows to 0.0, its log does not
-        query = TailQuery(l=200_000, p=0.01, threshold=100.0)
         reference = logsumexp(binom.logpmf(np.arange(100), 200_000, 0.01))
-        est = exact_binomial_tail(query)
+        est = binomial_window(200_000, 0.01).exact_tail(100.0)
         assert est.value == 0.0
         assert est.log_value == pytest.approx(reference, rel=1e-10)
 
     def test_log_value_matches_value(self):
-        est = exact_binomial_tail(TailQuery(l=100, p=0.05, threshold=2.0))
+        est = binomial_window(100, 0.05).exact_tail(2.0)
         assert est.log_value == pytest.approx(math.log(est.value), rel=1e-13)
         assert TailEstimate(value=0.25, method=TailMethod.EXACT).log_value == math.log(0.25)
         assert TailEstimate(value=0.0, method=TailMethod.EXACT).log_value == -math.inf
 
     def test_rejects_bad_query(self):
-        with pytest.raises(InvalidInputError):
-            TailQuery(l=0, p=0.5, threshold=1.0)
-        with pytest.raises(InvalidInputError):
-            TailQuery(l=10, p=1.0, threshold=1.0)
+        for l, p in [(0, 0.5), (True, 0.5), (2.0, 0.5), (10, 0.0), (10, 1.0), (10, math.nan)]:
+            with pytest.raises(InvalidInputError):
+                binomial_window(l, p)
+        window = binomial_window(10, 0.3)
+        for threshold in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="threshold must be finite"):
+                window.exact_tail(threshold)
+            with pytest.raises(InvalidInputError, match="threshold must be finite"):
+                window.mc_tails([2.0, threshold], 100, 1)
 
 
 def reference_log_pmf(l, p, k):
@@ -197,12 +196,10 @@ class TestWindowedTail:
             "at l - 1": l - 1,
         }
         for name, k_star in cases.items():
-            query = TailQuery(l=l, p=p, threshold=k_star + 0.5)
-            shared = exact_binomial_tail(query, window)
-            assert close_in_log(shared.log_value, log_cdf[k_star]), (name, shared.log_value, log_cdf[k_star])
-            assert shared == exact_binomial_tail(query)
+            est = window.exact_tail(k_star + 0.5)
+            assert close_in_log(est.log_value, log_cdf[k_star]), (name, est.log_value, log_cdf[k_star])
             if log_cdf[k_star] > -700:
-                assert shared.value == pytest.approx(math.exp(log_cdf[k_star]), rel=1e-12)
+                assert est.value == pytest.approx(math.exp(log_cdf[k_star]), rel=1e-12)
 
     def test_every_threshold(self):
         l, p = 3_000, 0.7
@@ -210,19 +207,14 @@ class TestWindowedTail:
         assert (window.lo, window.hi) == (1056, 3000)
         log_cdf = reference_log_cdf(l, p)
         for k_star in range(l):
-            got = exact_binomial_tail(TailQuery(l=l, p=p, threshold=k_star + 0.5), window).log_value
+            got = window.exact_tail(k_star + 0.5).log_value
             assert close_in_log(got, log_cdf[k_star]), (k_star, got, log_cdf[k_star])
-
-    def test_rejects_a_window_of_another_binomial(self):
-        query = TailQuery(l=100, p=0.05, threshold=3.0)
-        for window in (binomial_window(101, 0.05), binomial_window(100, 0.06)):
-            with pytest.raises(InvalidInputError):
-                exact_binomial_tail(query, window)
-            with pytest.raises(InvalidInputError):
-                mc_tails([query], 100, 1, window)
 
 
 class TestScaledTail:
+    """A Y row is checked in count units: Pr[Y < c] with Y = scale * X is
+    Pr[X < c / scale] (scale = Khat * t**mhat at the row's t)."""
+
     @given(
         l=st.integers(1, 30),
         p=st.floats(0.01, 0.99),
@@ -233,18 +225,13 @@ class TestScaledTail:
         # Pr[s*X < s*c] must equal Pr[X < c]; pick c just off the lattice
         # so float division cannot flip the strictness
         c = k + 0.5
-        scaled = exact_scaled_tail_y(l, p, scale, scale * c)
-        plain = exact_binomial_tail(TailQuery(l=l, p=p, threshold=c))
-        assert scaled.value == pytest.approx(plain.value, rel=1e-12)
+        window = binomial_window(l, p)
+        assert window.exact_tail(scale * c / scale).value == pytest.approx(window.exact_tail(c).value, rel=1e-12)
 
     def test_frozen_example(self):
         # Y = 6*X at the probe time; Pr[Y < 18] = Pr[X < 3]
-        est = exact_scaled_tail_y(10, 0.5, 6.0, 18.0)
+        est = binomial_window(10, 0.5).exact_tail(18.0 / 6.0)
         assert est.value == pytest.approx(56.0 / 1024.0, rel=1e-14)
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(InvalidInputError):
-            exact_scaled_tail_y(10, 0.5, 0.0, 1.0)
 
 
 class TestReliabilityTail:
@@ -255,32 +242,25 @@ class TestReliabilityTail:
         k=st.integers(0, 31),
     )
     def test_identity_with_count_event(self, l, p, t, k):
-        # exp(-X*t) > exp(-c*t) iff X < c, taking c off the lattice
+        # exp(-X*t) > r iff X < -ln(r)/t; with r = exp(-c*t), c off the
+        # lattice, that is X < c
         c = k + 0.5
-        est = exact_reliability_tail(l, p, t, math.exp(-c * t))
-        plain = exact_binomial_tail(TailQuery(l=l, p=p, threshold=c))
-        assert est.value == pytest.approx(plain.value, rel=1e-12)
-
-    def test_rejects_degenerate_threshold(self):
-        with pytest.raises(InvalidInputError):
-            exact_reliability_tail(10, 0.5, 1.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            exact_reliability_tail(10, 0.5, 0.0, 0.5)
+        window = binomial_window(l, p)
+        est = window.exact_tail(-math.log(math.exp(-c * t)) / t)
+        assert est.value == pytest.approx(window.exact_tail(c).value, rel=1e-12)
 
 
 class TestMonteCarlo:
     def test_bit_identical_reruns(self):
-        q = TailQuery(l=100, p=0.05, threshold=4.0)
-        a = mc_tail(q, trials=50_000, seed=42)
-        b = mc_tail(q, trials=50_000, seed=42)
-        assert a == b
+        window = binomial_window(100, 0.05)
+        assert window.mc_tails([4.0], trials=50_000, seed=42) == window.mc_tails([4.0], trials=50_000, seed=42)
 
     def test_seed_changes_estimate(self):
-        q = TailQuery(l=100, p=0.05, threshold=4.0)
-        assert mc_tail(q, trials=50_000, seed=1) != mc_tail(q, trials=50_000, seed=2)
+        window = binomial_window(100, 0.05)
+        assert window.mc_tails([4.0], trials=50_000, seed=1) != window.mc_tails([4.0], trials=50_000, seed=2)
 
     def test_metadata(self):
-        est = mc_tail(TailQuery(l=10, p=0.3, threshold=2.0), trials=1000, seed=9)
+        [est] = binomial_window(10, 0.3).mc_tails([2.0], trials=1000, seed=9)
         assert est.method is TailMethod.MONTE_CARLO
         assert est.trials == 1000
         assert est.seed == 9
@@ -291,9 +271,9 @@ class TestMonteCarlo:
         [(10, 0.3, 2.0), (100, 0.05, 4.0), (50, 0.5, 20.0), (7, 0.9, 6.5)],
     )
     def test_agrees_with_exact_within_three_sigma(self, l, p, threshold):
-        q = TailQuery(l=l, p=p, threshold=threshold)
-        exact = exact_binomial_tail(q)
-        est = mc_tail(q, trials=100_000, seed=1234)
+        window = binomial_window(l, p)
+        exact = window.exact_tail(threshold)
+        [est] = window.mc_tails([threshold], trials=100_000, seed=1234)
         band = 3.0 * max(est.stderr, 1e-4)
         assert abs(est.value - exact.value) <= band
 
@@ -303,13 +283,13 @@ class TestMonteCarlo:
         l, p, threshold, trials = 200_000, 0.01, 1990.0, 100_000
         draws = sample_binomial(np.random.Generator(np.random.Philox(key=5)), binomial_window(l, p), trials)
         freq = (draws < threshold).mean()
-        exact = exact_binomial_tail(TailQuery(l=l, p=p, threshold=threshold)).value
+        exact = binomial_window(l, p).exact_tail(threshold).value
         assert 0.1 < exact < 0.9
         assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / trials)
 
     def test_trials_validated(self):
         with pytest.raises(InvalidInputError):
-            mc_tail(TailQuery(l=10, p=0.5, threshold=2.0), trials=0, seed=1)
+            binomial_window(10, 0.5).mc_tails([2.0], trials=0, seed=1)
 
 
 class TestSharedDraw:
@@ -318,12 +298,13 @@ class TestSharedDraw:
     THRESHOLDS = [-2.0, 0.0, 0.5, 1.0, 7.0, 14.0, 14.5, 15.0, 49.0, 50.0, 50.5, 1e9,
                   15.0 / 0.37, 9.0 / 1.7, 12.0 / 0.5]
 
-    def queries(self):
-        return [TailQuery(l=self.L, p=self.P, threshold=t) for t in self.THRESHOLDS]
+    def window(self):
+        return binomial_window(self.L, self.P)
 
     def test_equals_one_draw_per_query(self):
-        shared = mc_tails(self.queries(), self.TRIALS, self.SEED)
-        assert shared == [mc_tail(q, self.TRIALS, self.SEED) for q in self.queries()]
+        window = self.window()
+        shared = window.mc_tails(self.THRESHOLDS, self.TRIALS, self.SEED)
+        assert shared == [window.mc_tails([t], self.TRIALS, self.SEED)[0] for t in self.THRESHOLDS]
         # the hit count of one unsorted draw, compared with '<' per query
         rng = np.random.Generator(np.random.Philox(key=self.SEED))
         samples = sample_binomial(rng, binomial_window(self.L, self.P), self.TRIALS)
@@ -338,29 +319,24 @@ class TestSharedDraw:
             )
 
     def test_empty_and_certain_events(self):
-        estimates = mc_tails(self.queries(), self.TRIALS, self.SEED)
+        estimates = self.window().mc_tails(self.THRESHOLDS, self.TRIALS, self.SEED)
         by_threshold = dict(zip(self.THRESHOLDS, estimates))
         assert by_threshold[-2.0].value == by_threshold[0.0].value == 0.0
         assert by_threshold[50.5].value == by_threshold[1e9].value == 1.0
 
-    @pytest.mark.parametrize("other", [TailQuery(l=51, p=0.3, threshold=2.0), TailQuery(l=50, p=0.31, threshold=2.0)])
-    def test_rejects_mixed_l_p(self, other):
-        with pytest.raises(InvalidInputError):
-            mc_tails([TailQuery(l=50, p=0.3, threshold=2.0), other], self.TRIALS, self.SEED)
-
     @pytest.mark.parametrize("trials", [0, -5, 2.0])
     def test_trials_validated(self, trials):
         with pytest.raises(InvalidInputError):
-            mc_tails(self.queries(), trials, self.SEED)
+            self.window().mc_tails(self.THRESHOLDS, trials, self.SEED)
 
     def test_no_queries_no_draw(self):
-        assert mc_tails([], self.TRIALS, self.SEED) == []
+        assert self.window().mc_tails([], self.TRIALS, self.SEED) == []
 
 
 class TestVerifyBound:
     def test_exact_pass(self):
         bound = chernoff_lower_tail(5.0, 2.0)
-        oracle = exact_binomial_tail(TailQuery(l=100, p=0.05, threshold=2.0))
+        oracle = binomial_window(100, 0.05).exact_tail(2.0)
         record = verify_bound(bound, oracle, event="desk")
         assert record.holds
         assert record.slack == pytest.approx(0.3694884504132441, rel=1e-10)
@@ -377,7 +353,7 @@ class TestVerifyBound:
 
     def test_mc_pass_with_seed_echo(self):
         bound = chernoff_lower_tail(5.0, 2.0)
-        oracle = mc_tail(TailQuery(l=100, p=0.05, threshold=2.0), trials=100_000, seed=77)
+        [oracle] = binomial_window(100, 0.05).mc_tails([2.0], trials=100_000, seed=77)
         record = verify_bound(bound, oracle)
         assert record.holds
         assert record.seed == 77
@@ -410,13 +386,13 @@ class TestVerifyBound:
         # mu = 2000, threshold = 100: log bound -902.5, log tail about -1615.7;
         # both print as 0.0, the verdict still holds
         bound = chernoff_lower_tail(2000.0, 100.0)
-        query = TailQuery(l=200_000, p=0.01, threshold=100.0)
+        window = binomial_window(200_000, 0.01)
         assert bound.bound == 0.0
-        exact = verify_bound(bound, exact_binomial_tail(query))
+        exact = verify_bound(bound, window.exact_tail(100.0))
         assert exact.holds
-        assert exact.ratio == pytest.approx(math.exp(exact_binomial_tail(query).log_value + 902.5), rel=1e-9)
+        assert exact.ratio == pytest.approx(math.exp(window.exact_tail(100.0).log_value + 902.5), rel=1e-9)
         assert 0.0 < exact.ratio < 1e-300
-        mc = verify_bound(bound, mc_tail(query, trials=20, seed=1))
+        mc = verify_bound(bound, window.mc_tails([100.0], trials=20, seed=1)[0])
         assert mc.holds and not mc.advisory and mc.ratio == 0.0
 
     def test_underflowed_bound_still_fails_a_larger_oracle(self):
@@ -431,7 +407,7 @@ class TestVerifyBound:
         # l = 1e5, p = 0.05, constant lambda = 2500 at t = 1: the bound is
         # 3.68e-272 (log -625), the exact tail underflows to 0.0
         bound = chernoff_lower_tail(5000.0, 2500.0)
-        exact = exact_binomial_tail(TailQuery(l=100_000, p=0.05, threshold=2500.0))
+        exact = binomial_window(100_000, 0.05).exact_tail(2500.0)
         assert bound.bound > 0.0 and exact.value == 0.0 and math.isfinite(exact.log_value)
         record = verify_bound(bound, exact)
         assert record.holds
@@ -451,13 +427,13 @@ class TestVerifyBound:
         assert payload["verification"][0]["ratio"] is None
 
     def test_rejects_non_bound(self):
-        oracle = exact_binomial_tail(TailQuery(l=10, p=0.3, threshold=2.0))
+        oracle = binomial_window(10, 0.3).exact_tail(2.0)
         with pytest.raises(InvalidInputError):
             verify_bound("not-a-bound", oracle)
 
     def test_record_serialises(self):
         bound = chernoff_lower_tail(5.0, 2.0)
-        oracle = exact_binomial_tail(TailQuery(l=100, p=0.05, threshold=2.0))
+        oracle = binomial_window(100, 0.05).exact_tail(2.0)
         payload = verify_bound(bound, oracle, event="desk").to_dict()
         assert payload["holds"] is True
         assert payload["method"] == "exact"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_formulas as ref
 from sdpfeas import (
     DomainError,
     InvalidInputError,
@@ -12,7 +13,6 @@ from sdpfeas import (
     SdpOutcome,
     WeibullInjection,
     WrongVariantError,
-    exact_expected_reliability_x,
     expected_hazard_x,
     expected_hazard_y,
     expected_reliability_bound_x,
@@ -110,7 +110,7 @@ class TestExpectedReliabilityBound:
 
     def test_exact_product_strictly_below_bound_at_desk_point(self):
         o = SdpOutcome(l=100, p=0.05)
-        assert exact_expected_reliability_x(o, 1.0) < expected_reliability_bound_x(o, 1.0)
+        assert ref.exact_expected_reliability_x(o.l, o.p_value, 1.0) < expected_reliability_bound_x(o, 1.0)
 
     def test_y_unit_injection_matches_x(self):
         o_y = injected(10, 0.5, 1.0, 0.0)
