@@ -75,7 +75,7 @@ class Variant(str, enum.Enum):
     Y = "Y"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundResult:
     """One computed Chernoff bound and its diagnostics."""
 
@@ -106,7 +106,7 @@ class BoundResult:
         return payload
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OutOfRegime:
     """Sweep entry for a point where the bound is inapplicable."""
 
@@ -128,16 +128,6 @@ class OutOfRegime:
             payload["t"] = self.t
         return payload
 
-    @classmethod
-    def from_error(cls, err: OutOfRegimeError) -> "OutOfRegime":
-        return cls(
-            theorem_tag=err.theorem_tag or "Chernoff",
-            mu=err.mu,
-            threshold=err.threshold,
-            delta=err.delta,
-            t=err.t,
-        )
-
 
 SweepEntry = Union[BoundResult, OutOfRegime]
 
@@ -151,7 +141,7 @@ def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
     delta = 1.0 - threshold / mu
     if threshold >= mu or threshold < 0:
-        return OutOfRegime(theorem_tag=theorem_tag, mu=mu, threshold=threshold, delta=delta, t=t)
+        return OutOfRegime(theorem_tag, mu, threshold, delta, t)
     try:
         log_bound = -((mu - threshold) ** 2) / (2.0 * mu)
     except OverflowError:
@@ -159,17 +149,8 @@ def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign
         # bound (about -mu/2) does not; 0 < d/mu <= 1 keeps this finite
         d = mu - threshold
         log_bound = -0.5 * (d / mu) * d
-    return BoundResult(
-        theorem_tag=theorem_tag,
-        mu=mu,
-        threshold=threshold,
-        delta=delta,
-        bound=math.exp(log_bound),
-        log_bound=log_bound,
-        regime=Regime.TRIVIAL if threshold == 0 else Regime.VALID,
-        t=t,
-        sign_mode=sign_mode,
-    )
+    regime = Regime.TRIVIAL if threshold == 0 else Regime.VALID
+    return BoundResult(theorem_tag, mu, threshold, delta, math.exp(log_bound), log_bound, regime, t, sign_mode)
 
 
 def chernoff_lower_tail(

@@ -42,7 +42,7 @@ class TailMethod(str, enum.Enum):
     MONTE_CARLO = "monte-carlo"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TailEstimate:
     """A tail probability with its provenance; MC entries carry trials,
     standard error and the seed that reproduces them. ``log_value`` (by
@@ -57,7 +57,7 @@ class TailEstimate:
 
     def __post_init__(self):
         if self.log_value is None:
-            object.__setattr__(self, "log_value", math.log(self.value) if self.value > 0 else -math.inf)
+            self.log_value = math.log(self.value) if self.value > 0 else -math.inf
 
 
 def _strict_upper_index(threshold: float, l: int) -> int:
@@ -195,11 +195,11 @@ class BinomialWindow:
         """
         k_star = _strict_upper_index(threshold, self.l)
         if k_star < 0:
-            return TailEstimate(value=0.0, method=TailMethod.EXACT)
+            return TailEstimate(0.0, TailMethod.EXACT)
         if k_star >= self.l:
-            return TailEstimate(value=1.0, method=TailMethod.EXACT)
+            return TailEstimate(1.0, TailMethod.EXACT)
         log_value = min(self._log_cdf(k_star), 0.0)
-        return TailEstimate(value=math.exp(log_value), method=TailMethod.EXACT, log_value=log_value)
+        return TailEstimate(math.exp(log_value), TailMethod.EXACT, None, None, None, log_value)
 
     def _log_cdf(self, k_star: int) -> float:
         """log Pr[X <= k_star] for 0 <= k_star < l; see exact_tail."""
@@ -247,9 +247,7 @@ class BinomialWindow:
         for hits in np.searchsorted(draws, keys, side="left").tolist():
             value = hits / trials
             stderr = math.sqrt(value * (1.0 - value) / trials)
-            estimates.append(
-                TailEstimate(value=value, method=TailMethod.MONTE_CARLO, trials=trials, stderr=stderr, seed=seed)
-            )
+            estimates.append(TailEstimate(value, TailMethod.MONTE_CARLO, trials, stderr, seed))
         return estimates
 
 
@@ -277,7 +275,7 @@ def sample_binomial(rng: np.random.Generator, window: BinomialWindow, trials: in
     return window.lo + np.searchsorted(cdf, rng.random(trials), side="right")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerificationRecord:
     """Outcome of checking one bound against one oracle estimate."""
 
@@ -339,13 +337,5 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
     except OverflowError:
         ratio = math.inf
     return VerificationRecord(
-        event=event,
-        bound=bound.bound,
-        oracle=oracle.value,
-        method=oracle.method,
-        holds=holds,
-        slack=bound.bound - oracle.value,
-        ratio=ratio,
-        seed=oracle.seed,
-        advisory=advisory,
+        event, bound.bound, oracle.value, oracle.method, holds, bound.bound - oracle.value, ratio, oracle.seed, advisory
     )

@@ -26,7 +26,7 @@ from .bounds import (
     SWEEP_COLUMNS,
     BoundKind,
     BoundResult,
-    OutOfRegime,
+    Regime,
     SweepEntry,
     Variant,
     bound_sweep,
@@ -54,9 +54,9 @@ SEED_ENV_VAR = "SDPFEAS_SEED"
 MAX_STEPS = 10**6
 
 
-#: one CSV row per entry type; %.17g gives format(x, ".17g"), 17
+#: one CSV row template per regime; %.17g gives format(x, ".17g"), 17
 #: significant digits, which round-trip every 64-bit float exactly
-_VALID_ROW = "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s"
+_BOUND_ROWS = {regime: "%.17g,%s,%.17g,%.17g,%.17g,%.17g," + regime.value for regime in Regime}
 _OUT_OF_REGIME_ROW = "%.17g,%s,%.17g,%.17g,%.17g,,out-of-regime"
 
 
@@ -282,11 +282,12 @@ def build_report(config: ScenarioConfig) -> FeasibilityReport:
 def sweep_to_csv(entries: Sequence[SweepEntry]) -> str:
     """Serialize sweep rows to the CSV contract
     ``t,theorem,mu,threshold,delta,bound,regime`` with 17-significant-digit
-    numbers (round-trip exact), one format string per row."""
+    numbers (round-trip exact), one format per row from its regime's
+    template."""
     lines = [",".join(SWEEP_COLUMNS)]
     for e in entries:
         if isinstance(e, BoundResult):
-            lines.append(_VALID_ROW % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound, e.regime.value))
+            lines.append(_BOUND_ROWS[e.regime] % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound))
         else:
             lines.append(_OUT_OF_REGIME_ROW % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta))
     return "\n".join(lines) + "\n"

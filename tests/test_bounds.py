@@ -357,7 +357,7 @@ def scalar_entry(outcome, model, t, kind, variant, corrected):
             threshold = reliability_tail_threshold(model, t)
         return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
     except OutOfRegimeError as err:
-        return OutOfRegime.from_error(err)
+        return OutOfRegime(err.theorem_tag, err.mu, err.threshold, err.delta, err.t)
     except OverflowError as exc:
         form = tag if sign_mode is None else f"{tag} ({sign_mode})"
         raise NumericOverflowError(f"{form} overflows a 64-bit float at t = {t!r}") from exc

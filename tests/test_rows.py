@@ -1,0 +1,170 @@
+"""The per-point records: sweep rows (BoundResult, OutOfRegime) and oracle
+records (TailEstimate, VerificationRecord) are plain slotted dataclasses,
+and a sweep's CSV rows keep their bytes."""
+
+import dataclasses
+import math
+
+import pytest
+
+from sdpfeas.bounds import BoundResult, OutOfRegime, Regime
+from sdpfeas.oracle import TailEstimate, TailMethod, VerificationRecord
+from sdpfeas.report import sweep_to_csv
+
+MU = 0.1 + 0.2  # 0.30000000000000004: needs all 17 digits
+LOG_BOUND = -((MU - 0.1) ** 2) / (2 * MU)
+
+#: one fixed example per type: (type, positional args, keyword args, to_dict
+#: payload; None for TailEstimate, which has no to_dict)
+EXAMPLES = {
+    "BoundResult": (
+        BoundResult,
+        ("Thm1", MU, 0.1, 1 - 0.1 / MU, math.exp(LOG_BOUND), LOG_BOUND, Regime.VALID, 1.25),
+        dict(
+            theorem_tag="Thm1",
+            mu=MU,
+            threshold=0.1,
+            delta=1 - 0.1 / MU,
+            bound=math.exp(LOG_BOUND),
+            log_bound=LOG_BOUND,
+            regime=Regime.VALID,
+            t=1.25,
+        ),
+        {
+            "theorem": "Thm1",
+            "mu": 0.30000000000000004,
+            "threshold": 0.1,
+            "delta": 0.6666666666666667,
+            "bound": 0.9355069850316178,
+            "log_bound": -0.06666666666666668,
+            "regime": "valid",
+            "t": 1.25,
+        },
+    ),
+    "OutOfRegime": (
+        OutOfRegime,
+        ("Thm2", 0.25, 0.5, -1.0, 3.0),
+        dict(theorem_tag="Thm2", mu=0.25, threshold=0.5, delta=-1.0, t=3.0),
+        {"theorem": "Thm2", "mu": 0.25, "threshold": 0.5, "delta": -1.0, "regime": "out-of-regime", "t": 3.0},
+    ),
+    "TailEstimate": (
+        TailEstimate,
+        (0.125, TailMethod.MONTE_CARLO, 4000, 0.005, 7),
+        dict(value=0.125, method=TailMethod.MONTE_CARLO, trials=4000, stderr=0.005, seed=7),
+        None,
+    ),
+    "VerificationRecord": (
+        VerificationRecord,
+        ("e", 0.5, 0.125, TailMethod.MONTE_CARLO, True, 0.375, 0.25, 7, True),
+        dict(
+            event="e",
+            bound=0.5,
+            oracle=0.125,
+            method=TailMethod.MONTE_CARLO,
+            holds=True,
+            slack=0.375,
+            ratio=0.25,
+            seed=7,
+            advisory=True,
+        ),
+        {
+            "event": "e",
+            "bound": 0.5,
+            "oracle": 0.125,
+            "method": "monte-carlo",
+            "holds": True,
+            "slack": 0.375,
+            "ratio": 0.25,
+            "seed": 7,
+            "advisory": True,
+        },
+    ),
+}
+
+
+@pytest.fixture(params=sorted(EXAMPLES))
+def example(request):
+    return EXAMPLES[request.param]
+
+
+class TestRecords:
+    def test_positional_equals_keyword(self, example):
+        cls, args, kwargs, _ = example
+        assert cls(*args) == cls(**kwargs)
+
+    def test_replace(self, example):
+        cls, args, _, _ = example
+        row = cls(*args)
+        first = dataclasses.fields(cls)[0].name
+        new = "changed" if isinstance(args[0], str) else args[0] / 2
+        copy = dataclasses.replace(row, **{first: new})
+        assert type(copy) is cls and getattr(copy, first) == new and copy != row
+        assert dataclasses.replace(copy, **{first: args[0]}) == row
+        assert getattr(row, first) == args[0]
+
+    @pytest.mark.parametrize("name", [name for name, example in sorted(EXAMPLES.items()) if example[3]])
+    def test_to_dict_keys_order_and_values(self, name):
+        cls, args, _, expected = EXAMPLES[name]
+        payload = cls(*args).to_dict()
+        assert list(payload) == list(expected)
+        assert payload == expected
+
+    def test_slotted_and_unhashable(self, example):
+        cls, args, _, _ = example
+        row = cls(*args)
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(TypeError):
+            hash(row)
+
+    def test_bound_never_equals_out_of_regime(self):
+        bound = BoundResult("Thm2", 0.25, 0.5, -1.0, 1.0, 0.0, Regime.VALID, 3.0)
+        out = OutOfRegime("Thm2", 0.25, 0.5, -1.0, 3.0)
+        assert bound != out and out != bound
+
+    def test_repr(self):
+        assert repr(OutOfRegime("Thm2", 0.25, 0.5, -1.0, 3.0)) == (
+            "OutOfRegime(theorem_tag='Thm2', mu=0.25, threshold=0.5, delta=-1.0, t=3.0)"
+        )
+
+    def test_log_value_of_zero_is_minus_inf(self):
+        assert TailEstimate(0.0, TailMethod.EXACT).log_value == -math.inf
+
+    def test_log_value_of_positive_is_its_log(self):
+        assert TailEstimate(0.125, TailMethod.EXACT).log_value == math.log(0.125)
+        assert TailEstimate(0.0, TailMethod.EXACT, None, None, None, -800.0).log_value == -800.0
+
+    def test_ratio_past_float_range_is_null(self):
+        record = VerificationRecord("e", 0.0, 0.5, TailMethod.EXACT, False, -0.5, math.inf)
+        assert record.to_dict()["ratio"] is None
+        assert "seed" not in record.to_dict() and "advisory" not in record.to_dict()
+
+
+class TestSweepCsv:
+    """Rows written before the records became slotted, byte for byte."""
+
+    VALID = BoundResult("Thm1", MU, 0.1, 1 - 0.1 / MU, math.exp(LOG_BOUND), LOG_BOUND, Regime.VALID, 1.25)
+    TRIVIAL = BoundResult("Thm4", 2.5, 0.0, 1.0, math.exp(-1.25), -1.25, Regime.TRIVIAL, 1e-3, "corrected")
+    OUT = OutOfRegime("Thm2", 0.25, 0.5, -1.0, 3.0)
+    HEADER = "t,theorem,mu,threshold,delta,bound,regime\n"
+
+    def test_valid_row(self):
+        assert sweep_to_csv([self.VALID]) == self.HEADER + (
+            "1.25,Thm1,0.30000000000000004,0.10000000000000001,0.66666666666666674,0.93550698503161778,valid\n"
+        )
+
+    def test_trivial_row(self):
+        assert sweep_to_csv([self.TRIVIAL]) == self.HEADER + "0.001,Thm4,2.5,0,1,0.28650479686019009,trivial\n"
+
+    def test_out_of_regime_row(self):
+        assert sweep_to_csv([self.OUT]) == self.HEADER + "3,Thm2,0.25,0.5,-1,,out-of-regime\n"
+
+    def test_mixed_rows_in_order(self):
+        assert sweep_to_csv([self.VALID, self.TRIVIAL, self.OUT]) == (
+            "t,theorem,mu,threshold,delta,bound,regime\n"
+            "1.25,Thm1,0.30000000000000004,0.10000000000000001,0.66666666666666674,0.93550698503161778,valid\n"
+            "0.001,Thm4,2.5,0,1,0.28650479686019009,trivial\n"
+            "3,Thm2,0.25,0.5,-1,,out-of-regime\n"
+        )
+
+    def test_header_only_when_empty(self):
+        assert sweep_to_csv([]) == self.HEADER
