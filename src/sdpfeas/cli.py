@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .bounds import BoundResult
 from .confusion import counts_from_json, false_omission_rate, records_from_csv
 from .errors import AssumptionViolationError, SdpFeasError
-from .report import ScenarioConfig, build_report, run_sweep, sweep_to_csv
+from .report import ScenarioConfig, build_report, indented_json, run_sweep, sweep_to_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,7 +69,7 @@ def cmd_metrics(args) -> int:
         matrix = records_from_csv(_read_text(args.records))
     p = false_omission_rate(matrix)
     payload = {"p": p.p, "fraction": p.fraction, "confusion": matrix.to_dict()}
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output(indented_json(payload) + "\n", args.out)
     return EXIT_OK
 
 
@@ -81,7 +80,7 @@ def cmd_bound(args) -> int:
         print("error: 'bound' needs a single-point time grid and exactly one kind", file=sys.stderr)
         return EXIT_USAGE
     entry = run_sweep(config)[0]
-    _write_output(json.dumps(entry.to_dict(), indent=2) + "\n", args.out)
+    _write_output(indented_json(entry.to_dict()) + "\n", args.out)
     return EXIT_OK if isinstance(entry, BoundResult) else EXIT_OUT_OF_REGIME
 
 
@@ -90,7 +89,7 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     entries = run_sweep(config)
     if args.format == "json":
-        text = json.dumps([e.to_dict() for e in entries], indent=2) + "\n"
+        text = indented_json([e.to_dict() for e in entries]) + "\n"
     else:
         text = sweep_to_csv(entries)
     _write_output(text, args.out)

@@ -9,7 +9,8 @@ helper, ``_strict_upper_index``, centralises it.
 Both oracles are methods of one object, ``binomial_window(l, p)``: Loader's
 saddle-point log Pr[X = k] over mean +- (40 sigma + 40), evaluated once per
 (l, p) of a campaign in O(sqrt(l)) time. ``exact_tail`` sums the terms
-within 40 nats of the largest one; ``mc_tails`` inverts the window's CDF.
+within 40 nats of the largest one, once per distinct k*; ``mc_tails``
+reads every hit count from one sorted draw of uniforms at the window's CDF.
 
 The Monte-Carlo sampler uses the Philox counter-based generator, so a
 (seed, trials, threshold) triple maps to a bit-reproducible estimate
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
@@ -56,7 +57,11 @@ class TailEstimate:
     log_value: float | None = None
 
     def __post_init__(self):
-        if self.log_value is None:
+        # a log_value is kept only while it names value (dataclasses.replace
+        # passes the old one on with a new value), which an underflowed
+        # value's finite log still does
+        log_value = self.log_value
+        if log_value is None or not (log_value <= 0.0 and math.exp(log_value) == self.value):
             self.log_value = math.log(self.value) if self.value > 0 else -math.inf
 
 
@@ -161,6 +166,8 @@ class BinomialWindow:
     p: float
     lo: int
     log_pmf: np.ndarray
+    #: k* -> (value, log_value) of every exact tail this window has summed
+    _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def hi(self) -> int:
@@ -198,8 +205,12 @@ class BinomialWindow:
             return TailEstimate(0.0, TailMethod.EXACT)
         if k_star >= self.l:
             return TailEstimate(1.0, TailMethod.EXACT)
-        log_value = min(self._log_cdf(k_star), 0.0)
-        return TailEstimate(math.exp(log_value), TailMethod.EXACT, None, None, None, log_value)
+        # the tail depends on threshold only through k*: sum it once
+        tail = self._tails.get(k_star)
+        if tail is None:
+            log_value = min(self._log_cdf(k_star), 0.0)
+            tail = self._tails[k_star] = (math.exp(log_value), log_value)
+        return TailEstimate(tail[0], TailMethod.EXACT, None, None, None, tail[1])
 
     def _log_cdf(self, k_star: int) -> float:
         """log Pr[X <= k_star] for 0 <= k_star < l; see exact_tail."""
@@ -230,6 +241,12 @@ class BinomialWindow:
         same (seed, trials) are bit-identical, and each estimate equals
         the one a draw for its threshold alone would give.
 
+        Inversion draws lo + #{j : cdf[j] <= u} for a uniform u, so a draw
+        is at most k* exactly when u < cdf[k* - lo]: each hit count is read
+        from the sorted uniforms at that one cut, with no draw formed. The
+        mass outside the window, below exp(-55), is far below the 2**-53
+        step of a uniform.
+
         The estimates share one sample, so they are perfectly correlated: a
         3-sigma test of each record is not a test of the whole campaign.
         """
@@ -237,14 +254,20 @@ class BinomialWindow:
             raise InvalidInputError(f"trials must be an integer >= 1, got {trials!r}")
         # draws are integers, so X < threshold is X <= k*, with k* from the
         # strictness convention above
-        keys = [_strict_upper_index(threshold, self.l) + 1 for threshold in thresholds]
-        if not keys:
+        k_stars = [_strict_upper_index(threshold, self.l) for threshold in thresholds]
+        if not k_stars:
             return []
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        draws = sample_binomial(rng, self, trials)
-        draws.sort()
+        # cuts[i] = cdf[i - 1]: cuts[0] = 0 takes every k* below lo (no
+        # hits), and cuts[-1] = 1 every k* at or above hi (all hits)
+        cuts = np.empty(len(self.log_pmf) + 1)
+        cuts[0] = 0.0
+        np.cumsum(np.exp(self.log_pmf), out=cuts[1:])
+        cuts[-1] = 1.0
+        uniforms = np.random.Generator(np.random.Philox(key=seed)).random(trials)
+        uniforms.sort()
+        index = np.clip(np.array(k_stars) - (self.lo - 1), 0, len(cuts) - 1)
         estimates = []
-        for hits in np.searchsorted(draws, keys, side="left").tolist():
+        for hits in np.searchsorted(uniforms, cuts[index], side="left").tolist():
             value = hits / trials
             stderr = math.sqrt(value * (1.0 - value) / trials)
             estimates.append(TailEstimate(value, TailMethod.MONTE_CARLO, trials, stderr, seed))
@@ -264,15 +287,6 @@ def binomial_window(l: int, p: float) -> BinomialWindow:
 
 def _log_sum(terms: np.ndarray, shift: float) -> float:
     return float(shift + math.log(np.exp(terms - shift).sum()))
-
-
-def sample_binomial(rng: np.random.Generator, window: BinomialWindow, trials: int) -> np.ndarray:
-    """``trials`` Binomial(l, p) draws by inversion of the CDF over
-    ``window``, one uniform each; the mass outside the window, below
-    exp(-55), is far below the 2**-53 step of a uniform."""
-    cdf = np.cumsum(np.exp(window.log_pmf))
-    cdf[-1] = 1.0
-    return window.lo + np.searchsorted(cdf, rng.random(trials), side="right")
 
 
 @dataclass(slots=True)

@@ -8,6 +8,8 @@ them to call into sdpfeas.
 
 import math
 
+import numpy as np
+
 
 def mu_r(l, p, t):
     return math.exp(l * p * (math.exp(-t) - 1.0))
@@ -108,3 +110,15 @@ def thm4_injected_reliability(l, p, K_hat, m_hat, K, m, t, corrected):
         # a finite mean past about 1.3e154 squares past the float range;
         # the printed form is then exp(-inf) = 0
         return 0.0
+
+
+# -- reference sampler -------------------------------------------------------
+
+def sample_binomial(rng, window, trials):
+    """``trials`` Binomial(l, p) draws by inversion of the CDF over
+    ``window`` (a ``BinomialWindow``), one uniform each: each uniform is
+    searched in the CDF, with no sort. The mass outside the window, below
+    exp(-55), is far below the 2**-53 step of a uniform."""
+    cdf = np.cumsum(np.exp(window.log_pmf))
+    cdf[-1] = 1.0
+    return window.lo + np.searchsorted(cdf, rng.random(trials), side="right")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -286,18 +287,21 @@ class TestVerify:
 
     def test_one_mc_draw_per_verify(self, run, tmp_path, monkeypatch):
         evaluations, draws = [], []
-        log_pmf, sample_binomial = oracle_module._log_pmf, oracle_module.sample_binomial
+        log_pmf = oracle_module._log_pmf
 
         def counting_log_pmf(l, p, ks):
             evaluations.append((l, p, len(ks)))
             return log_pmf(l, p, ks)
 
-        def counting_sample(rng, window, trials):
-            draws.append((window.l, window.p, trials))
-            return sample_binomial(rng, window, trials)
+        class CountingGenerator(np.random.Generator):
+            """Records the size of every uniform draw."""
+
+            def random(self, size=None, *args, **kwargs):
+                draws.append(size)
+                return super().random(size, *args, **kwargs)
 
         monkeypatch.setattr(oracle_module, "_log_pmf", counting_log_pmf)
-        monkeypatch.setattr(oracle_module, "sample_binomial", counting_sample)
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
         config = write_scenario(tmp_path, GOLDEN_VERIFY)
         _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
         records = json.loads(out)["verification"]
@@ -305,7 +309,7 @@ class TestVerify:
         assert sum(r["method"] == "monte-carlo" for r in records) > 1
         # l = 2000, p = 0.004: mean 8, sigma 2.8, so the window is [0, 161]
         assert evaluations == [(2000, 0.004, 162)]
-        assert draws == [(2000, 0.004, 4000)]
+        assert draws == [4000]
 
     def test_verdict_ranges(self, run, tmp_path):
         scenario = {
@@ -524,6 +528,31 @@ class TestScenarioFuzz:
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_ASSUMPTION, EXIT_OUT_OF_REGIME), err.getvalue()
         if code == EXIT_USAGE:
             assert err.getvalue().startswith("error:")
+
+
+class TestJsonOutput:
+    """Every JSON the CLI prints is the canonical ``indent=2`` form."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        counts = tmp_path / "counts.json"
+        counts.write_text(DESK_COUNTS)
+        records = tmp_path / "records.csv"
+        records.write_text("actual,predicted\ndefective,clean\nclean,clean\n")
+        point = write_scenario(tmp_path, DESK_SCENARIO, "point.json")
+        grid = write_scenario(tmp_path, GOLDEN_VERIFY, "grid.json")
+        return {
+            "metrics counts": ["metrics", "--counts", str(counts)],
+            "metrics records": ["metrics", "--records", str(records)],
+            "bound": ["bound", "--config", point],
+            "sweep": ["sweep", "--config", grid, "--format", "json"],
+            "verify": ["verify", "--config", grid],
+        }
+
+    @pytest.mark.parametrize("name", ["metrics counts", "metrics records", "bound", "sweep", "verify"])
+    def test_stdout_is_json_dumps_indent_2(self, run, argvs, name):
+        _, out, _ = run(argvs[name], expect=EXIT_OK)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestTopLevel:

@@ -199,6 +199,12 @@ def test_matches_golden(name):
     assert OUTPUTS[name]() == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("descriptor", [VERIFY, VERIFY_Y], ids=["x", "y"])
+def test_report_json_is_json_dumps_indent_2(descriptor):
+    report = build_report(ScenarioConfig.from_descriptor(descriptor))
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
 def test_goldens_cover_every_regime_and_sign_mode():
     text = "".join(sweep_csv(name) for name in SWEEPS)
     for needle in (",valid\n", ",trivial\n", ",out-of-regime\n", "Thm3", "Thm4"):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import binom
 
+from reference_formulas import sample_binomial
 from sdpfeas import (
+    BinomialWindow,
     FeasibilityReport,
     InvalidInputError,
     TailEstimate,
@@ -18,7 +20,7 @@ from sdpfeas import (
     chernoff_lower_tail,
     verify_bound,
 )
-from sdpfeas.oracle import _STIRLERR_SMALL, _log_pmf, _strict_upper_index, sample_binomial
+from sdpfeas.oracle import _STIRLERR_SMALL, _log_pmf, _strict_upper_index
 
 
 def naive_tail(l, p, threshold):
@@ -331,6 +333,57 @@ class TestSharedDraw:
 
     def test_no_queries_no_draw(self):
         assert self.window().mc_tails([], self.TRIALS, self.SEED) == []
+
+
+class TestWindowEdges:
+    """A window that starts above 0 (lo > 0): hit counts at its edges and
+    beyond them, and exact tails summed once per k*."""
+
+    L, P, TRIALS, SEED = 200_000, 0.01, 20_000, 8
+
+    def window(self):
+        return binomial_window(self.L, self.P)
+
+    def thresholds(self, window):
+        """The mean, and k* = lo-1, lo, lo+1, hi-1, hi, hi+1, l-1, >= l and
+        < 0, each on (k* + 1) and off (k* + 0.5) the lattice."""
+        k_stars = [window.lo - 1, window.lo, window.lo + 1, window.hi - 1, window.hi, window.hi + 1,
+                   self.L - 1, self.L, self.L + 5, -1]
+        return [-3.0, 0.0, self.L * self.P] + [k + offset for k in k_stars for offset in (1.0, 0.5)]
+
+    def test_window_starts_above_zero(self):
+        window = self.window()
+        assert 0 < window.lo and window.hi < self.L
+
+    def test_hit_counts_match_the_reference_sampler(self):
+        window = self.window()
+        thresholds = self.thresholds(window)
+        rng = np.random.Generator(np.random.Philox(key=self.SEED))
+        samples = sample_binomial(rng, window, self.TRIALS)
+        estimates = window.mc_tails(thresholds, self.TRIALS, self.SEED)
+        for estimate, threshold in zip(estimates, thresholds):
+            assert estimate.value == int((samples < threshold).sum()) / self.TRIALS, threshold
+        by_threshold = dict(zip(thresholds, estimates))
+        assert by_threshold[window.lo + 0.5].value == 0.0  # k* = lo - 1
+        assert by_threshold[window.hi + 1.0].value == 1.0  # k* = hi
+        assert 0.0 < by_threshold[self.L * self.P].value < 1.0
+
+    def test_same_k_star_sums_once(self, monkeypatch):
+        calls = []
+        log_cdf = BinomialWindow._log_cdf
+
+        def counting_log_cdf(window, k_star):
+            calls.append(k_star)
+            return log_cdf(window, k_star)
+
+        monkeypatch.setattr(BinomialWindow, "_log_cdf", counting_log_cdf)
+        window = self.window()
+        # both are Pr[X <= 1990]
+        first, second = window.exact_tail(1990.5), window.exact_tail(1991.0)
+        assert calls == [1990]
+        assert first == second and first is not second
+        assert binomial_window(self.L, self.P).exact_tail(1990.25) == first
+        assert calls == [1990, 1990]
 
 
 class TestVerifyBound:

@@ -1,15 +1,19 @@
 """The per-point records: sweep rows (BoundResult, OutOfRegime) and oracle
 records (TailEstimate, VerificationRecord) are plain slotted dataclasses,
-and a sweep's CSV rows keep their bytes."""
+a sweep's CSV rows keep their bytes, and every JSON output is the one
+``json.dumps(..., indent=2)`` writes."""
 
 import dataclasses
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdpfeas.bounds import BoundResult, OutOfRegime, Regime
-from sdpfeas.oracle import TailEstimate, TailMethod, VerificationRecord
-from sdpfeas.report import sweep_to_csv
+from sdpfeas.oracle import TailEstimate, TailMethod, VerificationRecord, binomial_window, verify_bound
+from sdpfeas.report import indented_json, sweep_to_csv
 
 MU = 0.1 + 0.2  # 0.30000000000000004: needs all 17 digits
 LOG_BOUND = -((MU - 0.1) ** 2) / (2 * MU)
@@ -133,6 +137,23 @@ class TestRecords:
         assert TailEstimate(0.125, TailMethod.EXACT).log_value == math.log(0.125)
         assert TailEstimate(0.0, TailMethod.EXACT, None, None, None, -800.0).log_value == -800.0
 
+    def test_replaced_value_gets_its_own_log(self):
+        copy = dataclasses.replace(TailEstimate(0.125, TailMethod.EXACT), value=0.5)
+        assert copy.log_value == math.log(0.5)
+        assert dataclasses.replace(copy, value=0.0).log_value == -math.inf
+        # the verdict follows the replaced value, not the old log
+        bound = BoundResult("Thm1", 1.0, 0.5, 0.5, 0.25, math.log(0.25), Regime.VALID, 1.0)
+        assert verify_bound(bound, TailEstimate(0.125, TailMethod.EXACT)).holds
+        assert not verify_bound(bound, copy).holds
+
+    def test_underflowed_exact_tail_keeps_its_log(self):
+        # Pr[X < 100], X ~ Binomial(2e5, 0.01), is about 1e-702
+        tail = binomial_window(200_000, 0.01).exact_tail(100.0)
+        assert tail.value == 0.0 and -1700.0 < tail.log_value < -1600.0
+        assert TailEstimate(*dataclasses.astuple(tail)) == tail
+        assert dataclasses.replace(tail, method=TailMethod.EXACT).log_value == tail.log_value
+        assert dataclasses.replace(tail, value=0.5).log_value == math.log(0.5)
+
     def test_ratio_past_float_range_is_null(self):
         record = VerificationRecord("e", 0.0, 0.5, TailMethod.EXACT, False, -0.5, math.inf)
         assert record.to_dict()["ratio"] is None
@@ -168,3 +189,54 @@ class TestSweepCsv:
 
     def test_header_only_when_empty(self):
         assert sweep_to_csv([]) == self.HEADER
+
+
+#: JSON trees as json.dumps takes them: non-ASCII, escaped and control
+#: characters, every float json writes (NaN, +-inf, -0.0), ints past 64
+#: bits, non-string keys, tuples, and empty and nested-empty containers
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 2**53 + 1, "", "\u00e9\u4e2d\U0001f600", '"\\/\b\f\n\r\t'])
+    | st.text()
+)
+KEYS = st.text() | st.sampled_from([0, -1, 2.5, -0.0, math.inf, True, False, None, "}", "{"])
+TREES = st.recursive(
+    SCALARS,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(KEYS, children, max_size=5)
+        | st.lists(st.dictionaries(KEYS, SCALARS, max_size=4), max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestIndentedJson:
+    @settings(max_examples=200, deadline=None)
+    @given(TREES)
+    def test_equals_json_dumps_indent_2(self, tree):
+        assert indented_json(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {},
+            [],
+            (),
+            [[]],
+            [{}],
+            {"a": {"b": []}},
+            [{"a": 1}, {}, {"b": 2}],
+            [{"a": "},\n    {"}, {"b": [1]}],
+            {1: [1.5], None: {}, True: (2,), -0.0: "x"},
+            [{"a": 1, "b": "\u00e9"}, {"c": None}],
+            10**30,
+            "\u00e9\n",
+        ],
+    )
+    def test_edge_trees(self, tree):
+        assert indented_json(tree) == json.dumps(tree, indent=2)
