@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Callable, Mapping, NamedTuple
 
 from .bounds import BoundResult
 from .confusion import counts_from_json, false_omission_rate, records_from_csv
@@ -104,52 +105,68 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_hold else EXIT_VERIFICATION
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sdpfeas", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    metrics = sub.add_parser("metrics", help="false omission rate from counts or records")
-    group = metrics.add_mutually_exclusive_group(required=True)
+def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--counts", help="path to counts JSON ('-' for stdin)")
     group.add_argument("--records", help="path to records CSV ('-' for stdin)")
-    metrics.add_argument("--out", help="output path (default stdout)")
-    metrics.set_defaults(func=cmd_metrics)
+    parser.add_argument("--out", help="output path (default stdout)")
 
-    def add_scenario_args(p, with_format=False):
-        p.add_argument("--config", required=True, help="path to scenario JSON ('-' for stdin)")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config and SDPFEAS_SEED)")
-        p.add_argument("--trials", type=int, help="Monte-Carlo trial count override")
-        p.add_argument("--epsilon", type=float, help="feasibility cutoff override")
-        sign = p.add_mutually_exclusive_group()
-        sign.add_argument("--corrected", dest="corrected", action="store_true", default=None)
-        sign.add_argument("--as-published", dest="corrected", action="store_false", default=None)
-        if with_format:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    bound = sub.add_parser("bound", help="single bound at one time point")
-    add_scenario_args(bound)
-    bound.set_defaults(func=cmd_bound)
+def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="path to scenario JSON ('-' for stdin)")
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--seed", type=int, help="RNG seed (overrides config and SDPFEAS_SEED)")
+    parser.add_argument("--trials", type=int, help="Monte-Carlo trial count override")
+    parser.add_argument("--epsilon", type=float, help="feasibility cutoff override")
+    sign = parser.add_mutually_exclusive_group()
+    sign.add_argument("--corrected", dest="corrected", action="store_true", default=None)
+    sign.add_argument("--as-published", dest="corrected", action="store_false", default=None)
 
-    sweep = sub.add_parser("sweep", help="bounds over a time grid")
-    add_scenario_args(sweep, with_format=True)
-    sweep.set_defaults(func=cmd_sweep)
 
-    verify = sub.add_parser("verify", help="sweep plus oracle verification report")
-    add_scenario_args(verify)
-    verify.set_defaults(func=cmd_verify)
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_args(parser)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
+
+class Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+
+
+#: every subcommand, in the order the top-level help lists them
+COMMANDS = {
+    "metrics": Command("false omission rate from counts or records", cmd_metrics, _add_metrics_args),
+    "bound": Command("single bound at one time point", cmd_bound, _add_scenario_args),
+    "sweep": Command("bounds over a time grid", cmd_sweep, _add_sweep_args),
+    "verify": Command("sweep plus oracle verification report", cmd_verify, _add_scenario_args),
+}
+
+
+def build_parser(commands: Mapping[str, Command] = COMMANDS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each of ``commands``.
+
+    The metavar names all of COMMANDS, so the usage line reads the same
+    whichever subparsers are built.
+    """
+    parser = _Parser(prog="sdpfeas", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
+    for name, command in commands.items():
+        command.add_arguments(sub.add_parser(name, help=command.help))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call names its command first; only help and usage errors need the rest
+    commands = {argv[0]: COMMANDS[argv[0]]} if argv and argv[0] in COMMANDS else COMMANDS
+    parser = build_parser(commands)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
+        return COMMANDS[args.command].run(args)
     except AssumptionViolationError as exc:
         print(
             f"error: assumption {exc.assumption} violated "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -175,13 +176,30 @@ def run_sweep(config: ScenarioConfig) -> List[SweepEntry]:
     return entries
 
 
+def _count_threshold(threshold: float, scale: float) -> float:
+    """A Y threshold in count units: ``threshold / scale``, or the integer
+    it lies within 4 ulp of.
+
+    The division can land an ulp above an integer k that is exact in
+    real arithmetic, and the strict '<' of Pr[X < count] would then take
+    in Pr[X = k].
+    """
+    count = threshold / scale
+    if math.isfinite(count):
+        k = float(round(count))
+        if abs(count - k) <= 4 * math.ulp(count):
+            return k
+    return count
+
+
 def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> List[VerificationRecord]:
     """Check every in-regime row against the exact and/or MC oracle.
 
     Every bound in the engine is a lower-tail statement about the
     underlying count X (reliability events transform to X < H(t)/t, and
     Y = scale * X at fixed t), so one scaled binomial query covers all
-    four kinds.
+    four kinds. A Y count threshold within 4 ulp of an integer is that
+    integer.
     """
     checks = [entry for entry in entries if isinstance(entry, BoundResult)]
     if not checks or not (config.verify_exact or config.mc_trials > 0):
@@ -190,7 +208,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
         thresholds = [entry.threshold for entry in checks]
     else:
         scale_at = config.outcome.injection.scale_at
-        thresholds = [entry.threshold / scale_at(entry.t) for entry in checks]
+        thresholds = [_count_threshold(entry.threshold, scale_at(entry.t)) for entry in checks]
     # one log-pmf window answers every exact tail, one MC draw every MC row
     window = binomial_window(config.outcome.l, config.outcome.p_value)
     if config.mc_trials > 0:

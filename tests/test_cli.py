@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -311,6 +312,24 @@ class TestVerify:
         assert evaluations == [(2000, 0.004, 162)]
         assert draws == [4000]
 
+    def test_y_count_threshold_on_the_lattice(self, run, tmp_path):
+        # the Thm3 count threshold is 6 in exact arithmetic at every t, but
+        # threshold / scale rounds to 6 +- 1 ulp at some 280 of these points
+        scenario = {
+            "outcome": {"l": 200, "p": 0.05, "injection": {"K_hat": 1.0, "m_hat": 0.5}},
+            "model": {"family": "weibull", "K": 6.0, "m": 0.5},
+            "time_grid": {"start": 0.01, "stop": 10.0, "steps": 2000, "spacing": "log"},
+            "kinds": ["hazard"],
+            "variant": "Y",
+            "verify": {"exact": True},
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
+        records = json.loads(out)["verification"]
+        assert len(records) == 2000
+        assert {r["event"].split(": ", 1)[1] for r in records} == {"Pr[X < 6.0], X ~ Binomial(l=200, p=0.05)"}
+        assert len({r["oracle"] for r in records}) == 1
+
     def test_verdict_ranges(self, run, tmp_path):
         scenario = {
             "outcome": {"l": 100, "p": 0.05},
@@ -555,6 +574,54 @@ class TestJsonOutput:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+#: name -> argv; tests/golden/cli-usage.txt holds the exit code, stdout and
+#: stderr of each call at COLUMNS=80. Regenerate it (only when a change of
+#: help or usage text is intended) with
+#:
+#:     PYTHONPATH=src python tests/test_cli.py
+USAGE_CASES = {
+    "no arguments": [],
+    "-h": ["-h"],
+    "--help": ["--help"],
+    "unknown command": ["frobnicate"],
+    **{f"{command} -h": [command, "-h"] for command in ("metrics", "bound", "sweep", "verify")},
+    "unknown option": ["verify", "--bogus"],
+    "extra positional": ["verify", "--config", "x", "extra"],
+    "bad format": ["sweep", "--format", "xml"],
+    "both sign modes": ["bound", "--config", "x", "--corrected", "--as-published"],
+    "seed not an integer": ["verify", "--config", "x", "--seed", "abc"],
+    "metrics without a source": ["metrics"],
+    "metrics with both sources": ["metrics", "--counts", "a", "--records", "b"],
+}
+
+USAGE_GOLDEN = Path(__file__).parent / "golden" / "cli-usage.txt"
+
+
+def _captured(name: str, text: str) -> str:
+    end = "" if not text or text.endswith("\n") else "\n\\ no newline at end\n"
+    return f"--- {name}\n{text}{end}"
+
+
+def usage_text() -> str:
+    """Each USAGE_CASES call through cli.main, as the golden file records it."""
+    blocks = []
+    for name, argv in USAGE_CASES.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        blocks.append(
+            f"=== {name}: {json.dumps(argv)}\nexit {code}\n"
+            + _captured("stdout", out.getvalue())
+            + _captured("stderr", err.getvalue())
+        )
+    return "".join(blocks)
+
+
+def _subprocess_env(**extra) -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self, run):
         run([], expect=EXIT_USAGE)
@@ -570,6 +637,55 @@ class TestTopLevel:
             3,
             4,
         )
+
+    def test_help_and_usage_bytes_match_golden(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert usage_text().encode() == USAGE_GOLDEN.read_bytes()
+
+    def test_console_script_reads_sys_argv(self, run, monkeypatch):
+        # the sdpfeas console script calls main() with no argv
+        monkeypatch.setenv("COLUMNS", "80")
+        _, expected, _ = run(["verify", "-h"], expect=EXIT_OK)
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from sdpfeas.cli import main; sys.exit(main())", "verify", "-h"],
+            env=_subprocess_env(COLUMNS="80"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, expected, "")
+
+
+class TestParserBuild:
+    """A call builds the subparser of its own command only."""
+
+    @pytest.fixture
+    def added(self, monkeypatch, capsys):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording_add_parser(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
+
+        def _added(argv):
+            names.clear()
+            main(argv)
+            capsys.readouterr()
+            return list(names)
+
+        return _added
+
+    def test_a_command_builds_only_its_own_subparser(self, added, tmp_path):
+        config = write_scenario(tmp_path, DESK_SCENARIO)
+        assert added(["verify", "--config", config]) == ["verify"]
+        assert added(["sweep", "--config", config, "--format", "xml"]) == ["sweep"]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"]])
+    def test_no_command_builds_all_four_in_order(self, added, argv):
+        assert added(argv) == ["metrics", "bound", "sweep", "verify"]
 
 
 #: runs each argv list through cli.main in one fresh interpreter and prints,
@@ -590,11 +706,18 @@ class TestImports:
         counts.write_text(DESK_COUNTS)
         config = write_scenario(tmp_path, DESK_SCENARIO)
         calls = [["metrics", "--counts", str(counts)], ["sweep", "--config", config], ["verify", "--config", config]]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
-            [sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)],
+            env=_subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
         )
         assert result.returncode == 0, result.stderr
         # verify reaches both oracles, whose log-pmf needs no scipy
         assert [json.loads(line) for line in result.stdout.splitlines()] == [[0, False], [0, False], [0, False]]
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    USAGE_GOLDEN.write_text(usage_text())
