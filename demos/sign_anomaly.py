@@ -17,16 +17,16 @@ from sdpfeas import (
     HazardModel,
     SdpOutcome,
     WeibullInjection,
-    expected_reliability_bound_y,
-    reliability_bound_y,
+    expected_reliability_bound,
+    reliability_bound,
 )
 
 outcome = SdpOutcome(l=10, p=0.5, injection=WeibullInjection(K_hat=1.0, m_hat=0.0))
 model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
 t = 1.0
 
-published = expected_reliability_bound_y(outcome, t, corrected=False)
-corrected = expected_reliability_bound_y(outcome, t, corrected=True)
+published = expected_reliability_bound(outcome, t, corrected=False)
+corrected = expected_reliability_bound(outcome, t, corrected=True)
 
 print(f"as-published mean slot: exp(5*(e - 1))    = {published:.4f}   (> 1!)")
 print(f"corrected mean slot:    exp(5*(1/e - 1))  = {corrected:.6f}")
@@ -36,7 +36,7 @@ print(f"reference check: exp(5*(exp(-1) - 1)) = {math.exp(5 * (math.exp(-1) - 1)
 # kernel exponent about -mu/2 ~ -2693, i.e. the "bound" underflows to 0
 # and would certify any tail whatsoever
 for corrected_flag in (False, True):
-    result = reliability_bound_y(outcome, model, t, corrected=corrected_flag)
+    result = reliability_bound(outcome, model, t, corrected=corrected_flag)
     print(
         f"\nsign_mode={result.sign_mode}: mu={result.mu:.4g}, "
         f"log bound = {result.log_bound:.4g}, bound = {result.bound:.4g}"

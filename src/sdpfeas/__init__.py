@@ -10,13 +10,10 @@ from .bounds import (
     BoundResult,
     OutOfRegime,
     Regime,
-    Variant,
     bound_sweep,
     chernoff_lower_tail,
     hazard_bound,
-    hazard_bound_y,
     reliability_bound,
-    reliability_bound_y,
 )
 from .confusion import (
     ConfusionMatrix,
@@ -33,7 +30,6 @@ from .errors import (
     OutOfRegimeError,
     ParseError,
     SdpFeasError,
-    WrongVariantError,
 )
 from .hazards import (
     HazardFamily,
@@ -48,10 +44,8 @@ from .oracle import BinomialWindow, TailEstimate, TailMethod, VerificationRecord
 from .outcome import (
     SdpOutcome,
     WeibullInjection,
-    expected_hazard_x,
-    expected_hazard_y,
-    expected_reliability_bound_x,
-    expected_reliability_bound_y,
+    expected_hazard,
+    expected_reliability_bound,
     outcome_from_descriptor,
 )
 from .report import FeasibilityReport, ScenarioConfig, build_report, run_sweep, sweep_to_csv

@@ -10,12 +10,13 @@ Outside that band the bound says nothing, and the engine reports the
 point as out-of-regime rather than clamping; an inapplicable theorem is a
 finding the report must show.
 
-The theorem tag of an X-variant bound is the family's hazard or
-reliability tag in ``hazards.FAMILIES``; the per-module-injection (Y)
-variant is Thm3 (hazard) and Thm4 (reliability), weibull models only.
+The outcome fixes the variant. On an outcome without an injection (X)
+the theorem tag is the family's hazard or reliability tag in
+``hazards.FAMILIES``; on one with a per-module injection (Y) it is Thm3
+(hazard) or Thm4 (reliability), weibull models only.
 
-One resolver gives both the named bounds and the sweep: it resolves a
-(kind, variant, sign mode) to its tag, mean and threshold once per grid,
+One resolver gives both the named bounds and the sweep: it resolves an
+(outcome, kind, sign mode) to its tag, mean and threshold once per grid,
 then makes one pass over the grid. A named bound is a one-point grid.
 Inside a sweep an out-of-regime point is an entry, not an exception;
 only the named bounds and ``chernoff_lower_tail`` raise OutOfRegimeError.
@@ -27,33 +28,23 @@ interesting near-zero bounds at large l do not underflow prematurely.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Union
 
-from .errors import InvalidInputError, NumericOverflowError, OutOfRegimeError
+from .errors import InvalidInputError, NumericOverflowError, OutOfRegimeError, read_choice
 from .hazards import FAMILIES, HazardFamily, HazardModel, check_time
-from .outcome import (
-    SdpOutcome,
-    expected_hazard_x,
-    expected_hazard_y,
-    expected_reliability_bound_x,
-    expected_reliability_bound_y,
-)
+from .outcome import SdpOutcome, hazard_mean, reliability_mean
 
 __all__ = [
     "Regime",
     "BoundKind",
-    "Variant",
     "BoundResult",
     "OutOfRegime",
     "chernoff_lower_tail",
     "hazard_bound",
     "reliability_bound",
-    "hazard_bound_y",
-    "reliability_bound_y",
     "bound_sweep",
     "SWEEP_COLUMNS",
 ]
@@ -68,11 +59,6 @@ class Regime(str, enum.Enum):
 class BoundKind(str, enum.Enum):
     HAZARD = "hazard"
     RELIABILITY = "reliability"
-
-
-class Variant(str, enum.Enum):
-    X = "X"
-    Y = "Y"
 
 
 @dataclass(slots=True)
@@ -179,21 +165,20 @@ def _bound(
     model: HazardModel,
     grid: Sequence[float],
     kind: BoundKind,
-    variant: Variant,
     corrected: bool = True,
 ) -> List[SweepEntry]:
     """One named bound over ``grid`` in one pass.
 
-    (kind, variant, corrected) is resolved once to the theorem tag, the
-    sign mode, the mean (an ``outcome`` function of t, whose own check
-    rejects an outcome of the other variant) and the threshold (a
-    ``FAMILIES`` closed form); each point then costs one mean, one
-    threshold and one kernel call. Out-of-regime points are entries. The
-    first point whose mean, threshold or kernel fails raises, mean first,
-    as if evaluated alone: a time outside the family's domain raises
-    DomainError, and an overflow (the as-published Thm4 form at moderate
-    t, for one) raises NumericOverflowError naming the bound and t."""
-    injected = variant is Variant.Y
+    (outcome, kind, corrected) is resolved once to the theorem tag, the
+    sign mode, the mean (an ``outcome`` function of t, of the outcome's
+    variant) and the threshold (a ``FAMILIES`` closed form); each point
+    then costs one mean, one threshold and one kernel call. Out-of-regime
+    points are entries. The first point whose mean, threshold or kernel
+    fails raises, mean first, as if evaluated alone: a time outside the
+    family's domain raises DomainError, and an overflow (the as-published
+    Thm4 form at moderate t, for one) raises NumericOverflowError naming
+    the bound and t."""
+    injected = outcome.injection is not None
     if injected and model.family is not HazardFamily.WEIBULL:
         raise InvalidInputError(
             f"injection-variant bounds compare against a weibull manual-testing "
@@ -202,21 +187,16 @@ def _bound(
     spec, hazard = FAMILIES[model.family], kind is BoundKind.HAZARD
     if injected:
         tag, sign_mode = ("Thm3", None) if hazard else ("Thm4", "corrected" if corrected else "as-published")
-        mean = expected_hazard_y if hazard else functools.partial(expected_reliability_bound_y, corrected=corrected)
     else:
         tag, sign_mode = (spec.hazard_tag if hazard else spec.reliability_tag), None
-        if hazard:
-            mean_failures = expected_hazard_x(outcome)
-            mean = lambda outcome, t: mean_failures  # l*p, the same at every t
-        else:
-            mean = expected_reliability_bound_x
+    mean = hazard_mean(outcome) if hazard else reliability_mean(outcome, corrected)
     threshold = spec.z if hazard else spec.H_over_t
     # times every domain admits skip the check; the rest get its message
     end, singular = min(spec.max_time(model), sys.float_info.max), spec.singular_at_zero(model)
     entries: List[SweepEntry] = []
     try:
         for t in grid:
-            mu = mean(outcome, t)
+            mu = mean(t)
             if not 0.0 < t <= end:
                 check_time(model, spec, t, positive=not hazard or (t == 0 and singular))
             entries.append(_kernel(mu, threshold(model, t), tag, t, sign_mode))
@@ -226,39 +206,29 @@ def _bound(
     return entries
 
 
-def _one(outcome, model, t, kind, variant, corrected=True) -> BoundResult:
+def _one(outcome, model, t, kind, corrected=True) -> BoundResult:
     """``_bound`` at the single time t; an out-of-regime point raises."""
-    [entry] = _bound(outcome, model, [t], kind, variant, corrected)
+    [entry] = _bound(outcome, model, [t], kind, corrected)
     return _in_regime(entry)
 
 
 def hazard_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
     """Bound on Pr[X < z(t)]: fewer failures under prediction-based testing
-    than the manual-testing hazard level."""
-    return _one(outcome, model, t, BoundKind.HAZARD, Variant.X)
+    than the manual-testing hazard level. With an injection it is Thm3,
+    Pr[Y < K*t^m] with mean l*p*Khat*t^mhat."""
+    return _one(outcome, model, t, BoundKind.HAZARD)
 
 
-def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
+def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float, corrected: bool = True) -> BoundResult:
     """Bound on Pr[exp(-X*t) > R(t)]: better reliability under
     prediction-based testing than the manual-testing survival curve.
 
     The comparison reduces to Pr[X < H(t)/t]; the expectation slot holds
-    the expected-reliability bound, following the source derivation.
+    the expected-reliability bound, following the source derivation. With
+    an injection it is Thm4, and ``corrected`` selects the sign convention
+    of the expected-reliability factor (see outcome module).
     """
-    return _one(outcome, model, t, BoundKind.RELIABILITY, Variant.X)
-
-
-def hazard_bound_y(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
-    """Y-variant of the hazard bound: Pr[Y < K*t^m] with mean l*p*Khat*t^mhat."""
-    return _one(outcome, model, t, BoundKind.HAZARD, Variant.Y)
-
-
-def reliability_bound_y(
-    outcome: SdpOutcome, model: HazardModel, t: float, corrected: bool = True
-) -> BoundResult:
-    """Y-variant of the reliability bound; ``corrected`` selects the sign
-    convention of the expected-reliability factor (see outcome module)."""
-    return _one(outcome, model, t, BoundKind.RELIABILITY, Variant.Y, corrected)
+    return _one(outcome, model, t, BoundKind.RELIABILITY, corrected)
 
 
 #: CSV column contract for serialized sweeps
@@ -270,10 +240,9 @@ def bound_sweep(
     model: HazardModel,
     grid: Iterable[float],
     kind: BoundKind = BoundKind.HAZARD,
-    variant: Variant = Variant.X,
     corrected: bool = True,
 ) -> List[SweepEntry]:
-    """Evaluate one bound over a time grid.
+    """Evaluate one bound over a time grid, of the outcome's variant.
 
     The grid must be non-empty, strictly increasing and positive.
     Out-of-regime points are carried as tagged entries, never dropped;
@@ -287,4 +256,4 @@ def bound_sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("time grid must be strictly increasing")
 
-    return _bound(outcome, model, grid, BoundKind(kind), Variant(variant), corrected)
+    return _bound(outcome, model, grid, read_choice(kind, "bound kind", BoundKind), corrected)

@@ -31,10 +31,12 @@ EXIT_VERIFICATION = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract wants 1."""
+    """argparse exits 2 on usage errors; the contract wants 1, with the
+    usage and an ``error:`` line."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

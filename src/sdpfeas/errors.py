@@ -49,10 +49,6 @@ class DomainError(SdpFeasError):
     """Evaluation requested outside a hazard family's valid time domain."""
 
 
-class WrongVariantError(SdpFeasError):
-    """An X-variant operation was called on a Y-variant outcome or vice versa."""
-
-
 class OutOfRegimeError(SdpFeasError):
     """The Chernoff lower-tail bound is inapplicable: the deviation band
     delta = 1 - threshold/mu falls outside (0, 1].

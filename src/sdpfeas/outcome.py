@@ -4,7 +4,8 @@ Out of l modules predicted clean, each is independently misclassified
 with probability p, so the failure count X is Binomial(l, p) with mean
 l*p. In the Y-variant each misclassified module contributes a power-law
 hazard Khat*t^mhat instead of a single failure, making Y a scaled
-binomial at any fixed t.
+binomial at any fixed t. An outcome is of the Y-variant exactly when it
+has an ``injection``; every expectation below follows it.
 
 The expected reliability of the X-variant system is bounded above by
 exp(l*p*(exp(-t) - 1)). The Y-variant bound carries a ``corrected`` sign
@@ -17,19 +18,19 @@ form is consistent with simulation. Both are kept, clearly labelled.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .confusion import FailureProbability, counts_from_descriptor, false_omission_rate
-from .errors import DomainError, InvalidInputError, ParseError, WrongVariantError
+from .errors import DomainError, InvalidInputError, ParseError
 from .errors import read_integer, read_number, read_object
 
 __all__ = [
     "WeibullInjection",
     "SdpOutcome",
-    "expected_hazard_x",
-    "expected_hazard_y",
-    "expected_reliability_bound_x",
-    "expected_reliability_bound_y",
+    "expected_hazard",
+    "expected_reliability_bound",
     "outcome_from_descriptor",
 ]
 
@@ -68,8 +69,8 @@ class SdpOutcome:
     """(l, p) description of the predicted-clean modules.
 
     ``n`` (total developed modules) is reporting metadata only; the math
-    uses just l and p. ``injection`` switches the outcome to the
-    Y-variant.
+    uses just l and p. ``injection`` makes the outcome, and every bound
+    on it, of the Y-variant.
     """
 
     l: int
@@ -94,49 +95,53 @@ class SdpOutcome:
         return self.l * self.p.p
 
 
-def _require_variant(outcome: SdpOutcome, injected: bool) -> None:
-    if injected and outcome.injection is None:
-        raise WrongVariantError("operation requires the per-module injection (Y) variant")
-    if not injected and outcome.injection is not None:
-        raise WrongVariantError("operation requires the single-failure (X) variant")
+def hazard_mean(outcome: SdpOutcome) -> Callable[[float], float]:
+    """The expected hazard as a function of t, for the outcome's variant:
+    the failure count l*p at every t (X), or l*p*Khat*t**mhat (Y)."""
+    mean_failures, injection = outcome.mean_failures, outcome.injection
+    if injection is None:
+        return lambda t: mean_failures
+    scale_at = injection.scale_at
+    return lambda t: mean_failures * scale_at(t)
 
 
-def expected_hazard_x(outcome: SdpOutcome) -> float:
-    """Expected failure count of the X-variant: l * p."""
-    _require_variant(outcome, injected=False)
-    return outcome.mean_failures
+def reliability_mean(outcome: SdpOutcome, corrected: bool = True) -> Callable[[float], float]:
+    """The upper bound on the expected reliability as a function of t > 0,
+    for the outcome's variant.
 
-
-def expected_hazard_y(outcome: SdpOutcome, t: float) -> float:
-    """Expected hazard of the Y-variant at time t: l * p * Khat * t**mhat."""
-    _require_variant(outcome, injected=True)
-    return outcome.mean_failures * outcome.injection.scale_at(t)
-
-
-def expected_reliability_bound_x(outcome: SdpOutcome, t: float) -> float:
-    """Upper bound exp(l*p*(exp(-t) - 1)) on the expected reliability
-    E[exp(-X*t)]; strictly inside (0, 1) for t > 0."""
-    _require_variant(outcome, injected=False)
-    if t <= 0:
-        raise DomainError(f"reliability bound requires t > 0, got {t!r}")
-    return math.exp(outcome.mean_failures * math.expm1(-t))
-
-
-def expected_reliability_bound_y(outcome: SdpOutcome, t: float, corrected: bool = True) -> float:
-    """Upper bound on the Y-variant expected reliability E[exp(-Y*t)].
-
-    corrected=True  -> exp(l*p*(exp(-Khat*t^(mhat+1)) - 1)), in (0, 1)
-    corrected=False -> exp(l*p*(exp(+Khat*t^(mhat+1)) - 1)), the published
-                       form, which can exceed 1 and is retained only for
-                       fidelity to the printed result.
+    X: exp(l*p*(exp(-t) - 1)), the bound on E[exp(-X*t)], strictly inside
+       (0, 1); ``corrected`` does not apply.
+    Y: the bound on E[exp(-Y*t)];
+       corrected=True  -> exp(l*p*(exp(-Khat*t^(mhat+1)) - 1)), in (0, 1)
+       corrected=False -> exp(l*p*(exp(+Khat*t^(mhat+1)) - 1)), the
+                          published form, which can exceed 1 and is
+                          retained only for fidelity to the printed result.
     """
-    _require_variant(outcome, injected=True)
-    if t <= 0:
-        raise DomainError(f"reliability bound requires t > 0, got {t!r}")
-    exponent = outcome.injection.cumulative_at(t)
-    if corrected:
-        exponent = -exponent
-    return math.exp(outcome.mean_failures * math.expm1(exponent))
+    mean_failures, injection = outcome.mean_failures, outcome.injection
+    if injection is None:
+        exponent = operator.neg
+    elif corrected:
+        exponent = lambda t: -injection.cumulative_at(t)
+    else:
+        exponent = injection.cumulative_at
+
+    def mean(t: float) -> float:
+        if t <= 0:
+            raise DomainError(f"reliability bound requires t > 0, got {t!r}")
+        return math.exp(mean_failures * math.expm1(exponent(t)))
+
+    return mean
+
+
+def expected_hazard(outcome: SdpOutcome, t: float) -> float:
+    """Expected hazard at time t (see ``hazard_mean``)."""
+    return hazard_mean(outcome)(t)
+
+
+def expected_reliability_bound(outcome: SdpOutcome, t: float, corrected: bool = True) -> float:
+    """Upper bound on the expected reliability at time t (see
+    ``reliability_mean``)."""
+    return reliability_mean(outcome, corrected)(t)
 
 
 def outcome_from_descriptor(payload: dict) -> SdpOutcome:

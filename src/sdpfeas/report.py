@@ -30,7 +30,6 @@ from .bounds import (
     BoundResult,
     Regime,
     SweepEntry,
-    Variant,
     bound_sweep,
 )
 from .errors import InvalidInputError, ParseError, read_boolean, read_choice, read_integer, read_json, read_list
@@ -97,7 +96,6 @@ class ScenarioConfig:
     model: HazardModel
     grid: List[float]
     kinds: List[BoundKind]
-    variant: Variant = Variant.X
     corrected: bool = True
     verify_exact: bool = True
     mc_trials: int = 0
@@ -130,9 +128,13 @@ class ScenarioConfig:
         kinds = [read_choice(kind, "bound kind", BoundKind) for kind in read_list(kinds_raw, "kinds")]
         if not kinds or len(set(kinds)) != len(kinds):
             raise ParseError(f"kinds must be a non-empty set, got {kinds_raw!r}")
-        variant = read_choice(payload.get("variant", "X"), "variant", Variant)
-        if variant is Variant.Y and outcome.injection is None:
-            raise ParseError("variant 'Y' requires an outcome with an 'injection' descriptor")
+        # the outcome fixes the variant; a stated one must agree with it
+        variant, having = ("X", "without") if outcome.injection is None else ("Y", "with")
+        if payload.get("variant", variant) != variant:
+            raise ParseError(
+                f"variant {payload['variant']!r} contradicts the outcome: an outcome {having} "
+                f"an 'injection' descriptor is of variant {variant!r}"
+            )
         verify = read_object(payload.get("verify", {}), "verify", optional=("exact", "mc_trials", "seed"))
         seed = verify.get("seed")
         if seed is None and SEED_ENV_VAR in os.environ:
@@ -145,7 +147,6 @@ class ScenarioConfig:
             model=model,
             grid=grid,
             kinds=kinds,
-            variant=variant,
             corrected=payload.get("corrected", True),
             verify_exact=verify.get("exact", True),
             mc_trials=verify.get("mc_trials", 0),
@@ -169,7 +170,6 @@ def run_sweep(config: ScenarioConfig) -> List[SweepEntry]:
                 config.model,
                 config.grid,
                 kind=kind,
-                variant=config.variant,
                 corrected=config.corrected,
             )
         )
@@ -197,14 +197,15 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
 
     Every bound in the engine is a lower-tail statement about the
     underlying count X (reliability events transform to X < H(t)/t, and
-    Y = scale * X at fixed t), so one scaled binomial query covers all
-    four kinds. A Y count threshold within 4 ulp of an integer is that
-    integer.
+    Y = scale * X at fixed t), so one scaled binomial query covers both
+    kinds of either variant. The outcome's injection marks Y rows: each Y
+    threshold becomes the count threshold threshold / scale, or the
+    integer within 4 ulp of it.
     """
     checks = [entry for entry in entries if isinstance(entry, BoundResult)]
     if not checks or not (config.verify_exact or config.mc_trials > 0):
         return []
-    if config.variant is Variant.X:
+    if config.outcome.injection is None:
         thresholds = [entry.threshold for entry in checks]
     else:
         scale_at = config.outcome.injection.scale_at

@@ -32,10 +32,8 @@ from sdpfeas import (
     cumulative_hazard,
     hazard_at,
     hazard_bound,
-    hazard_bound_y,
     reliability_at,
     reliability_bound,
-    reliability_bound_y,
     reliability_tail_threshold,
 )
 from sdpfeas.cli import EXIT_OK, EXIT_OUT_OF_REGIME, main
@@ -207,7 +205,7 @@ class TestCriterion2:
     )
     def test_injected_hazard_soundness_campaign(self):
         generated, valid, violations = _y_campaign(
-            Y_HAZARD_MODELS, hazard_bound_y, None
+            Y_HAZARD_MODELS, hazard_bound, None
         )
         if violations:
             worst = max(violations, key=lambda v: v[5] - v[6])
@@ -227,7 +225,7 @@ class TestCriterion2:
     def test_injected_reliability_soundness_campaign(self):
         generated, valid, violations = _y_campaign(
             Y_RELIABILITY_MODELS,
-            lambda o, m, t: reliability_bound_y(o, m, t, corrected=True),
+            lambda o, m, t: reliability_bound(o, m, t, corrected=True),
             None,
         )
         if violations:
@@ -244,7 +242,7 @@ class TestCriterion2:
         # makes the mean slot exceed 1 and the bound collapse toward 0
         outcome = SdpOutcome(l=10, p=0.5, injection=WeibullInjection(1.0, 0.0))
         model = HazardModel(WEIBULL, K=0.02, m=0.0)
-        result = reliability_bound_y(outcome, model, 1.0, corrected=False)
+        result = reliability_bound(outcome, model, 1.0, corrected=False)
         ok = result.sign_mode == "as-published" and result.mu > 1.0
         _line(2, ok, "as-published sign mode runs and is tagged (soundness exempt; "
                      f"mu = {result.mu:.4g} exceeds 1)")
@@ -346,7 +344,7 @@ class TestCriterion3:
             for K_hat, m_hat in ((0.5, 0.0), (1.0, 0.5), (2.0, -0.5)):
                 outcome = SdpOutcome(l=l, p=p, injection=WeibullInjection(K_hat, m_hat))
                 try:
-                    result = hazard_bound_y(outcome, model, t)
+                    result = hazard_bound(outcome, model, t)
                 except OutOfRegimeError:
                     continue
                 yield result.bound, ref.thm3_injected_hazard(l, p, K_hat, m_hat, 0.2, 0.5, t)
@@ -357,7 +355,7 @@ class TestCriterion3:
             for corrected in (True, False):
                 outcome = SdpOutcome(l=l, p=p, injection=WeibullInjection(0.5, 0.0))
                 try:
-                    result = reliability_bound_y(outcome, model, t, corrected=corrected)
+                    result = reliability_bound(outcome, model, t, corrected=corrected)
                 except (OutOfRegimeError, InvalidInputError, OverflowError):
                     continue
                 yield result.bound, ref.thm4_injected_reliability(
@@ -513,7 +511,7 @@ class TestCriterion9:
         for l, p, t in self.POINTS:
             try:
                 plain = hazard_bound(SdpOutcome(l=l, p=p), model, t)
-                unit = hazard_bound_y(
+                unit = hazard_bound(
                     SdpOutcome(l=l, p=p, injection=WeibullInjection(1.0, 0.0)), model, t
                 )
             except OutOfRegimeError:
@@ -614,7 +612,7 @@ class TestSoundSubdomains:
                             if scale > 1.0:
                                 continue
                             try:
-                                result = hazard_bound_y(outcome, model, t)
+                                result = hazard_bound(outcome, model, t)
                             except OutOfRegimeError:
                                 continue
                             oracle = binomial_window(l, p).exact_tail(result.threshold / scale)

@@ -17,19 +17,14 @@ from sdpfeas import (
     Regime,
     SdpFeasError,
     SdpOutcome,
-    Variant,
     WeibullInjection,
     bound_sweep,
     chernoff_lower_tail,
-    expected_hazard_x,
-    expected_hazard_y,
-    expected_reliability_bound_x,
-    expected_reliability_bound_y,
+    expected_hazard,
+    expected_reliability_bound,
     hazard_at,
     hazard_bound,
-    hazard_bound_y,
     reliability_bound,
-    reliability_bound_y,
     reliability_tail_threshold,
 )
 from sdpfeas.hazards import FAMILIES
@@ -231,7 +226,7 @@ class TestInjectedVariant:
         o = injected(50, 0.1, 1.0, 0.5)
         model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
         with pytest.raises(NumericOverflowError, match=rf"Thm4 \(as-published\) .* t = {t!r}") as info:
-            reliability_bound_y(o, model, t, corrected=False)
+            reliability_bound(o, model, t, corrected=False)
         assert isinstance(info.value, OverflowError) and isinstance(info.value, SdpFeasError)
 
     @pytest.mark.parametrize("t", [2.64, 2.65])
@@ -240,7 +235,7 @@ class TestInjectedVariant:
         # the log bound, about -mu/2, is
         o = injected(50, 0.1, 1.0, 0.5)
         model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
-        r = reliability_bound_y(o, model, t, corrected=False)
+        r = reliability_bound(o, model, t, corrected=False)
         assert r.mu > 1e156 and r.bound == 0.0 and r.regime is Regime.VALID
         d = r.mu - r.threshold
         assert r.log_bound == pytest.approx(-0.5 * d * (d / r.mu), rel=1e-15)
@@ -253,14 +248,14 @@ class TestInjectedVariant:
         model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
         grid = [2.0, 2.62, 2.63, 2.64, 2.65, 3.0, 8.0]
         with pytest.raises(NumericOverflowError, match=r"^Thm4 \(as-published\) .* at t = 3\.0$"):
-            bound_sweep(o, model, grid, kind=BoundKind.RELIABILITY, variant=Variant.Y, corrected=False)
-        rows = bound_sweep(o, model, grid[:5], kind=BoundKind.RELIABILITY, variant=Variant.Y, corrected=False)
+            bound_sweep(o, model, grid, kind=BoundKind.RELIABILITY, corrected=False)
+        rows = bound_sweep(o, model, grid[:5], kind=BoundKind.RELIABILITY, corrected=False)
         assert [r.t for r in rows] == grid[:5]
 
     def test_frozen_example(self):
         o = injected(10, 0.5, 2.0, 1.0)
         model = HazardModel(HazardFamily.WEIBULL, K=6.0, m=1.0)
-        r = hazard_bound_y(o, model, 3.0)
+        r = hazard_bound(o, model, 3.0)
         assert r.mu == pytest.approx(30.0)
         assert r.threshold == pytest.approx(18.0)
         assert r.bound == pytest.approx(math.exp(-2.4), rel=1e-12)
@@ -273,7 +268,7 @@ class TestInjectedVariant:
                     o = injected(l, p, K_hat, m_hat)
                     model = HazardModel(HazardFamily.WEIBULL, K=K, m=m)
                     try:
-                        engine = hazard_bound_y(o, model, t)
+                        engine = hazard_bound(o, model, t)
                     except OutOfRegimeError:
                         continue
                     printed = ref.thm3_injected_hazard(l, p, K_hat, m_hat, K, m, t)
@@ -286,14 +281,14 @@ class TestInjectedVariant:
         for l, p, t in _tuples():
             try:
                 plain = hazard_bound(SdpOutcome(l=l, p=p), model, t)
-                unit = hazard_bound_y(injected(l, p, 1.0, 0.0), model, t)
+                unit = hazard_bound(injected(l, p, 1.0, 0.0), model, t)
             except OutOfRegimeError:
                 continue
             assert unit.bound == pytest.approx(plain.bound, rel=1e-12)
 
     def test_non_weibull_model_rejected(self):
         with pytest.raises(InvalidInputError):
-            hazard_bound_y(injected(10, 0.5, 1.0, 0.0), HazardModel(HazardFamily.CONSTANT, lam=1.0), 1.0)
+            hazard_bound(injected(10, 0.5, 1.0, 0.0), HazardModel(HazardFamily.CONSTANT, lam=1.0), 1.0)
 
     def test_reliability_corrected_matches_printed_form(self):
         hits = 0
@@ -302,7 +297,7 @@ class TestInjectedVariant:
                 o = injected(l, p, 0.5, 0.0)
                 model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
                 try:
-                    engine = reliability_bound_y(o, model, t, corrected=corrected)
+                    engine = reliability_bound(o, model, t, corrected=corrected)
                 except (OutOfRegimeError, OverflowError):
                     continue
                 printed = ref.thm4_injected_reliability(l, p, 0.5, 0.0, 0.02, 0.0, t, corrected)
@@ -313,31 +308,31 @@ class TestInjectedVariant:
     def test_sign_mode_recorded(self):
         o = injected(10, 0.5, 1.0, 0.0)
         model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
-        assert reliability_bound_y(o, model, 1.0, corrected=True).sign_mode == "corrected"
-        assert reliability_bound_y(o, model, 1.0, corrected=False).sign_mode == "as-published"
+        assert reliability_bound(o, model, 1.0, corrected=True).sign_mode == "corrected"
+        assert reliability_bound(o, model, 1.0, corrected=False).sign_mode == "as-published"
 
     def test_corrected_frozen_value(self):
         # mu = exp(5(e^-1 - 1)) = 0.0424002..., threshold 0.02: same
         # arithmetic as the plain constant-rate reliability example
         o = injected(10, 0.5, 1.0, 0.0)
         model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
-        r = reliability_bound_y(o, model, 1.0, corrected=True)
+        r = reliability_bound(o, model, 1.0, corrected=True)
         assert r.mu == pytest.approx(0.042400174798661226, rel=1e-12)
         assert r.bound == pytest.approx(0.9941004221733092, rel=1e-12)
 
     def test_as_published_astronomically_small(self):
         o = injected(10, 0.5, 1.0, 0.0)
         model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
-        r = reliability_bound_y(o, model, 1.0, corrected=False)
+        r = reliability_bound(o, model, 1.0, corrected=False)
         assert r.mu == pytest.approx(math.exp(5.0 * (math.e - 1.0)), rel=1e-12)
         assert r.log_bound == pytest.approx(-((r.mu - 0.02) ** 2) / (2 * r.mu), rel=1e-12)
         assert r.bound < 1e-300  # ~exp(-mu/2) at mu ~ 5385
 
 
-def scalar_entry(outcome, model, t, kind, variant, corrected):
+def scalar_entry(outcome, model, t, kind, corrected):
     """One sweep entry composed from the public per-point functions: the
     outcome mean, the family threshold and the kernel at t alone."""
-    hazard, injected = kind is BoundKind.HAZARD, variant is Variant.Y
+    hazard, injected = kind is BoundKind.HAZARD, outcome.injection is not None
     if injected and model.family is not HazardFamily.WEIBULL:
         raise InvalidInputError(
             f"injection-variant bounds compare against a weibull manual-testing model only, got {model.family.value!r}"
@@ -347,13 +342,10 @@ def scalar_entry(outcome, model, t, kind, variant, corrected):
     sign_mode = ("corrected" if corrected else "as-published") if injected and not hazard else None
     try:
         if hazard:
-            mu = expected_hazard_y(outcome, t) if injected else expected_hazard_x(outcome)
+            mu = expected_hazard(outcome, t)
             threshold = hazard_at(model, t)
         else:
-            if injected:
-                mu = expected_reliability_bound_y(outcome, t, corrected)
-            else:
-                mu = expected_reliability_bound_x(outcome, t)
+            mu = expected_reliability_bound(outcome, t, corrected)
             threshold = reliability_tail_threshold(model, t)
         return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
     except OutOfRegimeError as err:
@@ -365,12 +357,11 @@ def scalar_entry(outcome, model, t, kind, variant, corrected):
 
 @st.composite
 def sweep_cases(draw):
-    """(outcome, model, grid, kind, variant, corrected). One case in ten
-    pairs the variant with the wrong outcome or a Y bound with a
-    non-weibull model; one grid in ten ends at inf, outside every domain."""
-    kind, variant = draw(st.sampled_from(list(BoundKind))), draw(st.sampled_from(list(Variant)))
-    matched = draw(st.sampled_from([True] * 9 + [False]))
-    if variant is Variant.Y and matched:
+    """(outcome, model, grid, kind, corrected). One injected (Y) outcome in
+    ten draws its model from every family, so a Y bound meets non-weibull
+    models; one grid in ten ends at inf, outside every domain."""
+    kind, injected = draw(st.sampled_from(list(BoundKind))), draw(st.booleans())
+    if injected and draw(st.sampled_from([True] * 9 + [False])):
         family = HazardFamily.WEIBULL
     else:
         family = draw(st.sampled_from(list(HazardFamily)))
@@ -384,29 +375,29 @@ def sweep_cases(draw):
     else:
         model = HazardModel(family, K=K)
     injection = None
-    if (variant is Variant.Y) == matched:
+    if injected:
         injection = WeibullInjection(K_hat=draw(st.floats(0.05, 3.0)), m_hat=draw(st.floats(-0.9, 2.0)))
     outcome = SdpOutcome(l=draw(st.integers(1, 500)), p=draw(st.floats(0.001, 0.999)), injection=injection)
     grid = sorted(draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=8, unique=True)))
     if draw(st.sampled_from([False] * 9 + [True])):
         grid.append(math.inf)
-    return outcome, model, grid, kind, variant, draw(st.booleans())
+    return outcome, model, grid, kind, draw(st.booleans())
 
 
 class TestSweep:
     @settings(max_examples=300, deadline=None)
     @given(case=sweep_cases())
     def test_matches_scalar_composition(self, case):
-        outcome, model, grid, kind, variant, corrected = case
+        outcome, model, grid, kind, corrected = case
         try:
-            expected = [scalar_entry(outcome, model, t, kind, variant, corrected) for t in grid]
+            expected = [scalar_entry(outcome, model, t, kind, corrected) for t in grid]
         except SdpFeasError as exc:
             # the sweep fails as its first failing point does alone
             with pytest.raises(SdpFeasError) as info:
-                bound_sweep(outcome, model, grid, kind=kind, variant=variant, corrected=corrected)
+                bound_sweep(outcome, model, grid, kind=kind, corrected=corrected)
             assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         else:
-            assert bound_sweep(outcome, model, grid, kind=kind, variant=variant, corrected=corrected) == expected
+            assert bound_sweep(outcome, model, grid, kind=kind, corrected=corrected) == expected
 
     def test_constant_hazard_flat_across_grid(self):
         o = SdpOutcome(l=100, p=0.05)
@@ -445,6 +436,6 @@ class TestSweep:
     def test_y_variant_dispatch(self):
         o = injected(10, 0.5, 2.0, 1.0)
         model = HazardModel(HazardFamily.WEIBULL, K=6.0, m=1.0)
-        [entry] = bound_sweep(o, model, [3.0], kind=BoundKind.HAZARD, variant=Variant.Y)
+        [entry] = bound_sweep(o, model, [3.0], kind=BoundKind.HAZARD)
         assert entry.theorem_tag == "Thm3"
         assert entry.bound == pytest.approx(math.exp(-2.4), rel=1e-12)

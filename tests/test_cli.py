@@ -29,6 +29,7 @@ from sdpfeas.cli import (
 )
 from sdpfeas.report import SEED_ENV_VAR
 from test_golden import VERIFY as GOLDEN_VERIFY
+from test_golden import VERIFY_Y as GOLDEN_VERIFY_Y
 
 DESK_COUNTS = '{"tp": 5, "fn": 3, "fp": 2, "tn": 17}'
 
@@ -369,6 +370,21 @@ class TestVerify:
             assert sum(lo <= t <= hi for lo, hi in ranges) == 1, t
         assert len(summary["feasible_at"]) > 1
 
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_variant_is_derived_from_the_injection(self, run, tmp_path, command):
+        # the same scenario with and without "variant": "Y" gives the same output
+        derived = {key: value for key, value in GOLDEN_VERIFY_Y.items() if key != "variant"}
+        _, stated, _ = run([command, "--config", write_scenario(tmp_path, GOLDEN_VERIFY_Y, "stated.json")], EXIT_OK)
+        _, out, _ = run([command, "--config", write_scenario(tmp_path, derived, "derived.json")], EXIT_OK)
+        if command == "sweep":
+            assert out == stated
+        else:
+            a, b = json.loads(stated), json.loads(out)
+            for report in (a, b):
+                report.pop("timestamp")
+            assert b.pop("scenario") == derived and a.pop("scenario") == GOLDEN_VERIFY_Y
+            assert a == b and any(row["theorem"] == "Thm3" for row in a["rows"])
+
 
 def _replace(path, value, base=DESK_SCENARIO):
     """A copy of ``base`` with the field at ``path`` (a tuple of keys) set to ``value``."""
@@ -380,8 +396,17 @@ def _replace(path, value, base=DESK_SCENARIO):
     return scenario
 
 
-#: id -> (scenario, extra argv, SDPFEAS_SEED): a value of the wrong JSON type
-#: or out of range, from the file, a flag or the environment
+#: a Y scenario that verifies as it stands; it states no variant
+Y_DESK = {
+    "outcome": {"l": 10, "p": 0.5, "injection": {"K_hat": 1.0, "m_hat": 0.0}},
+    "model": {"family": "weibull", "K": 0.02, "m": 0.0},
+    "time_grid": {"t": 1.0},
+    "kinds": ["hazard", "reliability"],
+}
+
+#: id -> (scenario, extra argv, SDPFEAS_SEED): a value of the wrong JSON type,
+#: out of range or contradicting the outcome, from the file, a flag or the
+#: environment
 MALFORMED = {
     "steps string": (_replace(("time_grid",), {"start": 1.0, "stop": 2.0, "steps": "x"}), [], None),
     "p string": (_replace(("outcome", "p"), "abc"), [], None),
@@ -400,6 +425,8 @@ MALFORMED = {
     "flag epsilon negative": (DESK_SCENARIO, ["--epsilon", "-3"], None),
     "flag trials negative": (DESK_SCENARIO, ["--trials", "-5"], None),
     "steps too many": (_replace(("time_grid",), {"start": 1.0, "stop": 2.0, "steps": 10**9}), [], None),
+    "variant Y without injection": (_replace(("variant",), "Y"), [], None),
+    "variant X with injection": (_replace(("variant",), "X", base=Y_DESK), [], None),
 }
 
 

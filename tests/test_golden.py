@@ -25,10 +25,8 @@ from sdpfeas import (
     cumulative_hazard,
     hazard_at,
     hazard_bound,
-    hazard_bound_y,
     model_from_descriptor,
     reliability_bound,
-    reliability_bound_y,
     reliability_tail_threshold,
 )
 from sdpfeas.report import ScenarioConfig, build_report, run_sweep, sweep_to_csv
@@ -148,17 +146,15 @@ ERROR_CASES = {
     "negative time": lambda: hazard_at(HazardModel(W, K=1.0, m=1.0), -1.0),
     "infinite time": lambda: cumulative_hazard(HazardModel(HazardFamily.CONSTANT, lam=1.0), math.inf),
     "nan time": lambda: reliability_tail_threshold(HazardModel(HazardFamily.CONSTANT, lam=1.0), math.nan),
-    "X hazard on Y outcome": lambda: hazard_bound(Y_OUT, HazardModel(W, K=1.0, m=1.0), 1.0),
     "X reliability at t=0": lambda: reliability_bound(X_OUT, HazardModel(W, K=1.0, m=1.0), 0.0),
     "X reliability beyond ld domain": lambda: reliability_bound(X_OUT, HazardModel(LD, K=3.0, m=1.5), 2.5),
-    "Y hazard on ld": lambda: hazard_bound_y(Y_OUT, HazardModel(LD, K=3.0, m=1.5), 1.0),
-    "Y reliability on constant": lambda: reliability_bound_y(Y_OUT, HazardModel(HazardFamily.CONSTANT, lam=1.0), 1.0),
-    "Y hazard on X outcome": lambda: hazard_bound_y(X_OUT, HazardModel(W, K=1.0, m=1.0), 1.0),
-    "Y reliability on X outcome": lambda: reliability_bound_y(X_OUT, HazardModel(W, K=1.0, m=1.0), 1.0, corrected=False),
-    "sweep bad variant": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], variant="Z"),
+    "Y hazard on ld": lambda: hazard_bound(Y_OUT, HazardModel(LD, K=3.0, m=1.5), 1.0),
+    "Y reliability on constant": lambda: reliability_bound(Y_OUT, HazardModel(HazardFamily.CONSTANT, lam=1.0), 1.0),
+    "scenario X on Y outcome": lambda: ScenarioConfig.from_descriptor(dict(SWEEPS["y-corrected"], variant="X")),
+    "scenario Y on X outcome": lambda: ScenarioConfig.from_descriptor(dict(SWEEPS["weibull"], variant="Y")),
     "sweep bad kind": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], kind="bogus"),
     "sweep empty grid": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), []),
-    "sweep Y on li": lambda: bound_sweep(Y_OUT, HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0), [1.0], kind=BoundKind.RELIABILITY, variant="Y"),
+    "sweep Y on li": lambda: bound_sweep(Y_OUT, HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0), [1.0], kind=BoundKind.RELIABILITY),
 }
 
 
