@@ -15,6 +15,10 @@ reads every hit count from one sorted draw of uniforms at the window's CDF.
 The Monte-Carlo sampler uses the Philox counter-based generator, so a
 (seed, trials, threshold) triple maps to a bit-reproducible estimate
 regardless of how the trials are scheduled.
+
+Each function that uses numpy imports it in its own body, so importing
+this module (and with it the CLI) does not load numpy: only ``verify``
+pays for it.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from .bounds import BoundResult
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TailMethod",
@@ -82,13 +87,13 @@ def _strict_upper_index(threshold: float, l: int) -> int:
 #: stirlerr(n) = log(n!) - log(sqrt(2*pi*n) * (n/e)**n) for n = 1..15
 #: (n = 0 is never looked up); from n = 16 on the series below is exact
 #: to about 1e-16
-_STIRLERR_SMALL = np.array([
+_STIRLERR_SMALL = (
     math.nan, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
     0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
     0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
     0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
+)
 #: the window holds mean +- (WINDOW_SIGMAS * sigma + WINDOW_SIGMAS); the
 #: mass outside it is below exp(-55) (Bernstein's inequality)
 WINDOW_SIGMAS = 40
@@ -99,14 +104,18 @@ TAIL_SPAN = 40.0
 
 def _stirlerr(n):
     """The error of Stirling's formula in log n!, for integers n >= 1."""
+    import numpy as np
+
     nn = n * n
     series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
-    return np.where(n <= 15, _STIRLERR_SMALL[np.minimum(n, 15).astype(np.intp)], series)
+    return np.where(n <= 15, np.array(_STIRLERR_SMALL)[np.minimum(n, 15).astype(np.intp)], series)
 
 
 def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
     """The deviance term x*log(x/mean) + mean - x, without the cancellation
     of that form: a series in v = (x - mean)/(x + mean) near the mean."""
+    import numpy as np
+
     d = x - mean
     out = x * np.log1p(d / mean) - d
     near = np.abs(d) < 0.1 * (x + mean)
@@ -136,6 +145,8 @@ def _log_pmf(l: int, p: float, ks: np.ndarray) -> np.ndarray:
     It carries no log-gamma anchor whose rounding grows with l: tested
     against 50-digit arithmetic to 1e-12 * max(1, |log Pr|) up to l = 1e6.
     """
+    import numpy as np
+
     q = 1.0 - p
     k = ks.astype(float)
     out = np.empty(len(k))
@@ -214,6 +225,8 @@ class BinomialWindow:
 
     def _log_cdf(self, k_star: int) -> float:
         """log Pr[X <= k_star] for 0 <= k_star < l; see exact_tail."""
+        import numpy as np
+
         l, p = self.l, self.p
         peak_at = min(k_star, self.mode)
         if peak_at >= self.lo:
@@ -252,6 +265,8 @@ class BinomialWindow:
         """
         if not isinstance(trials, int) or trials < 1:
             raise InvalidInputError(f"trials must be an integer >= 1, got {trials!r}")
+        import numpy as np
+
         # draws are integers, so X < threshold is X <= k*, with k* from the
         # strictness convention above
         k_stars = [_strict_upper_index(threshold, self.l) for threshold in thresholds]
@@ -280,12 +295,16 @@ def binomial_window(l: int, p: float) -> BinomialWindow:
         raise InvalidInputError(f"l must be an integer >= 1, got {l!r}")
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"p must lie strictly in (0, 1), got {p!r}")
+    import numpy as np
+
     mean, half = l * p, WINDOW_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
     lo, hi = max(0, math.floor(mean - half)), min(l, math.ceil(mean + half))
     return BinomialWindow(l=l, p=p, lo=lo, log_pmf=_log_pmf(l, p, np.arange(lo, hi + 1)))
 
 
 def _log_sum(terms: np.ndarray, shift: float) -> float:
+    import numpy as np
+
     return float(shift + math.log(np.exp(terms - shift).sum()))
 
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import List, Sequence
 
-import numpy as np
-
 from . import __version__ as _version
 from .bounds import (
     SWEEP_COLUMNS,
@@ -83,8 +81,20 @@ def _build_grid(payload: dict) -> List[float]:
         return [start]
     if not stop > start:
         raise InvalidInputError(f"time_grid requires stop > start, got {start!r}..{stop!r}")
-    grid = np.linspace(start, stop, steps) if spacing == "linear" else np.geomspace(start, stop, steps)
-    return grid.tolist()
+    if spacing == "log":
+        import numpy as np
+
+        return np.geomspace(start, stop, steps).tolist()
+    # np.linspace(start, stop, steps) without numpy, bit for bit: where the
+    # step underflows to 0 (a subnormal span), numpy's own fallback
+    div, delta = steps - 1, stop - start
+    step = delta / div
+    if step == 0:
+        grid = [i / div * delta + start for i in range(div)]
+    else:
+        grid = [i * step + start for i in range(div)]
+    grid.append(stop)
+    return grid
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +458,24 @@ class TestMalformedInput:
         with pytest.raises(InvalidInputError, match="steps"):
             report_module._build_grid({"start": 1.0, "stop": 2.0, "steps": report_module.MAX_STEPS + 1})
 
+    def test_linear_grid_is_np_linspace_bit_for_bit(self):
+        # the subnormal spans take numpy's fallback for a step that is 0
+        cases = [(5e-324, 1e-323, 10), (5e-324, 1.5e-323, 1000), (1e-320, 2e-320, 10**6),
+                 (0.25, 3.0, 2), (0.1, 7.3, report_module.MAX_STEPS)]
+        rng = random.Random(20260)
+        for _ in range(2000):
+            start = 10.0 ** rng.uniform(-300, 300)
+            stop = start * (1.0 + 10.0 ** rng.uniform(-15, 3))
+            cases.append((start, stop, round(10.0 ** rng.uniform(math.log10(2), math.log10(20000)))))
+        for start, stop, steps in cases:
+            grid = report_module._build_grid({"start": start, "stop": stop, "steps": steps, "spacing": "linear"})
+            expected = np.linspace(start, stop, steps).tolist()
+            assert len(grid) == steps
+            # the 64-bit images, which float.hex spells out, compared at C speed
+            if array("d", grid).tobytes() != array("d", expected).tobytes():
+                i = next(i for i, (a, b) in enumerate(zip(grid, expected)) if a.hex() != b.hex())
+                pytest.fail(f"grid {start!r}..{stop!r} x {steps}, point {i}: {grid[i].hex()} != {expected[i].hex()}")
+
     def test_unreadable_config_is_an_error_line(self, run, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_bytes(b"\xff\xfe{")
@@ -716,33 +736,66 @@ class TestParserBuild:
 
 
 #: runs each argv list through cli.main in one fresh interpreter and prints,
-#: after each, its exit code and whether scipy has been imported by then
-SCIPY_PROBE = """
+#: after each, its exit code and whether scipy and numpy are loaded by then
+IMPORT_PROBE = """
 import contextlib, io, json, sys
 from sdpfeas.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    print(json.dumps([code, "scipy" in sys.modules]))
+    print(json.dumps([code, "scipy" in sys.modules, "numpy" in sys.modules]))
 """
 
 
+def _probe(*calls) -> list:
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(calls)],
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return [json.loads(line) for line in result.stdout.splitlines()]
+
+
+#: command -> [exit code, scipy loaded, numpy loaded] after it ran
+@pytest.fixture(scope="module")
+def probed(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("probe")
+    counts = tmp_path / "counts.json"
+    counts.write_text(DESK_COUNTS)
+    point = write_scenario(tmp_path, DESK_SCENARIO, "point.json")
+    grid = {"start": 0.5, "stop": 9.5, "steps": 40}
+    linear = write_scenario(tmp_path, dict(DESK_SCENARIO, time_grid=dict(grid, spacing="linear")), "linear.json")
+    log = write_scenario(tmp_path, dict(DESK_SCENARIO, time_grid=dict(grid, spacing="log")), "log.json")
+    # each command that loads numpy goes last in its process
+    first = _probe(["metrics", "--counts", str(counts)], ["bound", "--config", point],
+                   ["sweep", "--config", linear], ["verify", "--config", point])
+    return dict(zip(["metrics", "bound", "linear sweep", "verify", "log sweep"],
+                    first + _probe(["sweep", "--config", log])))
+
+
 class TestImports:
-    def test_sweep_and_metrics_never_import_scipy(self, tmp_path):
-        counts = tmp_path / "counts.json"
-        counts.write_text(DESK_COUNTS)
-        config = write_scenario(tmp_path, DESK_SCENARIO)
-        calls = [["metrics", "--counts", str(counts)], ["sweep", "--config", config], ["verify", "--config", config]]
+    def test_sweep_and_metrics_never_import_scipy(self, probed):
+        # verify reaches both oracles, whose log-pmf needs no scipy
+        assert {command: state[:2] for command, state in probed.items()} == dict.fromkeys(probed, [0, False])
+
+    def test_only_log_sweep_and_verify_load_numpy(self, probed):
+        assert [command for command, state in probed.items() if state[2]] == ["verify", "log sweep"]
+
+    def test_import_loads_every_module_but_not_numpy(self):
+        # bench/tracer.py looks every sdpfeas module up in sys.modules
+        probe = (
+            "import json, pkgutil, sys, sdpfeas.cli\n"
+            "names = [info.name for info in pkgutil.iter_modules(sdpfeas.__path__)]\n"
+            "print(json.dumps([[n for n in names if 'sdpfeas.' + n not in sys.modules], 'numpy' in sys.modules]))"
+        )
         result = subprocess.run(
-            [sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)],
-            env=_subprocess_env(),
-            capture_output=True,
-            text=True,
-            timeout=120,
+            [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        # verify reaches both oracles, whose log-pmf needs no scipy
-        assert [json.loads(line) for line in result.stdout.splitlines()] == [[0, False], [0, False], [0, False]]
+        assert json.loads(result.stdout) == [[], False]
 
 
 if __name__ == "__main__":

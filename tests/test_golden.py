@@ -68,6 +68,11 @@ SWEEPS = {
         "model": {"family": "li", "K": 0.6},
         "time_grid": {"start": 1.0, "stop": 15.0, "steps": 15},
     },
+    "weibull-linear": {
+        "outcome": {"l": 2000, "p": 0.01},
+        "model": {"family": "weibull", "K": 0.5, "m": 0.7},
+        "time_grid": {"start": 0.05, "stop": 300.0, "steps": 37, "spacing": "linear"},
+    },
     "constant": {
         "outcome": {"l": 100, "p": 0.05},
         "model": {"family": "constant", "lambda": 0.02},
