@@ -16,12 +16,11 @@ from sdpfeas import (
     HazardFamily,
     HazardModel,
     SdpOutcome,
-    WeibullInjection,
     expected_reliability_bound,
     reliability_bound,
 )
 
-outcome = SdpOutcome(l=10, p=0.5, injection=WeibullInjection(K_hat=1.0, m_hat=0.0))
+outcome = SdpOutcome(l=10, p=0.5, injection=HazardModel(HazardFamily.WEIBULL, K=1.0, m=0.0))
 model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
 t = 1.0
 

@@ -43,7 +43,6 @@ from .hazards import (
 from .oracle import BinomialWindow, TailEstimate, TailMethod, VerificationRecord, binomial_window, verify_bound
 from .outcome import (
     SdpOutcome,
-    WeibullInjection,
     expected_hazard,
     expected_reliability_bound,
     outcome_from_descriptor,

@@ -75,12 +75,6 @@ class FailureProbability:
         frac = Fraction(self.numerator, self.denominator)
         return f"{frac.numerator}/{frac.denominator}"
 
-    @classmethod
-    def from_float(cls, p: float) -> "FailureProbability":
-        """Wrap a bare float; the audit ratio falls back to the float's exact form."""
-        frac = Fraction(p).limit_denominator(10**12)
-        return cls(p=float(p), numerator=frac.numerator, denominator=frac.denominator)
-
 
 def confusion_from_counts(tp: int, fn_: int, fp: int, tn: int) -> ConfusionMatrix:
     """Build a confusion matrix from the four cell counts."""

@@ -2,10 +2,11 @@
 
 Out of l modules predicted clean, each is independently misclassified
 with probability p, so the failure count X is Binomial(l, p) with mean
-l*p. In the Y-variant each misclassified module contributes a power-law
+l*p. In the Y-variant each misclassified module contributes the weibull
 hazard Khat*t^mhat instead of a single failure, making Y a scaled
 binomial at any fixed t. An outcome is of the Y-variant exactly when it
-has an ``injection``; every expectation below follows it.
+has an ``injection``, a weibull ``HazardModel`` with K = Khat and
+m = mhat; every expectation below follows it.
 
 The expected reliability of the X-variant system is bounded above by
 exp(l*p*(exp(-t) - 1)). The Y-variant bound carries a ``corrected`` sign
@@ -22,12 +23,12 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .confusion import FailureProbability, counts_from_descriptor, false_omission_rate
+from .confusion import counts_from_descriptor, false_omission_rate
 from .errors import DomainError, InvalidInputError, ParseError
 from .errors import read_integer, read_number, read_object
+from .hazards import HazardFamily, HazardModel, hazard_at
 
 __all__ = [
-    "WeibullInjection",
     "SdpOutcome",
     "expected_hazard",
     "expected_reliability_bound",
@@ -36,63 +37,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class WeibullInjection:
-    """Per-module hazard parameters for the Y-variant: each misclassified
-    module injects hazard Khat * t**mhat."""
-
-    K_hat: float
-    m_hat: float
-
-    def __post_init__(self):
-        if not self.K_hat > 0:
-            raise InvalidInputError(f"injection requires K_hat > 0, got {self.K_hat!r}")
-        if not self.m_hat > -1:
-            raise InvalidInputError(f"injection requires m_hat > -1, got {self.m_hat!r}")
-
-    def scale_at(self, t: float) -> float:
-        """Khat * t**mhat, the common per-module hazard at time t."""
-        if t <= 0 and self.m_hat < 0:
-            raise DomainError(f"injection hazard singular at t = {t!r} with m_hat < 0")
-        if t < 0:
-            raise DomainError(f"time must be >= 0, got {t!r}")
-        return self.K_hat * t**self.m_hat
-
-    def cumulative_at(self, t: float) -> float:
-        """Khat * t**(mhat+1): the per-module cumulative exponent Y_i * t."""
-        if t < 0:
-            raise DomainError(f"time must be >= 0, got {t!r}")
-        return self.K_hat * t ** (self.m_hat + 1)
-
-
-@dataclass(frozen=True)
 class SdpOutcome:
     """(l, p) description of the predicted-clean modules.
 
-    ``n`` (total developed modules) is reporting metadata only; the math
-    uses just l and p. ``injection`` makes the outcome, and every bound
-    on it, of the Y-variant.
+    ``p`` lies strictly inside (0, 1). ``n`` (total developed modules) is
+    reporting metadata only; the math uses just l and p. ``injection``
+    makes the outcome, and every bound on it, of the Y-variant.
     """
 
     l: int
-    p: FailureProbability
-    injection: WeibullInjection | None = None
+    p: float
+    injection: HazardModel | None = None
     n: int | None = None
 
     def __post_init__(self):
         if read_integer(self.l, "module count l") < 1:
             raise InvalidInputError(f"module count l must be an integer >= 1, got {self.l!r}")
-        if isinstance(self.p, float):
-            object.__setattr__(self, "p", FailureProbability.from_float(self.p))
+        if not 0.0 < read_number(self.p, "failure probability") < 1.0:
+            raise InvalidInputError(f"failure probability must lie strictly in (0, 1), got {self.p!r}")
+        if self.injection is not None and getattr(self.injection, "family", None) is not HazardFamily.WEIBULL:
+            raise InvalidInputError(f"injection must be a weibull HazardModel, got {self.injection!r}")
         if self.n is not None and read_integer(self.n, "total module count n") < self.l:
             raise InvalidInputError(f"total module count n={self.n} cannot be below l={self.l}")
 
     @property
-    def p_value(self) -> float:
-        return self.p.p
-
-    @property
     def mean_failures(self) -> float:
-        return self.l * self.p.p
+        return self.l * self.p
 
 
 def hazard_mean(outcome: SdpOutcome) -> Callable[[float], float]:
@@ -101,8 +71,7 @@ def hazard_mean(outcome: SdpOutcome) -> Callable[[float], float]:
     mean_failures, injection = outcome.mean_failures, outcome.injection
     if injection is None:
         return lambda t: mean_failures
-    scale_at = injection.scale_at
-    return lambda t: mean_failures * scale_at(t)
+    return lambda t: mean_failures * hazard_at(injection, t)
 
 
 def reliability_mean(outcome: SdpOutcome, corrected: bool = True) -> Callable[[float], float]:
@@ -121,9 +90,9 @@ def reliability_mean(outcome: SdpOutcome, corrected: bool = True) -> Callable[[f
     if injection is None:
         exponent = operator.neg
     elif corrected:
-        exponent = lambda t: -injection.cumulative_at(t)
+        exponent = lambda t: -injection.K * t ** (injection.m + 1)
     else:
-        exponent = injection.cumulative_at
+        exponent = lambda t: injection.K * t ** (injection.m + 1)
 
     def mean(t: float) -> float:
         if t <= 0:
@@ -157,9 +126,13 @@ def outcome_from_descriptor(payload: dict) -> SdpOutcome:
     if "p" in payload:
         p = read_number(payload["p"], "outcome p")
     else:
-        p = false_omission_rate(counts_from_descriptor(payload["confusion"]))
+        p = false_omission_rate(counts_from_descriptor(payload["confusion"])).p
     injection = None
     if "injection" in payload:
         fields = read_object(payload["injection"], "injection descriptor", required=("K_hat", "m_hat"))
-        injection = WeibullInjection(read_number(fields["K_hat"], "K_hat"), read_number(fields["m_hat"], "m_hat"))
+        K, m = read_number(fields["K_hat"], "K_hat"), read_number(fields["m_hat"], "m_hat")
+        try:
+            injection = HazardModel(HazardFamily.WEIBULL, K=K, m=m)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"injection (K_hat, m_hat): {exc}") from None
     return SdpOutcome(l=payload["l"], p=p, injection=injection, n=payload.get("n"))

@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .errors import InvalidInputError, ParseError, read_boolean, read_choice, read_integer, read_json, read_list
 from .errors import read_number, read_object
-from .hazards import HazardModel, model_from_descriptor
+from .hazards import HazardModel, hazard_at, model_from_descriptor
 from .oracle import VerificationRecord, binomial_window, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
 
@@ -215,13 +215,13 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
     checks = [entry for entry in entries if isinstance(entry, BoundResult)]
     if not checks or not (config.verify_exact or config.mc_trials > 0):
         return []
-    if config.outcome.injection is None:
+    injection = config.outcome.injection
+    if injection is None:
         thresholds = [entry.threshold for entry in checks]
     else:
-        scale_at = config.outcome.injection.scale_at
-        thresholds = [_count_threshold(entry.threshold, scale_at(entry.t)) for entry in checks]
+        thresholds = [_count_threshold(entry.threshold, hazard_at(injection, entry.t)) for entry in checks]
     # one log-pmf window answers every exact tail, one MC draw every MC row
-    window = binomial_window(config.outcome.l, config.outcome.p_value)
+    window = binomial_window(config.outcome.l, config.outcome.p)
     if config.mc_trials > 0:
         seed = config.seed if config.seed is not None else 0
         estimates = window.mc_tails(thresholds, config.mc_trials, seed)

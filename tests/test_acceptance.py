@@ -26,7 +26,6 @@ from sdpfeas import (
     InvalidInputError,
     OutOfRegimeError,
     SdpOutcome,
-    WeibullInjection,
     binomial_window,
     chernoff_lower_tail,
     cumulative_hazard,
@@ -115,7 +114,7 @@ def _campaign(models, bound_fn, oracle_fn):
 
 
 def _count_oracle(outcome, result):
-    return binomial_window(outcome.l, outcome.p_value).exact_tail(result.threshold)
+    return binomial_window(outcome.l, outcome.p).exact_tail(result.threshold)
 
 
 class TestCriterion1:
@@ -153,10 +152,10 @@ class TestCriterion1:
 
 
 INJECTIONS = [
-    WeibullInjection(K_hat=0.5, m_hat=0.0),
-    WeibullInjection(K_hat=1.0, m_hat=0.5),
-    WeibullInjection(K_hat=2.0, m_hat=1.0),
-    WeibullInjection(K_hat=0.25, m_hat=-0.5),
+    HazardModel(WEIBULL, K=0.5, m=0.0),
+    HazardModel(WEIBULL, K=1.0, m=0.5),
+    HazardModel(WEIBULL, K=2.0, m=1.0),
+    HazardModel(WEIBULL, K=0.25, m=-0.5),
 ]
 
 Y_HAZARD_MODELS = [
@@ -186,7 +185,7 @@ def _y_campaign(models, bound_fn, threshold_to_query):
                         except (OutOfRegimeError, InvalidInputError, OverflowError):
                             continue
                         valid += 1
-                        scale = injection.scale_at(t)
+                        scale = hazard_at(injection, t)
                         oracle = binomial_window(l, p).exact_tail(result.threshold / scale)
                         if not oracle.value < result.bound:
                             violations.append(
@@ -240,7 +239,7 @@ class TestCriterion2:
     def test_as_published_sign_mode_exercised(self):
         # exempt from the soundness assertion: the positive inner sign
         # makes the mean slot exceed 1 and the bound collapse toward 0
-        outcome = SdpOutcome(l=10, p=0.5, injection=WeibullInjection(1.0, 0.0))
+        outcome = SdpOutcome(l=10, p=0.5, injection=HazardModel(WEIBULL, K=1.0, m=0.0))
         model = HazardModel(WEIBULL, K=0.02, m=0.0)
         result = reliability_bound(outcome, model, 1.0, corrected=False)
         ok = result.sign_mode == "as-published" and result.mu > 1.0
@@ -342,7 +341,7 @@ class TestCriterion3:
         model = HazardModel(WEIBULL, K=0.2, m=0.5)
         for l, p, t in self.TUPLES:
             for K_hat, m_hat in ((0.5, 0.0), (1.0, 0.5), (2.0, -0.5)):
-                outcome = SdpOutcome(l=l, p=p, injection=WeibullInjection(K_hat, m_hat))
+                outcome = SdpOutcome(l=l, p=p, injection=HazardModel(WEIBULL, K=K_hat, m=m_hat))
                 try:
                     result = hazard_bound(outcome, model, t)
                 except OutOfRegimeError:
@@ -353,7 +352,7 @@ class TestCriterion3:
         model = HazardModel(WEIBULL, K=0.02, m=0.0)
         for l, p, t in self.R_TUPLES:
             for corrected in (True, False):
-                outcome = SdpOutcome(l=l, p=p, injection=WeibullInjection(0.5, 0.0))
+                outcome = SdpOutcome(l=l, p=p, injection=HazardModel(WEIBULL, K=0.5, m=0.0))
                 try:
                     result = reliability_bound(outcome, model, t, corrected=corrected)
                 except (OutOfRegimeError, InvalidInputError, OverflowError):
@@ -512,7 +511,7 @@ class TestCriterion9:
             try:
                 plain = hazard_bound(SdpOutcome(l=l, p=p), model, t)
                 unit = hazard_bound(
-                    SdpOutcome(l=l, p=p, injection=WeibullInjection(1.0, 0.0)), model, t
+                    SdpOutcome(l=l, p=p, injection=HazardModel(WEIBULL, K=1.0, m=0.0)), model, t
                 )
             except OutOfRegimeError:
                 continue
@@ -608,7 +607,7 @@ class TestSoundSubdomains:
                     for p in PS:
                         outcome = SdpOutcome(l=l, p=p, injection=injection)
                         for t in T_GRID:
-                            scale = injection.scale_at(t)
+                            scale = hazard_at(injection, t)
                             if scale > 1.0:
                                 continue
                             try:

@@ -17,7 +17,6 @@ from sdpfeas import (
     Regime,
     SdpFeasError,
     SdpOutcome,
-    WeibullInjection,
     bound_sweep,
     chernoff_lower_tail,
     expected_hazard,
@@ -31,7 +30,7 @@ from sdpfeas.hazards import FAMILIES
 
 
 def injected(l, p, K_hat, m_hat):
-    return SdpOutcome(l=l, p=p, injection=WeibullInjection(K_hat=K_hat, m_hat=m_hat))
+    return SdpOutcome(l=l, p=p, injection=HazardModel(HazardFamily.WEIBULL, K=K_hat, m=m_hat))
 
 
 class TestKernel:
@@ -376,7 +375,7 @@ def sweep_cases(draw):
         model = HazardModel(family, K=K)
     injection = None
     if injected:
-        injection = WeibullInjection(K_hat=draw(st.floats(0.05, 3.0)), m_hat=draw(st.floats(-0.9, 2.0)))
+        injection = HazardModel(HazardFamily.WEIBULL, K=draw(st.floats(0.05, 3.0)), m=draw(st.floats(-0.9, 2.0)))
     outcome = SdpOutcome(l=draw(st.integers(1, 500)), p=draw(st.floats(0.001, 0.999)), injection=injection)
     grid = sorted(draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=8, unique=True)))
     if draw(st.sampled_from([False] * 9 + [True])):

@@ -20,7 +20,6 @@ from sdpfeas import (
     HazardFamily,
     HazardModel,
     SdpOutcome,
-    WeibullInjection,
     bound_sweep,
     cumulative_hazard,
     hazard_at,
@@ -118,7 +117,7 @@ VERIFY_Y = {
 W = HazardFamily.WEIBULL
 LD = HazardFamily.LINEAR_DECREASING
 X_OUT = SdpOutcome(l=100, p=0.05)
-Y_OUT = SdpOutcome(l=100, p=0.05, injection=WeibullInjection(1.0, 0.5))
+Y_OUT = SdpOutcome(l=100, p=0.05, injection=HazardModel(HazardFamily.WEIBULL, K=1.0, m=0.5))
 
 #: name -> thunk; the golden records the exception each one raises
 ERROR_CASES = {

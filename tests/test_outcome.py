@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import reference_formulas as ref
 from sdpfeas import (
     DomainError,
+    HazardFamily,
+    HazardModel,
     InvalidInputError,
     ParseError,
     SdpOutcome,
-    WeibullInjection,
     expected_hazard,
     expected_reliability_bound,
     outcome_from_descriptor,
@@ -20,7 +21,7 @@ from sdpfeas.oracle import binomial_window
 
 
 def injected(l, p, K_hat, m_hat):
-    return SdpOutcome(l=l, p=p, injection=WeibullInjection(K_hat=K_hat, m_hat=m_hat))
+    return SdpOutcome(l=l, p=p, injection=HazardModel(HazardFamily.WEIBULL, K=K_hat, m=m_hat))
 
 
 class TestExpectedHazard:
@@ -99,7 +100,7 @@ class TestExpectedReliabilityBound:
 
     def test_exact_product_strictly_below_bound_at_desk_point(self):
         o = SdpOutcome(l=100, p=0.05)
-        assert ref.exact_expected_reliability_x(o.l, o.p_value, 1.0) < expected_reliability_bound(o, 1.0)
+        assert ref.exact_expected_reliability_x(o.l, o.p, 1.0) < expected_reliability_bound(o, 1.0)
 
     def test_y_unit_injection_matches_x(self):
         o_y = injected(10, 0.5, 1.0, 0.0)
@@ -143,18 +144,17 @@ class TestEmpirical:
 class TestDescriptor:
     def test_inline_p(self):
         o = outcome_from_descriptor({"l": 100, "p": 0.05})
-        assert (o.l, o.p_value) == (100, 0.05)
+        assert (o.l, o.p) == (100, 0.05)
 
     def test_p_from_confusion(self):
         o = outcome_from_descriptor({"l": 20, "confusion": {"tp": 5, "fn": 3, "fp": 2, "tn": 17}})
-        assert o.p_value == pytest.approx(0.15)
-        assert o.p.fraction == "3/20"
+        assert o.p == pytest.approx(0.15)
 
     def test_injection_block(self):
         o = outcome_from_descriptor(
             {"l": 10, "p": 0.5, "injection": {"K_hat": 2.0, "m_hat": 1.0}, "n": 25}
         )
-        assert o.injection == WeibullInjection(2.0, 1.0)
+        assert o.injection == HazardModel(HazardFamily.WEIBULL, K=2.0, m=1.0)
         assert o.n == 25
 
     def test_p_and_confusion_together_rejected(self):
