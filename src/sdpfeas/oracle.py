@@ -100,6 +100,13 @@ WINDOW_SIGMAS = 40
 #: exact-tail terms more than this many nats below the tail's largest term
 #: are dropped
 TAIL_SPAN = 40.0
+#: the largest count a window may hold: past 2**53 a float no longer holds
+#: every integer, so neither the log-pmf nor a threshold can name one count
+MAX_COUNT = 2**53
+#: entries a window may hold, checked before it is allocated
+MAX_WINDOW = 10**7
+#: trials one Monte-Carlo draw may ask for, checked before it is allocated
+MAX_TRIALS = 10**8
 
 
 def _stirlerr(n):
@@ -263,8 +270,8 @@ class BinomialWindow:
         The estimates share one sample, so they are perfectly correlated: a
         3-sigma test of each record is not a test of the whole campaign.
         """
-        if not isinstance(trials, int) or trials < 1:
-            raise InvalidInputError(f"trials must be an integer >= 1, got {trials!r}")
+        if not isinstance(trials, int) or not 1 <= trials <= MAX_TRIALS:
+            raise InvalidInputError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
         import numpy as np
 
         # draws are integers, so X < threshold is X <= k*, with k* from the
@@ -295,10 +302,16 @@ def binomial_window(l: int, p: float) -> BinomialWindow:
         raise InvalidInputError(f"l must be an integer >= 1, got {l!r}")
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"p must lie strictly in (0, 1), got {p!r}")
-    import numpy as np
-
     mean, half = l * p, WINDOW_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
     lo, hi = max(0, math.floor(mean - half)), min(l, math.ceil(mean + half))
+    if hi > MAX_COUNT:
+        raise InvalidInputError(
+            f"Binomial(l={l}, p={p!r}) needs counts up to {hi}, past 2**53, where floats skip integers"
+        )
+    if hi - lo + 1 > MAX_WINDOW:
+        raise InvalidInputError(f"Binomial(l={l}, p={p!r}) needs a window of {hi - lo + 1} counts, over {MAX_WINDOW}")
+    import numpy as np
+
     return BinomialWindow(l=l, p=p, lo=lo, log_pmf=_log_pmf(l, p, np.arange(lo, hi + 1)))
 
 

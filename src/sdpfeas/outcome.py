@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,8 +52,9 @@ class SdpOutcome:
     n: int | None = None
 
     def __post_init__(self):
-        if read_integer(self.l, "module count l") < 1:
-            raise InvalidInputError(f"module count l must be an integer >= 1, got {self.l!r}")
+        # l * p is a float: an l past the float range has no mean
+        if not 1 <= read_integer(self.l, "module count l") <= sys.float_info.max:
+            raise InvalidInputError(f"module count l must be an integer in [1, {sys.float_info.max!r}], got {self.l!r}")
         if not 0.0 < read_number(self.p, "failure probability") < 1.0:
             raise InvalidInputError(f"failure probability must lie strictly in (0, 1), got {self.p!r}")
         if self.injection is not None and getattr(self.injection, "family", None) is not HazardFamily.WEIBULL:

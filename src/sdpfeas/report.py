@@ -17,6 +17,7 @@ import datetime
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import List, Sequence
@@ -33,7 +34,7 @@ from .bounds import (
 from .errors import InvalidInputError, ParseError, read_boolean, read_choice, read_integer, read_json, read_list
 from .errors import read_number, read_object
 from .hazards import HazardModel, hazard_at, model_from_descriptor
-from .oracle import VerificationRecord, binomial_window, verify_bound
+from .oracle import MAX_TRIALS, VerificationRecord, binomial_window, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
 
 __all__ = [
@@ -116,8 +117,8 @@ class ScenarioConfig:
     def __post_init__(self):
         read_boolean(self.corrected, "corrected")
         read_boolean(self.verify_exact, "verify.exact")
-        if read_integer(self.mc_trials, "mc_trials") < 0:
-            raise InvalidInputError(f"mc_trials must be >= 0, got {self.mc_trials}")
+        if not 0 <= read_integer(self.mc_trials, "mc_trials") <= MAX_TRIALS:
+            raise InvalidInputError(f"mc_trials must lie in [0, {MAX_TRIALS}], got {self.mc_trials}")
         if self.seed is not None and not 0 <= read_integer(self.seed, "seed") < 2**128:
             raise InvalidInputError(f"seed must lie in the Philox key range [0, 2**128), got {self.seed}")
         if not 0.0 < read_number(self.epsilon, "epsilon") < 1.0:
@@ -192,14 +193,18 @@ def _count_threshold(threshold: float, scale: float) -> float:
 
     The division can land an ulp above an integer k that is exact in
     real arithmetic, and the strict '<' of Pr[X < count] would then take
-    in Pr[X = k].
+    in Pr[X = k]. The scale is positive in real arithmetic; where it
+    underflowed to 0.0, or the quotient overflows, a positive threshold
+    lies beyond every count and the count threshold is the largest float:
+    the event is certain. A threshold of 0 stays 0, the empty event.
     """
-    count = threshold / scale
-    if math.isfinite(count):
-        k = float(round(count))
-        if abs(count - k) <= 4 * math.ulp(count):
-            return k
-    return count
+    if threshold == 0:
+        return 0.0
+    count = threshold / scale if scale > 0 else math.inf
+    if not math.isfinite(count):
+        return sys.float_info.max
+    k = float(round(count))
+    return k if abs(count - k) <= 4 * math.ulp(count) else count
 
 
 def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> List[VerificationRecord]:
@@ -208,9 +213,9 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
     Every bound in the engine is a lower-tail statement about the
     underlying count X (reliability events transform to X < H(t)/t, and
     Y = scale * X at fixed t), so one scaled binomial query covers both
-    kinds of either variant. The outcome's injection marks Y rows: each Y
-    threshold becomes the count threshold threshold / scale, or the
-    integer within 4 ulp of it.
+    kinds of either variant. The outcome's injection marks Y rows: at each
+    Y row's t the scale is the injected hazard, and the threshold becomes
+    the count threshold threshold / scale (see ``_count_threshold``).
     """
     checks = [entry for entry in entries if isinstance(entry, BoundResult)]
     if not checks or not (config.verify_exact or config.mc_trials > 0):

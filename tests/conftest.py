@@ -1,9 +1,20 @@
+import json
 import math
 
 import pytest
 from scipy.integrate import quad
 
 from sdpfeas.hazards import HazardFamily, HazardModel, hazard_at
+
+
+def strict_json(text: str):
+    """``json.loads(text)``, refusing the NaN, Infinity and -Infinity that
+    ``json`` writes for non-finite floats and JSON itself does not allow."""
+
+    def reject(constant):
+        raise ValueError(f"not valid JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def quadrature_cumulative_hazard(model: HazardModel, t: float) -> float:

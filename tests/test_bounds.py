@@ -59,6 +59,11 @@ class TestKernel:
         with pytest.raises(InvalidInputError):
             chernoff_lower_tail(0.0, 0.0)
 
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(InvalidInputError, match="threshold must be finite"):
+            chernoff_lower_tail(5.0, threshold)
+
     def test_log_space_survives_huge_mu(self):
         r = chernoff_lower_tail(1e6, 1.0)
         assert r.bound == 0.0  # underflows only at the final exp
@@ -423,6 +428,11 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError):
             bound_sweep(SdpOutcome(l=10, p=0.5), HazardModel(HazardFamily.CONSTANT, lam=1.0), [])
+
+    @pytest.mark.parametrize("point", [0.0, -1.0])
+    def test_non_positive_grid_point_rejected(self, point):
+        with pytest.raises(InvalidInputError, match="must be > 0"):
+            bound_sweep(SdpOutcome(l=10, p=0.5), HazardModel(HazardFamily.CONSTANT, lam=1.0), [point, 1.0])
 
     def test_non_increasing_grid_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from sdpfeas import InvalidInputError
 from sdpfeas import oracle as oracle_module
 from sdpfeas import report as report_module
@@ -29,6 +30,7 @@ from sdpfeas.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from sdpfeas.oracle import MAX_TRIALS
 from sdpfeas.report import SEED_ENV_VAR
 from test_golden import VERIFY as GOLDEN_VERIFY
 from test_golden import VERIFY_Y as GOLDEN_VERIFY_Y
@@ -106,6 +108,21 @@ class TestMetrics:
         dst = tmp_path / "metrics.json"
         run(["metrics", "--counts", str(src), "--out", str(dst)], expect=EXIT_OK)
         assert json.loads(dst.read_text())["fraction"] == "3/20"
+
+    def test_empty_records_csv_is_an_error_line(self, run, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("")
+        _, out, err = run(["metrics", "--records", str(path)], expect=EXIT_USAGE)
+        assert out == ""
+        assert err == "error: empty CSV input; expected an 'actual,predicted' header\n"
+
+    def test_out_into_a_missing_directory_is_an_error_line(self, run, tmp_path):
+        src = tmp_path / "counts.json"
+        src.write_text(DESK_COUNTS)
+        dst = tmp_path / "missing" / "metrics.json"
+        _, out, err = run(["metrics", "--counts", str(src), "--out", str(dst)], expect=EXIT_USAGE)
+        assert out == "" and not dst.parent.exists()
+        assert err.startswith(f"error: cannot write {dst}: ") and err.count("\n") == 1
 
 
 class TestBound:
@@ -212,6 +229,14 @@ class TestSweep:
         assert len(rows) == 9
         assert rows[0]["theorem"] == "Cor7"
 
+    def test_one_step_grid_is_its_start(self, run, tmp_path):
+        # with one step the grid is [start]; stop is never read as a bound
+        one_step = dict(self.li_scenario(), time_grid={"start": 2.0, "stop": 1.0, "steps": 1})
+        point = dict(self.li_scenario(), time_grid={"t": 2.0})
+        _, out, _ = run(["sweep", "--config", write_scenario(tmp_path, one_step, "steps.json")], expect=EXIT_OK)
+        _, expected, _ = run(["sweep", "--config", write_scenario(tmp_path, point, "point.json")], expect=EXIT_OK)
+        assert out == expected and len(out.splitlines()) == 2
+
     def test_kind_major_ordering(self, run, tmp_path):
         scenario = {
             "outcome": {"l": 100, "p": 0.05},
@@ -237,6 +262,21 @@ class TestVerify:
         assert exact["holds"] is True
         assert exact["slack"] == pytest.approx(0.3694884504132441, rel=1e-10)
         assert report["scenario"] == DESK_SCENARIO
+
+    def test_mc_only_report(self, run, tmp_path):
+        scenario = dict(DESK_SCENARIO, verify={"exact": False, "mc_trials": 5000, "seed": 42})
+        _, out, _ = run(["verify", "--config", write_scenario(tmp_path, scenario)], expect=EXIT_OK)
+        report = strict_json(out)
+        assert [(r["method"], r["seed"], r["holds"]) for r in report["verification"]] == [("monte-carlo", 42, True)]
+        assert report["summary"]["all_hold"] is True
+
+    def test_no_oracle_no_records(self, run, tmp_path):
+        scenario = dict(DESK_SCENARIO, verify={"exact": False, "mc_trials": 0})
+        _, out, _ = run(["verify", "--config", write_scenario(tmp_path, scenario)], expect=EXIT_OK)
+        report = strict_json(out)
+        assert report["verification"] == []
+        assert report["summary"]["all_hold"] is True
+        assert "min_slack" not in report["summary"] and "max_slack" not in report["summary"]
 
     def test_corrupted_bound_exits_4(self, run, tmp_path, monkeypatch):
         verify_bound = report_module.verify_bound
@@ -429,6 +469,19 @@ MALFORMED = {
     "steps too many": (_replace(("time_grid",), {"start": 1.0, "stop": 2.0, "steps": 10**9}), [], None),
     "variant Y without injection": (_replace(("variant",), "Y"), [], None),
     "variant X with injection": (_replace(("variant",), "X", base=Y_DESK), [], None),
+    "t zero": (_replace(("time_grid",), {"t": 0}), [], None),
+    "t negative": (_replace(("time_grid",), {"t": -1}), [], None),
+    "stop at start": (_replace(("time_grid",), {"start": 2.0, "stop": 2.0, "steps": 3}), [], None),
+    "stop below start": (_replace(("time_grid",), {"start": 2.0, "stop": 1.0, "steps": 3}), [], None),
+    "kinds empty": (_replace(("kinds",), []), [], None),
+    "n below l": (_replace(("outcome", "n"), 99), [], None),
+    "injection K_hat zero": (_replace(("outcome", "injection"), {"K_hat": 0.0, "m_hat": 0.0}, base=Y_DESK), [], None),
+    "injection m_hat -1": (_replace(("outcome", "injection"), {"K_hat": 1.0, "m_hat": -1.0}, base=Y_DESK), [], None),
+    # the oracle's domain, each just past its cap
+    "l past 2**53": (_replace(("outcome", "l"), 10**40), [], None),
+    "l past the float range": (_replace(("outcome", "l"), 10**400), [], None),
+    "mc_trials past the cap": (_replace(("verify", "mc_trials"), MAX_TRIALS + 1), [], None),
+    "flag trials past the cap": (DESK_SCENARIO, ["--trials", str(MAX_TRIALS + 1)], None),
 }
 
 
@@ -531,6 +584,34 @@ class TestNumericLimits:
         assert report["rows"][0]["bound"] == 0.0
         assert [r["holds"] for r in report["verification"]] == [True, True]
 
+    @pytest.mark.parametrize(
+        "m, regime, oracle, code",
+        [(0.5, "valid", 1.0, EXIT_VERIFICATION), (2.0, "trivial", 0.0, EXIT_OK)],
+        ids=["certain", "empty"],
+    )
+    def test_underflowed_injection_scale(self, run, tmp_path, m, regime, oracle, code):
+        # K_hat * t**m_hat = 1e-400 underflows to 0.0. Against the positive
+        # Thm4 threshold of m = 0.5 the count threshold lies beyond every
+        # count, so the bound exp(-1/2) fails; the m = 2 threshold underflows
+        # too, and its row states Pr[Y < 0], which is empty
+        scenario = {
+            "outcome": {"l": 100, "p": 0.05, "injection": {"K_hat": 1.0, "m_hat": 2.0}},
+            "model": {"family": "weibull", "K": 1.0, "m": m},
+            "time_grid": {"t": 1e-200},
+            "kinds": ["reliability"],
+            "verify": {"exact": True, "mc_trials": 1000, "seed": 1},
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["verify", "--config", config], expect=code)
+        report = strict_json(out)
+        [row] = report["rows"]
+        assert (row["theorem"], row["regime"]) == ("Thm4", regime)
+        assert row["bound"] == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert [(r["method"], r["oracle"], r["holds"]) for r in report["verification"]] == [
+            ("exact", oracle, code == EXIT_OK),
+            ("monte-carlo", oracle, code == EXIT_OK),
+        ]
+
     def test_underflowed_oracle_ratio_from_logs(self, run, tmp_path):
         # constant lambda = 2500: the bound is 3.68e-272, the exact tail
         # prints as 0.0, and its ratio to the bound is about 1e-78
@@ -618,7 +699,7 @@ class TestJsonOutput:
     @pytest.mark.parametrize("name", ["metrics counts", "metrics records", "bound", "sweep", "verify"])
     def test_stdout_is_json_dumps_indent_2(self, run, argvs, name):
         _, out, _ = run(argvs[name], expect=EXIT_OK)
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out == json.dumps(strict_json(out), indent=2) + "\n"
 
 
 #: name -> argv; tests/golden/cli-usage.txt holds the exit code, stdout and

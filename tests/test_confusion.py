@@ -61,6 +61,11 @@ class TestConfusionFromRecords:
         with pytest.raises(ParseError):
             confusion_from_records([("clean", "maybe")])
 
+    def test_non_string_label_rejected(self):
+        with pytest.raises(ParseError, match="record 1: label 1 is not a string") as info:
+            confusion_from_records([("clean", "clean"), ("defective", 1)])
+        assert info.value.index == 1
+
 
 class TestFalseOmissionRate:
     def test_desk_example(self):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import strict_json
 from sdpfeas import (
     BoundKind,
     HazardFamily,
@@ -203,6 +204,12 @@ def test_matches_golden(name):
 def test_report_json_is_json_dumps_indent_2(descriptor):
     report = build_report(ScenarioConfig.from_descriptor(descriptor))
     assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize("name", ["verify-weibull.json", "verify-y.json"])
+def test_golden_reports_are_strict_json(name):
+    report = strict_json((GOLDEN / name).read_text())
+    assert report["verification"] and report["summary"]["all_hold"] is True
 
 
 def test_goldens_cover_every_regime_and_sign_mode():

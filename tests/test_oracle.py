@@ -20,7 +20,7 @@ from sdpfeas import (
     chernoff_lower_tail,
     verify_bound,
 )
-from sdpfeas.oracle import _STIRLERR_SMALL, _log_pmf, _strict_upper_index
+from sdpfeas.oracle import MAX_COUNT, MAX_TRIALS, MAX_WINDOW, _STIRLERR_SMALL, _log_pmf, _strict_upper_index
 
 
 def naive_tail(l, p, threshold):
@@ -326,13 +326,33 @@ class TestSharedDraw:
         assert by_threshold[-2.0].value == by_threshold[0.0].value == 0.0
         assert by_threshold[50.5].value == by_threshold[1e9].value == 1.0
 
-    @pytest.mark.parametrize("trials", [0, -5, 2.0])
+    @pytest.mark.parametrize("trials", [0, -5, 2.0, MAX_TRIALS + 1])
     def test_trials_validated(self, trials):
         with pytest.raises(InvalidInputError):
             self.window().mc_tails(self.THRESHOLDS, trials, self.SEED)
 
     def test_no_queries_no_draw(self):
         assert self.window().mc_tails([], self.TRIALS, self.SEED) == []
+
+
+class TestWindowCaps:
+    """A window the oracle cannot compute is refused before its log-pmf is
+    allocated; each case is the value just past its cap."""
+
+    def test_counts_past_2_53_refused(self):
+        # p = 1 - 2**-53 puts hi at l = 2**53 + 1, in a window of 83 counts
+        with pytest.raises(InvalidInputError, match=rf"up to {MAX_COUNT + 1}, past 2\*\*53"):
+            binomial_window(MAX_COUNT + 1, 1.0 - 2.0**-53)
+
+    def test_huge_l_refused_not_allocated(self):
+        # mean 5e29: without the cap numpy is asked for a window of 4e16 counts
+        with pytest.raises(InvalidInputError, match=r"past 2\*\*53"):
+            binomial_window(10**30, 0.5)
+
+    def test_window_past_the_cap_refused(self):
+        # sigma = 124999.5: the window mean +- (40 sigma + 40) holds 10**7 + 1 counts
+        with pytest.raises(InvalidInputError, match=f"window of {MAX_WINDOW + 1} counts"):
+            binomial_window(62_498_987_500, 0.5)
 
 
 class TestWindowEdges:

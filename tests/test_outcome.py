@@ -15,6 +15,7 @@ from sdpfeas import (
     SdpOutcome,
     expected_hazard,
     expected_reliability_bound,
+    hazard_at,
     outcome_from_descriptor,
 )
 from sdpfeas.oracle import binomial_window
@@ -172,3 +173,37 @@ class TestDescriptor:
     def test_boundary_p_rejected(self):
         with pytest.raises(InvalidInputError):
             outcome_from_descriptor({"l": 10, "p": 1.0})
+
+    @pytest.mark.parametrize(
+        "injection, message",
+        [
+            ({"K_hat": -1.0, "m_hat": 0.0}, "injection (K_hat, m_hat): weibull hazard requires K > 0, got -1.0"),
+            ({"K_hat": 0.0, "m_hat": 0.0}, "injection (K_hat, m_hat): weibull hazard requires K > 0, got 0.0"),
+            ({"K_hat": 1.0, "m_hat": -1.0}, "injection (K_hat, m_hat): weibull hazard requires m > -1, got -1.0"),
+        ],
+    )
+    def test_injection_out_of_range_names_the_injection(self, injection, message):
+        with pytest.raises(InvalidInputError) as info:
+            outcome_from_descriptor({"l": 10, "p": 0.5, "injection": injection})
+        assert str(info.value) == message
+
+
+class TestOutcomeFields:
+    def test_p_is_the_float_given(self):
+        outcome = SdpOutcome(l=20, p=0.15)
+        assert type(outcome.p) is float and outcome.p == 0.15
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5])
+    def test_p_outside_the_open_unit_interval_rejected(self, p):
+        with pytest.raises(InvalidInputError, match="failure probability must lie strictly in"):
+            SdpOutcome(l=10, p=p)
+
+    def test_non_weibull_injection_rejected(self):
+        with pytest.raises(InvalidInputError, match="injection must be a weibull HazardModel"):
+            SdpOutcome(l=10, p=0.5, injection=HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0))
+
+    def test_injection_reads_the_weibull_hazard(self):
+        injection = HazardModel(HazardFamily.WEIBULL, K=2.0, m=1.5)
+        outcome = SdpOutcome(l=10, p=0.5, injection=injection)
+        for t in (0.3, 1.0, 4.0):
+            assert expected_hazard(outcome, t) == 5.0 * hazard_at(injection, t)
