@@ -24,10 +24,10 @@ from sdpfeas import (
 # omission rate of the predictor
 matrix = ConfusionMatrix(tp=5, fn_=3, fp=2, tn=17)
 p = false_omission_rate(matrix)
-print(f"false omission rate: {p.fraction} = {p.p}")
+print(f"false omission rate: {p} = {float(p)}")
 
 # the worked numbers below use the round p = 0.05 from the write-up of
-# this scenario; swap in p.p to rerun with the measured rate
+# this scenario; swap in float(p) to rerun with the measured rate
 outcome = SdpOutcome(l=100, p=0.05)
 model = HazardModel(HazardFamily.CONSTANT, lam=2.0)
 

@@ -17,8 +17,6 @@ from .bounds import (
 )
 from .confusion import (
     ConfusionMatrix,
-    FailureProbability,
-    confusion_from_counts,
     confusion_from_records,
     false_omission_rate,
 )

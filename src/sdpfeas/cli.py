@@ -71,7 +71,7 @@ def cmd_metrics(args) -> int:
     else:
         matrix = records_from_csv(_read_text(args.records))
     p = false_omission_rate(matrix)
-    payload = {"p": p.p, "fraction": p.fraction, "confusion": matrix.to_dict()}
+    payload = {"p": float(p), "fraction": str(p), "confusion": matrix.to_dict()}
     _write_output(indented_json(payload) + "\n", args.out)
     return EXIT_OK
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Sequence
 
 from .bounds import BoundResult
-from .errors import InvalidInputError
+from .errors import InvalidInputError, read_integer, read_number
 
 if TYPE_CHECKING:
     import numpy as np
@@ -270,8 +271,10 @@ class BinomialWindow:
         The estimates share one sample, so they are perfectly correlated: a
         3-sigma test of each record is not a test of the whole campaign.
         """
-        if not isinstance(trials, int) or not 1 <= trials <= MAX_TRIALS:
+        if not 1 <= read_integer(trials, "trials") <= MAX_TRIALS:
             raise InvalidInputError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
+        if not 0 <= read_integer(seed, "seed") < 2**128:
+            raise InvalidInputError(f"seed must lie in the Philox key range [0, 2**128), got {seed!r}")
         import numpy as np
 
         # draws are integers, so X < threshold is X <= k*, with k* from the
@@ -298,9 +301,11 @@ class BinomialWindow:
 
 def binomial_window(l: int, p: float) -> BinomialWindow:
     """The log-pmf window of Binomial(l, p); see BinomialWindow."""
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise InvalidInputError(f"l must be an integer >= 1, got {l!r}")
-    if not 0.0 < p < 1.0:
+    # the window's mean l * p is a float, and p is one (a Fraction would
+    # reach numpy as an object)
+    if not 1 <= read_integer(l, "l") <= sys.float_info.max:
+        raise InvalidInputError(f"l must be an integer in [1, {sys.float_info.max!r}], got {l!r}")
+    if not 0.0 < read_number(p, "p") < 1.0:
         raise InvalidInputError(f"p must lie strictly in (0, 1), got {p!r}")
     mean, half = l * p, WINDOW_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
     lo, hi = max(0, math.floor(mean - half)), min(l, math.ceil(mean + half))

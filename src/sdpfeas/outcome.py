@@ -128,7 +128,7 @@ def outcome_from_descriptor(payload: dict) -> SdpOutcome:
     if "p" in payload:
         p = read_number(payload["p"], "outcome p")
     else:
-        p = false_omission_rate(counts_from_descriptor(payload["confusion"])).p
+        p = float(false_omission_rate(counts_from_descriptor(payload["confusion"])))
     injection = None
     if "injection" in payload:
         fields = read_object(payload["injection"], "injection descriptor", required=("K_hat", "m_hat"))

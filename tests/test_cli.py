@@ -124,6 +124,15 @@ class TestMetrics:
         assert out == "" and not dst.parent.exists()
         assert err.startswith(f"error: cannot write {dst}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fn, tn, rounded", [(10**17, 1, "1.0"), (1, 10**400, "0.0")], ids=["one", "zero"])
+    def test_p_rounding_onto_an_end_is_an_error_line(self, run, tmp_path, fn, tn, rounded):
+        # fn/(fn + tn) lies inside (0, 1), but its float does not
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"tp": 0, "fn": fn, "fp": 0, "tn": tn}))
+        _, out, err = run(["metrics", "--counts", str(path)], expect=EXIT_USAGE)
+        assert out == ""
+        assert err == f"error: failure probability must lie strictly in (0, 1), got {rounded}\n"
+
 
 class TestBound:
     def test_desk_value(self, run, tmp_path):
@@ -176,6 +185,13 @@ class TestBound:
         assert json.loads(out)["sign_mode"] == "as-published"
         _, out, _ = run(["bound", "--config", config, "--corrected"], expect=EXIT_OK)
         assert json.loads(out)["sign_mode"] == "corrected"
+
+    def test_confusion_p_rounding_to_one_is_an_error_line(self, run, tmp_path):
+        outcome = {"l": 100, "confusion": {"tp": 0, "fn": 10**17, "fp": 0, "tn": 1}}
+        config = write_scenario(tmp_path, dict(DESK_SCENARIO, outcome=outcome))
+        _, out, err = run(["bound", "--config", config], expect=EXIT_USAGE)
+        assert out == ""
+        assert err == "error: failure probability must lie strictly in (0, 1), got 1.0\n"
 
     @pytest.mark.parametrize(
         "override", [{"corrected": "false"}, {"corrected": 0}, {"verify": {"exact": "no"}}]

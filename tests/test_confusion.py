@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +10,6 @@ from sdpfeas import (
     ConfusionMatrix,
     InvalidInputError,
     ParseError,
-    confusion_from_counts,
     confusion_from_records,
     false_omission_rate,
 )
@@ -16,20 +18,20 @@ from sdpfeas.confusion import counts_from_json, records_from_csv
 
 class TestConfusionFromCounts:
     def test_identity_construction(self):
-        m = confusion_from_counts(5, 3, 2, 17)
+        m = ConfusionMatrix(5, 3, 2, 17)
         assert (m.tp, m.fn_, m.fp, m.tn) == (5, 3, 2, 17)
 
     def test_empty_matrix_allowed(self):
-        m = confusion_from_counts(0, 0, 0, 0)
-        assert m == ConfusionMatrix(0, 0, 0, 0)
+        m = ConfusionMatrix(0, 0, 0, 0)
+        assert m.to_dict() == {"tp": 0, "fn": 0, "fp": 0, "tn": 0}
 
     def test_negative_count_rejected(self):
         with pytest.raises(InvalidInputError):
-            confusion_from_counts(-1, 0, 0, 0)
+            ConfusionMatrix(-1, 0, 0, 0)
 
     def test_non_integer_rejected(self):
         with pytest.raises(InvalidInputError):
-            confusion_from_counts(1.5, 0, 0, 0)
+            ConfusionMatrix(1.5, 0, 0, 0)
 
 
 class TestConfusionFromRecords:
@@ -46,10 +48,6 @@ class TestConfusionFromRecords:
 
     def test_case_insensitive(self):
         m = confusion_from_records([("Defective", "CLEAN")])
-        assert m.fn_ == 1
-
-    def test_alias_map(self):
-        m = confusion_from_records([("buggy", "ok")], aliases={"buggy": "defective", "ok": "clean"})
         assert m.fn_ == 1
 
     def test_malformed_record_carries_index(self):
@@ -70,12 +68,13 @@ class TestConfusionFromRecords:
 class TestFalseOmissionRate:
     def test_desk_example(self):
         p = false_omission_rate(ConfusionMatrix(tp=5, fn_=3, fp=2, tn=17))
-        assert p.p == pytest.approx(0.15)
-        assert p.fraction == "3/20"
+        assert p == Fraction(3, 20)
+        assert float(p) == pytest.approx(0.15)
+        assert str(p) == "3/20"
 
     def test_symmetric_case(self):
         p = false_omission_rate(ConfusionMatrix(tp=0, fn_=1, fp=0, tn=1))
-        assert p.p == 0.5
+        assert float(p) == 0.5
 
     def test_zero_fn_rejected(self):
         with pytest.raises(AssumptionViolationError) as info:
@@ -92,12 +91,24 @@ class TestFalseOmissionRate:
     def test_scale_invariance(self, fn, tn, k):
         base = false_omission_rate(ConfusionMatrix(0, fn, 0, tn))
         scaled = false_omission_rate(ConfusionMatrix(0, fn * k, 0, tn * k))
-        assert scaled.p == pytest.approx(base.p, rel=1e-15)
+        assert float(scaled) == pytest.approx(float(base), rel=1e-15)
 
     @given(fn=st.integers(1, 10**9), tn=st.integers(1, 10**9))
     def test_strictly_inside_unit_interval(self, fn, tn):
         p = false_omission_rate(ConfusionMatrix(0, fn, 0, tn))
-        assert 0.0 < p.p < 1.0
+        assert 0.0 < float(p) < 1.0
+
+    @given(fn=st.integers(1, 10**30), tn=st.integers(1, 10**30))
+    def test_exact_ratio(self, fn, tn):
+        matrix = ConfusionMatrix(0, fn, 0, tn)
+        if fn / (fn + tn) == 1.0:  # tn is below half an ulp of fn + tn
+            with pytest.raises(InvalidInputError):
+                false_omission_rate(matrix)
+            return
+        p = false_omission_rate(matrix)
+        assert float(p) == fn / (fn + tn)
+        divisor = math.gcd(fn, fn + tn)
+        assert str(p) == f"{fn // divisor}/{(fn + tn) // divisor}"
 
     @given(
         labels=st.lists(
@@ -115,7 +126,7 @@ class TestFalseOmissionRate:
         tn = sum(1 for a, pr in labels if a == "clean" and pr == "clean")
         assert (m.fn_, m.tn) == (fn, tn)
         if fn >= 1 and tn >= 1:
-            assert false_omission_rate(m).p == pytest.approx(fn / (fn + tn), rel=1e-15)
+            assert float(false_omission_rate(m)) == pytest.approx(fn / (fn + tn), rel=1e-15)
 
 
 class TestSerializedForms:

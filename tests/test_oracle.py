@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -353,6 +355,38 @@ class TestWindowCaps:
         # sigma = 124999.5: the window mean +- (40 sigma + 40) holds 10**7 + 1 counts
         with pytest.raises(InvalidInputError, match=f"window of {MAX_WINDOW + 1} counts"):
             binomial_window(62_498_987_500, 0.5)
+
+
+class TestEntryPointArguments:
+    """``binomial_window`` and ``mc_tails`` refuse what numpy or float
+    arithmetic would fail on, under the rules of ``SdpOutcome`` and
+    ``ScenarioConfig``; each case is the value just past its rule."""
+
+    @pytest.mark.parametrize("l", [int(sys.float_info.max) + 1, 10**400])
+    @pytest.mark.parametrize("p", [0.5, 1e-300])
+    def test_l_past_the_float_range(self, l, p):
+        with pytest.raises(InvalidInputError, match="l must be an integer in"):
+            binomial_window(l, p)
+
+    def test_fraction_p_refused(self):
+        # a Fraction would reach numpy's log1p as an object
+        with pytest.raises(InvalidInputError, match=r"p must be a number, got Fraction\(3, 20\)"):
+            binomial_window(100, Fraction(3, 20))
+        assert binomial_window(100, float(Fraction(3, 20))).p == 0.15
+
+    def test_bool_trials_refused(self):
+        with pytest.raises(InvalidInputError, match="trials must be an integer, got True"):
+            binomial_window(10, 0.5).mc_tails([2.0], True, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        with pytest.raises(InvalidInputError, match="seed must"):
+            binomial_window(10, 0.5).mc_tails([2.0], 10, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_at_the_key_range_edges(self, seed):
+        [estimate] = binomial_window(10, 0.5).mc_tails([2.0], 10, seed)
+        assert estimate.seed == seed
 
 
 class TestWindowEdges:
