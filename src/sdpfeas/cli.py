@@ -18,10 +18,10 @@ import sys
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
-from .bounds import BoundResult
+# only what metrics needs: bound, sweep and verify import report and bounds
+# in their own bodies, so that metrics never loads them
 from .confusion import counts_from_json, false_omission_rate, records_from_csv
-from .errors import AssumptionViolationError, SdpFeasError
-from .report import ScenarioConfig, build_report, indented_json, run_sweep, sweep_to_csv
+from .errors import AssumptionViolationError, SdpFeasError, indented_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,8 +57,10 @@ def _write_output(text: str, out: str | None) -> None:
         raise SdpFeasError(f"cannot write {out}: {exc}") from exc
 
 
-def _load_config(args) -> ScenarioConfig:
+def _load_config(args):
     """The scenario file with the command-line flags applied, checked alike."""
+    from .report import ScenarioConfig
+
     config = ScenarioConfig.from_json(_read_text(args.config))
     flags = {"seed": args.seed, "mc_trials": args.trials, "corrected": args.corrected, "epsilon": args.epsilon}
     return dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
@@ -78,6 +80,9 @@ def cmd_metrics(args) -> int:
 
 def cmd_bound(args) -> int:
     """Compute a single bound at one time point."""
+    from .bounds import BoundResult
+    from .report import run_sweep
+
     config = _load_config(args)
     if len(config.grid) != 1 or len(config.kinds) != 1:
         print("error: 'bound' needs a single-point time grid and exactly one kind", file=sys.stderr)
@@ -89,6 +94,8 @@ def cmd_bound(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Evaluate the configured bounds over the time grid."""
+    from .report import run_sweep, sweep_to_csv
+
     config = _load_config(args)
     entries = run_sweep(config)
     if args.format == "json":
@@ -101,6 +108,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     """Run the sweep plus oracle verification and emit a feasibility report."""
+    from .report import build_report
+
     config = _load_config(args)
     report = build_report(config)
     _write_output(report.to_json() + "\n", args.out)

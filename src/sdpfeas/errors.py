@@ -1,11 +1,14 @@
-"""Exception hierarchy shared by all sdpfeas modules, and the ``read_*``
-functions every descriptor field passes through: a malformed value raises
-ParseError and is never coerced (a bool is not a number, a float is not
-an integer, a number is finite)."""
+"""Exception hierarchy shared by all sdpfeas modules, the ``read_*``
+functions every descriptor field passes through (a malformed value raises
+ParseError and is never coerced: a bool is not a number, a float is not
+an integer, a number is finite), and ``indented_json``, the writer of
+every JSON output. JSON in and JSON out live here, beside the errors, so
+that ``metrics`` loads neither the scenario stack nor the report."""
 
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 
 class SdpFeasError(Exception):
@@ -75,6 +78,71 @@ def read_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+#: the types json writes as scalars, matched exactly: any other type, a
+#: subclass too, takes the general path of indented_json
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def indented_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, with the C encoder
+    (which ``indent`` turns off) writing every container of scalars.
+
+    Encoded strings escape every newline, so an encoder whose item
+    separator is a comma, a newline and the items' indent writes a
+    container of scalars in its indented form, less the newline after the
+    opening bracket and the one before the closing bracket; those are
+    added here.
+    Other containers are joined here, one level at a time, except a list
+    of records (non-empty dicts of scalars), which takes one encoder call.
+    """
+    encoders: dict = {}
+
+    def encoder(depth: int) -> json.JSONEncoder:
+        if depth not in encoders:
+            # no cycle check: a container that reaches the encoder holds
+            # scalars or records of scalars, so it cannot hold itself
+            separators = (",\n" + "  " * (depth + 1), ": ")
+            encoders[depth] = json.JSONEncoder(check_circular=False, separators=separators)
+        return encoders[depth]
+
+    def encode(value, depth: int) -> str:
+        if isinstance(value, dict):
+            items = value.values()
+        elif isinstance(value, (list, tuple)):
+            items = value
+        else:
+            return encoder(depth).encode(value)
+        brackets = "[]" if items is value else "{}"
+        if not value:
+            return brackets
+        inner = "\n" + "  " * (depth + 1)
+        if _SCALARS.issuperset(map(type, items)):
+            body = encoder(depth).encode(value)[1:-1]
+        elif items is not value:
+            body = ("," + inner).join([_json_key(key) + ": " + encode(item, depth + 1) for key, item in value.items()])
+        elif all(type(item) is dict and item and _SCALARS.issuperset(map(type, item.values())) for item in value):
+            # the records' item separator also falls between the records,
+            # after a '}' and before a '{', where nothing else can: there it
+            # is re-indented one level out
+            deeper = inner + "  "
+            records = encoder(depth + 1).encode(value)[2:-2]
+            records = records.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+            body = "{" + deeper + records + inner + "}"
+        else:
+            body = ("," + inner).join([encode(item, depth + 1) for item in value])
+        return brackets[0] + inner + body + "\n" + "  " * depth + brackets[1]
+
+    return encode(obj, 0)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a non-string key (a number, a bool or
+    None) becomes the string json makes of it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return json.dumps({key: None})[1 : -len(": null}")]
 
 
 def read_object(payload, what: str, required=(), optional=()) -> dict:

@@ -152,6 +152,11 @@ def _log_pmf(l: int, p: float, ks: np.ndarray) -> np.ndarray:
 
     It carries no log-gamma anchor whose rounding grows with l: tested
     against 50-digit arithmetic to 1e-12 * max(1, |log Pr|) up to l = 1e6.
+
+    Near the top of the float range an intermediate overflows (l * l in
+    stirlerr, harmlessly; 2*pi*k*(l - k) and x + mean, into inf and NaN
+    entries). numpy is told not to warn of it: binomial_window refuses a
+    window with any non-finite entry.
     """
     import numpy as np
 
@@ -161,14 +166,15 @@ def _log_pmf(l: int, p: float, ks: np.ndarray) -> np.ndarray:
     inner = (ks > 0) & (ks < l)
     ki = k[inner]
     li = l - ki
-    out[inner] = (
-        _stirlerr(float(l))
-        - _stirlerr(ki)
-        - _stirlerr(li)
-        - _bd0(ki, l * p)
-        - _bd0(li, l * q)
-        - 0.5 * np.log(2.0 * math.pi * ki * li / l)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[inner] = (
+            _stirlerr(float(l))
+            - _stirlerr(ki)
+            - _stirlerr(li)
+            - _bd0(ki, l * p)
+            - _bd0(li, l * q)
+            - 0.5 * np.log(2.0 * math.pi * ki * li / l)
+        )
     out[ks == 0] = l * math.log1p(-p)
     out[ks == l] = l * math.log(p)
     return out
@@ -317,7 +323,10 @@ def binomial_window(l: int, p: float) -> BinomialWindow:
         raise InvalidInputError(f"Binomial(l={l}, p={p!r}) needs a window of {hi - lo + 1} counts, over {MAX_WINDOW}")
     import numpy as np
 
-    return BinomialWindow(l=l, p=p, lo=lo, log_pmf=_log_pmf(l, p, np.arange(lo, hi + 1)))
+    log_pmf = _log_pmf(l, p, np.arange(lo, hi + 1))
+    if not np.isfinite(log_pmf).all():
+        raise InvalidInputError(f"Binomial(l={l}, p={p!r}) has a log-pmf that overflows a float in its window")
+    return BinomialWindow(l=l, p=p, lo=lo, log_pmf=log_pmf)
 
 
 def _log_sum(terms: np.ndarray, shift: float) -> float:

@@ -14,12 +14,10 @@ analysis itself.
 from __future__ import annotations
 
 import datetime
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import List, Sequence
 
 from . import __version__ as _version
@@ -31,8 +29,8 @@ from .bounds import (
     SweepEntry,
     bound_sweep,
 )
-from .errors import InvalidInputError, ParseError, read_boolean, read_choice, read_integer, read_json, read_list
-from .errors import read_number, read_object
+from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_integer, read_json
+from .errors import read_list, read_number, read_object
 from .hazards import HazardModel, hazard_at, model_from_descriptor
 from .oracle import MAX_TRIALS, VerificationRecord, binomial_window, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
@@ -327,68 +325,3 @@ def sweep_to_csv(entries: Sequence[SweepEntry]) -> str:
         else:
             lines.append(_OUT_OF_REGIME_ROW % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta))
     return "\n".join(lines) + "\n"
-
-
-#: the types json writes as scalars, matched exactly: any other type, a
-#: subclass too, takes the general path of indented_json
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def indented_json(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, with the C encoder
-    (which ``indent`` turns off) writing every container of scalars.
-
-    Encoded strings escape every newline, so an encoder whose item
-    separator is a comma, a newline and the items' indent writes a
-    container of scalars in its indented form, less the newline after the
-    opening bracket and the one before the closing bracket; those are
-    added here.
-    Other containers are joined here, one level at a time, except a list
-    of records (non-empty dicts of scalars), which takes one encoder call.
-    """
-    encoders: dict = {}
-
-    def encoder(depth: int) -> json.JSONEncoder:
-        if depth not in encoders:
-            # no cycle check: a container that reaches the encoder holds
-            # scalars or records of scalars, so it cannot hold itself
-            separators = (",\n" + "  " * (depth + 1), ": ")
-            encoders[depth] = json.JSONEncoder(check_circular=False, separators=separators)
-        return encoders[depth]
-
-    def encode(value, depth: int) -> str:
-        if isinstance(value, dict):
-            items = value.values()
-        elif isinstance(value, (list, tuple)):
-            items = value
-        else:
-            return encoder(depth).encode(value)
-        brackets = "[]" if items is value else "{}"
-        if not value:
-            return brackets
-        inner = "\n" + "  " * (depth + 1)
-        if _SCALARS.issuperset(map(type, items)):
-            body = encoder(depth).encode(value)[1:-1]
-        elif items is not value:
-            body = ("," + inner).join([_json_key(key) + ": " + encode(item, depth + 1) for key, item in value.items()])
-        elif all(type(item) is dict and item and _SCALARS.issuperset(map(type, item.values())) for item in value):
-            # the records' item separator also falls between the records,
-            # after a '}' and before a '{', where nothing else can: there it
-            # is re-indented one level out
-            deeper = inner + "  "
-            records = encoder(depth + 1).encode(value)[2:-2]
-            records = records.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-            body = "{" + deeper + records + inner + "}"
-        else:
-            body = ("," + inner).join([encode(item, depth + 1) for item in value])
-        return brackets[0] + inner + body + "\n" + "  " * depth + brackets[1]
-
-    return encode(obj, 0)
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a non-string key (a number, a bool or
-    None) becomes the string json makes of it."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    return json.dumps({key: None})[1 : -len(": null}")]

@@ -462,6 +462,15 @@ Y_DESK = {
     "kinds": ["hazard", "reliability"],
 }
 
+#: an in-regime point checked by the exact oracle alone, for an outcome of
+#: mean about 1e5 with l near the top of the float range
+HUGE_L = {
+    "model": {"family": "constant", "lambda": 99000},
+    "time_grid": {"t": 1.0},
+    "kinds": ["hazard"],
+    "verify": {"exact": True, "mc_trials": 0},
+}
+
 #: id -> (scenario, extra argv, SDPFEAS_SEED): a value of the wrong JSON type,
 #: out of range or contradicting the outcome, from the file, a flag or the
 #: environment
@@ -498,6 +507,8 @@ MALFORMED = {
     "l past the float range": (_replace(("outcome", "l"), 10**400), [], None),
     "mc_trials past the cap": (_replace(("verify", "mc_trials"), MAX_TRIALS + 1), [], None),
     "flag trials past the cap": (DESK_SCENARIO, ["--trials", str(MAX_TRIALS + 1)], None),
+    # mean 1e5 within both caps, but 2*pi*k*(l - k) overflows in the log-pmf
+    "log-pmf past the float range": (dict(HUGE_L, outcome={"l": 10**305, "p": 1e-300}), [], None),
 }
 
 
@@ -642,6 +653,30 @@ class TestNumericLimits:
         (record,) = json.loads(out)["verification"]
         assert record["oracle"] == 0.0 and 0.0 < record["bound"]
         assert 0.0 < record["ratio"] < 1e-70
+
+    def test_l_past_the_square_range_verifies_without_a_warning(self, tmp_path):
+        # l * l overflows in the log-pmf's stirlerr, harmlessly: in a fresh
+        # process, where numpy's warnings would reach stderr, the report is
+        # the finite one and stderr stays empty
+        config = write_scenario(tmp_path, dict(HUGE_L, outcome={"l": 10**200, "p": 1e-195}))
+        result = subprocess.run(
+            [sys.executable, "-m", "sdpfeas.cli", "verify", "--config", config],
+            env=_subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        (record,) = strict_json(result.stdout)["verification"]
+        assert record == {
+            "event": f"Cor9 @ t=1.0: Pr[X < 99000.0], X ~ Binomial(l={10**200}, p=1e-195)",
+            "bound": 0.006737946999085467,
+            "oracle": 0.0007657995575108021,
+            "method": "exact",
+            "holds": True,
+            "slack": 0.0059721474415746646,
+            "ratio": 0.11365473156953344,
+        }
 
 
 #: a valid scenario whose one-field mutations must stay inside the exit-code
@@ -832,21 +867,26 @@ class TestParserBuild:
         assert added(argv) == ["metrics", "bound", "sweep", "verify"]
 
 
+#: the sdpfeas modules loaded by now, sorted
+LOADED = "sorted(name for name in sys.modules if name.split('.')[0] == 'sdpfeas')"
+
 #: runs each argv list through cli.main in one fresh interpreter and prints,
-#: after each, its exit code and whether scipy and numpy are loaded by then
-IMPORT_PROBE = """
+#: after each, its exit code, whether scipy and numpy are loaded by then,
+#: and which sdpfeas modules are
+IMPORT_PROBE = f"""
 import contextlib, io, json, sys
 from sdpfeas.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    print(json.dumps([code, "scipy" in sys.modules, "numpy" in sys.modules]))
+    print(json.dumps([code, "scipy" in sys.modules, "numpy" in sys.modules, {LOADED}]))
 """
 
 
-def _probe(*calls) -> list:
+def _run_probe(probe: str, *args: str) -> list:
+    """The JSON lines a fresh interpreter prints running ``probe``."""
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(calls)],
+        [sys.executable, "-c", probe, *args],
         env=_subprocess_env(),
         capture_output=True,
         text=True,
@@ -856,7 +896,12 @@ def _probe(*calls) -> list:
     return [json.loads(line) for line in result.stdout.splitlines()]
 
 
-#: command -> [exit code, scipy loaded, numpy loaded] after it ran
+def _probe(*calls) -> list:
+    return _run_probe(IMPORT_PROBE, json.dumps(calls))
+
+
+#: command -> [exit code, scipy loaded, numpy loaded, sdpfeas modules loaded]
+#: after it ran
 @pytest.fixture(scope="module")
 def probed(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("probe")
@@ -873,6 +918,12 @@ def probed(tmp_path_factory):
                     first + _probe(["sweep", "--config", log])))
 
 
+#: the modules ``import sdpfeas.cli`` loads, and a metrics call no more
+CLI_MODULES = ["sdpfeas", "sdpfeas.cli", "sdpfeas.confusion", "sdpfeas.errors"]
+#: the modules bench/tracer.py looks up in sys.modules
+TRACED_MODULES = ("cli", "confusion", "hazards", "outcome", "bounds", "oracle", "report")
+
+
 class TestImports:
     def test_sweep_and_metrics_never_import_scipy(self, probed):
         # verify reaches both oracles, whose log-pmf needs no scipy
@@ -881,18 +932,23 @@ class TestImports:
     def test_only_log_sweep_and_verify_load_numpy(self, probed):
         assert [command for command, state in probed.items() if state[2]] == ["verify", "log sweep"]
 
-    def test_import_loads_every_module_but_not_numpy(self):
-        # bench/tracer.py looks every sdpfeas module up in sys.modules
-        probe = (
-            "import json, pkgutil, sys, sdpfeas.cli\n"
-            "names = [info.name for info in pkgutil.iter_modules(sdpfeas.__path__)]\n"
-            "print(json.dumps([[n for n in names if 'sdpfeas.' + n not in sys.modules], 'numpy' in sys.modules]))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == [[], False]
+    def test_import_loads_only_what_metrics_needs(self):
+        probe = f"import json, sys, sdpfeas.cli\nprint(json.dumps([{LOADED}, 'numpy' in sys.modules]))"
+        assert _run_probe(probe) == [[CLI_MODULES, False]]
+
+    def test_metrics_records_loads_no_further_module(self, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text("actual,predicted\ndefective,clean\nclean,clean\n")
+        assert _probe(["metrics", "--records", str(records)]) == [[EXIT_OK, False, False, CLI_MODULES]]
+
+    def test_a_sweep_loads_every_module_the_benchmark_tracer_looks_up(self, tmp_path):
+        # bench/tracer.py indexes sys.modules by these names once the
+        # benchmark's first round has run
+        grid = {"start": 0.5, "stop": 9.5, "steps": 40, "spacing": "linear"}
+        linear = write_scenario(tmp_path, dict(DESK_SCENARIO, time_grid=grid))
+        [[code, _, _, loaded]] = _probe(["sweep", "--config", linear])
+        assert code == EXIT_OK
+        assert {f"sdpfeas.{name}" for name in TRACED_MODULES} <= set(loaded)
 
 
 if __name__ == "__main__":

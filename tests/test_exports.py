@@ -1,10 +1,13 @@
 """Every public name each sdpfeas module lists in ``__all__`` exists, so a
-deleted function cannot linger as a stale export; and no module imports
-numpy at import time, so the commands that never use it do not pay for it."""
+deleted function cannot linger as a stale export, and so does every name
+the package resolves lazily. No module imports numpy at import time, and
+the CLI imports no scenario module at import time, so the commands that
+never use them do not pay for them."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,21 +36,70 @@ def test_star_import(name):
     assert set(getattr(module, "__all__", ())) <= set(namespace)
 
 
-def numpy_imports_at_import_time(nodes):
-    """Line numbers of the ``import numpy`` and ``from numpy ...`` statements
-    that run when the module is imported: outside function bodies and outside
-    the body of ``if TYPE_CHECKING:``."""
+#: the 40 names the package re-exports, each from the module defining it
+PACKAGE_EXPORTS = [
+    "AssumptionViolationError", "BinomialWindow", "BoundKind", "BoundResult", "ConfusionMatrix", "DomainError",
+    "FeasibilityReport", "HazardFamily", "HazardModel", "InvalidInputError", "NumericOverflowError", "OutOfRegime",
+    "OutOfRegimeError", "ParseError", "Regime", "ScenarioConfig", "SdpFeasError", "SdpOutcome", "TailEstimate",
+    "TailMethod", "VerificationRecord", "binomial_window", "bound_sweep", "build_report", "chernoff_lower_tail",
+    "confusion_from_records", "cumulative_hazard", "expected_hazard", "expected_reliability_bound",
+    "false_omission_rate", "hazard_at", "hazard_bound", "model_from_descriptor", "outcome_from_descriptor",
+    "reliability_at", "reliability_bound", "reliability_tail_threshold", "run_sweep", "sweep_to_csv", "verify_bound",
+]
+
+
+class TestPackageExports:
+    """The package resolves its re-exports lazily; its table must not go stale."""
+
+    def test_all_is_the_40_names(self):
+        assert sorted(sdpfeas.__all__) == PACKAGE_EXPORTS and len(sdpfeas.__all__) == 40
+
+    @pytest.mark.parametrize("name", PACKAGE_EXPORTS)
+    def test_name_resolves_to_the_object_its_module_defines(self, name):
+        value = sdpfeas.__getattr__(name)
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("sdpfeas.")
+        assert getattr(module, name) is value is getattr(sdpfeas, name)
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from sdpfeas import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == PACKAGE_EXPORTS
+
+    @pytest.mark.parametrize("name", ["frobnicate", "expected_hazard_x", "indented_json"])
+    def test_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=f"module 'sdpfeas' has no attribute '{name}'"):
+            getattr(sdpfeas, name)
+
+
+def imported_modules(node) -> list:
+    """The absolute names of the modules an import statement names, reading
+    a relative import as one from inside the sdpfeas package."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module if not node.level else ".".join(filter(None, ["sdpfeas", node.module]))
+    return [f"{base}.{alias.name}" for alias in node.names] if node.module is None else [base]
+
+
+def imports_at_import_time(nodes, modules):
+    """Line numbers of the import statements that run when the module is
+    imported (outside function bodies and outside the body of ``if
+    TYPE_CHECKING:``) and name one of ``modules`` or a submodule of one."""
     for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
-            yield from numpy_imports_at_import_time(node.orelse)
-        elif isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names):
-            yield node.lineno
-        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "numpy":
-            yield node.lineno
+            yield from imports_at_import_time(node.orelse, modules)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = imported_modules(node)
+            if any(name == module or name.startswith(module + ".") for name in names for module in modules):
+                yield node.lineno
         else:
-            yield from numpy_imports_at_import_time(ast.iter_child_nodes(node))
+            yield from imports_at_import_time(ast.iter_child_nodes(node), modules)
+
+
+#: the modules cli.py may import only inside the commands that use them
+SCENARIO_MODULES = tuple(f"sdpfeas.{name}" for name in ("report", "bounds", "hazards", "outcome", "oracle"))
 
 
 def test_numpy_guard_sees_every_import_time_statement():
@@ -64,11 +116,38 @@ class C:
         import os, numpy.linalg
     except ImportError:
         pass
+from .numpy import x
+import numpyro
 """
-    assert list(numpy_imports_at_import_time(ast.parse(source).body)) == [2, 6, 11]
+    assert list(imports_at_import_time(ast.parse(source).body, ["numpy"])) == [2, 6, 11]
 
 
-@pytest.mark.parametrize("path", sorted(Path(sdpfeas.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_cli_guard_sees_every_import_time_statement():
+    source = """
+from .report import run_sweep
+from . import oracle, errors
+from .confusion import records_from_csv
+import sdpfeas.bounds
+from sdpfeas.hazards import hazard_at
+from .reporting import x
+def cmd():
+    from .outcome import SdpOutcome
+if TYPE_CHECKING:
+    from .report import ScenarioConfig
+"""
+    assert list(imports_at_import_time(ast.parse(source).body, SCENARIO_MODULES)) == [2, 3, 5, 6]
+
+
+SOURCES = sorted(Path(sdpfeas.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_numpy_import_at_import_time(path):
-    lines = list(numpy_imports_at_import_time(ast.parse(path.read_text(), str(path)).body))
+    lines = list(imports_at_import_time(ast.parse(path.read_text(), str(path)).body, ["numpy"]))
     assert lines == [], f"{path.name} imports numpy at import time on line(s) {lines}"
+
+
+def test_cli_imports_no_scenario_module_at_import_time():
+    path = Path(sdpfeas.__file__).parent / "cli.py"
+    lines = list(imports_at_import_time(ast.parse(path.read_text(), str(path)).body, SCENARIO_MODULES))
+    assert lines == [], f"cli.py imports a scenario module at import time on line(s) {lines}"

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -355,6 +356,29 @@ class TestWindowCaps:
         # sigma = 124999.5: the window mean +- (40 sigma + 40) holds 10**7 + 1 counts
         with pytest.raises(InvalidInputError, match=f"window of {MAX_WINDOW + 1} counts"):
             binomial_window(62_498_987_500, 0.5)
+
+    def test_non_finite_log_pmf_refused(self):
+        # mean 1e5 and a window of 25 000 counts, within both caps, but
+        # 2*pi*k*(l - k) overflows: the log-pmf would be NaN, and no numpy
+        # warning may come first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"Binomial\(l=10{305}, p=1e-300\) has a log-pmf that overflows"):
+                binomial_window(10**305, 1e-300)
+
+    def test_l_1e20_matches_the_poisson_limit(self):
+        window = binomial_window(10**20, 1e-17)
+        ks = np.arange(window.lo, window.hi + 1)
+        poisson = np.array([k * math.log(1000.0) - 1000.0 - math.lgamma(k + 1) for k in ks.tolist()])
+        assert np.all(np.abs(window.log_pmf - poisson) <= 1e-12 * np.maximum(1.0, np.abs(poisson)))
+
+    def test_l_past_the_square_range_warns_of_nothing(self):
+        # l * l overflows in stirlerr at l = 1e200, where its series term
+        # vanishes anyway: the window is finite, and numpy stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            window = binomial_window(10**200, 1e-195)
+        assert np.isfinite(window.log_pmf).all()
 
 
 class TestEntryPointArguments:
