@@ -6,19 +6,22 @@ integer-valued X and integral threshold k, Pr[X < k] = CDF(k - 1). An
 off-by-one here would silently invalidate every soundness check, so one
 helper, ``_strict_upper_index``, centralises it.
 
-Both oracles are methods of one object, ``binomial_window(l, p)``: Loader's
-saddle-point log Pr[X = k] over mean +- (40 sigma + 40), evaluated once per
-(l, p) of a campaign in O(sqrt(l)) time. ``exact_tail`` sums the terms
-within 40 nats of the largest one, once per distinct k*; ``mc_tails``
-reads every hit count from one sorted draw of uniforms at the window's CDF.
+Both oracles are methods of one object, ``binomial_window(l, p)``, which
+checks (l, p) once. ``exact_tail`` computes log Pr[X <= k*] once per
+distinct k*, in plain ``math``: one Loader saddle-point term log Pr[X = k*]
+plus the log of a sum of pmf ratios taken down from k* (above the mean,
+log1p(-U) of the same kind of sum U taken up from k* + 1), stopped once a
+geometric bound on the dropped terms is below 2**-60 of the sum. The work
+is O(sigma) per distinct k* at most, and far less in a deep tail.
+``mc_tails`` reads every hit count from one sorted draw of uniforms at
+those same exact tails.
 
 The Monte-Carlo sampler uses the Philox counter-based generator, so a
 (seed, trials, threshold) triple maps to a bit-reproducible estimate
 regardless of how the trials are scheduled.
 
-Each function that uses numpy imports it in its own body, so importing
-this module (and with it the CLI) does not load numpy: only ``verify``
-pays for it.
+Only ``mc_tails`` uses numpy, and it imports it in its own body: neither
+importing this module nor an exact-only ``verify`` loads numpy.
 """
 
 from __future__ import annotations
@@ -27,13 +30,10 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Sequence
+from typing import List, Sequence
 
 from .bounds import BoundResult
 from .errors import InvalidInputError, read_integer, read_number
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "TailMethod",
@@ -95,56 +95,52 @@ _STIRLERR_SMALL = (
     0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
 )
-#: the window holds mean +- (WINDOW_SIGMAS * sigma + WINDOW_SIGMAS); the
-#: mass outside it is below exp(-55) (Bernstein's inequality)
-WINDOW_SIGMAS = 40
-#: exact-tail terms more than this many nats below the tail's largest term
-#: are dropped
-TAIL_SPAN = 40.0
-#: the largest count a window may hold: past 2**53 a float no longer holds
-#: every integer, so neither the log-pmf nor a threshold can name one count
+#: counts more than SPAN_SIGMAS * (sigma + 1) from the mean hold less than
+#: exp(-55) of the mass (Bernstein's inequality), and one tail sums fewer
+#: terms than that span: its ratio sum stops within 9.2 (sigma + 1) terms
+#: (measured for l = 10..4e10, p = 1e-9..1 - 1e-9, k* across the support)
+SPAN_SIGMAS = 40
+#: a ratio sum stops once the terms it drops are bounded by this share of it
+DROP = 2.0**-60
+#: the largest count a tail may need: past 2**53 a float no longer holds
+#: every integer, so neither a log-pmf term nor a threshold can name one count
 MAX_COUNT = 2**53
-#: entries a window may hold, checked before it is allocated
-MAX_WINDOW = 10**7
+#: terms one tail may sum, checked from sigma before any is summed; a tail
+#: at the cap takes about 0.15 s on a 2-vCPU x86-64 host (Python 3.11)
+MAX_TERMS = 2 * 10**6
 #: trials one Monte-Carlo draw may ask for, checked before it is allocated
 MAX_TRIALS = 10**8
 
 
-def _stirlerr(n):
+def _stirlerr(n: float) -> float:
     """The error of Stirling's formula in log n!, for integers n >= 1."""
-    import numpy as np
-
+    if n <= 15:
+        return _STIRLERR_SMALL[int(n)]
     nn = n * n
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
-    return np.where(n <= 15, np.array(_STIRLERR_SMALL)[np.minimum(n, 15).astype(np.intp)], series)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
 
 
-def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
+def _bd0(x: float, mean: float) -> float:
     """The deviance term x*log(x/mean) + mean - x, without the cancellation
     of that form: a series in v = (x - mean)/(x + mean) near the mean."""
-    import numpy as np
-
     d = x - mean
-    out = x * np.log1p(d / mean) - d
-    near = np.abs(d) < 0.1 * (x + mean)
-    if near.any():
-        xs, ds = x[near], d[near]
-        v = ds / (xs + mean)
-        s, ej, v2 = ds * v, 2.0 * xs * v, v * v
-        for j in range(1, 1000):
-            ej = ej * v2
-            s1 = s + ej / (2 * j + 1)
-            if np.array_equal(s1, s):
-                break
-            s = s1
-        out[near] = s1
-    return out
+    if not abs(d) < 0.1 * (x + mean):
+        return x * math.log1p(d / mean) - d
+    v = d / (x + mean)
+    s, ej, v2 = d * v, 2.0 * x * v, v * v
+    for j in range(1, 1000):
+        ej *= v2
+        s1 = s + ej / (2 * j + 1)
+        if s1 == s:
+            break
+        s = s1
+    return s1
 
 
-def _log_pmf(l: int, p: float, ks: np.ndarray) -> np.ndarray:
-    """log Pr[X = k] for each k in ``ks`` (integers in [0, l]), X ~
-    Binomial(l, p), by Loader's saddle-point form (C. Loader, "Fast and
-    Accurate Computation of Binomial Probabilities", 2000):
+def _log_pmf(l: int, p: float, k: int) -> float:
+    """log Pr[X = k] for an integer k in [0, l], X ~ Binomial(l, p), by
+    Loader's saddle-point form (C. Loader, "Fast and Accurate Computation
+    of Binomial Probabilities", 2000):
 
         log Pr[X = k] = stirlerr(l) - stirlerr(k) - stirlerr(l - k)
                         - bd0(k, l*p) - bd0(l - k, l*q)
@@ -153,77 +149,77 @@ def _log_pmf(l: int, p: float, ks: np.ndarray) -> np.ndarray:
     It carries no log-gamma anchor whose rounding grows with l: tested
     against 50-digit arithmetic to 1e-12 * max(1, |log Pr|) up to l = 1e6.
 
-    Near the top of the float range an intermediate overflows (l * l in
-    stirlerr, harmlessly; 2*pi*k*(l - k) and x + mean, into inf and NaN
-    entries). numpy is told not to warn of it: binomial_window refuses a
-    window with any non-finite entry.
+    Near the ends of the float range an intermediate overflows (l * l in
+    stirlerr, harmlessly; 2*pi*k*(l - k) or, for a subnormal l*p,
+    k / (l*p), into an infinite term): binomial_window refuses a binomial
+    whose term at the highest count a tail may need is not finite.
     """
-    import numpy as np
+    if k == 0:
+        return l * math.log1p(-p)
+    if k == l:
+        return l * math.log(p)
+    x, y = float(k), float(l - k)
+    return (
+        _stirlerr(float(l)) - _stirlerr(x) - _stirlerr(y)
+        - _bd0(x, l * p) - _bd0(y, l * (1.0 - p))
+        - 0.5 * math.log(2.0 * math.pi * x * y / l)
+    )
 
-    q = 1.0 - p
-    k = ks.astype(float)
-    out = np.empty(len(k))
-    inner = (ks > 0) & (ks < l)
-    ki = k[inner]
-    li = l - ki
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[inner] = (
-            _stirlerr(float(l))
-            - _stirlerr(ki)
-            - _stirlerr(li)
-            - _bd0(ki, l * p)
-            - _bd0(li, l * q)
-            - 0.5 * np.log(2.0 * math.pi * ki * li / l)
-        )
-    out[ks == 0] = l * math.log1p(-p)
-    out[ks == l] = l * math.log(p)
-    return out
+
+def _ratio_sum(l: int, k: int, p: float, q: float) -> float:
+    """Pr[X <= k] / Pr[X = k] for X ~ Binomial(l, p), q = 1 - p and k below
+    the mean: 1 + r_k + r_k * r_(k-1) + ..., where r_i = i*q / ((l + 1 - i)*p)
+    is Pr[X = i - 1] / Pr[X = i]. Run on l - X (p and q swapped, k = l - k* - 1)
+    it is Pr[X > k*] / Pr[X = k* + 1].
+
+    Below the mean every r_i < 1, and r_i falls as i does (the pmf is
+    log-concave), so the terms after one reached with ratio r sum to at
+    most term * r / (1 - r); the sum stops once that is below DROP of it.
+    Every term is positive, so its relative error is O(terms * ulp).
+    """
+    total = term = 1.0
+    top = l + 1
+    for i in range(k, 0, -1):
+        r = i * q / ((top - i) * p)
+        term *= r
+        total += term
+        if term * r < DROP * (1.0 - r) * total:
+            break
+    return total
 
 
 @dataclass(frozen=True, eq=False)
 class BinomialWindow:
-    """log Pr[X = k] for k = lo..hi, X ~ Binomial(l, p): the window mean
-    +- (40 sigma + 40) clipped to [0, l], which holds all but exp(-55) of
-    the mass. One window answers every exact tail and the Monte-Carlo draw
-    of a verify campaign; it is evaluated once, in O(sqrt(l pq)) time."""
+    """Both oracles of X ~ Binomial(l, p), for the parameters that
+    ``binomial_window`` has checked: exact tails in plain ``math``, each
+    summed once per k* and remembered, and Monte-Carlo hit counts read at
+    those same tails. It holds no window of terms; the name is public API."""
 
     l: int
     p: float
-    lo: int
-    log_pmf: np.ndarray
-    #: k* -> (value, log_value) of every exact tail this window has summed
+    #: k* -> (value, log_value) of every exact tail this oracle has summed
     _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.log_pmf) - 1
-
-    @property
-    def mode(self) -> int:
-        return min(math.floor((self.l + 1) * self.p), self.l)
 
     def describe(self, threshold: float) -> str:
         """The event Pr[X < threshold], strict '<', as the report prints it."""
         return f"Pr[X < {threshold!r}], X ~ Binomial(l={self.l}, p={self.p!r})"
 
     def exact_tail(self, threshold: float) -> TailEstimate:
-        """Pr[X < threshold], from Loader's log-pmf.
+        """Pr[X < threshold], from Loader's log-pmf and a ratio sum.
 
-        The terms are read from this window: from the largest term of
-        [0, k*] down to the first term more than 40 nats below it, and up
-        to min(k*, hi). Where that first term lies below the window (k*
-        below or just above its low edge), the tail evaluates its own short
-        run down from k*. The binomial pmf is log-concave: the terms rise up
-        to the mode, and below the cut each term falls from the one above
-        by at least the mean step of the J summed terms below the peak,
-        which is over 40/J nats. The dropped terms below therefore sum to
-        less than exp(-40) * (1 + J/40) of the tail, and those above the
-        window to less than exp(-55).
+        log Pr[X <= k*] is one Loader term log Pr[X = k*] plus the log of
+        the ratio sum down from k* (``_ratio_sum``) where k* lies below the
+        mean l*p; at or above it, log1p(-U), where U = Pr[X > k*] is the
+        same kind of sum taken up from k* + 1. Each branch sums the side of
+        k* away from the mean, which holds at most about half the mass, so
+        neither cancels: a deep tail keeps its relative accuracy, and so
+        does the log of a tail within 1e-11 of 1.
 
-        Tested against 30-digit full-support sums to 1e-12 relative (of the
-        log, once the tail is below 1/e) at l = 3000 for every k* and at
-        l = 2e4 at the window's edges, the mode and the deep tail; the terms
-        themselves are tested to the same bound up to l = 1e6.
+        Tested against 30- and 40-digit full-support sums to 1e-12 relative
+        (of the log, once the tail is below 1/e) at l = 3000 for every k*,
+        at l = 2e4 in the bulk and the deep tails and for random (l, p, k*)
+        up to l = 5000; the Loader terms themselves to the same bound up to
+        l = 1e6.
         """
         k_star = _strict_upper_index(threshold, self.l)
         if k_star < 0:
@@ -233,46 +229,30 @@ class BinomialWindow:
         # the tail depends on threshold only through k*: sum it once
         tail = self._tails.get(k_star)
         if tail is None:
-            log_value = min(self._log_cdf(k_star), 0.0)
+            log_value = self._log_cdf(k_star)
             tail = self._tails[k_star] = (math.exp(log_value), log_value)
         return TailEstimate(tail[0], TailMethod.EXACT, None, None, None, tail[1])
 
     def _log_cdf(self, k_star: int) -> float:
         """log Pr[X <= k_star] for 0 <= k_star < l; see exact_tail."""
-        import numpy as np
-
         l, p = self.l, self.p
-        peak_at = min(k_star, self.mode)
-        if peak_at >= self.lo:
-            terms = self.log_pmf[: min(k_star, self.hi) - self.lo + 1]
-            peak = terms[peak_at - self.lo]
-            # terms rise up to the mode (log-concavity), so the first one
-            # within TAIL_SPAN of the peak is found by bisection
-            cut = int(np.searchsorted(terms[: peak_at - self.lo + 1], peak - TAIL_SPAN))
-            if cut > 0 or self.lo == 0:
-                return _log_sum(terms[max(cut - 1, 0):], peak)
-        # the cut lies below the window: evaluate the run down from the peak
-        # on its own. The peak is then k* below the mode (whose term lies
-        # over 100 nats above the window's low edge), so the step down from
-        # it is positive, and each step below is at least as large
-        # (log-concavity)
-        step = math.log((l - peak_at + 1) * p / (peak_at * (1.0 - p))) if peak_at > 0 else math.inf
-        width = min(peak_at, math.ceil(TAIL_SPAN / step) + 1)
-        terms = _log_pmf(l, p, np.arange(peak_at - width, peak_at + 1))
-        return _log_sum(terms, terms[-1])
+        q = 1.0 - p
+        if k_star < l * p:
+            return _log_pmf(l, p, k_star) + math.log(_ratio_sum(l, k_star, p, q))
+        upper = _log_pmf(l, p, k_star + 1) + math.log(_ratio_sum(l, l - k_star - 1, q, p))
+        return math.log1p(-math.exp(upper))
 
     def mc_tails(self, thresholds: Sequence[float], trials: int, seed: int) -> List[TailEstimate]:
         """Monte-Carlo estimates of Pr[X < threshold] for each of
         ``thresholds`` from one draw of ``trials`` Binomial(l, p) samples,
-        seeded by ``seed`` and inverted over this window. Reruns with the
+        seeded by ``seed`` and inverted over the exact CDF. Reruns with the
         same (seed, trials) are bit-identical, and each estimate equals
         the one a draw for its threshold alone would give.
 
-        Inversion draws lo + #{j : cdf[j] <= u} for a uniform u, so a draw
-        is at most k* exactly when u < cdf[k* - lo]: each hit count is read
-        from the sorted uniforms at that one cut, with no draw formed. The
-        mass outside the window, below exp(-55), is far below the 2**-53
-        step of a uniform.
+        Inversion draws #{k : Pr[X <= k] <= u} for a uniform u, so a draw
+        is at most k* exactly when u < Pr[X <= k*]: each hit count is read
+        from the sorted uniforms at that one cut, the exact tail of k*,
+        with no draw formed.
 
         The estimates share one sample, so they are perfectly correlated: a
         3-sigma test of each record is not a test of the whole campaign.
@@ -281,24 +261,17 @@ class BinomialWindow:
             raise InvalidInputError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
         if not 0 <= read_integer(seed, "seed") < 2**128:
             raise InvalidInputError(f"seed must lie in the Philox key range [0, 2**128), got {seed!r}")
+        # draws are integers, so X < threshold is X <= k*, and its cut is
+        # the exact tail Pr[X < threshold]
+        cuts = [self.exact_tail(threshold).value for threshold in thresholds]
+        if not cuts:
+            return []
         import numpy as np
 
-        # draws are integers, so X < threshold is X <= k*, with k* from the
-        # strictness convention above
-        k_stars = [_strict_upper_index(threshold, self.l) for threshold in thresholds]
-        if not k_stars:
-            return []
-        # cuts[i] = cdf[i - 1]: cuts[0] = 0 takes every k* below lo (no
-        # hits), and cuts[-1] = 1 every k* at or above hi (all hits)
-        cuts = np.empty(len(self.log_pmf) + 1)
-        cuts[0] = 0.0
-        np.cumsum(np.exp(self.log_pmf), out=cuts[1:])
-        cuts[-1] = 1.0
         uniforms = np.random.Generator(np.random.Philox(key=seed)).random(trials)
         uniforms.sort()
-        index = np.clip(np.array(k_stars) - (self.lo - 1), 0, len(cuts) - 1)
         estimates = []
-        for hits in np.searchsorted(uniforms, cuts[index], side="left").tolist():
+        for hits in np.searchsorted(uniforms, cuts, side="left").tolist():
             value = hits / trials
             stderr = math.sqrt(value * (1.0 - value) / trials)
             estimates.append(TailEstimate(value, TailMethod.MONTE_CARLO, trials, stderr, seed))
@@ -306,33 +279,28 @@ class BinomialWindow:
 
 
 def binomial_window(l: int, p: float) -> BinomialWindow:
-    """The log-pmf window of Binomial(l, p); see BinomialWindow."""
-    # the window's mean l * p is a float, and p is one (a Fraction would
-    # reach numpy as an object)
+    """The oracle of Binomial(l, p); see BinomialWindow. It refuses, before
+    any term is summed, a binomial whose tails it cannot compute."""
+    # p is a float (a Fraction would carry every ratio of a sum as a rational)
     if not 1 <= read_integer(l, "l") <= sys.float_info.max:
         raise InvalidInputError(f"l must be an integer in [1, {sys.float_info.max!r}], got {l!r}")
     if not 0.0 < read_number(p, "p") < 1.0:
         raise InvalidInputError(f"p must lie strictly in (0, 1), got {p!r}")
-    mean, half = l * p, WINDOW_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
-    lo, hi = max(0, math.floor(mean - half)), min(l, math.ceil(mean + half))
+    span = SPAN_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
+    hi = min(l, math.ceil(l * p + span))
     if hi > MAX_COUNT:
         raise InvalidInputError(
             f"Binomial(l={l}, p={p!r}) needs counts up to {hi}, past 2**53, where floats skip integers"
         )
-    if hi - lo + 1 > MAX_WINDOW:
-        raise InvalidInputError(f"Binomial(l={l}, p={p!r}) needs a window of {hi - lo + 1} counts, over {MAX_WINDOW}")
-    import numpy as np
-
-    log_pmf = _log_pmf(l, p, np.arange(lo, hi + 1))
-    if not np.isfinite(log_pmf).all():
-        raise InvalidInputError(f"Binomial(l={l}, p={p!r}) has a log-pmf that overflows a float in its window")
-    return BinomialWindow(l=l, p=p, lo=lo, log_pmf=log_pmf)
-
-
-def _log_sum(terms: np.ndarray, shift: float) -> float:
-    import numpy as np
-
-    return float(shift + math.log(np.exp(terms - shift).sum()))
+    if span > MAX_TERMS:
+        raise InvalidInputError(f"Binomial(l={l}, p={p!r}) may sum up to {math.ceil(span)} terms in one tail, over {MAX_TERMS}")
+    # within the caps, the intermediates that can overflow, 2*pi*k*(l - k)
+    # and k / (l*p), grow with k: if the term at the highest count below l
+    # that a tail may need is finite, so is every term below it
+    top = min(hi, l - 1)
+    if not math.isfinite(_log_pmf(l, p, top)):
+        raise InvalidInputError(f"Binomial(l={l}, p={p!r}) has a log-pmf that overflows a float at count {top}")
+    return BinomialWindow(l=l, p=p)
 
 
 @dataclass(slots=True)

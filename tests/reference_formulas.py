@@ -9,6 +9,7 @@ them to call into sdpfeas.
 import math
 
 import numpy as np
+from scipy.stats import binom
 
 
 def mu_r(l, p, t):
@@ -114,11 +115,10 @@ def thm4_injected_reliability(l, p, K_hat, m_hat, K, m, t, corrected):
 
 # -- reference sampler -------------------------------------------------------
 
-def sample_binomial(rng, window, trials):
-    """``trials`` Binomial(l, p) draws by inversion of the CDF over
-    ``window`` (a ``BinomialWindow``), one uniform each: each uniform is
-    searched in the CDF, with no sort. The mass outside the window, below
-    exp(-55), is far below the 2**-53 step of a uniform."""
-    cdf = np.cumsum(np.exp(window.log_pmf))
+def sample_binomial(rng, l, p, trials):
+    """``trials`` Binomial(l, p) draws by inversion of the CDF, one uniform
+    each: each uniform is searched, with no sort, in the cumulative sum of
+    scipy's pmf over the whole support [0, l]."""
+    cdf = np.cumsum(binom.pmf(np.arange(l + 1), l, p))
     cdf[-1] = 1.0
-    return window.lo + np.searchsorted(cdf, rng.random(trials), side="right")
+    return np.searchsorted(cdf, rng.random(trials), side="right")

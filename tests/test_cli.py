@@ -346,12 +346,12 @@ class TestVerify:
         assert mc["seed"] == 42
 
     def test_one_mc_draw_per_verify(self, run, tmp_path, monkeypatch):
-        evaluations, draws = [], []
-        log_pmf = oracle_module._log_pmf
+        summed, draws = [], []
+        log_cdf = oracle_module.BinomialWindow._log_cdf
 
-        def counting_log_pmf(l, p, ks):
-            evaluations.append((l, p, len(ks)))
-            return log_pmf(l, p, ks)
+        def counting_log_cdf(window, k_star):
+            summed.append(k_star)
+            return log_cdf(window, k_star)
 
         class CountingGenerator(np.random.Generator):
             """Records the size of every uniform draw."""
@@ -360,15 +360,19 @@ class TestVerify:
                 draws.append(size)
                 return super().random(size, *args, **kwargs)
 
-        monkeypatch.setattr(oracle_module, "_log_pmf", counting_log_pmf)
+        monkeypatch.setattr(oracle_module.BinomialWindow, "_log_cdf", counting_log_cdf)
         monkeypatch.setattr(np.random, "Generator", CountingGenerator)
         config = write_scenario(tmp_path, GOLDEN_VERIFY)
         _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
         records = json.loads(out)["verification"]
         assert sum(r["method"] == "exact" for r in records) > 1
         assert sum(r["method"] == "monte-carlo" for r in records) > 1
-        # l = 2000, p = 0.004: mean 8, sigma 2.8, so the window is [0, 161]
-        assert evaluations == [(2000, 0.004, 162)]
+        # one tail summed per distinct k* in [0, l), shared by both oracles
+        l = GOLDEN_VERIFY["outcome"]["l"]
+        thresholds = {float(r["event"].split("Pr[X < ")[1].split("]")[0]) for r in records}
+        k_stars = {oracle_module._strict_upper_index(threshold, l) for threshold in thresholds}
+        assert len(k_stars) > 1
+        assert sorted(summed) == sorted(k for k in k_stars if 0 <= k < l)
         assert draws == [4000]
 
     def test_y_count_threshold_on_the_lattice(self, run, tmp_path):
@@ -656,8 +660,9 @@ class TestNumericLimits:
 
     def test_l_past_the_square_range_verifies_without_a_warning(self, tmp_path):
         # l * l overflows in the log-pmf's stirlerr, harmlessly: in a fresh
-        # process, where numpy's warnings would reach stderr, the report is
-        # the finite one and stderr stays empty
+        # process, where any warning would reach stderr, the report is the
+        # finite one (within 6e-15 of the Poisson(1e5) tail) and stderr
+        # stays empty
         config = write_scenario(tmp_path, dict(HUGE_L, outcome={"l": 10**200, "p": 1e-195}))
         result = subprocess.run(
             [sys.executable, "-m", "sdpfeas.cli", "verify", "--config", config],
@@ -671,11 +676,11 @@ class TestNumericLimits:
         assert record == {
             "event": f"Cor9 @ t=1.0: Pr[X < 99000.0], X ~ Binomial(l={10**200}, p=1e-195)",
             "bound": 0.006737946999085467,
-            "oracle": 0.0007657995575108021,
+            "oracle": 0.000765799557510798,
             "method": "exact",
             "holds": True,
-            "slack": 0.0059721474415746646,
-            "ratio": 0.11365473156953344,
+            "slack": 0.005972147441574669,
+            "ratio": 0.11365473156953283,
         }
 
 
@@ -931,6 +936,13 @@ class TestImports:
 
     def test_only_log_sweep_and_verify_load_numpy(self, probed):
         assert [command for command, state in probed.items() if state[2]] == ["verify", "log sweep"]
+
+    def test_exact_only_linear_verify_loads_no_numpy(self, tmp_path):
+        # the exact oracle is plain math; only the MC draw and a log grid need numpy
+        scenario = dict(DESK_SCENARIO, time_grid={"start": 0.5, "stop": 9.5, "steps": 40, "spacing": "linear"},
+                        verify={"exact": True, "mc_trials": 0})
+        [[code, scipy, numpy, _]] = _probe(["verify", "--config", write_scenario(tmp_path, scenario)])
+        assert (code, scipy, numpy) == (EXIT_OK, False, False)
 
     def test_import_loads_only_what_metrics_needs(self):
         probe = f"import json, sys, sdpfeas.cli\nprint(json.dumps([{LOADED}, 'numpy' in sys.modules]))"

@@ -2,7 +2,8 @@
 deleted function cannot linger as a stale export, and so does every name
 the package resolves lazily. No module imports numpy at import time, and
 the CLI imports no scenario module at import time, so the commands that
-never use them do not pay for them."""
+never use them do not pay for them. Within the oracle, only the
+Monte-Carlo draw imports numpy, so an exact-only verify never loads it."""
 
 import ast
 import importlib
@@ -151,3 +152,40 @@ def test_cli_imports_no_scenario_module_at_import_time():
     path = Path(sdpfeas.__file__).parent / "cli.py"
     lines = list(imports_at_import_time(ast.parse(path.read_text(), str(path)).body, SCENARIO_MODULES))
     assert lines == [], f"cli.py imports a scenario module at import time on line(s) {lines}"
+
+
+def numpy_importers(tree) -> list:
+    """The name of the innermost function around each statement of ``tree``
+    that imports numpy, in source order ('<module>' outside any function)."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                if any(name == "numpy" or name.startswith("numpy.") for name in imported_modules(child)):
+                    owners.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+def test_numpy_importers_sees_every_statement():
+    source = """
+import numpy
+def f():
+    def g():
+        from numpy.random import Philox
+    import os
+if TYPE_CHECKING:
+    import numpy as np
+class C:
+    def h(self):
+        import numpy.linalg
+"""
+    assert numpy_importers(ast.parse(source)) == ["<module>", "g", "<module>", "h"]
+
+
+def test_only_mc_tails_imports_numpy_in_the_oracle():
+    path = Path(sdpfeas.__file__).parent / "oracle.py"
+    assert numpy_importers(ast.parse(path.read_text(), str(path))) == ["mc_tails"]

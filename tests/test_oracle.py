@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import binom
@@ -23,7 +23,7 @@ from sdpfeas import (
     chernoff_lower_tail,
     verify_bound,
 )
-from sdpfeas.oracle import MAX_COUNT, MAX_TRIALS, MAX_WINDOW, _STIRLERR_SMALL, _log_pmf, _strict_upper_index
+from sdpfeas.oracle import MAX_COUNT, MAX_TERMS, MAX_TRIALS, SPAN_SIGMAS, _STIRLERR_SMALL, _log_pmf, _strict_upper_index
 
 
 def naive_tail(l, p, threshold):
@@ -33,6 +33,18 @@ def naive_tail(l, p, threshold):
         if k < threshold:
             total += math.comb(l, k) * p**k * (1 - p) ** (l - k)
     return total
+
+
+def span(l, p):
+    """(lo, hi): the counts mean +- (40 sigma + 40), clipped to [0, l], which
+    hold all but exp(-55) of the mass; ``binomial_window`` refuses a
+    binomial whose hi is past 2**53."""
+    mean, half = l * p, SPAN_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
+    return max(0, math.floor(mean - half)), min(l, math.ceil(mean + half))
+
+
+def mode(l, p):
+    return min(math.floor((l + 1) * p), l)
 
 
 class TestStrictUpperIndex:
@@ -159,49 +171,53 @@ class TestLoaderLogPmf:
     #: k(l - k)/l must not lose digits as k nears l
     @pytest.mark.parametrize("p", [0.004, 0.3, 0.9, 1 - 3e-7])
     def test_matches_mpmath(self, l, p):
-        window = binomial_window(l, p)
-        edges = [0, 1, l - 1, l, window.lo, window.hi, window.mode, max(window.lo - 1, 0), min(window.hi + 1, l)]
-        inside = np.linspace(window.lo, window.hi, 13).astype(int).tolist()
+        lo, hi = span(l, p)
+        edges = [0, 1, l - 1, l, lo, hi, mode(l, p), max(lo - 1, 0), min(hi + 1, l)]
+        inside = np.linspace(lo, hi, 13).astype(int).tolist()
         outside = np.linspace(0, l, 9).astype(int).tolist()
-        ks = sorted(set(edges + inside + outside))
-        for k, got in zip(ks, _log_pmf(l, p, np.array(ks))):
-            want = reference_log_pmf(l, p, k)
+        for k in sorted(set(edges + inside + outside)):
+            got, want = _log_pmf(l, p, k), reference_log_pmf(l, p, k)
             assert close_in_log(got, want), (l, p, k, got, want)
-        # the window stores exactly these terms
-        assert np.array_equal(window.log_pmf, _log_pmf(l, p, np.arange(window.lo, window.hi + 1)))
 
     def test_window_is_mean_plus_minus_40_sigma_plus_40(self):
-        window = binomial_window(200_000, 0.01)
-        assert (window.lo, window.hi, window.mode) == (180, 3820, 2000)
-        assert len(window.log_pmf) == 3641
+        assert span(200_000, 0.01) == (180, 3820) and mode(200_000, 0.01) == 2000
         # clipped to the support
-        assert (binomial_window(2_000, 0.004).lo, binomial_window(2_000, 0.004).hi) == (0, 161)
-        assert (binomial_window(10, 0.5).lo, binomial_window(10, 0.5).hi) == (0, 10)
+        assert span(2_000, 0.004) == (0, 161) and span(10, 0.5) == (0, 10)
+        # the term cap reads the same 40 sigma + 40: at p = 1/2 and l =
+        # 4 * 49999**2, sigma = 49999 puts it exactly at MAX_TERMS
+        assert SPAN_SIGMAS * (49_999 + 1) == MAX_TERMS
+        assert binomial_window(4 * 49_999**2, 0.5).l == 4 * 49_999**2
+        with pytest.raises(InvalidInputError, match=f"may sum up to {MAX_TERMS + 1} terms in one tail"):
+            binomial_window(4 * 49_999**2 + 1, 0.5)
 
 
 class TestWindowedTail:
-    """The exact tail read from one window, against a full-support sum.
-    At (20000, 0.5) the window is [7131, 12869] and at (3000, 0.7) it is
-    [1056, 3000]: below its low edge, and just above it, a tail evaluates
-    its own run down from k*."""
+    """The exact tail against a full-support sum. Below the mean l*p it is
+    summed down from k*; at or above it, from k* + 1 up, as log1p(-U). At
+    (20000, 0.5) the mean is 10000 and the span mean +- (40 sigma + 40) is
+    [7131, 12869]; at (3000, 0.7) it is [1056, 3000]."""
 
     @pytest.mark.parametrize("l,p", [(20_000, 0.5), (20_000, 0.9)])
     def test_against_full_support_sum(self, l, p):
-        window = binomial_window(l, p)
-        assert 0 < window.lo and window.hi < l
+        lo, hi = span(l, p)
+        assert 0 < lo and hi < l
         log_cdf = reference_log_cdf(l, p)
+        mean = math.floor(l * p)
         cases = {
-            "at lo": window.lo,
-            "at lo + 1": window.lo + 1,
-            "at the mode": window.mode,
-            "deep below lo": window.lo // 2,
-            "just below lo": window.lo - 1,
+            "at lo": lo,
+            "at lo + 1": lo + 1,
+            "at the mode": mode(l, p),
+            "just below the mean": mean - 1,
+            "at the mean": mean,
+            "just above the mean": mean + 1,
+            "deep below lo": lo // 2,
+            "just below lo": lo - 1,
             "at 0": 0,
-            "above hi": window.hi + 7,
+            "above hi": hi + 7,
             "at l - 1": l - 1,
         }
         for name, k_star in cases.items():
-            est = window.exact_tail(k_star + 0.5)
+            est = binomial_window(l, p).exact_tail(k_star + 0.5)
             assert close_in_log(est.log_value, log_cdf[k_star]), (name, est.log_value, log_cdf[k_star])
             if log_cdf[k_star] > -700:
                 assert est.value == pytest.approx(math.exp(log_cdf[k_star]), rel=1e-12)
@@ -209,11 +225,59 @@ class TestWindowedTail:
     def test_every_threshold(self):
         l, p = 3_000, 0.7
         window = binomial_window(l, p)
-        assert (window.lo, window.hi) == (1056, 3000)
         log_cdf = reference_log_cdf(l, p)
         for k_star in range(l):
             got = window.exact_tail(k_star + 0.5).log_value
             assert close_in_log(got, log_cdf[k_star]), (k_star, got, log_cdf[k_star])
+
+
+def reference_log_cdf_at(l, p, k):
+    """log Pr[X <= k] in 40-digit arithmetic, from the full-support sums of
+    both sides (terms by the ratio recurrence from q**l): log1p(-upper)
+    where the upper side is the smaller one, so a tail near 1 keeps its
+    digits."""
+    with mpmath.workdps(40):
+        P = mpmath.mpf(p)
+        ratio = P / (1 - P)
+        term = (1 - P) ** l
+        lower, upper = term, mpmath.mpf(0)
+        for i in range(1, l + 1):
+            term = term * (l - i + 1) * ratio / i
+            if i <= k:
+                lower += term
+            else:
+                upper += term
+        return float(mpmath.log(lower) if lower < upper else mpmath.log1p(-upper))
+
+
+class TestLogCdf:
+    """``_log_cdf`` against 40-digit sums, to 1e-12 relative in the log:
+    that is the tail's relative error where the log is below -1, and far
+    tighter than the tail's absolute error where it is within 1e-11 of 1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        l=st.integers(1, 5000),
+        p=st.floats(1e-4, 1 - 1e-4),
+        # k* = mean + z * (sigma + 1): deep lower tails, both sides of the
+        # mean, and tails within 1e-11 of 1
+        z=st.floats(-40.0, 40.0),
+    )
+    @example(l=100, p=0.05, z=6.0)  # k* = 24, the tail below
+    @example(l=4000, p=0.5, z=0.0)  # k* = the mean exactly: the upper branch
+    @example(l=4000, p=0.5, z=-0.01)  # k* = the mean - 1: the lower branch
+    def test_matches_mpmath(self, l, p, z):
+        k_star = min(max(math.floor(l * p + z * (math.sqrt(l * p * (1 - p)) + 1)), 0), l - 1)
+        got, want = binomial_window(l, p)._log_cdf(k_star), reference_log_cdf_at(l, p, k_star)
+        assert abs(got - want) <= 1e-12 * abs(want), (l, p, k_star, got, want)
+
+    def test_tail_within_2e_11_of_one(self):
+        # log Pr[X <= 24] at l = 100, p = 0.05 is -1.8159668e-11: a sum of
+        # the pmf from 0 up misses its last digits by 1.5e-6 relative
+        got = binomial_window(100, 0.05).exact_tail(25.0).log_value
+        want = reference_log_cdf_at(100, 0.05, 24)
+        assert want == pytest.approx(-1.8159668e-11, rel=1e-7)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestScaledTail:
@@ -286,7 +350,7 @@ class TestMonteCarlo:
         """At l = 2e5 the sampler's tail frequency must match the exact
         tail within four standard errors."""
         l, p, threshold, trials = 200_000, 0.01, 1990.0, 100_000
-        draws = sample_binomial(np.random.Generator(np.random.Philox(key=5)), binomial_window(l, p), trials)
+        draws = sample_binomial(np.random.Generator(np.random.Philox(key=5)), l, p, trials)
         freq = (draws < threshold).mean()
         exact = binomial_window(l, p).exact_tail(threshold).value
         assert 0.1 < exact < 0.9
@@ -312,7 +376,7 @@ class TestSharedDraw:
         assert shared == [window.mc_tails([t], self.TRIALS, self.SEED)[0] for t in self.THRESHOLDS]
         # the hit count of one unsorted draw, compared with '<' per query
         rng = np.random.Generator(np.random.Philox(key=self.SEED))
-        samples = sample_binomial(rng, binomial_window(self.L, self.P), self.TRIALS)
+        samples = sample_binomial(rng, self.L, self.P, self.TRIALS)
         for estimate, threshold in zip(shared, self.THRESHOLDS):
             value = int((samples < threshold).sum()) / self.TRIALS
             assert estimate == TailEstimate(
@@ -339,50 +403,57 @@ class TestSharedDraw:
 
 
 class TestWindowCaps:
-    """A window the oracle cannot compute is refused before its log-pmf is
-    allocated; each case is the value just past its cap."""
+    """A binomial the oracle cannot compute is refused before any term is
+    summed; each case is the value just past its cap."""
 
     def test_counts_past_2_53_refused(self):
-        # p = 1 - 2**-53 puts hi at l = 2**53 + 1, in a window of 83 counts
+        # p = 1 - 2**-53 puts hi at l = 2**53 + 1, with sigma about 1
         with pytest.raises(InvalidInputError, match=rf"up to {MAX_COUNT + 1}, past 2\*\*53"):
             binomial_window(MAX_COUNT + 1, 1.0 - 2.0**-53)
 
     def test_huge_l_refused_not_allocated(self):
-        # mean 5e29: without the cap numpy is asked for a window of 4e16 counts
+        # mean 5e29: counts past 2**53, and sigma past the term cap
         with pytest.raises(InvalidInputError, match=r"past 2\*\*53"):
             binomial_window(10**30, 0.5)
 
     def test_window_past_the_cap_refused(self):
-        # sigma = 124999.5: the window mean +- (40 sigma + 40) holds 10**7 + 1 counts
-        with pytest.raises(InvalidInputError, match=f"window of {MAX_WINDOW + 1} counts"):
+        # sigma = 124998.99: a tail may sum up to 40 sigma + 40 = 5e6 terms
+        with pytest.raises(InvalidInputError, match=f"may sum up to 5000000 terms in one tail, over {MAX_TERMS}"):
             binomial_window(62_498_987_500, 0.5)
 
     def test_non_finite_log_pmf_refused(self):
-        # mean 1e5 and a window of 25 000 counts, within both caps, but
-        # 2*pi*k*(l - k) overflows: the log-pmf would be NaN, and no numpy
-        # warning may come first
+        # mean 1e5 and sigma 316, within both caps, but 2*pi*k*(l - k)
+        # overflows: the term at the mode would be infinite, and no warning
+        # may come first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match=r"Binomial\(l=10{305}, p=1e-300\) has a log-pmf that overflows"):
                 binomial_window(10**305, 1e-300)
+            # the term at the mode 250 is finite, but it overflows from k =
+            # 287 on, within the 40 sigma + 40 above the mean that tails need
+            with pytest.raises(InvalidInputError, match=r"overflows a float at count 923"):
+                binomial_window(10**305, 2.5e-303)
+            # a subnormal mean l*p: k / (l*p) overflows from k = 1 on
+            with pytest.raises(InvalidInputError, match=r"overflows a float at count 40"):
+                binomial_window(1000, 1e-315)
 
     def test_l_1e20_matches_the_poisson_limit(self):
-        window = binomial_window(10**20, 1e-17)
-        ks = np.arange(window.lo, window.hi + 1)
-        poisson = np.array([k * math.log(1000.0) - 1000.0 - math.lgamma(k + 1) for k in ks.tolist()])
-        assert np.all(np.abs(window.log_pmf - poisson) <= 1e-12 * np.maximum(1.0, np.abs(poisson)))
+        lo, hi = span(10**20, 1e-17)
+        for k in range(lo, hi + 1):
+            poisson = k * math.log(1000.0) - 1000.0 - math.lgamma(k + 1)
+            assert close_in_log(_log_pmf(10**20, 1e-17, k), poisson), k
 
     def test_l_past_the_square_range_warns_of_nothing(self):
         # l * l overflows in stirlerr at l = 1e200, where its series term
-        # vanishes anyway: the window is finite, and numpy stays silent
+        # vanishes anyway: the tail matches Poisson(1e5), and nothing warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            window = binomial_window(10**200, 1e-195)
-        assert np.isfinite(window.log_pmf).all()
+            tail = binomial_window(10**200, 1e-195).exact_tail(99_000.0)
+        assert tail.value == pytest.approx(7.6579955751080204627e-4, rel=1e-14)
 
 
 class TestEntryPointArguments:
-    """``binomial_window`` and ``mc_tails`` refuse what numpy or float
+    """``binomial_window`` and ``mc_tails`` refuse what float
     arithmetic would fail on, under the rules of ``SdpOutcome`` and
     ``ScenarioConfig``; each case is the value just past its rule."""
 
@@ -393,7 +464,7 @@ class TestEntryPointArguments:
             binomial_window(l, p)
 
     def test_fraction_p_refused(self):
-        # a Fraction would reach numpy's log1p as an object
+        # a Fraction would carry every ratio of the tail's sum as a rational
         with pytest.raises(InvalidInputError, match=r"p must be a number, got Fraction\(3, 20\)"):
             binomial_window(100, Fraction(3, 20))
         assert binomial_window(100, float(Fraction(3, 20))).p == 0.15
@@ -414,36 +485,43 @@ class TestEntryPointArguments:
 
 
 class TestWindowEdges:
-    """A window that starts above 0 (lo > 0): hit counts at its edges and
-    beyond them, and exact tails summed once per k*."""
+    """A binomial whose span mean +- (40 sigma + 40) starts above 0: hit
+    counts at the span's edges and beyond them, and exact tails summed once
+    per k*."""
 
     L, P, TRIALS, SEED = 200_000, 0.01, 20_000, 8
 
     def window(self):
         return binomial_window(self.L, self.P)
 
-    def thresholds(self, window):
+    def thresholds(self):
         """The mean, and k* = lo-1, lo, lo+1, hi-1, hi, hi+1, l-1, >= l and
         < 0, each on (k* + 1) and off (k* + 0.5) the lattice."""
-        k_stars = [window.lo - 1, window.lo, window.lo + 1, window.hi - 1, window.hi, window.hi + 1,
-                   self.L - 1, self.L, self.L + 5, -1]
+        lo, hi = span(self.L, self.P)
+        k_stars = [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, self.L - 1, self.L, self.L + 5, -1]
         return [-3.0, 0.0, self.L * self.P] + [k + offset for k in k_stars for offset in (1.0, 0.5)]
 
     def test_window_starts_above_zero(self):
+        lo, hi = span(self.L, self.P)
+        assert 0 < lo and hi < self.L
+        # the span holds all but exp(-55) of the mass
         window = self.window()
-        assert 0 < window.lo and window.hi < self.L
+        assert window.exact_tail(lo).log_value < -55.0
+        # log Pr[X <= hi] = log1p(-Pr[X > hi]), which is about -Pr[X > hi]
+        assert -math.exp(-55.0) < window.exact_tail(hi + 1.0).log_value < 0.0
 
     def test_hit_counts_match_the_reference_sampler(self):
         window = self.window()
-        thresholds = self.thresholds(window)
+        thresholds = self.thresholds()
         rng = np.random.Generator(np.random.Philox(key=self.SEED))
-        samples = sample_binomial(rng, window, self.TRIALS)
+        samples = sample_binomial(rng, self.L, self.P, self.TRIALS)
         estimates = window.mc_tails(thresholds, self.TRIALS, self.SEED)
         for estimate, threshold in zip(estimates, thresholds):
             assert estimate.value == int((samples < threshold).sum()) / self.TRIALS, threshold
         by_threshold = dict(zip(thresholds, estimates))
-        assert by_threshold[window.lo + 0.5].value == 0.0  # k* = lo - 1
-        assert by_threshold[window.hi + 1.0].value == 1.0  # k* = hi
+        lo, hi = span(self.L, self.P)
+        assert by_threshold[lo + 0.5].value == 0.0  # k* = lo - 1
+        assert by_threshold[hi + 1.0].value == 1.0  # k* = hi
         assert 0.0 < by_threshold[self.L * self.P].value < 1.0
 
     def test_same_k_star_sums_once(self, monkeypatch):
@@ -462,6 +540,11 @@ class TestWindowEdges:
         assert first == second and first is not second
         assert binomial_window(self.L, self.P).exact_tail(1990.25) == first
         assert calls == [1990, 1990]
+        # the MC cut of a k* is the same remembered tail
+        [estimate] = window.mc_tails([1990.75], self.TRIALS, self.SEED)
+        assert calls == [1990, 1990]
+        uniforms = np.random.Generator(np.random.Philox(key=self.SEED)).random(self.TRIALS)
+        assert estimate.value == int((uniforms < first.value).sum()) / self.TRIALS
 
 
 class TestVerifyBound:

@@ -18,7 +18,6 @@ from sdpfeas import (
     hazard_at,
     outcome_from_descriptor,
 )
-from sdpfeas.oracle import binomial_window
 
 
 def injected(l, p, K_hat, m_hat):
@@ -128,7 +127,7 @@ class TestEmpirical:
     def test_sample_mean_near_lp(self):
         l, p, trials = 100, 0.05, 200_000
         rng = np.random.Generator(np.random.Philox(key=7))
-        samples = ref.sample_binomial(rng, binomial_window(l, p), trials)
+        samples = ref.sample_binomial(rng, l, p, trials)
         tolerance = 4.0 * math.sqrt(l * p * (1 - p) / trials)
         assert abs(samples.mean() - l * p) <= tolerance
 
@@ -136,7 +135,7 @@ class TestEmpirical:
         l, p, t, trials = 100, 0.05, 1.0, 200_000
         o = SdpOutcome(l=l, p=p)
         rng = np.random.Generator(np.random.Philox(key=11))
-        samples = ref.sample_binomial(rng, binomial_window(l, p), trials)
+        samples = ref.sample_binomial(rng, l, p, trials)
         values = np.exp(-samples * t)
         stderr = values.std(ddof=1) / math.sqrt(trials)
         assert values.mean() <= expected_reliability_bound(o, t) + 3.0 * stderr
