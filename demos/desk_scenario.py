@@ -38,7 +38,7 @@ print(f"\n{result.theorem_tag}: Pr[X < {result.threshold}] < {result.bound:.6f}"
 print(f"  mu = {result.mu}, delta = {result.delta}, regime = {result.regime.value}")
 
 # step 3: check it against the exact binomial tail and a seeded
-# Monte-Carlo estimate, both read from one window of Binomial(100, 0.05).
+# Monte-Carlo estimate, both read from one oracle for Binomial(100, 0.05).
 # Both must land below the bound.
 window = binomial_window(outcome.l, outcome.p)
 [mc] = window.mc_tails([result.threshold], trials=200_000, seed=42)

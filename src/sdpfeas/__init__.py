@@ -19,6 +19,8 @@ _EXPORTS = {
         "Regime",
         "bound_sweep",
         "chernoff_lower_tail",
+        "expected_hazard",
+        "expected_reliability_bound",
         "hazard_bound",
         "reliability_bound",
     ),
@@ -42,7 +44,7 @@ _EXPORTS = {
         "reliability_tail_threshold",
     ),
     "oracle": ("BinomialWindow", "TailEstimate", "TailMethod", "VerificationRecord", "binomial_window", "verify_bound"),
-    "outcome": ("SdpOutcome", "expected_hazard", "expected_reliability_bound", "outcome_from_descriptor"),
+    "outcome": ("SdpOutcome", "outcome_from_descriptor"),
     "report": ("FeasibilityReport", "ScenarioConfig", "build_report", "run_sweep", "sweep_to_csv"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -10,14 +10,14 @@ Outside that band the bound says nothing, and the engine reports the
 point as out-of-regime rather than clamping; an inapplicable theorem is a
 finding the report must show.
 
-The outcome fixes the variant. On an outcome without an injection (X)
-the theorem tag is the family's hazard or reliability tag in
-``hazards.FAMILIES``; on one with a per-module injection (Y) it is Thm3
-(hazard) or Thm4 (reliability), weibull models only.
+Each printed form is one row of ``FORMS``, keyed by the outcome's variant
+(X without an injection, Y with one), the kind and the sign mode. X rows
+take the family's tags in ``hazards.FAMILIES``; Y rows are Thm3 (hazard)
+and Thm4 (reliability), weibull models only.
 
-One resolver gives both the named bounds and the sweep: it resolves an
-(outcome, kind, sign mode) to its tag, mean and threshold once per grid,
-then makes one pass over the grid. A named bound is a one-point grid.
+One resolver gives both the named bounds and the sweep: it looks up the
+row of an (outcome, kind, sign mode) once per grid, then makes one pass
+over the grid. A named bound is a one-point grid.
 Inside a sweep an out-of-regime point is an entry, not an exception;
 only the named bounds and ``chernoff_lower_tail`` raise OutOfRegimeError.
 
@@ -31,11 +31,12 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterable, List, Sequence, Union
 
-from .errors import InvalidInputError, NumericOverflowError, OutOfRegimeError, read_choice
-from .hazards import FAMILIES, HazardFamily, HazardModel, check_time
-from .outcome import SdpOutcome, hazard_mean, reliability_mean
+from .errors import DomainError, InvalidInputError, NumericOverflowError, OutOfRegimeError, read_choice
+from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel, check_time, hazard_at
+from .outcome import SdpOutcome
 
 __all__ = [
     "Regime",
@@ -46,6 +47,8 @@ __all__ = [
     "hazard_bound",
     "reliability_bound",
     "bound_sweep",
+    "expected_hazard",
+    "expected_reliability_bound",
     "SWEEP_COLUMNS",
 ]
 
@@ -160,6 +163,58 @@ def _in_regime(entry: SweepEntry) -> BoundResult:
     return entry
 
 
+@dataclass(frozen=True)
+class BoundForm:
+    """One printed form: its theorem tag, given the family's ``FAMILIES``
+    row; its mean, a function of (l*p, the outcome's injection, t); and the
+    ``FamilySpec`` closed form of its threshold, ``z`` or ``H_over_t``."""
+
+    tag: Callable[[FamilySpec], str]
+    mean: Callable[[float, HazardModel | None, float], float]
+    threshold: str
+
+
+def _reliability_mean(exponent: Callable[[HazardModel | None, float], float]):
+    """The reliability mean exp(l*p*(exp(exponent(injection, t)) - 1)), t > 0."""
+
+    def mean(mean_failures: float, injection: HazardModel | None, t: float) -> float:
+        if t <= 0:
+            raise DomainError(f"reliability bound requires t > 0, got {t!r}")
+        return math.exp(mean_failures * math.expm1(exponent(injection, t)))
+
+    return mean
+
+
+#: (variant, kind, sign mode) -> the printed form. The hazard means are l*p
+#: (X) and l*p*Khat*t**mhat (Y); the reliability means bound the expected
+#: reliability E[exp(-X*t)] by exp(l*p*(exp(-t) - 1)), strictly inside (0, 1),
+#: and E[exp(-Y*t)] by Thm4. The published Thm4 uses exp(+Khat*t^(mhat+1))
+#: inside the outer exponent, which contradicts the per-module reliability
+#: exp(-Y*t) and can exceed 1; the corrected form flips that inner sign; only
+#: it is consistent with simulation. Both are kept, clearly labelled.
+FORMS = {
+    ("X", BoundKind.HAZARD, None): BoundForm(attrgetter("hazard_tag"), lambda lp, injection, t: lp, "z"),
+    ("X", BoundKind.RELIABILITY, None): BoundForm(
+        attrgetter("reliability_tag"), _reliability_mean(lambda injection, t: -t), "H_over_t"
+    ),
+    ("Y", BoundKind.HAZARD, None): BoundForm(lambda spec: "Thm3", lambda lp, injection, t: lp * hazard_at(injection, t), "z"),
+    ("Y", BoundKind.RELIABILITY, "corrected"): BoundForm(
+        lambda spec: "Thm4", _reliability_mean(lambda injection, t: -injection.K * t ** (injection.m + 1)), "H_over_t"
+    ),
+    ("Y", BoundKind.RELIABILITY, "as-published"): BoundForm(
+        lambda spec: "Thm4", _reliability_mean(lambda injection, t: injection.K * t ** (injection.m + 1)), "H_over_t"
+    ),
+}
+
+
+def _form(outcome: SdpOutcome, kind: BoundKind, corrected: bool) -> tuple[str | None, BoundForm]:
+    """The sign mode and ``FORMS`` row of (outcome, kind, corrected);
+    ``corrected`` picks the row only where the form has a sign mode."""
+    variant, sign_mode = "X" if outcome.injection is None else "Y", "corrected" if corrected else "as-published"
+    sign_mode = sign_mode if (variant, kind, sign_mode) in FORMS else None
+    return sign_mode, FORMS[variant, kind, sign_mode]
+
+
 def _bound(
     outcome: SdpOutcome,
     model: HazardModel,
@@ -169,40 +224,34 @@ def _bound(
 ) -> List[SweepEntry]:
     """One named bound over ``grid`` in one pass.
 
-    (outcome, kind, corrected) is resolved once to the theorem tag, the
-    sign mode, the mean (an ``outcome`` function of t, of the outcome's
-    variant) and the threshold (a ``FAMILIES`` closed form); each point
-    then costs one mean, one threshold and one kernel call. Out-of-regime
-    points are entries. The first point whose mean, threshold or kernel
-    fails raises, mean first, as if evaluated alone: a time outside the
-    family's domain raises DomainError, and an overflow (the as-published
-    Thm4 form at moderate t, for one) raises NumericOverflowError naming
-    the bound and t."""
-    injected = outcome.injection is not None
-    if injected and model.family is not HazardFamily.WEIBULL:
+    (outcome, kind, corrected) is resolved once to its ``FORMS`` row; each
+    point then costs one mean, one threshold and one kernel call.
+    Out-of-regime points are entries. The first point whose mean,
+    threshold or kernel fails raises, mean first, as if evaluated alone: a
+    time outside the family's domain raises DomainError, and an overflow
+    (the as-published Thm4 form at moderate t, for one) raises
+    NumericOverflowError naming the bound and t."""
+    if outcome.injection is not None and model.family is not HazardFamily.WEIBULL:
         raise InvalidInputError(
             f"injection-variant bounds compare against a weibull manual-testing "
             f"model only, got {model.family.value!r}"
         )
-    spec, hazard = FAMILIES[model.family], kind is BoundKind.HAZARD
-    if injected:
-        tag, sign_mode = ("Thm3", None) if hazard else ("Thm4", "corrected" if corrected else "as-published")
-    else:
-        tag, sign_mode = (spec.hazard_tag if hazard else spec.reliability_tag), None
-    mean = hazard_mean(outcome) if hazard else reliability_mean(outcome, corrected)
-    threshold = spec.z if hazard else spec.H_over_t
-    # times every domain admits skip the check; the rest get its message
+    spec = FAMILIES[model.family]
+    sign_mode, form = _form(outcome, kind, corrected)
+    tag, mean, threshold = form.tag(spec), form.mean, getattr(spec, form.threshold)
+    mean_failures, injection = outcome.mean_failures, outcome.injection
+    # times outside (0, end] get the domain's message; reliability means refuse t <= 0
     end, singular = min(spec.max_time(model), sys.float_info.max), spec.singular_at_zero(model)
     entries: List[SweepEntry] = []
     try:
         for t in grid:
-            mu = mean(t)
+            mu = mean(mean_failures, injection, t)
             if not 0.0 < t <= end:
-                check_time(model, spec, t, positive=not hazard or (t == 0 and singular))
+                check_time(model, spec, t, positive=t == 0 and singular)
             entries.append(_kernel(mu, threshold(model, t), tag, t, sign_mode))
     except OverflowError as exc:
-        form = tag if sign_mode is None else f"{tag} ({sign_mode})"
-        raise NumericOverflowError(f"{form} overflows a 64-bit float at t = {t!r}") from exc
+        label = tag if sign_mode is None else f"{tag} ({sign_mode})"
+        raise NumericOverflowError(f"{label} overflows a 64-bit float at t = {t!r}") from exc
     return entries
 
 
@@ -226,9 +275,20 @@ def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float, correct
     The comparison reduces to Pr[X < H(t)/t]; the expectation slot holds
     the expected-reliability bound, following the source derivation. With
     an injection it is Thm4, and ``corrected`` selects the sign convention
-    of the expected-reliability factor (see outcome module).
+    of the expected-reliability factor (see ``FORMS``).
     """
     return _one(outcome, model, t, BoundKind.RELIABILITY, corrected)
+
+
+def expected_hazard(outcome: SdpOutcome, t: float) -> float:
+    """Expected hazard at time t, the mean of the outcome's hazard form."""
+    return _form(outcome, BoundKind.HAZARD, True)[1].mean(outcome.mean_failures, outcome.injection, t)
+
+
+def expected_reliability_bound(outcome: SdpOutcome, t: float, corrected: bool = True) -> float:
+    """Upper bound on the expected reliability at time t > 0, the mean of
+    the outcome's reliability form (see ``FORMS``)."""
+    return _form(outcome, BoundKind.RELIABILITY, corrected)[1].mean(outcome.mean_failures, outcome.injection, t)
 
 
 #: CSV column contract for serialized sweeps

@@ -6,35 +6,21 @@ l*p. In the Y-variant each misclassified module contributes the weibull
 hazard Khat*t^mhat instead of a single failure, making Y a scaled
 binomial at any fixed t. An outcome is of the Y-variant exactly when it
 has an ``injection``, a weibull ``HazardModel`` with K = Khat and
-m = mhat; every expectation below follows it.
-
-The expected reliability of the X-variant system is bounded above by
-exp(l*p*(exp(-t) - 1)). The Y-variant bound carries a ``corrected`` sign
-flag: the published form uses exp(+Khat*t^(mhat+1)) inside the outer
-exponent, which contradicts the per-module reliability exp(-Y*t) and can
-exceed 1. The corrected form flips that inner sign; only the corrected
-form is consistent with simulation. Both are kept, clearly labelled.
+m = mhat; the mean of every bound form on it (``bounds.FORMS``) follows
+it.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from .confusion import counts_from_descriptor, false_omission_rate
-from .errors import DomainError, InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError
 from .errors import read_integer, read_number, read_object
-from .hazards import HazardFamily, HazardModel, hazard_at
+from .hazards import HazardFamily, HazardModel
 
-__all__ = [
-    "SdpOutcome",
-    "expected_hazard",
-    "expected_reliability_bound",
-    "outcome_from_descriptor",
-]
+__all__ = ["SdpOutcome", "outcome_from_descriptor"]
 
 
 @dataclass(frozen=True)
@@ -65,54 +51,6 @@ class SdpOutcome:
     @property
     def mean_failures(self) -> float:
         return self.l * self.p
-
-
-def hazard_mean(outcome: SdpOutcome) -> Callable[[float], float]:
-    """The expected hazard as a function of t, for the outcome's variant:
-    the failure count l*p at every t (X), or l*p*Khat*t**mhat (Y)."""
-    mean_failures, injection = outcome.mean_failures, outcome.injection
-    if injection is None:
-        return lambda t: mean_failures
-    return lambda t: mean_failures * hazard_at(injection, t)
-
-
-def reliability_mean(outcome: SdpOutcome, corrected: bool = True) -> Callable[[float], float]:
-    """The upper bound on the expected reliability as a function of t > 0,
-    for the outcome's variant.
-
-    X: exp(l*p*(exp(-t) - 1)), the bound on E[exp(-X*t)], strictly inside
-       (0, 1); ``corrected`` does not apply.
-    Y: the bound on E[exp(-Y*t)];
-       corrected=True  -> exp(l*p*(exp(-Khat*t^(mhat+1)) - 1)), in (0, 1)
-       corrected=False -> exp(l*p*(exp(+Khat*t^(mhat+1)) - 1)), the
-                          published form, which can exceed 1 and is
-                          retained only for fidelity to the printed result.
-    """
-    mean_failures, injection = outcome.mean_failures, outcome.injection
-    if injection is None:
-        exponent = operator.neg
-    elif corrected:
-        exponent = lambda t: -injection.K * t ** (injection.m + 1)
-    else:
-        exponent = lambda t: injection.K * t ** (injection.m + 1)
-
-    def mean(t: float) -> float:
-        if t <= 0:
-            raise DomainError(f"reliability bound requires t > 0, got {t!r}")
-        return math.exp(mean_failures * math.expm1(exponent(t)))
-
-    return mean
-
-
-def expected_hazard(outcome: SdpOutcome, t: float) -> float:
-    """Expected hazard at time t (see ``hazard_mean``)."""
-    return hazard_mean(outcome)(t)
-
-
-def expected_reliability_bound(outcome: SdpOutcome, t: float, corrected: bool = True) -> float:
-    """Upper bound on the expected reliability at time t (see
-    ``reliability_mean``)."""
-    return reliability_mean(outcome, corrected)(t)
 
 
 def outcome_from_descriptor(payload: dict) -> SdpOutcome:

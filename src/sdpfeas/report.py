@@ -187,14 +187,17 @@ def run_sweep(config: ScenarioConfig) -> List[SweepEntry]:
 
 def _count_threshold(threshold: float, scale: float) -> float:
     """A Y threshold in count units: ``threshold / scale``, or the integer
-    it lies within 4 ulp of.
+    k >= 1 it lies within 4 ulp of.
 
     The division can land an ulp above an integer k that is exact in
     real arithmetic, and the strict '<' of Pr[X < count] would then take
     in Pr[X = k]. The scale is positive in real arithmetic; where it
     underflowed to 0.0, or the quotient overflows, a positive threshold
     lies beyond every count and the count threshold is the largest float:
-    the event is certain. A threshold of 0 stays 0, the empty event.
+    the event is certain. Where the quotient underflows to 0.0 (or the
+    scale overflowed) or lies within 4 ulp of 0, a positive threshold
+    keeps a positive count, at least the smallest float: the event is
+    {X = 0}. A threshold of 0 stays 0, the empty event.
     """
     if threshold == 0:
         return 0.0
@@ -202,7 +205,9 @@ def _count_threshold(threshold: float, scale: float) -> float:
     if not math.isfinite(count):
         return sys.float_info.max
     k = float(round(count))
-    return k if abs(count - k) <= 4 * math.ulp(count) else count
+    if k >= 1 and abs(count - k) <= 4 * math.ulp(count):
+        return k
+    return max(count, math.ulp(0.0))
 
 
 def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> List[VerificationRecord]:
@@ -223,7 +228,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
         thresholds = [entry.threshold for entry in checks]
     else:
         thresholds = [_count_threshold(entry.threshold, hazard_at(injection, entry.t)) for entry in checks]
-    # one log-pmf window answers every exact tail, one MC draw every MC row
+    # one oracle sums each distinct k*'s exact tail once, one MC draw answers every MC row
     window = binomial_window(config.outcome.l, config.outcome.p)
     if config.mc_trials > 0:
         seed = config.seed if config.seed is not None else 0

@@ -643,6 +643,33 @@ class TestNumericLimits:
             ("monte-carlo", oracle, code == EXIT_OK),
         ]
 
+    @pytest.mark.parametrize(
+        "K_hat, K, kind, count, code",
+        [
+            (1e30, 1e-300, "hazard", "5e-324", EXIT_VERIFICATION),
+            (1e200, 1e-200, "reliability", "5e-324", EXIT_OK),
+            (1.0, 1.5e-323, "hazard", "1.5e-323", EXIT_OK),
+        ],
+        ids=["quotient-underflows", "thm4-quotient-underflows", "within-4-ulp-of-0"],
+    )
+    def test_positive_count_threshold_stays_positive(self, run, tmp_path, K_hat, K, kind, count, code):
+        # threshold / scale is positive in real arithmetic, so the event is
+        # {X = 0}, Pr = 0.95**10, however close to 0 the quotient lands: the
+        # Thm3 bound exp(-l*p*K_hat/2) = 0.0 fails against it, and the Thm4
+        # bound exp(-exp(-1/2)/2) = 0.738 holds
+        scenario = {
+            "outcome": {"l": 10, "p": 0.05, "injection": {"K_hat": K_hat, "m_hat": 0.0}},
+            "model": {"family": "weibull", "K": K, "m": 0.0},
+            "time_grid": {"t": 1.0},
+            "kinds": [kind],
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["verify", "--config", config], expect=code)
+        (record,) = strict_json(out)["verification"]
+        assert record["event"].split(": ", 1)[1] == f"Pr[X < {count}], X ~ Binomial(l=10, p=0.05)"
+        assert record["oracle"] == pytest.approx(0.95**10, rel=1e-12)
+        assert record["holds"] is (code == EXIT_OK)
+
     def test_underflowed_oracle_ratio_from_logs(self, run, tmp_path):
         # constant lambda = 2500: the bound is 3.68e-272, the exact tail
         # prints as 0.0, and its ratio to the bound is about 1e-78

@@ -9,6 +9,7 @@ is intended, and say so in CHANGES.md) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -18,17 +19,22 @@ import pytest
 from conftest import strict_json
 from sdpfeas import (
     BoundKind,
+    BoundResult,
     HazardFamily,
     HazardModel,
     SdpOutcome,
     bound_sweep,
     cumulative_hazard,
+    expected_hazard,
+    expected_reliability_bound,
     hazard_at,
     hazard_bound,
     model_from_descriptor,
     reliability_bound,
     reliability_tail_threshold,
 )
+from sdpfeas.bounds import FORMS, _form
+from sdpfeas.hazards import FAMILIES
 from sdpfeas.report import ScenarioConfig, build_report, run_sweep, sweep_to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -220,6 +226,34 @@ def test_goldens_cover_every_regime_and_sign_mode():
     assert theorems >= {"Thm1", "Thm2", "Cor1", "Cor2", "Cor3", "Cor4", "Cor5", "Cor6",
                         "Cor7", "Cor8", "Cor9", "Cor10", "Thm3", "Thm4"}
     assert sweep_csv("y-corrected") != sweep_csv("y-as-published")
+    # every FORMS row is reached by a golden sweep, whose rows carry its tag,
+    # its sign mode and, as mu, the public mean of the outcome
+    reached, sign_modes = set(), set()
+    for name in SWEEPS:
+        config = ScenarioConfig.from_descriptor(dict(SWEEPS[name], kinds=BOTH))
+        outcome, corrected = config.outcome, config.corrected
+        for kind in BoundKind:
+            sign_mode, form = _form(outcome, kind, corrected)
+            reached.update(key for key, row in FORMS.items() if row is form)
+            entries = bound_sweep(outcome, config.model, config.grid, kind, corrected)
+            tag = form.tag(FAMILIES[config.model.family])
+            modes = {entry.sign_mode for entry in entries if isinstance(entry, BoundResult)}
+            assert {entry.theorem_tag for entry in entries} == {tag} and modes <= {sign_mode}
+            sign_modes |= modes
+            for entry in entries:
+                if kind is BoundKind.HAZARD:
+                    assert expected_hazard(outcome, entry.t) == entry.mu
+                else:
+                    assert expected_reliability_bound(outcome, entry.t, corrected) == entry.mu
+    assert reached == set(FORMS) and sign_modes == {key[2] for key in FORMS}
+    # each (variant, kind, corrected) resolves to exactly one row
+    for (variant, outcome), kind, corrected in itertools.product(
+        [("X", X_OUT), ("Y", Y_OUT)], BoundKind, [True, False]
+    ):
+        mode = "corrected" if corrected else "as-published"
+        keys = [key for key in FORMS if key[:2] == (variant, kind) and key[2] in (mode, None)]
+        sign_mode, form = _form(outcome, kind, corrected)
+        assert keys == [(variant, kind, sign_mode)] and FORMS[keys[0]] is form
 
 
 if __name__ == "__main__":
