@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
 
 # only what metrics needs: bound, sweep and verify import report and bounds
 # in their own bodies, so that metrics never loads them
@@ -116,68 +115,49 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_hold else EXIT_VERIFICATION
 
 
-def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, each subparser carrying its command as
+    ``run``; the top-level help lists them in this order."""
+    parser = _Parser(prog="sdpfeas", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    # the usage line and the missing-command error name the commands by this metavar
+    sub = parser.add_subparsers(required=True, metavar="{metrics,bound,sweep,verify}")
+    metrics = sub.add_parser("metrics", help="false omission rate from counts or records")
+    metrics.set_defaults(run=cmd_metrics)
+    group = metrics.add_mutually_exclusive_group(required=True)
     group.add_argument("--counts", help="path to counts JSON ('-' for stdin)")
     group.add_argument("--records", help="path to records CSV ('-' for stdin)")
-    parser.add_argument("--out", help="output path (default stdout)")
-
-
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="path to scenario JSON ('-' for stdin)")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, help="RNG seed (overrides config and SDPFEAS_SEED)")
-    parser.add_argument("--trials", type=int, help="Monte-Carlo trial count override")
-    parser.add_argument("--epsilon", type=float, help="feasibility cutoff override")
-    sign = parser.add_mutually_exclusive_group()
-    sign.add_argument("--corrected", dest="corrected", action="store_true", default=None)
-    sign.add_argument("--as-published", dest="corrected", action="store_false", default=None)
-
-
-def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    _add_scenario_args(parser)
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-class Command(NamedTuple):
-    help: str
-    run: Callable[[argparse.Namespace], int]
-    add_arguments: Callable[[argparse.ArgumentParser], None]
-
-
-#: every subcommand, in the order the top-level help lists them
-COMMANDS = {
-    "metrics": Command("false omission rate from counts or records", cmd_metrics, _add_metrics_args),
-    "bound": Command("single bound at one time point", cmd_bound, _add_scenario_args),
-    "sweep": Command("bounds over a time grid", cmd_sweep, _add_sweep_args),
-    "verify": Command("sweep plus oracle verification report", cmd_verify, _add_scenario_args),
-}
-
-
-def build_parser(commands: Mapping[str, Command] = COMMANDS) -> argparse.ArgumentParser:
-    """The parser with a subparser for each of ``commands``.
-
-    The metavar names all of COMMANDS, so the usage line reads the same
-    whichever subparsers are built.
-    """
-    parser = _Parser(prog="sdpfeas", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
-    for name, command in commands.items():
-        command.add_arguments(sub.add_parser(name, help=command.help))
+    metrics.add_argument("--out", help="output path (default stdout)")
+    for name, run, summary in (
+        ("bound", cmd_bound, "single bound at one time point"),
+        ("sweep", cmd_sweep, "bounds over a time grid"),
+        ("verify", cmd_verify, "sweep plus oracle verification report"),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(run=run)
+        command.add_argument("--config", required=True, help="path to scenario JSON ('-' for stdin)")
+        command.add_argument("--out", help="output path (default stdout)")
+        command.add_argument("--seed", type=int, help="RNG seed (overrides config and SDPFEAS_SEED)")
+        command.add_argument("--trials", type=int, help="Monte-Carlo trial count override")
+        command.add_argument("--epsilon", type=float, help="feasibility cutoff override")
+        sign = command.add_mutually_exclusive_group()
+        sign.add_argument("--corrected", dest="corrected", action="store_true", default=None)
+        sign.add_argument("--as-published", dest="corrected", action="store_false", default=None)
+        if name == "sweep":
+            command.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
+#: built once per process; parse_args leaves it unchanged
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a call names its command first; only help and usage errors need the rest
-    commands = {argv[0]: COMMANDS[argv[0]]} if argv and argv[0] in COMMANDS else COMMANDS
-    parser = build_parser(commands)
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return COMMANDS[args.command].run(args)
+        return args.run(args)
     except AssumptionViolationError as exc:
         print(
             f"error: assumption {exc.assumption} violated "

@@ -185,23 +185,33 @@ def run_sweep(config: ScenarioConfig) -> List[SweepEntry]:
     return entries
 
 
-def _count_threshold(threshold: float, scale: float) -> float:
-    """A Y threshold in count units: ``threshold / scale``, or the integer
-    k >= 1 it lies within 4 ulp of.
+def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardModel) -> float:
+    """A Y row's threshold in count units, ``threshold / scale`` with the
+    injected hazard at the row's t as the scale, or the integer k >= 1 it
+    lies within 4 ulp of.
 
     The division can land an ulp above an integer k that is exact in
     real arithmetic, and the strict '<' of Pr[X < count] would then take
-    in Pr[X = k]. The scale is positive in real arithmetic; where it
-    underflowed to 0.0, or the quotient overflows, a positive threshold
-    lies beyond every count and the count threshold is the largest float:
-    the event is certain. Where the quotient underflows to 0.0 (or the
-    scale overflowed) or lies within 4 ulp of 0, a positive threshold
-    keeps a positive count, at least the smallest float: the event is
-    {X = 0}. A threshold of 0 stays 0, the empty event.
+    in Pr[X = k]. The threshold and the scale are positive in real
+    arithmetic; where either underflowed to 0.0, the count comes from the
+    logs of its closed form, log K - log Khat + (m - mhat)*log t, less
+    log1p(m) for Thm4, whose threshold is H/t = z/(m + 1). Where the count
+    overflows, it lies beyond every count and the count threshold is the
+    largest float: the event is certain. Where the count underflows to 0.0
+    (or the scale overflowed) or lies within 4 ulp of 0, it stays positive,
+    at least the smallest float: the event is {X = 0}.
     """
-    if threshold == 0:
-        return 0.0
-    count = threshold / scale if scale > 0 else math.inf
+    threshold, scale = entry.threshold, hazard_at(injection, entry.t)
+    if threshold > 0 and scale > 0:
+        count = threshold / scale
+    else:
+        log_count = math.log(model.K) - math.log(injection.K) + (model.m - injection.m) * math.log(entry.t)
+        if entry.theorem_tag == "Thm4":
+            log_count -= math.log1p(model.m)
+        try:
+            count = math.exp(log_count)
+        except OverflowError:
+            count = math.inf
     if not math.isfinite(count):
         return sys.float_info.max
     k = float(round(count))
@@ -227,7 +237,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
     if injection is None:
         thresholds = [entry.threshold for entry in checks]
     else:
-        thresholds = [_count_threshold(entry.threshold, hazard_at(injection, entry.t)) for entry in checks]
+        thresholds = [_count_threshold(entry, config.model, injection) for entry in checks]
     # one oracle sums each distinct k*'s exact tail once, one MC draw answers every MC row
     window = binomial_window(config.outcome.l, config.outcome.p)
     if config.mc_trials > 0:

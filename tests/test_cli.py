@@ -28,6 +28,7 @@ from sdpfeas.cli import (
     EXIT_OUT_OF_REGIME,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    build_parser,
     main,
 )
 from sdpfeas.oracle import MAX_TRIALS
@@ -616,15 +617,16 @@ class TestNumericLimits:
         assert [r["holds"] for r in report["verification"]] == [True, True]
 
     @pytest.mark.parametrize(
-        "m, regime, oracle, code",
-        [(0.5, "valid", 1.0, EXIT_VERIFICATION), (2.0, "trivial", 0.0, EXIT_OK)],
+        "m, regime, exact, mc, code",
+        [(0.5, "valid", 1.0, 1.0, EXIT_VERIFICATION), (2.0, "trivial", 0.95**100, 0.008, EXIT_OK)],
         ids=["certain", "empty"],
     )
-    def test_underflowed_injection_scale(self, run, tmp_path, m, regime, oracle, code):
-        # K_hat * t**m_hat = 1e-400 underflows to 0.0. Against the positive
-        # Thm4 threshold of m = 0.5 the count threshold lies beyond every
-        # count, so the bound exp(-1/2) fails; the m = 2 threshold underflows
-        # too, and its row states Pr[Y < 0], which is empty
+    def test_underflowed_injection_scale(self, run, tmp_path, m, regime, exact, mc, code):
+        # K_hat * t**m_hat = 1e-400 underflows to 0.0, so the count comes
+        # from logs. Against the Thm4 threshold of m = 0.5 the count is
+        # 6.7e299, beyond every count, so the bound exp(-1/2) fails; the
+        # m = 2 threshold underflows too, its row states Pr[Y < 0], and its
+        # count is 1/(m + 1) = 1/3, so the event is {X = 0}
         scenario = {
             "outcome": {"l": 100, "p": 0.05, "injection": {"K_hat": 1.0, "m_hat": 2.0}},
             "model": {"family": "weibull", "K": 1.0, "m": m},
@@ -639,28 +641,37 @@ class TestNumericLimits:
         assert (row["theorem"], row["regime"]) == ("Thm4", regime)
         assert row["bound"] == pytest.approx(math.exp(-0.5), rel=1e-12)
         assert [(r["method"], r["oracle"], r["holds"]) for r in report["verification"]] == [
-            ("exact", oracle, code == EXIT_OK),
-            ("monte-carlo", oracle, code == EXIT_OK),
+            ("exact", pytest.approx(exact, rel=1e-12), code == EXIT_OK),
+            ("monte-carlo", mc, code == EXIT_OK),
         ]
 
     @pytest.mark.parametrize(
-        "K_hat, K, kind, count, code",
+        "K_hat, K, m, t, kind, count, code",
         [
-            (1e30, 1e-300, "hazard", "5e-324", EXIT_VERIFICATION),
-            (1e200, 1e-200, "reliability", "5e-324", EXIT_OK),
-            (1.0, 1.5e-323, "hazard", "1.5e-323", EXIT_OK),
+            (1e30, 1e-300, 0.0, 1.0, "hazard", "5e-324", EXIT_VERIFICATION),
+            (1e200, 1e-200, 0.0, 1.0, "reliability", "5e-324", EXIT_OK),
+            (1.0, 1.5e-323, 0.0, 1.0, "hazard", "1.5e-323", EXIT_OK),
+            (1e30, 1e-300, 2.0, 1e-20, "hazard", "5e-324", EXIT_VERIFICATION),
+            (1e30, 1e-300, 2.0, 1e-20, "reliability", "5e-324", EXIT_OK),
         ],
-        ids=["quotient-underflows", "thm4-quotient-underflows", "within-4-ulp-of-0"],
+        ids=[
+            "quotient-underflows",
+            "thm4-quotient-underflows",
+            "within-4-ulp-of-0",
+            "threshold-underflows",
+            "thm4-threshold-underflows",
+        ],
     )
-    def test_positive_count_threshold_stays_positive(self, run, tmp_path, K_hat, K, kind, count, code):
+    def test_positive_count_threshold_stays_positive(self, run, tmp_path, K_hat, K, m, t, kind, count, code):
         # threshold / scale is positive in real arithmetic, so the event is
-        # {X = 0}, Pr = 0.95**10, however close to 0 the quotient lands: the
-        # Thm3 bound exp(-l*p*K_hat/2) = 0.0 fails against it, and the Thm4
+        # {X = 0}, Pr = 0.95**10, however close to 0 the quotient lands or
+        # where the threshold K*t**m = 1e-340 itself underflows: the Thm3
+        # bound exp(-l*p*K_hat/2) = 0.0 fails against it, and the Thm4
         # bound exp(-exp(-1/2)/2) = 0.738 holds
         scenario = {
             "outcome": {"l": 10, "p": 0.05, "injection": {"K_hat": K_hat, "m_hat": 0.0}},
-            "model": {"family": "weibull", "K": K, "m": 0.0},
-            "time_grid": {"t": 1.0},
+            "model": {"family": "weibull", "K": K, "m": m},
+            "time_grid": {"t": t},
             "kinds": [kind],
         }
         config = write_scenario(tmp_path, scenario)
@@ -868,10 +879,11 @@ class TestTopLevel:
 
 
 class TestParserBuild:
-    """A call builds the subparser of its own command only."""
+    """The parser is built once, when sdpfeas.cli is imported, and carries
+    nothing from one call to the next."""
 
     @pytest.fixture
-    def added(self, monkeypatch, capsys):
+    def added(self, monkeypatch):
         names = []
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -880,23 +892,49 @@ class TestParserBuild:
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
+        return names
 
-        def _added(argv):
-            names.clear()
-            main(argv)
-            capsys.readouterr()
-            return list(names)
-
-        return _added
-
-    def test_a_command_builds_only_its_own_subparser(self, added, tmp_path):
-        config = write_scenario(tmp_path, DESK_SCENARIO)
-        assert added(["verify", "--config", config]) == ["verify"]
-        assert added(["sweep", "--config", config, "--format", "xml"]) == ["sweep"]
+    def test_no_call_builds_a_subparser(self, run, added, tmp_path):
+        run(["verify", "--config", write_scenario(tmp_path, DESK_SCENARIO)], expect=EXIT_OK)
+        run(["-h"], expect=EXIT_OK)
+        run(["frobnicate"], expect=EXIT_USAGE)
+        assert added == []
 
     @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"]])
-    def test_no_command_builds_all_four_in_order(self, added, argv):
-        assert added(argv) == ["metrics", "bound", "sweep", "verify"]
+    def test_no_command_builds_all_four_in_order(self, run, added, argv):
+        # a call without a command is answered by the shared parser, which
+        # build_parser filled with all four subparsers in order; the call
+        # itself builds none
+        build_parser()
+        assert added == ["metrics", "bound", "sweep", "verify"]
+        added.clear()
+        _, out, err = run(argv)
+        assert added == []
+        assert "{metrics,bound,sweep,verify}" in out + err
+
+    def test_no_state_carries_between_calls(self, run, tmp_path):
+        reliability_y = {
+            "outcome": {"l": 10, "p": 0.5, "injection": {"K_hat": 1.0, "m_hat": 0.0}},
+            "model": {"family": "weibull", "K": 0.02, "m": 0.0},
+            "time_grid": {"t": 1.0},
+            "kinds": ["reliability"],
+        }
+        bound = ["bound", "--config", write_scenario(tmp_path, reliability_y, "bound.json")]
+        sweep = ["sweep", "--config", write_scenario(tmp_path, DESK_SCENARIO, "sweep.json")]
+        _, bound_out, _ = run(bound, expect=EXIT_OK)
+        _, sweep_out, _ = run(sweep, expect=EXIT_OK)
+        assert json.loads(bound_out)["sign_mode"] == "corrected"
+        assert sweep_out.startswith("t,theorem,")
+
+        _, out, _ = run(bound + ["--as-published"], expect=EXIT_OK)
+        assert json.loads(out)["sign_mode"] == "as-published"
+        run(["verify", "--bogus"], expect=EXIT_USAGE)
+        assert run(bound, expect=EXIT_OK)[1] == bound_out
+
+        _, out, _ = run(sweep + ["--format", "json"], expect=EXIT_OK)
+        assert json.loads(out)[0]["theorem"] == "Cor9"
+        run(["verify", "--bogus"], expect=EXIT_USAGE)
+        assert run(sweep, expect=EXIT_OK)[1] == sweep_out
 
 
 #: the sdpfeas modules loaded by now, sorted
