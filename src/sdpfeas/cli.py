@@ -13,12 +13,11 @@ Exit-code contract (total, nothing else is returned):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from pathlib import Path
 
-# only what metrics needs: bound, sweep and verify import report and bounds
-# in their own bodies, so that metrics never loads them
+# only what metrics needs: bound, sweep and verify import report, bounds and
+# dataclasses in their own bodies, and files are read and written with open,
+# not pathlib, so that metrics never loads them
 from .confusion import counts_from_json, false_omission_rate, records_from_csv
 from .errors import AssumptionViolationError, SdpFeasError, indented_json
 
@@ -41,7 +40,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text()
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SdpFeasError(f"cannot read {path}: {exc}") from exc
 
@@ -51,13 +53,16 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as handle:
+            handle.write(text)
     except OSError as exc:
         raise SdpFeasError(f"cannot write {out}: {exc}") from exc
 
 
 def _load_config(args):
     """The scenario file with the command-line flags applied, checked alike."""
+    import dataclasses
+
     from .report import ScenarioConfig
 
     config = ScenarioConfig.from_json(_read_text(args.config))

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import AssumptionViolationError, InvalidInputError, ParseError, read_integer, read_json, read_object
 
@@ -31,24 +31,22 @@ DEFECTIVE = "defective"
 CLEAN = "clean"
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """The four prediction-outcome counts.
+class ConfusionMatrix(namedtuple("ConfusionMatrix", ("tp", "fn_", "fp", "tn"))):
+    """The four prediction-outcome counts, an immutable named tuple whose
+    constructor checks each count.
 
     ``tp`` and ``fp`` are carried for reporting only; the bound machinery
     uses just ``fn_`` and ``tn``.
     """
 
-    tp: int
-    fn_: int
-    fp: int
-    tn: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("tp", "fn_", "fp", "tn"):
-            value = read_integer(getattr(self, name), f"count {name!r}")
+    def __new__(cls, tp, fn_, fp, tn):
+        for name, count in zip(cls._fields, (tp, fn_, fp, tn)):
+            value = read_integer(count, f"count {name!r}")
             if value < 0:
                 raise InvalidInputError(f"count {name!r} must be >= 0, got {value}")
+        return super().__new__(cls, tp, fn_, fp, tn)
 
     def to_dict(self) -> dict:
         return {"tp": self.tp, "fn": self.fn_, "fp": self.fp, "tn": self.tn}

@@ -235,7 +235,13 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
         return []
     injection = config.outcome.injection
     if injection is None:
-        thresholds = [entry.threshold for entry in checks]
+        # an X row's threshold is positive in real arithmetic for every t
+        # below the family's max_time, so a 0.0 there underflowed and its
+        # event is {X = 0}; at t = max_time it is ld's true zero
+        end = config.model.max_time
+        thresholds = [
+            math.ulp(0.0) if entry.threshold == 0 and entry.t < end else entry.threshold for entry in checks
+        ]
     else:
         thresholds = [_count_threshold(entry, config.model, injection) for entry in checks]
     # one oracle sums each distinct k*'s exact tail once, one MC draw answers every MC row

@@ -33,6 +33,7 @@ from sdpfeas.cli import (
 )
 from sdpfeas.oracle import MAX_TRIALS
 from sdpfeas.report import SEED_ENV_VAR
+from test_exports import STARTUP_MODULES
 from test_golden import VERIFY as GOLDEN_VERIFY
 from test_golden import VERIFY_Y as GOLDEN_VERIFY_Y
 
@@ -646,13 +647,15 @@ class TestNumericLimits:
         ]
 
     @pytest.mark.parametrize(
-        "K_hat, K, m, t, kind, count, code",
+        "l, K_hat, family, t, kind, count, code",
         [
-            (1e30, 1e-300, 0.0, 1.0, "hazard", "5e-324", EXIT_VERIFICATION),
-            (1e200, 1e-200, 0.0, 1.0, "reliability", "5e-324", EXIT_OK),
-            (1.0, 1.5e-323, 0.0, 1.0, "hazard", "1.5e-323", EXIT_OK),
-            (1e30, 1e-300, 2.0, 1e-20, "hazard", "5e-324", EXIT_VERIFICATION),
-            (1e30, 1e-300, 2.0, 1e-20, "reliability", "5e-324", EXIT_OK),
+            (10, 1e30, ("weibull", 1e-300, 0.0), 1.0, "hazard", "5e-324", EXIT_VERIFICATION),
+            (10, 1e200, ("weibull", 1e-200, 0.0), 1.0, "reliability", "5e-324", EXIT_OK),
+            (10, 1.0, ("weibull", 1.5e-323, 0.0), 1.0, "hazard", "1.5e-323", EXIT_OK),
+            (10, 1e30, ("weibull", 1e-300, 2.0), 1e-20, "hazard", "5e-324", EXIT_VERIFICATION),
+            (10, 1e30, ("weibull", 1e-300, 2.0), 1e-20, "reliability", "5e-324", EXIT_OK),
+            (1, None, ("li", 1e-300), 1e-30, "reliability", "5e-324", EXIT_VERIFICATION),
+            (1, None, ("ld", 1.5, 8.0), 0.1875, "hazard", "0.0", EXIT_OK),
         ],
         ids=[
             "quotient-underflows",
@@ -660,25 +663,28 @@ class TestNumericLimits:
             "within-4-ulp-of-0",
             "threshold-underflows",
             "thm4-threshold-underflows",
+            "x-threshold-underflows",
+            "ld-true-zero-at-K-over-m",
         ],
     )
-    def test_positive_count_threshold_stays_positive(self, run, tmp_path, K_hat, K, m, t, kind, count, code):
+    def test_positive_count_threshold_stays_positive(self, run, tmp_path, l, K_hat, family, t, kind, count, code):
         # threshold / scale is positive in real arithmetic, so the event is
-        # {X = 0}, Pr = 0.95**10, however close to 0 the quotient lands or
+        # {X = 0}, Pr = 0.95**l, however close to 0 the quotient lands or
         # where the threshold K*t**m = 1e-340 itself underflows: the Thm3
         # bound exp(-l*p*K_hat/2) = 0.0 fails against it, and the Thm4
-        # bound exp(-exp(-1/2)/2) = 0.738 holds
-        scenario = {
-            "outcome": {"l": 10, "p": 0.05, "injection": {"K_hat": K_hat, "m_hat": 0.0}},
-            "model": {"family": "weibull", "K": K, "m": m},
-            "time_grid": {"t": t},
-            "kinds": [kind],
-        }
+        # bound exp(-exp(-1/2)/2) = 0.738 holds. Without an injection (K_hat
+        # None) the X threshold H/t = K*t/2 underflows alike, so the Cor8
+        # bound exp(-1/2) fails; ld's z(K/m) = 0 is a true zero, Pr[X < 0] = 0
+        outcome = {"l": l, "p": 0.05}
+        if K_hat is not None:
+            outcome["injection"] = {"K_hat": K_hat, "m_hat": 0.0}
+        model = dict(zip(("family", "K", "m"), family))
+        scenario = {"outcome": outcome, "model": model, "time_grid": {"t": t}, "kinds": [kind]}
         config = write_scenario(tmp_path, scenario)
         _, out, _ = run(["verify", "--config", config], expect=code)
         (record,) = strict_json(out)["verification"]
-        assert record["event"].split(": ", 1)[1] == f"Pr[X < {count}], X ~ Binomial(l=10, p=0.05)"
-        assert record["oracle"] == pytest.approx(0.95**10, rel=1e-12)
+        assert record["event"].split(": ", 1)[1] == f"Pr[X < {count}], X ~ Binomial(l={l}, p=0.05)"
+        assert record["oracle"] == pytest.approx(0.0 if count == "0.0" else 0.95**l, rel=1e-12)
         assert record["holds"] is (code == EXIT_OK)
 
     def test_underflowed_oracle_ratio_from_logs(self, run, tmp_path):
@@ -953,10 +959,11 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def _run_probe(probe: str, *args: str) -> list:
-    """The JSON lines a fresh interpreter prints running ``probe``."""
+def _run_probe(probe: str, *args: str, flags=()) -> list:
+    """The JSON lines a fresh interpreter, started with ``flags``, prints
+    running ``probe``."""
     result = subprocess.run(
-        [sys.executable, "-c", probe, *args],
+        [sys.executable, *flags, "-c", probe, *args],
         env=_subprocess_env(),
         capture_output=True,
         text=True,
@@ -968,6 +975,21 @@ def _run_probe(probe: str, *args: str) -> list:
 
 def _probe(*calls) -> list:
     return _run_probe(IMPORT_PROBE, json.dumps(calls))
+
+
+#: prints which of STARTUP_MODULES are loaded after ``import sdpfeas.cli``
+#: and after each argv list, run through cli.main, succeeds
+STARTUP_PROBE = f"""
+import contextlib, io, json, sys
+def loaded():
+    print(json.dumps([name for name in {STARTUP_MODULES!r} if name in sys.modules]))
+import sdpfeas.cli
+loaded()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sdpfeas.cli.main(argv) == 0
+    loaded()
+"""
 
 
 #: command -> [exit code, scipy loaded, numpy loaded, sdpfeas modules loaded]
@@ -1017,6 +1039,15 @@ class TestImports:
         records = tmp_path / "records.csv"
         records.write_text("actual,predicted\ndefective,clean\nclean,clean\n")
         assert _probe(["metrics", "--records", str(records)]) == [[EXIT_OK, False, False, CLI_MODULES]]
+
+    def test_metrics_loads_no_dataclasses_typing_pathlib_or_inspect(self, tmp_path):
+        # -S: without site, which may load typing and pathlib itself
+        records = tmp_path / "records.csv"
+        records.write_text("actual,predicted\ndefective,clean\nclean,clean\n")
+        counts = tmp_path / "counts.json"
+        counts.write_text('{"tp": 0, "fn": 1, "fp": 0, "tn": 1}')
+        calls = [["metrics", "--records", str(records)], ["metrics", "--counts", str(counts)]]
+        assert _run_probe(STARTUP_PROBE, json.dumps(calls), flags=["-S"]) == [[], [], []]
 
     def test_a_sweep_loads_every_module_the_benchmark_tracer_looks_up(self, tmp_path):
         # bench/tracer.py indexes sys.modules by these names once the

@@ -33,6 +33,21 @@ class TestConfusionFromCounts:
         with pytest.raises(InvalidInputError):
             ConfusionMatrix(1.5, 0, 0, 0)
 
+    def test_checked_immutable_named_tuple(self):
+        m = ConfusionMatrix(5, 3, 2, 17)
+        assert repr(m) == "ConfusionMatrix(tp=5, fn_=3, fp=2, tn=17)"
+        same = ConfusionMatrix(tp=5, fn_=3, fp=2, tn=17)
+        assert m == same and hash(m) == hash(same)
+        tp, fn, fp, tn = m
+        assert (tp, fn, fp, tn) == (5, 3, 2, 17)
+        with pytest.raises(AttributeError):
+            m.tp = 6
+        # each count is read, then checked for sign, in field order
+        with pytest.raises(InvalidInputError, match=r"^count 'fn_' must be >= 0, got -1$"):
+            ConfusionMatrix(0, -1, 1.5, 0)
+        with pytest.raises(ParseError, match=r"^count 'fn_' must be an integer, got 1\.5$"):
+            ConfusionMatrix(0, 1.5, -1, 0)
+
 
 class TestConfusionFromRecords:
     def test_single_false_negative(self):

@@ -2,8 +2,10 @@
 deleted function cannot linger as a stale export, and so does every name
 the package resolves lazily. No module imports numpy at import time, and
 the CLI imports no scenario module at import time, so the commands that
-never use them do not pay for them. Within the oracle, only the
-Monte-Carlo draw imports numpy, so an exact-only verify never loads it."""
+never use them do not pay for them; nor do the modules a ``metrics``
+process loads import dataclasses, typing, pathlib or inspect. Within the
+oracle, only the Monte-Carlo draw imports numpy, so an exact-only verify
+never loads it."""
 
 import ast
 import importlib
@@ -152,6 +154,18 @@ def test_cli_imports_no_scenario_module_at_import_time():
     path = Path(sdpfeas.__file__).parent / "cli.py"
     lines = list(imports_at_import_time(ast.parse(path.read_text(), str(path)).body, SCENARIO_MODULES))
     assert lines == [], f"cli.py imports a scenario module at import time on line(s) {lines}"
+
+
+#: the standard-library modules that the modules a metrics process loads
+#: import only inside function bodies, if at all
+STARTUP_MODULES = ("dataclasses", "typing", "pathlib", "inspect")
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py", "confusion.py", "errors.py"])
+def test_metrics_modules_import_no_startup_module_at_import_time(name):
+    path = Path(sdpfeas.__file__).parent / name
+    lines = list(imports_at_import_time(ast.parse(path.read_text(), str(path)).body, STARTUP_MODULES))
+    assert lines == [], f"{name} imports {'/'.join(STARTUP_MODULES)} at import time on line(s) {lines}"
 
 
 def numpy_importers(tree) -> list:
