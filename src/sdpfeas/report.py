@@ -80,18 +80,22 @@ def _build_grid(payload: dict) -> List[float]:
         return [start]
     if not stop > start:
         raise InvalidInputError(f"time_grid requires stop > start, got {start!r}..{stop!r}")
-    if spacing == "log":
-        import numpy as np
-
-        return np.geomspace(start, stop, steps).tolist()
-    # np.linspace(start, stop, steps) without numpy, bit for bit: where the
-    # step underflows to 0 (a subnormal span), numpy's own fallback
-    div, delta = steps - 1, stop - start
+    # np.linspace(lo, hi, steps) without numpy, bit for bit: where the step
+    # underflows to 0 (a subnormal span), numpy's own fallback. A log grid
+    # is np.geomspace's algorithm on libm: the linspace of the log10 ends,
+    # each point after the first raised to 10 ** x, the ends pinned.
+    lo, hi = (math.log10(start), math.log10(stop)) if spacing == "log" else (start, stop)
+    div, delta = steps - 1, hi - lo
     step = delta / div
     if step == 0:
-        grid = [i / div * delta + start for i in range(div)]
+        grid = [i / div * delta + lo for i in range(div)]
     else:
-        grid = [i * step + start for i in range(div)]
+        grid = [i * step + lo for i in range(div)]
+    if spacing == "log":
+        try:
+            grid = [start, *(10.0**x for x in grid[1:])]
+        except OverflowError:
+            raise InvalidInputError(f"time_grid {start!r}..{stop!r} has a log point past the float range") from None
     grid.append(stop)
     return grid
 

@@ -515,6 +515,10 @@ MALFORMED = {
     "flag trials past the cap": (DESK_SCENARIO, ["--trials", str(MAX_TRIALS + 1)], None),
     # mean 1e5 within both caps, but 2*pi*k*(l - k) overflows in the log-pmf
     "log-pmf past the float range": (dict(HUGE_L, outcome={"l": 10**305, "p": 1e-300}), [], None),
+    # a log point within rounding of the float range lands past it
+    "log grid past the float range": (
+        _replace(("time_grid",), {"start": 1.7976931348623e308, "stop": 1.7976931348623157e308, "steps": 1000,
+                                  "spacing": "log"}), [], None),
 }
 
 
@@ -544,8 +548,14 @@ class TestMalformedInput:
         with pytest.raises(InvalidInputError, match="steps"):
             report_module._build_grid({"start": 1.0, "stop": 2.0, "steps": report_module.MAX_STEPS + 1})
 
-    def test_linear_grid_is_np_linspace_bit_for_bit(self):
-        # the subnormal spans take numpy's fallback for a step that is 0
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_grid_matches_numpy(self, spacing):
+        # a linear grid is np.linspace bit for bit, the subnormal spans taking
+        # numpy's fallback for a step that is 0; a log grid is np.geomspace's
+        # algorithm on libm, so its inner points may differ from numpy's
+        # log10 and power in the last bits (by hundreds of ulp at ratios
+        # near 1, where the two log10 ends differ by an ulp), its ends and
+        # whether it strictly increases never
         cases = [(5e-324, 1e-323, 10), (5e-324, 1.5e-323, 1000), (1e-320, 2e-320, 10**6),
                  (0.25, 3.0, 2), (0.1, 7.3, report_module.MAX_STEPS)]
         rng = random.Random(20260)
@@ -554,13 +564,20 @@ class TestMalformedInput:
             stop = start * (1.0 + 10.0 ** rng.uniform(-15, 3))
             cases.append((start, stop, round(10.0 ** rng.uniform(math.log10(2), math.log10(20000)))))
         for start, stop, steps in cases:
-            grid = report_module._build_grid({"start": start, "stop": stop, "steps": steps, "spacing": "linear"})
-            expected = np.linspace(start, stop, steps).tolist()
+            grid = report_module._build_grid({"start": start, "stop": stop, "steps": steps, "spacing": spacing})
             assert len(grid) == steps
+            where = f"grid {start!r}..{stop!r} x {steps}"
+            if spacing == "log":
+                points, expected = np.array(grid), np.geomspace(start, stop, steps)
+                assert (grid[0], grid[-1]) == (start, stop), where
+                assert np.all(np.diff(points) > 0) == np.all(np.diff(expected) > 0), where
+                assert np.all(np.abs(points - expected) <= 1e-12 * expected), where
+                continue
+            expected = np.linspace(start, stop, steps).tolist()
             # the 64-bit images, which float.hex spells out, compared at C speed
             if array("d", grid).tobytes() != array("d", expected).tobytes():
                 i = next(i for i, (a, b) in enumerate(zip(grid, expected)) if a.hex() != b.hex())
-                pytest.fail(f"grid {start!r}..{stop!r} x {steps}, point {i}: {grid[i].hex()} != {expected[i].hex()}")
+                pytest.fail(f"{where}, point {i}: {grid[i].hex()} != {expected[i].hex()}")
 
     def test_unreadable_config_is_an_error_line(self, run, tmp_path):
         path = tmp_path / "scenario.json"
@@ -1003,11 +1020,10 @@ def probed(tmp_path_factory):
     grid = {"start": 0.5, "stop": 9.5, "steps": 40}
     linear = write_scenario(tmp_path, dict(DESK_SCENARIO, time_grid=dict(grid, spacing="linear")), "linear.json")
     log = write_scenario(tmp_path, dict(DESK_SCENARIO, time_grid=dict(grid, spacing="log")), "log.json")
-    # each command that loads numpy goes last in its process
-    first = _probe(["metrics", "--counts", str(counts)], ["bound", "--config", point],
-                   ["sweep", "--config", linear], ["verify", "--config", point])
-    return dict(zip(["metrics", "bound", "linear sweep", "verify", "log sweep"],
-                    first + _probe(["sweep", "--config", log])))
+    # verify, whose MC trials load numpy, goes last
+    calls = _probe(["metrics", "--counts", str(counts)], ["bound", "--config", point], ["sweep", "--config", linear],
+                   ["sweep", "--config", log], ["verify", "--config", point])
+    return dict(zip(["metrics", "bound", "linear sweep", "log sweep", "verify"], calls))
 
 
 #: the modules ``import sdpfeas.cli`` loads, and a metrics call no more
@@ -1021,12 +1037,13 @@ class TestImports:
         # verify reaches both oracles, whose log-pmf needs no scipy
         assert {command: state[:2] for command, state in probed.items()} == dict.fromkeys(probed, [0, False])
 
-    def test_only_log_sweep_and_verify_load_numpy(self, probed):
-        assert [command for command, state in probed.items() if state[2]] == ["verify", "log sweep"]
+    def test_only_mc_verify_loads_numpy(self, probed):
+        assert [command for command, state in probed.items() if state[2]] == ["verify"]
 
-    def test_exact_only_linear_verify_loads_no_numpy(self, tmp_path):
-        # the exact oracle is plain math; only the MC draw and a log grid need numpy
-        scenario = dict(DESK_SCENARIO, time_grid={"start": 0.5, "stop": 9.5, "steps": 40, "spacing": "linear"},
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_exact_only_verify_loads_no_numpy(self, tmp_path, spacing):
+        # the exact oracle and both grids are plain math; only the MC draw needs numpy
+        scenario = dict(DESK_SCENARIO, time_grid={"start": 0.5, "stop": 9.5, "steps": 40, "spacing": spacing},
                         verify={"exact": True, "mc_trials": 0})
         [[code, scipy, numpy, _]] = _probe(["verify", "--config", write_scenario(tmp_path, scenario)])
         assert (code, scipy, numpy) == (EXIT_OK, False, False)

@@ -3,9 +3,9 @@ deleted function cannot linger as a stale export, and so does every name
 the package resolves lazily. No module imports numpy at import time, and
 the CLI imports no scenario module at import time, so the commands that
 never use them do not pay for them; nor do the modules a ``metrics``
-process loads import dataclasses, typing, pathlib or inspect. Within the
-oracle, only the Monte-Carlo draw imports numpy, so an exact-only verify
-never loads it."""
+process loads import dataclasses, typing, pathlib or inspect. In the
+whole package only the oracle's Monte-Carlo draw imports numpy, so no
+command but a verify with Monte-Carlo trials ever loads it."""
 
 import ast
 import importlib
@@ -201,5 +201,5 @@ class C:
 
 
 def test_only_mc_tails_imports_numpy_in_the_oracle():
-    path = Path(sdpfeas.__file__).parent / "oracle.py"
-    assert numpy_importers(ast.parse(path.read_text(), str(path))) == ["mc_tails"]
+    importers = {path.name: numpy_importers(ast.parse(path.read_text(), str(path))) for path in SOURCES}
+    assert {name: owners for name, owners in importers.items() if owners} == {"oracle.py": ["mc_tails"]}
