@@ -110,7 +110,8 @@ class OutOfRegime:
             "theorem": self.theorem_tag,
             "mu": self.mu,
             "threshold": self.threshold,
-            "delta": self.delta,
+            # JSON has no infinity: the delta of an underflowed mean is null
+            "delta": self.delta if math.isfinite(self.delta) else None,
             "regime": "out-of-regime",
         }
         if self.t is not None:
@@ -123,12 +124,11 @@ SweepEntry = Union[BoundResult, OutOfRegime]
 
 def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign_mode: str | None) -> SweepEntry:
     """The kernel as a sweep entry: an OutOfRegime entry, not an exception,
-    when the band misses (0, 1]. Malformed mu or threshold still raise."""
-    if not (mu > 0 and math.isfinite(mu)):
-        raise InvalidInputError(f"expectation mu must be positive and finite, got {mu!r}")
-    if not math.isfinite(threshold):
-        raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
-    delta = 1.0 - threshold / mu
+    when the band misses (0, 1]. It takes a finite mu >= 0 and a finite
+    threshold, and checks neither. A mu of 0.0 is a positive mean that
+    underflowed: no threshold >= 0 is known to lie below it, so the point
+    is out of regime with delta -inf."""
+    delta = 1.0 - threshold / mu if mu else -math.inf
     if threshold >= mu or threshold < 0:
         return OutOfRegime(theorem_tag, mu, threshold, delta, t)
     try:
@@ -151,15 +151,21 @@ def chernoff_lower_tail(
 ) -> BoundResult:
     """The kernel: bound on Pr[X < threshold] for a variable with mean mu.
 
-    Requires 0 <= threshold < mu; raises OutOfRegimeError otherwise.
+    Requires 0 <= threshold < mu; raises OutOfRegimeError otherwise, and
+    InvalidInputError where mu is not positive and finite or the threshold
+    is not finite.
     """
+    if not (mu > 0 and math.isfinite(mu)):
+        raise InvalidInputError(f"expectation mu must be positive and finite, got {mu!r}")
+    if not math.isfinite(threshold):
+        raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
     return _in_regime(_kernel(mu, threshold, theorem_tag, t, sign_mode))
 
 
 def _in_regime(entry: SweepEntry) -> BoundResult:
     """``entry`` if it is a bound; an OutOfRegime entry raises its error."""
     if isinstance(entry, OutOfRegime):
-        raise OutOfRegimeError(mu=entry.mu, threshold=entry.threshold, theorem_tag=entry.theorem_tag, t=entry.t)
+        raise OutOfRegimeError(entry.mu, entry.threshold, entry.delta, theorem_tag=entry.theorem_tag, t=entry.t)
     return entry
 
 
@@ -226,10 +232,11 @@ def _bound(
 
     (outcome, kind, corrected) is resolved once to its ``FORMS`` row; each
     point then costs one mean, one threshold and one kernel call.
-    Out-of-regime points are entries. The first point whose mean,
-    threshold or kernel fails raises, mean first, as if evaluated alone: a
-    time outside the family's domain raises DomainError, and an overflow
-    (the as-published Thm4 form at moderate t, for one) raises
+    Out-of-regime points are entries, a mean that underflowed to 0.0 too.
+    The first point whose mean or threshold fails raises, mean first, as if
+    evaluated alone: a time outside the family's domain raises DomainError,
+    and an overflow, a mean or threshold that is not finite included (the
+    as-published Thm4 form at moderate t, for one), raises
     NumericOverflowError naming the bound and t."""
     if outcome.injection is not None and model.family is not HazardFamily.WEIBULL:
         raise InvalidInputError(
@@ -248,7 +255,11 @@ def _bound(
             mu = mean(mean_failures, injection, t)
             if not 0.0 < t <= end:
                 check_time(model, spec, t, positive=t == 0 and singular)
-            entries.append(_kernel(mu, threshold(model, t), tag, t, sign_mode))
+            z = threshold(model, t)
+            # a product such as l*p*Khat*t**mhat or K*t**m overflows to inf
+            if not (math.isfinite(mu) and math.isfinite(z)):
+                raise OverflowError
+            entries.append(_kernel(mu, z, tag, t, sign_mode))
     except OverflowError as exc:
         label = tag if sign_mode is None else f"{tag} ({sign_mode})"
         raise NumericOverflowError(f"{label} overflows a 64-bit float at t = {t!r}") from exc

@@ -19,7 +19,7 @@ import sys
 # dataclasses in their own bodies, and files are read and written with open,
 # not pathlib, so that metrics never loads them
 from .confusion import counts_from_json, false_omission_rate, records_from_csv
-from .errors import AssumptionViolationError, SdpFeasError, indented_json
+from .errors import AssumptionViolationError, InvalidInputError, SdpFeasError, indented_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,8 +89,7 @@ def cmd_bound(args) -> int:
 
     config = _load_config(args)
     if len(config.grid) != 1 or len(config.kinds) != 1:
-        print("error: 'bound' needs a single-point time grid and exactly one kind", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInputError("'bound' needs a single-point time grid and exactly one kind")
     entry = run_sweep(config)[0]
     _write_output(indented_json(entry.to_dict()) + "\n", args.out)
     return EXIT_OK if isinstance(entry, BoundResult) else EXIT_OUT_OF_REGIME

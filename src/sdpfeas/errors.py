@@ -54,17 +54,18 @@ class DomainError(SdpFeasError):
 
 class OutOfRegimeError(SdpFeasError):
     """The Chernoff lower-tail bound is inapplicable: the deviation band
-    delta = 1 - threshold/mu falls outside (0, 1].
+    delta = 1 - threshold/mu falls outside (0, 1], or mu underflowed to
+    0.0 and delta is -inf.
 
     This is a finding, not a defect; callers that sweep over parameters
     should catch it and report the point as out-of-regime. ``mu``,
     ``threshold`` and ``delta`` carry the diagnostics.
     """
 
-    def __init__(self, mu, threshold, theorem_tag=None, t=None):
+    def __init__(self, mu, threshold, delta, theorem_tag=None, t=None):
         self.mu = mu
         self.threshold = threshold
-        self.delta = 1.0 - threshold / mu
+        self.delta = delta
         self.theorem_tag = theorem_tag
         self.t = t
         super().__init__(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import datetime
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -151,10 +152,11 @@ class ScenarioConfig:
         verify = read_object(payload.get("verify", {}), "verify", optional=("exact", "mc_trials", "seed"))
         seed = verify.get("seed")
         if seed is None and SEED_ENV_VAR in os.environ:
-            try:
-                seed = int(os.environ[SEED_ENV_VAR])
-            except ValueError:
-                raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}") from None
+            # ASCII digits only: int() would also take "1_0", " 7" and other scripts' digits
+            text = os.environ[SEED_ENV_VAR]
+            if not re.fullmatch("-?[0-9]+", text):
+                raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
+            seed = int(text)
         return cls(
             outcome=outcome,
             model=model,

@@ -56,7 +56,7 @@ class TestKernel:
         assert info.value.delta > 1.0
 
     def test_nonpositive_mu_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="expectation mu must be positive and finite"):
             chernoff_lower_tail(0.0, 0.0)
 
     @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])

@@ -162,7 +162,9 @@ class TestBound:
     def test_multi_point_grid_rejected(self, run, tmp_path):
         scenario = dict(DESK_SCENARIO, time_grid={"start": 1.0, "stop": 2.0, "steps": 5})
         config = write_scenario(tmp_path, scenario)
-        run(["bound", "--config", config], expect=EXIT_USAGE)
+        _, out, err = run(["bound", "--config", config], expect=EXIT_USAGE)
+        assert out == ""
+        assert err == "error: 'bound' needs a single-point time grid and exactly one kind\n"
 
     def test_unknown_scenario_field_rejected(self, run, tmp_path):
         scenario = dict(DESK_SCENARIO, junk=1)
@@ -266,6 +268,13 @@ class TestSweep:
         _, out, _ = run(["sweep", "--config", config, "--format", "json"], expect=EXIT_OK)
         theorems = [r["theorem"] for r in json.loads(out)]
         assert theorems == ["Cor9"] * 3 + ["Cor10"] * 3
+
+    def test_config_from_stdin(self, run, tmp_path, monkeypatch):
+        scenario = self.li_scenario()
+        _, expected, _ = run(["sweep", "--config", write_scenario(tmp_path, scenario)], expect=EXIT_OK)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(scenario)))
+        _, out, _ = run(["sweep", "--config", "-"], expect=EXIT_OK)
+        assert out == expected
 
 
 class TestVerify:
@@ -494,6 +503,10 @@ MALFORMED = {
     "mc_trials float": (_replace(("verify", "mc_trials"), 2.9), [], None),
     "epsilon string": (_replace(("epsilon",), "nan"), [], None),
     "env seed string": (_replace(("verify",), {"exact": True, "mc_trials": 10}), [], "x"),
+    # int() reads these as 10, 3 and 7; the seed takes ASCII digits only
+    "env seed underscore": (_replace(("verify",), {"exact": True, "mc_trials": 10}), [], "1_0"),
+    "env seed arabic-indic digit": (_replace(("verify",), {"exact": True, "mc_trials": 10}), [], "\u0663"),
+    "env seed leading space": (_replace(("verify",), {"exact": True, "mc_trials": 10}), [], " 7"),
     "flag seed negative": (DESK_SCENARIO, ["--seed", "-1"], None),
     "flag epsilon negative": (DESK_SCENARIO, ["--epsilon", "-3"], None),
     "flag trials negative": (DESK_SCENARIO, ["--trials", "-5"], None),
@@ -596,13 +609,87 @@ Y_PUBLISHED = {
 }
 
 
+#: an outcome of mean l*p = 50 at t = 1e10, where K*t**m overflows for K = 1e300, m = 1
+HUGE_T = {"outcome": {"l": 100, "p": 0.5}, "time_grid": {"t": 1e10}, "kinds": ["hazard"]}
+
+
 class TestNumericLimits:
-    @pytest.mark.parametrize("t", [3.0, 8.0])
-    def test_as_published_overflow_is_an_error_line(self, run, tmp_path, t):
-        config = write_scenario(tmp_path, dict(Y_PUBLISHED, time_grid={"t": t}))
-        _, out, err = run(["sweep", "--config", config], expect=EXIT_USAGE)
-        assert out == ""
-        assert err == f"error: Thm4 (as-published) overflows a 64-bit float at t = {t!r}\n"
+    @pytest.mark.parametrize(
+        "scenario, label",
+        [
+            (dict(Y_PUBLISHED, time_grid={"t": 3.0}), "Thm4 (as-published)"),
+            (dict(Y_PUBLISHED, time_grid={"t": 8.0}), "Thm4 (as-published)"),
+            (
+                dict(
+                    HUGE_T,
+                    outcome={"l": 100, "p": 0.5, "injection": {"K_hat": 1e300, "m_hat": 1.0}},
+                    model={"family": "weibull", "K": 1.0, "m": 0.5},
+                ),
+                "Thm3",
+            ),
+            (dict(HUGE_T, model={"family": "weibull", "K": 1e300, "m": 1.0}), "Thm1"),
+        ],
+        ids=["3.0", "8.0", "thm3-mean-overflows", "thm1-threshold-overflows"],
+    )
+    def test_as_published_overflow_is_an_error_line(self, run, tmp_path, scenario, label):
+        # a pow that overflows raises; a product that overflows, the Y mean
+        # l*p*K_hat*t**m_hat or the X threshold K*t**m, is inf: each is one line
+        config = write_scenario(tmp_path, scenario)
+        t = scenario["time_grid"]["t"]
+        commands = ["sweep", "verify"] if len(scenario["kinds"]) > 1 else ["bound", "sweep", "verify"]
+        for command in commands:
+            _, out, err = run([command, "--config", config], expect=EXIT_USAGE)
+            assert out == ""
+            assert err == f"error: {label} overflows a 64-bit float at t = {t!r}\n"
+
+    def test_underflowed_mean_is_out_of_regime(self, run, tmp_path):
+        # the Cor10 mean exp(l*p*expm1(-t)) is 3e-275 at t = 1 and underflows
+        # to 0.0 from t = 4 on: a positive mean below the threshold 2, so
+        # those rows are out of regime with delta -inf, and the sweep goes on
+        scenario = {
+            "outcome": {"l": 2000, "p": 0.5},
+            "model": {"family": "constant", "lambda": 2.0},
+            "time_grid": {"start": 1.0, "stop": 10.0, "steps": 4},
+            "kinds": ["reliability"],
+        }
+        _, out, _ = run(["sweep", "--config", write_scenario(tmp_path, scenario)], expect=EXIT_OK)
+        rows = out.splitlines()[1:]
+        assert len(rows) == 4 and rows[0].endswith(",,out-of-regime")
+        assert [row.split(",", 1)[1] for row in rows[1:]] == ["Cor10,0,2,-inf,,out-of-regime"] * 3
+        # the named bound raises it, with the row's delta
+        from sdpfeas import HazardFamily, HazardModel, OutOfRegimeError, SdpOutcome, reliability_bound
+
+        with pytest.raises(OutOfRegimeError) as info:
+            reliability_bound(SdpOutcome(l=2000, p=0.5), HazardModel(HazardFamily.CONSTANT, lam=2.0), 4.0)
+        assert (info.value.mu, info.value.delta) == (0.0, -math.inf)
+
+    def test_underflowed_injected_mean_is_out_of_regime(self, run, tmp_path):
+        # the Thm3 mean l*p*K_hat*t**m_hat = 50 * 1e-330 underflows to 0.0
+        scenario = {
+            "outcome": {"l": 100, "p": 0.5, "injection": {"K_hat": 1e-300, "m_hat": 1.0}},
+            "model": {"family": "weibull", "K": 1.0, "m": 0.5},
+            "time_grid": {"t": 1e-30},
+        }
+        _, out, _ = run(["sweep", "--config", write_scenario(tmp_path, scenario)], expect=EXIT_OK)
+        [row] = csv.DictReader(io.StringIO(out))
+        assert (row["theorem"], row["mu"], row["delta"], row["regime"]) == ("Thm3", "0", "-inf", "out-of-regime")
+
+    def test_delta_past_the_float_range_is_null_in_json(self, run, tmp_path):
+        # threshold / mu = 1e10 / 5e-299 overflows, so delta is -inf: the CSV
+        # writes it, and JSON, which has no infinity, writes null
+        scenario = {
+            "outcome": {"l": 100, "p": 0.5, "injection": {"K_hat": 1e-300, "m_hat": 0.0}},
+            "model": {"family": "weibull", "K": 1e10, "m": 0.0},
+            "time_grid": {"t": 1.0},
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["sweep", "--config", config], expect=EXIT_OK)
+        assert out.splitlines()[1] == "1,Thm3,5.0000000000000006e-299,10000000000,-inf,,out-of-regime"
+        _, bound, _ = run(["bound", "--config", config], expect=EXIT_OUT_OF_REGIME)
+        _, sweep, _ = run(["sweep", "--config", config, "--format", "json"], expect=EXIT_OK)
+        _, verify, _ = run(["verify", "--config", config], expect=EXIT_OK)
+        rows = [strict_json(bound), *strict_json(sweep), *strict_json(verify)["rows"]]
+        assert [(row["regime"], row["delta"]) for row in rows] == [("out-of-regime", None)] * 3
 
     def test_as_published_below_overflow_still_sweeps(self, run, tmp_path):
         config = write_scenario(tmp_path, dict(Y_PUBLISHED, time_grid={"t": 2.62}))
@@ -703,6 +790,29 @@ class TestNumericLimits:
         assert record["event"].split(": ", 1)[1] == f"Pr[X < {count}], X ~ Binomial(l={l}, p=0.05)"
         assert record["oracle"] == pytest.approx(0.0 if count == "0.0" else 0.95**l, rel=1e-12)
         assert record["holds"] is (code == EXIT_OK)
+
+    @pytest.mark.parametrize(
+        "injection, t",
+        [({"K_hat": 1e-300, "m_hat": 1.0}, 1e-30), ({"K_hat": 1e-300, "m_hat": 2.0}, 1e-5)],
+        ids=["log-count-overflows", "quotient-overflows"],
+    )
+    def test_count_threshold_past_the_float_range_is_certain(self, run, tmp_path, injection, t):
+        # the Thm4 threshold H/t = 0.5 over the injected hazard K_hat*t**m_hat:
+        # at t = 1e-30 the hazard underflows and the log of the count, 759,
+        # overflows exp; at t = 1e-5 the quotient 0.5 / 1e-310 overflows.
+        # Either count lies beyond every count, so the event is certain and
+        # the bound exp(-1/8) fails against it
+        scenario = {
+            "outcome": {"l": 100, "p": 0.05, "injection": injection},
+            "model": {"family": "weibull", "K": 0.5, "m": 0.0},
+            "time_grid": {"t": t},
+            "kinds": ["reliability"],
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["verify", "--config", config], expect=EXIT_VERIFICATION)
+        (record,) = strict_json(out)["verification"]
+        assert record["event"].split(": ", 1)[1] == "Pr[X < 1.7976931348623157e+308], X ~ Binomial(l=100, p=0.05)"
+        assert (record["oracle"], record["holds"]) == (1.0, False)
 
     def test_underflowed_oracle_ratio_from_logs(self, run, tmp_path):
         # constant lambda = 2500: the bound is 3.68e-272, the exact tail
