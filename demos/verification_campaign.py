@@ -18,6 +18,7 @@ from sdpfeas import (
     binomial_window,
     hazard_bound,
     reliability_bound,
+    verify_bound,
 )
 
 LS = [5, 20, 100, 500]
@@ -50,7 +51,7 @@ def campaign(models, bound_fn):
                     except (OutOfRegimeError, InvalidInputError):
                         continue
                     oracle = window.exact_tail(result.threshold)
-                    if oracle.value < result.bound:
+                    if verify_bound(result, oracle).holds:
                         held += 1
                     else:
                         failed += 1

@@ -19,7 +19,8 @@ import sys
 # dataclasses in their own bodies, and files are read and written with open,
 # not pathlib, so that metrics never loads them
 from .confusion import counts_from_json, false_omission_rate, records_from_csv
-from .errors import AssumptionViolationError, InvalidInputError, SdpFeasError, indented_json
+from .errors import AssumptionViolationError, InvalidInputError, SdpFeasError, indented_json, read_integer_text
+from .errors import read_number_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         command.set_defaults(run=run)
         command.add_argument("--config", required=True, help="path to scenario JSON ('-' for stdin)")
         command.add_argument("--out", help="output path (default stdout)")
-        command.add_argument("--seed", type=int, help="RNG seed (overrides config and SDPFEAS_SEED)")
-        command.add_argument("--trials", type=int, help="Monte-Carlo trial count override")
-        command.add_argument("--epsilon", type=float, help="feasibility cutoff override")
+        command.add_argument("--seed", type=read_integer_text, help="RNG seed (overrides config and SDPFEAS_SEED)")
+        command.add_argument("--trials", type=read_integer_text, help="Monte-Carlo trial count override")
+        command.add_argument("--epsilon", type=read_number_text, help="feasibility cutoff override")
         sign = command.add_mutually_exclusive_group()
         sign.add_argument("--corrected", dest="corrected", action="store_true", default=None)
         sign.add_argument("--as-published", dest="corrected", action="store_false", default=None)

@@ -1,12 +1,14 @@
 """Exception hierarchy shared by all sdpfeas modules, the ``read_*``
 functions every descriptor field passes through (a malformed value raises
 ParseError and is never coerced: a bool is not a number, a float is not
-an integer, a number is finite), and ``indented_json``, the writer of
+an integer, a number is finite), the two rules for numbers given as text,
+by a flag or an environment variable, and ``indented_json``, the writer of
 every JSON output. JSON in and JSON out live here, beside the errors, so
 that ``metrics`` loads neither the scenario stack nor the report."""
 
 import functools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -188,3 +190,28 @@ def read_choice(value, what: str, choices):
     except ValueError:
         valid = ", ".join(choice.value for choice in choices)
         raise ParseError(f"unknown {what} {value!r}; expected one of: {valid}") from None
+
+
+def _text_reader(pattern: str, convert):
+    """A reader of a number given as text: ``convert(text)`` where all of
+    ``text`` matches ``pattern``, else ValueError. Where ``int`` and
+    ``float`` would also take whitespace, ``_`` and other scripts' digits
+    (and ``float`` nan and inf), the pattern takes ASCII alone. The reader
+    keeps ``convert``'s name, which argparse prints in its "invalid int
+    value" line."""
+    match = re.compile(pattern).fullmatch
+
+    def read(text: str):
+        if not match(text):
+            raise ValueError(f"invalid {convert.__name__} text: {text!r}")
+        return convert(text)
+
+    read.__name__ = convert.__name__
+    return read
+
+
+#: ASCII digits with an optional leading '-'
+read_integer_text = _text_reader(r"-?[0-9]+", int)
+#: an ASCII decimal: optional sign, digits with an optional point, and an
+#: optional exponent
+read_number_text = _text_reader(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?", float)

@@ -6,15 +6,16 @@ integer-valued X and integral threshold k, Pr[X < k] = CDF(k - 1). An
 off-by-one here would silently invalidate every soundness check, so one
 helper, ``_strict_upper_index``, centralises it.
 
-Both oracles are methods of one object, ``binomial_window(l, p)``, which
-checks (l, p) once. ``exact_tail`` computes log Pr[X <= k*] once per
-distinct k*, in plain ``math``: one Loader saddle-point term log Pr[X = k*]
-plus the log of a sum of pmf ratios taken down from k* (above the mean,
-log1p(-U) of the same kind of sum U taken up from k* + 1), stopped once a
-geometric bound on the dropped terms is below 2**-60 of the sum. The work
-is O(sigma) per distinct k* at most, and far less in a deep tail.
-``mc_tails`` reads every hit count from one sorted draw of uniforms at
-those same exact tails.
+Both oracles are methods of one object, ``BinomialWindow(l, p)`` (alias
+``binomial_window``), which checks l, p and the caps once.
+``exact_tail`` computes log Pr[X <= k*] once per distinct k*, in plain
+``math``: one Loader saddle-point term log Pr[X = k*] plus the log of a
+sum of pmf ratios taken down from k* (above the mean, log1p(-U) of the
+same kind of sum U taken up from k* + 1), stopped once a geometric bound
+on the dropped terms is below 2**-60 of the sum. The work is O(sigma)
+per distinct k* at most, and far less in a deep tail. ``mc_tails`` reads
+every hit count from one sorted draw of uniforms at those same exact
+tails.
 
 The Monte-Carlo sampler uses the Philox counter-based generator, so a
 (seed, trials, threshold) triple maps to a bit-reproducible estimate
@@ -151,7 +152,7 @@ def _log_pmf(l: int, p: float, k: int) -> float:
 
     Near the ends of the float range an intermediate overflows (l * l in
     stirlerr, harmlessly; 2*pi*k*(l - k) or, for a subnormal l*p,
-    k / (l*p), into an infinite term): binomial_window refuses a binomial
+    k / (l*p), into an infinite term): BinomialWindow refuses a binomial
     whose term at the highest count a tail may need is not finite.
     """
     if k == 0:
@@ -190,15 +191,36 @@ def _ratio_sum(l: int, k: int, p: float, q: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BinomialWindow:
-    """Both oracles of X ~ Binomial(l, p), for the parameters that
-    ``binomial_window`` has checked: exact tails in plain ``math``, each
-    summed once per k* and remembered, and Monte-Carlo hit counts read at
-    those same tails. It holds no window of terms; the name is public API."""
+    """Both oracles of X ~ Binomial(l, p), which construction checks, and
+    refuses before any term is summed if they cannot be computed: exact
+    tails in plain ``math``, each summed once per k* and remembered, and
+    Monte-Carlo hit counts read at those same tails. It holds no window of
+    terms; the name is public API."""
 
     l: int
     p: float
     #: k* -> (value, log_value) of every exact tail this oracle has summed
     _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        l, p = self.l, self.p
+        # p is a float (a Fraction would carry every ratio of a sum as a rational)
+        if not 1 <= read_integer(l, "l") <= sys.float_info.max:
+            raise InvalidInputError(f"l must be an integer in [1, {sys.float_info.max!r}], got {l!r}")
+        if not 0.0 < read_number(p, "p") < 1.0:
+            raise InvalidInputError(f"p must lie strictly in (0, 1), got {p!r}")
+        span = SPAN_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
+        hi = min(l, math.ceil(l * p + span))
+        if hi > MAX_COUNT:
+            raise InvalidInputError(f"Binomial(l={l}, p={p!r}) needs counts up to {hi}, past 2**53, where floats skip integers")
+        if span > MAX_TERMS:
+            raise InvalidInputError(f"Binomial(l={l}, p={p!r}) may sum up to {math.ceil(span)} terms in one tail, over {MAX_TERMS}")
+        # within the caps, the intermediates that can overflow, 2*pi*k*(l - k)
+        # and k / (l*p), grow with k: if the term at the highest count below l
+        # that a tail may need is finite, so is every term below it
+        top = min(hi, l - 1)
+        if not math.isfinite(_log_pmf(l, p, top)):
+            raise InvalidInputError(f"Binomial(l={l}, p={p!r}) has a log-pmf that overflows a float at count {top}")
 
     def describe(self, threshold: float) -> str:
         """The event Pr[X < threshold], strict '<', as the report prints it."""
@@ -278,29 +300,8 @@ class BinomialWindow:
         return estimates
 
 
-def binomial_window(l: int, p: float) -> BinomialWindow:
-    """The oracle of Binomial(l, p); see BinomialWindow. It refuses, before
-    any term is summed, a binomial whose tails it cannot compute."""
-    # p is a float (a Fraction would carry every ratio of a sum as a rational)
-    if not 1 <= read_integer(l, "l") <= sys.float_info.max:
-        raise InvalidInputError(f"l must be an integer in [1, {sys.float_info.max!r}], got {l!r}")
-    if not 0.0 < read_number(p, "p") < 1.0:
-        raise InvalidInputError(f"p must lie strictly in (0, 1), got {p!r}")
-    span = SPAN_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
-    hi = min(l, math.ceil(l * p + span))
-    if hi > MAX_COUNT:
-        raise InvalidInputError(
-            f"Binomial(l={l}, p={p!r}) needs counts up to {hi}, past 2**53, where floats skip integers"
-        )
-    if span > MAX_TERMS:
-        raise InvalidInputError(f"Binomial(l={l}, p={p!r}) may sum up to {math.ceil(span)} terms in one tail, over {MAX_TERMS}")
-    # within the caps, the intermediates that can overflow, 2*pi*k*(l - k)
-    # and k / (l*p), grow with k: if the term at the highest count below l
-    # that a tail may need is finite, so is every term below it
-    top = min(hi, l - 1)
-    if not math.isfinite(_log_pmf(l, p, top)):
-        raise InvalidInputError(f"Binomial(l={l}, p={p!r}) has a log-pmf that overflows a float at count {top}")
-    return BinomialWindow(l=l, p=p)
+#: the oracle's other public name: the same class, with the same checks
+binomial_window = BinomialWindow
 
 
 @dataclass(slots=True)

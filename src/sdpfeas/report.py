@@ -16,7 +16,6 @@ from __future__ import annotations
 import datetime
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -31,9 +30,9 @@ from .bounds import (
     bound_sweep,
 )
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_integer, read_json
-from .errors import read_list, read_number, read_object
+from .errors import read_integer_text, read_list, read_number, read_object
 from .hazards import HazardModel, hazard_at, model_from_descriptor
-from .oracle import MAX_TRIALS, VerificationRecord, binomial_window, verify_bound
+from .oracle import MAX_TRIALS, BinomialWindow, VerificationRecord, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
 
 __all__ = [
@@ -152,11 +151,11 @@ class ScenarioConfig:
         verify = read_object(payload.get("verify", {}), "verify", optional=("exact", "mc_trials", "seed"))
         seed = verify.get("seed")
         if seed is None and SEED_ENV_VAR in os.environ:
-            # ASCII digits only: int() would also take "1_0", " 7" and other scripts' digits
             text = os.environ[SEED_ENV_VAR]
-            if not re.fullmatch("-?[0-9]+", text):
-                raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
-            seed = int(text)
+            try:
+                seed = read_integer_text(text)
+            except ValueError:
+                raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
         return cls(
             outcome=outcome,
             model=model,
@@ -191,11 +190,16 @@ def run_sweep(config: ScenarioConfig) -> List[SweepEntry]:
     return entries
 
 
-def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardModel) -> float:
-    """A Y row's threshold in count units, ``threshold / scale`` with the
-    injected hazard at the row's t as the scale, or the integer k >= 1 it
-    lies within 4 ulp of.
+def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardModel | None) -> float:
+    """A row's threshold in count units, the one map from a verified row to
+    its oracle query Pr[X < count].
 
+    An X row's (no ``injection``) count is its threshold, or the smallest
+    float, the event {X = 0}, where the threshold underflowed to 0.0 at a t
+    below the family's max_time; at max_time a 0.0 is ld's true zero.
+
+    A Y row's count is ``threshold / scale``, with the injected hazard at
+    the row's t as the scale, or the integer k >= 1 it lies within 4 ulp of.
     The division can land an ulp above an integer k that is exact in
     real arithmetic, and the strict '<' of Pr[X < count] would then take
     in Pr[X = k]. The threshold and the scale are positive in real
@@ -207,7 +211,10 @@ def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardMo
     (or the scale overflowed) or lies within 4 ulp of 0, it stays positive,
     at least the smallest float: the event is {X = 0}.
     """
-    threshold, scale = entry.threshold, hazard_at(injection, entry.t)
+    threshold = entry.threshold
+    if injection is None:
+        return math.ulp(0.0) if threshold == 0 and entry.t < model.max_time else threshold
+    scale = hazard_at(injection, entry.t)
     if threshold > 0 and scale > 0:
         count = threshold / scale
     else:
@@ -231,27 +238,16 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
 
     Every bound in the engine is a lower-tail statement about the
     underlying count X (reliability events transform to X < H(t)/t, and
-    Y = scale * X at fixed t), so one scaled binomial query covers both
-    kinds of either variant. The outcome's injection marks Y rows: at each
-    Y row's t the scale is the injected hazard, and the threshold becomes
-    the count threshold threshold / scale (see ``_count_threshold``).
+    Y = scale * X at fixed t), so one binomial query covers both kinds of
+    either variant: ``_count_threshold`` maps each row to its count, and
+    one oracle answers every row at that count.
     """
     checks = [entry for entry in entries if isinstance(entry, BoundResult)]
     if not checks or not (config.verify_exact or config.mc_trials > 0):
         return []
-    injection = config.outcome.injection
-    if injection is None:
-        # an X row's threshold is positive in real arithmetic for every t
-        # below the family's max_time, so a 0.0 there underflowed and its
-        # event is {X = 0}; at t = max_time it is ld's true zero
-        end = config.model.max_time
-        thresholds = [
-            math.ulp(0.0) if entry.threshold == 0 and entry.t < end else entry.threshold for entry in checks
-        ]
-    else:
-        thresholds = [_count_threshold(entry, config.model, injection) for entry in checks]
+    thresholds = [_count_threshold(entry, config.model, config.outcome.injection) for entry in checks]
     # one oracle sums each distinct k*'s exact tail once, one MC draw answers every MC row
-    window = binomial_window(config.outcome.l, config.outcome.p)
+    window = BinomialWindow(config.outcome.l, config.outcome.p)
     if config.mc_trials > 0:
         seed = config.seed if config.seed is not None else 0
         estimates = window.mc_tails(thresholds, config.mc_trials, seed)

@@ -599,6 +599,43 @@ class TestMalformedInput:
         assert err.startswith("error: cannot read")
 
 
+#: id -> (flag, text): text that int() or float() would read as a number
+COERCED_FLAGS = {
+    "seed underscore": ("--seed", "1_0"),
+    "seed leading space": ("--seed", " 7"),
+    "trials arabic-indic digit": ("--trials", "\u0663"),
+    "trials underscore": ("--trials", "1_000"),
+    "epsilon underscore": ("--epsilon", "0_0.5"),
+    "epsilon trailing newline": ("--epsilon", "0.05\n"),
+    "epsilon arabic-indic digits": ("--epsilon", "\u0660.\u0660\u0665"),
+    "epsilon nan": ("--epsilon", "nan"),
+    "epsilon inf": ("--epsilon", "inf"),
+}
+
+
+class TestFlagText:
+    """``--seed`` and ``--trials`` take ASCII digits with an optional
+    leading '-', as SDPFEAS_SEED does, and ``--epsilon`` an ASCII decimal;
+    argparse refuses any other text, after the usage, in its own words."""
+
+    @pytest.mark.parametrize("case", sorted(COERCED_FLAGS))
+    def test_coerced_form_is_refused(self, run, tmp_path, case):
+        flag, text = COERCED_FLAGS[case]
+        config = write_scenario(tmp_path, DESK_SCENARIO)
+        _, out, err = run(["verify", "--config", config, flag, text], expect=EXIT_USAGE)
+        kind = "float" if flag == "--epsilon" else "int"
+        assert out == ""
+        assert err.startswith("usage: sdpfeas verify")
+        assert err.splitlines()[-1] == f"error: argument {flag}: invalid {kind} value: {text!r}"
+
+    @pytest.mark.parametrize("text", [".05", "5e-2"])
+    def test_decimal_epsilon_runs(self, run, tmp_path, text):
+        # --seed 7 runs in TestVerify::test_seed_flag_overrides_config
+        config = write_scenario(tmp_path, DESK_SCENARIO)
+        _, out, _ = run(["verify", "--config", config, "--epsilon", text], expect=EXIT_OK)
+        assert json.loads(out)["summary"]["epsilon"] == 0.05
+
+
 #: the as-published Y reliability mean overflows between t = 2.65 and 3
 Y_PUBLISHED = {
     "outcome": {"l": 50, "p": 0.1, "injection": {"K_hat": 1.0, "m_hat": 0.5}},

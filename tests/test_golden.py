@@ -1,7 +1,9 @@
 """Golden outputs: sweep CSVs for every family and both kinds, an X and a
 Y verify report with exact and Monte-Carlo records, and the exception type and
 message of each invalid input below. Refactors of the family table, the
-bound resolver or the sampler must leave every byte unchanged.
+bound resolver or the sampler must leave every byte unchanged. The same
+command also writes each demo's stdout, which ``tests/test_demos.py``
+compares.
 
 Regenerate the files under ``tests/golden/`` (only when a change of output
 is intended, and say so in CHANGES.md) with
@@ -257,7 +259,14 @@ def test_goldens_cover_every_regime_and_sign_mode():
 
 
 if __name__ == "__main__":
+    from test_demos import DEMOS, demo_golden, run_demo
+
     GOLDEN.mkdir(exist_ok=True)
     for name, thunk in OUTPUTS.items():
         (GOLDEN / name).write_text(thunk())
         print(f"wrote {GOLDEN / name}")
+    for demo in DEMOS:
+        result = run_demo(demo)
+        result.check_returncode()
+        demo_golden(demo).write_bytes(result.stdout)
+        print(f"wrote {demo_golden(demo)}")

@@ -116,9 +116,12 @@ class TestExactTail:
         assert TailEstimate(value=0.0, method=TailMethod.EXACT).log_value == -math.inf
 
     def test_rejects_bad_query(self):
-        for l, p in [(0, 0.5), (True, 0.5), (2.0, 0.5), (10, 0.0), (10, 1.0), (10, math.nan)]:
-            with pytest.raises(InvalidInputError):
-                binomial_window(l, p)
+        # one class, one construction path: no oracle object skips the checks
+        assert binomial_window is BinomialWindow
+        for l, p in [(0, 0.5), (True, 0.5), (2.0, 0.5), (10, 0.0), (10, 1.0), (10, 1.5), (10, math.nan), (10**20, 0.5)]:
+            for build in (binomial_window, BinomialWindow):
+                with pytest.raises(InvalidInputError):
+                    build(l, p)
         window = binomial_window(10, 0.3)
         for threshold in (math.inf, -math.inf, math.nan):
             with pytest.raises(InvalidInputError, match="threshold must be finite"):
@@ -453,21 +456,24 @@ class TestWindowCaps:
 
 
 class TestEntryPointArguments:
-    """``binomial_window`` and ``mc_tails`` refuse what float
-    arithmetic would fail on, under the rules of ``SdpOutcome`` and
-    ``ScenarioConfig``; each case is the value just past its rule."""
+    """``BinomialWindow`` (alias ``binomial_window``) and ``mc_tails``
+    refuse what float arithmetic would fail on, under the rules of
+    ``SdpOutcome`` and ``ScenarioConfig``; each case is the value just past
+    its rule."""
 
     @pytest.mark.parametrize("l", [int(sys.float_info.max) + 1, 10**400])
     @pytest.mark.parametrize("p", [0.5, 1e-300])
     def test_l_past_the_float_range(self, l, p):
-        with pytest.raises(InvalidInputError, match="l must be an integer in"):
-            binomial_window(l, p)
+        for build in (binomial_window, BinomialWindow):
+            with pytest.raises(InvalidInputError, match="l must be an integer in"):
+                build(l, p)
 
     def test_fraction_p_refused(self):
         # a Fraction would carry every ratio of the tail's sum as a rational
-        with pytest.raises(InvalidInputError, match=r"p must be a number, got Fraction\(3, 20\)"):
-            binomial_window(100, Fraction(3, 20))
-        assert binomial_window(100, float(Fraction(3, 20))).p == 0.15
+        for build in (binomial_window, BinomialWindow):
+            with pytest.raises(InvalidInputError, match=r"p must be a number, got Fraction\(3, 20\)"):
+                build(100, Fraction(3, 20))
+            assert build(100, float(Fraction(3, 20))).p == 0.15
 
     def test_bool_trials_refused(self):
         with pytest.raises(InvalidInputError, match="trials must be an integer, got True"):
