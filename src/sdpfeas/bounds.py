@@ -30,9 +30,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, List, Sequence, Union
 
 from .errors import DomainError, InvalidInputError, NumericOverflowError, OutOfRegimeError, read_choice
 from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel, check_time, hazard_at
@@ -119,7 +119,7 @@ class OutOfRegime:
         return payload
 
 
-SweepEntry = Union[BoundResult, OutOfRegime]
+SweepEntry = BoundResult | OutOfRegime
 
 
 def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign_mode: str | None) -> SweepEntry:
@@ -227,7 +227,7 @@ def _bound(
     grid: Sequence[float],
     kind: BoundKind,
     corrected: bool = True,
-) -> List[SweepEntry]:
+) -> list[SweepEntry]:
     """One named bound over ``grid`` in one pass.
 
     (outcome, kind, corrected) is resolved once to its ``FORMS`` row; each
@@ -249,7 +249,7 @@ def _bound(
     mean_failures, injection = outcome.mean_failures, outcome.injection
     # times outside (0, end] get the domain's message; reliability means refuse t <= 0
     end, singular = min(spec.max_time(model), sys.float_info.max), spec.singular_at_zero(model)
-    entries: List[SweepEntry] = []
+    entries: list[SweepEntry] = []
     try:
         for t in grid:
             mu = mean(mean_failures, injection, t)
@@ -312,7 +312,7 @@ def bound_sweep(
     grid: Iterable[float],
     kind: BoundKind = BoundKind.HAZARD,
     corrected: bool = True,
-) -> List[SweepEntry]:
+) -> list[SweepEntry]:
     """Evaluate one bound over a time grid, of the outcome's variant.
 
     The grid must be non-empty, strictly increasing and positive.

@@ -13,20 +13,22 @@ Exit-code contract (total, nothing else is returned):
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # only what metrics needs: bound, sweep and verify import report, bounds and
 # dataclasses in their own bodies, and files are read and written with open,
 # not pathlib, so that metrics never loads them
 from .confusion import counts_from_json, false_omission_rate, records_from_csv
-from .errors import AssumptionViolationError, InvalidInputError, SdpFeasError, indented_json, read_integer_text
-from .errors import read_number_text
+from .errors import AssumptionViolationError, InvalidInputError, ParseError, SdpFeasError, indented_json
+from .errors import read_integer_text, read_number_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSUMPTION = 2
 EXIT_OUT_OF_REGIME = 3
 EXIT_VERIFICATION = 4
+SEED_ENV_VAR = "SDPFEAS_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,12 +63,19 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _load_config(args):
-    """The scenario file with the command-line flags applied, checked alike."""
+    """The scenario file with SDPFEAS_SEED, where it gives no seed, and then the flags applied, checked alike."""
     import dataclasses
 
     from .report import ScenarioConfig
 
     config = ScenarioConfig.from_json(_read_text(args.config))
+    text = os.environ.get(SEED_ENV_VAR)
+    if config.seed is None and text is not None:
+        try:
+            seed = read_integer_text(text)
+        except ValueError:
+            raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
+        config = dataclasses.replace(config, seed=seed)
     flags = {"seed": args.seed, "mc_trials": args.trials, "corrected": args.corrected, "epsilon": args.epsilon}
     return dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
 

@@ -127,12 +127,17 @@ def counts_from_json(text: str) -> ConfusionMatrix:
 
 
 def records_from_csv(text: str) -> ConfusionMatrix:
-    """Parse the CSV record format: header ``actual,predicted``, one pair per line."""
+    """Parse the CSV record format: header ``actual,predicted``, one pair per line.
+
+    Text the csv module refuses (a field past its size limit, which is not
+    raised) is a ParseError naming the line it stopped on."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty CSV input; expected an 'actual,predicted' header") from None
-    if [cell.strip().lower() for cell in header] != ["actual", "predicted"]:
-        raise ParseError(f"expected header 'actual,predicted', got {header!r}")
-    return confusion_from_records(row for row in reader if row)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty CSV input; expected an 'actual,predicted' header")
+        if [cell.strip().lower() for cell in header] != ["actual", "predicted"]:
+            raise ParseError(f"expected header 'actual,predicted', got {header!r}")
+        return confusion_from_records(row for row in reader if row)
+    except csv.Error as exc:
+        raise ParseError(f"records CSV line {reader.line_num}: {exc}") from None

@@ -77,9 +77,13 @@ class OutOfRegimeError(SdpFeasError):
 
 
 def read_json(text: str):
+    """The JSON document ``text``. Besides malformed text, ``json.loads``
+    refuses an integer past the interpreter's digit limit (ValueError) and
+    nesting past its recursion limit (RecursionError); each is an invalid
+    document here, and neither limit is raised."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

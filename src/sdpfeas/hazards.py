@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import DomainError, InvalidInputError, ParseError, read_choice, read_number, read_object
 
@@ -52,11 +52,10 @@ class HazardFamily(str, enum.Enum):
 
 @dataclass(frozen=True)
 class HazardModel:
-    """One hazard-curve family with its parameters.
-
-    ``K`` is the rate scale (unused by the constant family), ``m`` the
-    exponent (weibull) or slope (ld), ``lam`` the constant rate.
-    """
+    """One hazard-curve family with its parameters, read as a descriptor's
+    are and stored as read: the family (a member or its value) as the member,
+    ``K`` the rate scale (unused by the constant family), ``m`` the exponent
+    (weibull) or slope (ld) and ``lam`` the constant rate as finite floats."""
 
     family: HazardFamily
     K: float | None = None
@@ -64,8 +63,12 @@ class HazardModel:
     lam: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "family", read_choice(self.family, "hazard family", HazardFamily))
         for field, lower, rule in FAMILIES[self.family].params:
             value = getattr(self, _ATTRIBUTE[field])
+            if value is not None:
+                value = read_number(value, f"{self.family.value} {field}")
+                object.__setattr__(self, _ATTRIBUTE[field], value)
             if value is None or not value > lower:
                 raise InvalidInputError(f"{self.family.value} hazard requires {rule}, got {value!r}")
 
@@ -195,7 +198,4 @@ def model_from_descriptor(payload: dict) -> HazardModel:
     family = read_choice(payload["family"], "hazard family", HazardFamily)
     fields = [field for field, _, _ in FAMILIES[family].params]
     read_object(payload, f"{family.value} descriptor", required=fields, optional=["family"])
-    return HazardModel(
-        family=family,
-        **{_ATTRIBUTE[field]: read_number(payload[field], f"{family.value} {field}") for field in fields},
-    )
+    return HazardModel(family, **{_ATTRIBUTE[field]: payload[field] for field in fields})

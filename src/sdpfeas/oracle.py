@@ -30,8 +30,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import List, Sequence
 
 from .bounds import BoundResult
 from .errors import InvalidInputError, read_integer, read_number
@@ -264,7 +264,7 @@ class BinomialWindow:
         upper = _log_pmf(l, p, k_star + 1) + math.log(_ratio_sum(l, l - k_star - 1, q, p))
         return math.log1p(-math.exp(upper))
 
-    def mc_tails(self, thresholds: Sequence[float], trials: int, seed: int) -> List[TailEstimate]:
+    def mc_tails(self, thresholds: Sequence[float], trials: int, seed: int) -> list[TailEstimate]:
         """Monte-Carlo estimates of Pr[X < threshold] for each of
         ``thresholds`` from one draw of ``trials`` Binomial(l, p) samples,
         seeded by ``seed`` and inverted over the exact CDF. Reruns with the

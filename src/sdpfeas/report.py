@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import datetime
 import math
-import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import List, Sequence
 
 from . import __version__ as _version
 from .bounds import (
@@ -30,7 +29,7 @@ from .bounds import (
     bound_sweep,
 )
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_integer, read_json
-from .errors import read_integer_text, read_list, read_number, read_object
+from .errors import read_list, read_number, read_object
 from .hazards import HazardModel, hazard_at, model_from_descriptor
 from .oracle import MAX_TRIALS, BinomialWindow, VerificationRecord, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
@@ -42,13 +41,10 @@ __all__ = [
     "run_verification",
     "build_report",
     "sweep_to_csv",
-    "indented_json",
     "DEFAULT_EPSILON",
-    "SEED_ENV_VAR",
 ]
 
 DEFAULT_EPSILON = 0.05
-SEED_ENV_VAR = "SDPFEAS_SEED"
 #: grid points a time_grid may ask for, checked before the grid is allocated
 MAX_STEPS = 10**6
 
@@ -59,7 +55,7 @@ _BOUND_ROWS = {regime: "%.17g,%s,%.17g,%.17g,%.17g,%.17g," + regime.value for re
 _OUT_OF_REGIME_ROW = "%.17g,%s,%.17g,%.17g,%.17g,,out-of-regime"
 
 
-def _build_grid(payload: dict) -> List[float]:
+def _build_grid(payload: dict) -> list[float]:
     if "t" in read_object(payload, "time_grid", optional=None):
         t = read_number(read_object(payload, "time_grid", required=("t",))["t"], "time_grid t")
         if not t > 0:
@@ -102,13 +98,13 @@ def _build_grid(payload: dict) -> List[float]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A checked scenario; ``__post_init__`` also checks the settings that
-    CLI flags override through ``dataclasses.replace``."""
+    """A checked scenario, read from its descriptor alone; ``__post_init__``
+    also checks what the CLI layers over it through ``dataclasses.replace``."""
 
     outcome: SdpOutcome
     model: HazardModel
-    grid: List[float]
-    kinds: List[BoundKind]
+    grid: list[float]
+    kinds: list[BoundKind]
     corrected: bool = True
     verify_exact: bool = True
     mc_trials: int = 0
@@ -149,13 +145,6 @@ class ScenarioConfig:
                 f"an 'injection' descriptor is of variant {variant!r}"
             )
         verify = read_object(payload.get("verify", {}), "verify", optional=("exact", "mc_trials", "seed"))
-        seed = verify.get("seed")
-        if seed is None and SEED_ENV_VAR in os.environ:
-            text = os.environ[SEED_ENV_VAR]
-            try:
-                seed = read_integer_text(text)
-            except ValueError:
-                raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
         return cls(
             outcome=outcome,
             model=model,
@@ -164,7 +153,7 @@ class ScenarioConfig:
             corrected=payload.get("corrected", True),
             verify_exact=verify.get("exact", True),
             mc_trials=verify.get("mc_trials", 0),
-            seed=seed,
+            seed=verify.get("seed"),
             epsilon=payload.get("epsilon", DEFAULT_EPSILON),
             raw=payload,
         )
@@ -174,9 +163,9 @@ class ScenarioConfig:
         return cls.from_descriptor(read_json(text))
 
 
-def run_sweep(config: ScenarioConfig) -> List[SweepEntry]:
+def run_sweep(config: ScenarioConfig) -> list[SweepEntry]:
     """All bound rows for the scenario, kind-major then grid order."""
-    entries: List[SweepEntry] = []
+    entries: list[SweepEntry] = []
     for kind in config.kinds:
         entries.extend(
             bound_sweep(
@@ -233,7 +222,7 @@ def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardMo
     return max(count, math.ulp(0.0))
 
 
-def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> List[VerificationRecord]:
+def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> list[VerificationRecord]:
     """Check every in-regime row against the exact and/or MC oracle.
 
     Every bound in the engine is a lower-tail statement about the
@@ -253,7 +242,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
         estimates = window.mc_tails(thresholds, config.mc_trials, seed)
     else:
         estimates = [None] * len(checks)
-    records: List[VerificationRecord] = []
+    records: list[VerificationRecord] = []
     for entry, threshold, estimate in zip(checks, thresholds, estimates):
         event = f"{entry.theorem_tag} @ t={entry.t!r}: {window.describe(threshold)}"
         if config.verify_exact:
@@ -266,8 +255,8 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> L
 @dataclass
 class FeasibilityReport:
     scenario: dict
-    rows: List[SweepEntry]
-    verification: List[VerificationRecord]
+    rows: list[SweepEntry]
+    verification: list[VerificationRecord]
     epsilon: float
     timestamp: str
 
@@ -278,7 +267,7 @@ class FeasibilityReport:
     def verdict(self) -> dict:
         """Classify each grid point and report each class as [lo, hi]
         ranges, one per run of consecutive grid points in that class."""
-        by_time: dict[float, List[SweepEntry]] = {}
+        by_time: dict[float, list[SweepEntry]] = {}
         for row in self.rows:
             by_time.setdefault(row.t, []).append(row)
         ranges = {"feasible_at": [], "infeasible_at": [], "out_of_regime_at": []}

@@ -28,11 +28,11 @@ from sdpfeas.cli import (
     EXIT_OUT_OF_REGIME,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    SEED_ENV_VAR,
     build_parser,
     main,
 )
 from sdpfeas.oracle import MAX_TRIALS
-from sdpfeas.report import SEED_ENV_VAR
 from test_exports import STARTUP_MODULES
 from test_golden import VERIFY as GOLDEN_VERIFY
 from test_golden import VERIFY_Y as GOLDEN_VERIFY_Y
@@ -61,9 +61,18 @@ def run(capsys):
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
+    """Write ``payload`` as JSON, or as it is where it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
+
+
+#: JSON text that json.loads refuses with other than a JSONDecodeError
+#: (an integer past the digit limit, nesting past the recursion limit)
+JSON_PAST_LIMITS = {
+    "integer of 5001 digits": '{"tp": 5, "fn": ' + "1" * 5001 + ', "fp": 2, "tn": 17}',
+    "100000 nested lists": "[" * 100000,
+}
 
 
 class TestMetrics:
@@ -110,6 +119,21 @@ class TestMetrics:
         dst = tmp_path / "metrics.json"
         run(["metrics", "--counts", str(src), "--out", str(dst)], expect=EXIT_OK)
         assert json.loads(dst.read_text())["fraction"] == "3/20"
+
+    @pytest.mark.parametrize("case", sorted(JSON_PAST_LIMITS))
+    def test_counts_past_the_json_limits_is_an_error_line(self, run, tmp_path, case):
+        path = tmp_path / "counts.json"
+        path.write_text(JSON_PAST_LIMITS[case])
+        _, out, err = run(["metrics", "--counts", str(path)], expect=EXIT_USAGE)
+        assert out == ""
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+    def test_records_field_past_the_csv_limit_is_an_error_line(self, run, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("actual,predicted\ndefective,clean\nclean," + "x" * 200000 + "\n")
+        _, out, err = run(["metrics", "--records", str(path)], expect=EXIT_USAGE)
+        assert out == ""
+        assert err == "error: records CSV line 3: field larger than field limit (131072)\n"
 
     def test_empty_records_csv_is_an_error_line(self, run, tmp_path):
         path = tmp_path / "records.csv"
@@ -356,6 +380,19 @@ class TestVerify:
         )
         assert mc["seed"] == 42
 
+    def test_malformed_env_seed_is_read_under_a_seed_flag(self, run, tmp_path, monkeypatch):
+        # the file gives no seed, so SDPFEAS_SEED is read, and refused, before
+        # --seed replaces it
+        monkeypatch.setenv(SEED_ENV_VAR, "x")
+        config = write_scenario(tmp_path, dict(DESK_SCENARIO, verify={"exact": True, "mc_trials": 10}))
+        _, out, err = run(["verify", "--config", config, "--seed", "5"], expect=EXIT_USAGE)
+        assert out == "" and err == "error: SDPFEAS_SEED must be an integer, got 'x'\n"
+
+    def test_scenario_from_json_ignores_the_env_seed(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "123")
+        text = json.dumps(dict(DESK_SCENARIO, verify={"exact": True, "mc_trials": 10}))
+        assert report_module.ScenarioConfig.from_json(text).seed is None
+
     def test_one_mc_draw_per_verify(self, run, tmp_path, monkeypatch):
         summed, draws = [], []
         log_cdf = oracle_module.BinomialWindow._log_cdf
@@ -532,6 +569,9 @@ MALFORMED = {
     "log grid past the float range": (
         _replace(("time_grid",), {"start": 1.7976931348623e308, "stop": 1.7976931348623157e308, "steps": 1000,
                                   "spacing": "log"}), [], None),
+    # text that json.loads refuses with a ValueError or a RecursionError
+    "l of 5001 digits": (json.dumps(DESK_SCENARIO).replace('"l": 100', '"l": ' + "1" * 5001), [], None),
+    "100000 nested lists": ("[" * 100000, [], None),
 }
 
 

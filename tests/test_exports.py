@@ -5,7 +5,8 @@ the CLI imports no scenario module at import time, so the commands that
 never use them do not pay for them; nor do the modules a ``metrics``
 process loads import dataclasses, typing, pathlib or inspect. In the
 whole package only the oracle's Monte-Carlo draw imports numpy, so no
-command but a verify with Monte-Carlo trials ever loads it."""
+command but a verify with Monte-Carlo trials ever loads it, and no module
+imports typing at import time."""
 
 import ast
 import importlib
@@ -148,6 +149,13 @@ SOURCES = sorted(Path(sdpfeas.__file__).parent.glob("*.py"))
 def test_no_numpy_import_at_import_time(path):
     lines = list(imports_at_import_time(ast.parse(path.read_text(), str(path)).body, ["numpy"]))
     assert lines == [], f"{path.name} imports numpy at import time on line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_typing_import_at_import_time(path):
+    # annotations are strings, and collections.abc and the builtins spell them
+    lines = list(imports_at_import_time(ast.parse(path.read_text(), str(path)).body, ["typing"]))
+    assert lines == [], f"{path.name} imports typing at import time on line(s) {lines}"
 
 
 def test_cli_imports_no_scenario_module_at_import_time():

@@ -168,6 +168,14 @@ ERROR_CASES = {
     "sweep bad kind": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], kind="bogus"),
     "sweep empty grid": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), []),
     "sweep Y on li": lambda: bound_sweep(Y_OUT, HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0), [1.0], kind=BoundKind.RELIABILITY),
+    # a model built in Python is read as a descriptor's is
+    "weibull K bool": lambda: HazardModel(W, K=True, m=1.0),
+    "weibull K inf": lambda: HazardModel(W, K=math.inf, m=1.0),
+    "weibull K string": lambda: HazardModel(W, K="1", m=1.0),
+    "weibull m inf": lambda: HazardModel(W, K=1.0, m=math.inf),
+    "family bogus": lambda: HazardModel("bogus", K=1.0),
+    "family by value": lambda: HazardModel("li", K=1.0),
+    "Y hazard on li by value": lambda: hazard_bound(Y_OUT, HazardModel("li", K=1.0), 1.0),
 }
 
 

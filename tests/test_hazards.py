@@ -55,6 +55,13 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             HazardModel(LD, K=1.0, m=0.0)
 
+    def test_fields_are_stored_as_read(self):
+        # the family given by its value becomes the member, an integer
+        # parameter a float, so a bound on the model prints as on a descriptor's
+        model = HazardModel("li", K=1)
+        assert model.family is LI and type(model.K) is float
+        assert model == model_from_descriptor({"family": "li", "K": 1})
+
 
 class TestHazardAt:
     def test_weibull_m_zero_is_constant(self):

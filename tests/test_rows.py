@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from sdpfeas.bounds import BoundResult, OutOfRegime, Regime
 from sdpfeas.oracle import TailEstimate, TailMethod, VerificationRecord, binomial_window, verify_bound
-from sdpfeas.report import indented_json, sweep_to_csv
+from sdpfeas.errors import indented_json
+from sdpfeas.report import sweep_to_csv
 
 MU = 0.1 + 0.2  # 0.30000000000000004: needs all 17 digits
 LOG_BOUND = -((MU - 0.1) ** 2) / (2 * MU)
