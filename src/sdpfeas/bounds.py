@@ -34,7 +34,8 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import DomainError, InvalidInputError, NumericOverflowError, OutOfRegimeError, read_choice
+from .errors import DomainError, InvalidInputError, NumericOverflowError, OutOfRegimeError, read_boolean, read_choice
+from .errors import read_number, read_real
 from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel, check_time, hazard_at
 from .outcome import SdpOutcome
 
@@ -151,13 +152,14 @@ def chernoff_lower_tail(
 ) -> BoundResult:
     """The kernel: bound on Pr[X < threshold] for a variable with mean mu.
 
-    Requires 0 <= threshold < mu; raises OutOfRegimeError otherwise, and
+    Requires 0 <= threshold < mu; raises OutOfRegimeError otherwise,
+    ParseError where mu or the threshold is not a number, and
     InvalidInputError where mu is not positive and finite or the threshold
     is not finite.
     """
-    if not (mu > 0 and math.isfinite(mu)):
+    if not 0 < read_real(mu, "expectation mu") <= sys.float_info.max:
         raise InvalidInputError(f"expectation mu must be positive and finite, got {mu!r}")
-    if not math.isfinite(threshold):
+    if not abs(read_real(threshold, "threshold")) <= sys.float_info.max:
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
     return _in_regime(_kernel(mu, threshold, theorem_tag, t, sign_mode))
 
@@ -216,7 +218,8 @@ FORMS = {
 def _form(outcome: SdpOutcome, kind: BoundKind, corrected: bool) -> tuple[str | None, BoundForm]:
     """The sign mode and ``FORMS`` row of (outcome, kind, corrected);
     ``corrected`` picks the row only where the form has a sign mode."""
-    variant, sign_mode = "X" if outcome.injection is None else "Y", "corrected" if corrected else "as-published"
+    variant = "X" if outcome.injection is None else "Y"
+    sign_mode = "corrected" if read_boolean(corrected, "corrected") else "as-published"
     sign_mode = sign_mode if (variant, kind, sign_mode) in FORMS else None
     return sign_mode, FORMS[variant, kind, sign_mode]
 
@@ -268,7 +271,7 @@ def _bound(
 
 def _one(outcome, model, t, kind, corrected=True) -> BoundResult:
     """``_bound`` at the single time t; an out-of-regime point raises."""
-    [entry] = _bound(outcome, model, [t], kind, corrected)
+    [entry] = _bound(outcome, model, [read_real(t, "time")], kind, corrected)
     return _in_regime(entry)
 
 
@@ -293,13 +296,13 @@ def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float, correct
 
 def expected_hazard(outcome: SdpOutcome, t: float) -> float:
     """Expected hazard at time t, the mean of the outcome's hazard form."""
-    return _form(outcome, BoundKind.HAZARD, True)[1].mean(outcome.mean_failures, outcome.injection, t)
+    return _form(outcome, BoundKind.HAZARD, True)[1].mean(outcome.mean_failures, outcome.injection, read_real(t, "time"))
 
 
 def expected_reliability_bound(outcome: SdpOutcome, t: float, corrected: bool = True) -> float:
     """Upper bound on the expected reliability at time t > 0, the mean of
     the outcome's reliability form (see ``FORMS``)."""
-    return _form(outcome, BoundKind.RELIABILITY, corrected)[1].mean(outcome.mean_failures, outcome.injection, t)
+    return _form(outcome, BoundKind.RELIABILITY, corrected)[1].mean(outcome.mean_failures, outcome.injection, read_real(t, "time"))
 
 
 #: CSV column contract for serialized sweeps
@@ -319,7 +322,7 @@ def bound_sweep(
     Out-of-regime points are carried as tagged entries, never dropped;
     results are in grid order.
     """
-    grid = [float(t) for t in grid]
+    grid = [t if type(t) is float else read_number(t, "time grid value") for t in grid]
     if not grid:
         raise InvalidInputError("time grid is empty")
     if any(t <= 0 for t in grid):

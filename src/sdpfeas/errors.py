@@ -1,10 +1,11 @@
 """Exception hierarchy shared by all sdpfeas modules, the ``read_*``
-functions every descriptor field passes through (a malformed value raises
-ParseError and is never coerced: a bool is not a number, a float is not
-an integer, a number is finite), the two rules for numbers given as text,
-by a flag or an environment variable, and ``indented_json``, the writer of
-every JSON output. JSON in and JSON out live here, beside the errors, so
-that ``metrics`` loads neither the scenario stack nor the report."""
+functions every value passes through, from a descriptor or from Python (a
+malformed value raises ParseError and is never coerced: a bool or a string
+is not a number, a float is not an integer, a number is finite), the two
+rules for numbers given as text, by a flag or an environment variable, and
+``indented_json``, the writer of every JSON output. JSON in and JSON out
+live here, beside the errors, so that ``metrics`` loads neither the
+scenario stack nor the report."""
 
 import functools
 import json
@@ -178,11 +179,13 @@ def _read(value, what: str, kind, noun: str):
 read_integer = functools.partial(_read, kind=int, noun="an integer")
 read_boolean = functools.partial(_read, kind=bool, noun="true or false")
 read_list = functools.partial(_read, kind=list, noun="a list")
+#: an integer or a float, as given; its caller judges its range
+read_real = functools.partial(_read, kind=(int, float), noun="a number")
 
 
 def read_number(value, what: str) -> float:
     """A finite JSON number, integer or float, as a float."""
-    if not abs(_read(value, what, (int, float), "a number")) <= sys.float_info.max:
+    if not abs(read_real(value, what)) <= sys.float_info.max:
         raise ParseError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 

@@ -55,7 +55,8 @@ class HazardModel:
     """One hazard-curve family with its parameters, read as a descriptor's
     are and stored as read: the family (a member or its value) as the member,
     ``K`` the rate scale (unused by the constant family), ``m`` the exponent
-    (weibull) or slope (ld) and ``lam`` the constant rate as finite floats."""
+    (weibull) or slope (ld) and ``lam`` the constant rate as finite floats.
+    A parameter the family does not take must be None."""
 
     family: HazardFamily
     K: float | None = None
@@ -71,6 +72,11 @@ class HazardModel:
                 object.__setattr__(self, _ATTRIBUTE[field], value)
             if value is None or not value > lower:
                 raise InvalidInputError(f"{self.family.value} hazard requires {rule}, got {value!r}")
+        taken = [field for field, _, _ in FAMILIES[self.family].params]
+        unused = [f"{field}={getattr(self, name)!r}" for field, name in _ATTRIBUTE.items()
+                  if field not in taken and getattr(self, name) is not None]
+        if unused:
+            raise InvalidInputError(f"{self.family.value} hazard does not take {', '.join(unused)}")
 
     @property
     def max_time(self) -> float:
@@ -143,7 +149,7 @@ FAMILIES = {
 
 
 def check_time(model: HazardModel, spec: FamilySpec, t: float, positive: bool) -> None:
-    if not math.isfinite(t):
+    if not math.isfinite(t if type(t) is float else read_number(t, "time")):
         raise DomainError(f"time must be finite, got {t!r}")
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t!r}")

@@ -75,7 +75,7 @@ class TailEstimate:
 def _strict_upper_index(threshold: float, l: int) -> int:
     """Largest k with Pr[X <= k] contributing to Pr[X < threshold];
     -1 means the event is empty, >= l means it is certain."""
-    if not math.isfinite(threshold):
+    if not math.isfinite(threshold if type(threshold) is float else read_number(threshold, "threshold")):
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
     if threshold <= 0:
         return -1
@@ -350,6 +350,8 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
         raise InvalidInputError(
             f"verification needs a computed BoundResult, got {type(bound).__name__}"
         )
+    if not isinstance(oracle, TailEstimate):
+        raise InvalidInputError(f"verification needs a TailEstimate oracle, got {type(oracle).__name__}")
     below = oracle.log_value < bound.log_bound
     advisory = False
     if oracle.method is TailMethod.EXACT:

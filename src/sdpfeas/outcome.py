@@ -16,8 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .confusion import counts_from_descriptor, false_omission_rate
-from .errors import InvalidInputError, ParseError
-from .errors import read_integer, read_number, read_object
+from .errors import InvalidInputError, ParseError, read_integer, read_number, read_object
 from .hazards import HazardFamily, HazardModel
 
 __all__ = ["SdpOutcome", "outcome_from_descriptor"]
@@ -43,8 +42,9 @@ class SdpOutcome:
             raise InvalidInputError(f"module count l must be an integer in [1, {sys.float_info.max!r}], got {self.l!r}")
         if not 0.0 < read_number(self.p, "failure probability") < 1.0:
             raise InvalidInputError(f"failure probability must lie strictly in (0, 1), got {self.p!r}")
-        if self.injection is not None and getattr(self.injection, "family", None) is not HazardFamily.WEIBULL:
-            raise InvalidInputError(f"injection must be a weibull HazardModel, got {self.injection!r}")
+        injection = self.injection
+        if injection is not None and not (isinstance(injection, HazardModel) and injection.family is HazardFamily.WEIBULL):
+            raise InvalidInputError(f"injection must be a weibull HazardModel, got {injection!r}")
         if self.n is not None and read_integer(self.n, "total module count n") < self.l:
             raise InvalidInputError(f"total module count n={self.n} cannot be below l={self.l}")
 
@@ -63,16 +63,12 @@ def outcome_from_descriptor(payload: dict) -> SdpOutcome:
     read_object(payload, "outcome descriptor", required=("l",), optional=("p", "confusion", "injection", "n"))
     if ("p" in payload) == ("confusion" in payload):
         raise ParseError("outcome descriptor needs exactly one of 'p' or 'confusion'")
-    if "p" in payload:
-        p = read_number(payload["p"], "outcome p")
-    else:
-        p = float(false_omission_rate(counts_from_descriptor(payload["confusion"])))
+    p = payload["p"] if "p" in payload else float(false_omission_rate(counts_from_descriptor(payload["confusion"])))
     injection = None
     if "injection" in payload:
         fields = read_object(payload["injection"], "injection descriptor", required=("K_hat", "m_hat"))
-        K, m = read_number(fields["K_hat"], "K_hat"), read_number(fields["m_hat"], "m_hat")
         try:
-            injection = HazardModel(HazardFamily.WEIBULL, K=K, m=m)
+            injection = HazardModel(HazardFamily.WEIBULL, K=fields["K_hat"], m=fields["m_hat"])
         except InvalidInputError as exc:
-            raise InvalidInputError(f"injection (K_hat, m_hat): {exc}") from None
+            raise type(exc)(f"injection (K_hat, m_hat): {exc}") from None
     return SdpOutcome(l=payload["l"], p=p, injection=injection, n=payload.get("n"))

@@ -99,7 +99,9 @@ def _build_grid(payload: dict) -> list[float]:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A checked scenario, read from its descriptor alone; ``__post_init__``
-    also checks what the CLI layers over it through ``dataclasses.replace``."""
+    checks every field but ``grid``, which the sweep reads, and ``raw``, so
+    also what the CLI layers over it through ``dataclasses.replace``, and it
+    stores ``kinds`` as ``BoundKind`` members."""
 
     outcome: SdpOutcome
     model: HazardModel
@@ -113,6 +115,14 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.outcome, SdpOutcome):
+            raise InvalidInputError(f"scenario outcome must be an SdpOutcome, got {type(self.outcome).__name__}")
+        if not isinstance(self.model, HazardModel):
+            raise InvalidInputError(f"scenario model must be a HazardModel, got {type(self.model).__name__}")
+        kinds = [read_choice(kind, "bound kind", BoundKind) for kind in read_list(self.kinds, "kinds")]
+        if not kinds or len(set(kinds)) != len(kinds):
+            raise ParseError(f"kinds must be a non-empty set, got {self.kinds!r}")
+        object.__setattr__(self, "kinds", kinds)
         read_boolean(self.corrected, "corrected")
         read_boolean(self.verify_exact, "verify.exact")
         if not 0 <= read_integer(self.mc_trials, "mc_trials") <= MAX_TRIALS:
@@ -133,10 +143,6 @@ class ScenarioConfig:
         outcome = outcome_from_descriptor(payload["outcome"])
         model = model_from_descriptor(payload["model"])
         grid = _build_grid(payload["time_grid"])
-        kinds_raw = payload.get("kinds", ["hazard"])
-        kinds = [read_choice(kind, "bound kind", BoundKind) for kind in read_list(kinds_raw, "kinds")]
-        if not kinds or len(set(kinds)) != len(kinds):
-            raise ParseError(f"kinds must be a non-empty set, got {kinds_raw!r}")
         # the outcome fixes the variant; a stated one must agree with it
         variant, having = ("X", "without") if outcome.injection is None else ("Y", "with")
         if payload.get("variant", variant) != variant:
@@ -149,7 +155,7 @@ class ScenarioConfig:
             outcome=outcome,
             model=model,
             grid=grid,
-            kinds=kinds,
+            kinds=payload.get("kinds", ["hazard"]),
             corrected=payload.get("corrected", True),
             verify_exact=verify.get("exact", True),
             mc_trials=verify.get("mc_trials", 0),

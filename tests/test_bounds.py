@@ -1,5 +1,8 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from sdpfeas import (
     HazardModel,
     InvalidInputError,
     NumericOverflowError,
+    ParseError,
     OutOfRegime,
     OutOfRegimeError,
     Regime,
@@ -63,6 +67,28 @@ class TestKernel:
     def test_non_finite_threshold_rejected(self, threshold):
         with pytest.raises(InvalidInputError, match="threshold must be finite"):
             chernoff_lower_tail(5.0, threshold)
+
+    @pytest.mark.parametrize(
+        "mu, threshold, message",
+        [
+            (True, 0.0, "expectation mu must be a number, got True"),
+            ("5", "2", "expectation mu must be a number, got '5'"),
+            (5.0, False, "threshold must be a number, got False"),
+        ],
+    )
+    def test_argument_that_is_not_a_number_is_a_parse_error(self, mu, threshold, message):
+        with pytest.raises(ParseError) as info:
+            chernoff_lower_tail(mu, threshold)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "mu, threshold, message",
+        [(2**1024, 1.0, "expectation mu must be positive and finite"), (5.0, -(2**1024), "threshold must be finite")],
+        ids=["mu", "threshold"],
+    )
+    def test_integer_past_the_float_range_rejected(self, mu, threshold, message):
+        with pytest.raises(InvalidInputError, match=message):
+            chernoff_lower_tail(mu, threshold)
 
     def test_log_space_survives_huge_mu(self):
         r = chernoff_lower_tail(1e6, 1.0)
@@ -448,3 +474,55 @@ class TestSweep:
         [entry] = bound_sweep(o, model, [3.0], kind=BoundKind.HAZARD)
         assert entry.theorem_tag == "Thm3"
         assert entry.bound == pytest.approx(math.exp(-2.4), rel=1e-12)
+
+
+class TestNumbersAndFlagsFromPython:
+    """The named bounds, the expectations and the sweep read a time, a grid
+    value and ``corrected`` as a scenario file's are read: never coerced."""
+
+    OUTCOME = injected(50, 0.1, 1.0, 0.5)
+    MODEL = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
+
+    def test_integer_grid_values_become_floats(self):
+        entries = bound_sweep(self.OUTCOME, self.MODEL, [1, 2])
+        assert [type(entry.t) for entry in entries] == [float, float]
+        assert entries == bound_sweep(self.OUTCOME, self.MODEL, [1.0, 2.0])
+
+    def test_numpy_grid_is_read_as_floats(self):
+        assert bound_sweep(self.OUTCOME, self.MODEL, np.array([1.0, 2.0])) == bound_sweep(
+            self.OUTCOME, self.MODEL, [1.0, 2.0]
+        )
+
+    @pytest.mark.parametrize(
+        "value", ["2", True, None, Decimal("2"), Fraction(1, 2), 2**1024],
+        ids=["string", "bool", "None", "Decimal", "Fraction", "2**1024"],
+    )
+    def test_grid_value_that_is_not_a_finite_number_is_a_parse_error(self, value):
+        with pytest.raises(ParseError, match="^time grid value must be a"):
+            bound_sweep(self.OUTCOME, self.MODEL, [value])
+
+    @pytest.mark.parametrize("t", ["1", True, None])
+    def test_time_that_is_not_a_number_is_a_parse_error(self, t):
+        for evaluate in (
+            lambda: hazard_bound(self.OUTCOME, self.MODEL, t),
+            lambda: reliability_bound(self.OUTCOME, self.MODEL, t),
+            lambda: expected_hazard(self.OUTCOME, t),
+            lambda: expected_reliability_bound(self.OUTCOME, t),
+            lambda: expected_hazard(SdpOutcome(l=10, p=0.5), t),
+        ):
+            with pytest.raises(ParseError, match=f"^time must be a number, got {t!r}$"):
+                evaluate()
+
+    def test_integer_time_is_a_time(self):
+        assert hazard_bound(self.OUTCOME, self.MODEL, 1).bound == hazard_bound(self.OUTCOME, self.MODEL, 1.0).bound
+
+    @pytest.mark.parametrize("corrected", ["no", None, 0, 1])
+    def test_corrected_that_is_not_a_boolean_is_a_parse_error(self, corrected):
+        for evaluate in (
+            lambda: reliability_bound(self.OUTCOME, self.MODEL, 1.0, corrected),
+            lambda: expected_reliability_bound(self.OUTCOME, 1.0, corrected),
+            lambda: bound_sweep(self.OUTCOME, self.MODEL, [1.0], BoundKind.RELIABILITY, corrected),
+            lambda: bound_sweep(SdpOutcome(l=10, p=0.5), self.MODEL, [1.0], BoundKind.HAZARD, corrected),
+        ):
+            with pytest.raises(ParseError, match=f"^corrected must be true or false, got {corrected!r}$"):
+                evaluate()

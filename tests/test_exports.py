@@ -6,7 +6,8 @@ never use them do not pay for them; nor do the modules a ``metrics``
 process loads import dataclasses, typing, pathlib or inspect. In the
 whole package only the oracle's Monte-Carlo draw imports numpy, so no
 command but a verify with Monte-Carlo trials ever loads it, and no module
-imports typing at import time."""
+imports typing at import time. The descriptor readers of the outcome and
+the scenario leave each value to the object that reads it."""
 
 import ast
 import importlib
@@ -211,3 +212,44 @@ class C:
 def test_only_mc_tails_imports_numpy_in_the_oracle():
     importers = {path.name: numpy_importers(ast.parse(path.read_text(), str(path))) for path in SOURCES}
     assert {name: owners for name, owners in importers.items() if owners} == {"oracle.py": ["mc_tails"]}
+
+
+
+def called_names(tree, *qualname: str) -> set:
+    """The names of the functions called, by name or by attribute, inside
+    the definition ``qualname`` (a function, or a class and its method) of
+    the module ``tree``."""
+    node = tree
+    for name in qualname:
+        [node] = [child for child in node.body if getattr(child, "name", None) == name]
+    calls = (child.func for child in ast.walk(node) if isinstance(child, ast.Call))
+    return {func.id if isinstance(func, ast.Name) else getattr(func, "attr", None) for func in calls}
+
+
+def test_called_names_sees_names_and_attributes_in_the_definition_alone():
+    source = """
+def f(payload):
+    return g(errors.read_number(payload["p"]), h=[read_list(x) for x in y])
+class C:
+    def f(self):
+        read_choice(self)
+    def g(self):
+        read_number(self)
+"""
+    tree = ast.parse(source)
+    assert called_names(tree, "f") == {"g", "read_number", "read_list"}
+    assert called_names(tree, "C", "f") == {"read_choice"}
+
+
+@pytest.mark.parametrize(
+    "module, qualname, readers",
+    [
+        # SdpOutcome reads p, and HazardModel reads K_hat and m_hat
+        ("outcome.py", ["outcome_from_descriptor"], {"read_number"}),
+        # ScenarioConfig.__post_init__ reads the kinds
+        ("report.py", ["ScenarioConfig", "from_descriptor"], {"read_choice", "read_list"}),
+    ],
+)
+def test_descriptor_readers_leave_each_value_to_the_object_that_reads_it(module, qualname, readers):
+    path = Path(sdpfeas.__file__).parent / module
+    assert called_names(ast.parse(path.read_text(), str(path)), *qualname) & readers == set()

@@ -11,6 +11,7 @@ is intended, and say so in CHANGES.md) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import decimal
 import itertools
 import json
 import math
@@ -24,8 +25,11 @@ from sdpfeas import (
     BoundResult,
     HazardFamily,
     HazardModel,
+    SdpFeasError,
     SdpOutcome,
+    binomial_window,
     bound_sweep,
+    chernoff_lower_tail,
     cumulative_hazard,
     expected_hazard,
     expected_reliability_bound,
@@ -34,6 +38,7 @@ from sdpfeas import (
     model_from_descriptor,
     reliability_bound,
     reliability_tail_threshold,
+    verify_bound,
 )
 from sdpfeas.bounds import FORMS, _form
 from sdpfeas.hazards import FAMILIES
@@ -176,6 +181,31 @@ ERROR_CASES = {
     "family bogus": lambda: HazardModel("bogus", K=1.0),
     "family by value": lambda: HazardModel("li", K=1.0),
     "Y hazard on li by value": lambda: hazard_bound(Y_OUT, HazardModel("li", K=1.0), 1.0),
+    # a number or flag given from Python is read as a descriptor's is
+    "sweep grid string": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), ["2"]),
+    "sweep grid bool": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [True]),
+    "sweep grid Decimal": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [decimal.Decimal("2")]),
+    "sweep corrected string": lambda: bound_sweep(
+        Y_OUT, HazardModel(W, K=2.0, m=0.5), [1.0], kind=BoundKind.RELIABILITY, corrected="no"
+    ),
+    "hazard bound t bool": lambda: hazard_bound(X_OUT, HazardModel(W, K=1.0, m=1.0), True),
+    "expected hazard t string": lambda: expected_hazard(X_OUT, "1"),
+    "kernel mu bool": lambda: chernoff_lower_tail(True, 0.0),
+    "kernel mu string": lambda: chernoff_lower_tail("5", "2"),
+    "exact tail bool": lambda: binomial_window(10, 0.5).exact_tail(True),
+    "exact tail string": lambda: binomial_window(10, 0.5).exact_tail("3"),
+    "mc tails string": lambda: binomial_window(10, 0.5).mc_tails(["1"], 100, 1),
+    "hazard at string": lambda: hazard_at(HazardModel(W, K=1.0, m=1.0), "1"),
+    "scenario no kinds": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], []),
+    "scenario duplicate kinds": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard", "hazard"]),
+    # a parameter the family does not take, and an object of the wrong type
+    "weibull lambda unused": lambda: HazardModel(W, K=1.0, m=1.0, lam="junk"),
+    "li m unused": lambda: HazardModel("li", K=1.0, m=2.0),
+    "verify float oracle": lambda: verify_bound(hazard_bound(X_OUT, HazardModel(W, K=1.0, m=1.0), 1.0), 0.1),
+    "scenario string outcome": lambda: build_report(ScenarioConfig("x", HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"])),
+    "scenario dict model": lambda: build_report(
+        ScenarioConfig(X_OUT, {"family": "weibull", "K": 1.0, "m": 1.0}, [1.0], ["hazard"])
+    ),
 }
 
 
@@ -220,6 +250,16 @@ def test_matches_golden(name):
 def test_report_json_is_json_dumps_indent_2(descriptor):
     report = build_report(ScenarioConfig.from_descriptor(descriptor))
     assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_error_case_raises_a_package_error_or_nothing(name):
+    # errors.txt records whatever escapes, so a TypeError or an
+    # AttributeError would be pinned there as the expected result
+    try:
+        ERROR_CASES[name]()
+    except SdpFeasError:
+        pass
 
 
 @pytest.mark.parametrize("name", ["verify-weibull.json", "verify-y.json"])

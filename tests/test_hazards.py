@@ -62,6 +62,20 @@ class TestConstruction:
         assert model.family is LI and type(model.K) is float
         assert model == model_from_descriptor({"family": "li", "K": 1})
 
+    @pytest.mark.parametrize(
+        "kwargs, unused",
+        [
+            ({"family": WEIBULL, "K": 1.0, "m": 1.0, "lam": "junk"}, "weibull hazard does not take lambda='junk'"),
+            ({"family": "li", "K": 1.0, "m": 2.0}, "li hazard does not take m=2.0"),
+            ({"family": CONST, "K": 1.0, "m": 2.0, "lam": 0.5}, "constant hazard does not take K=1.0, m=2.0"),
+        ],
+    )
+    def test_parameter_the_family_does_not_take_rejected(self, kwargs, unused):
+        # the descriptor path refuses such a field as extraneous
+        with pytest.raises(InvalidInputError) as info:
+            HazardModel(**kwargs)
+        assert str(info.value) == unused
+
 
 class TestHazardAt:
     def test_weibull_m_zero_is_constant(self):
@@ -85,6 +99,27 @@ class TestHazardAt:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             hazard_at(HazardModel(CONST, lam=1.0), -1.0)
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            ("1", "time must be a number, got '1'"),
+            (True, "time must be a number, got True"),
+            (None, "time must be a number, got None"),
+            (2**1024, f"time must be a finite number, got {2**1024}"),
+        ],
+        ids=["string", "bool", "None", "2**1024"],
+    )
+    def test_time_that_is_not_a_finite_number_is_a_parse_error(self, t, message):
+        model = HazardModel(LI, K=3.0)
+        for evaluate in (hazard_at, cumulative_hazard, reliability_at, reliability_tail_threshold):
+            with pytest.raises(ParseError) as info:
+                evaluate(model, t)
+            assert str(info.value) == message
+
+    def test_integer_time_is_a_time(self):
+        model = HazardModel(LI, K=3.0)
+        assert hazard_at(model, 2) == hazard_at(model, 2.0) == 6.0
 
 
 class TestCumulativeHazard:

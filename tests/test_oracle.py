@@ -17,6 +17,7 @@ from sdpfeas import (
     BinomialWindow,
     FeasibilityReport,
     InvalidInputError,
+    ParseError,
     TailEstimate,
     TailMethod,
     binomial_window,
@@ -475,6 +476,28 @@ class TestEntryPointArguments:
                 build(100, Fraction(3, 20))
             assert build(100, float(Fraction(3, 20))).p == 0.15
 
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [
+            ("3", "threshold must be a number, got '3'"),
+            (True, "threshold must be a number, got True"),
+            (None, "threshold must be a number, got None"),
+            (2**1024, f"threshold must be a finite number, got {2**1024}"),
+        ],
+        ids=["string", "bool", "None", "2**1024"],
+    )
+    def test_threshold_that_is_not_a_finite_number_is_a_parse_error(self, threshold, message):
+        window = binomial_window(10, 0.5)
+        for query in (window.exact_tail, lambda threshold: window.mc_tails([threshold], 100, 1)):
+            with pytest.raises(ParseError) as info:
+                query(threshold)
+            assert str(info.value) == message
+
+    def test_integer_threshold_is_a_threshold(self):
+        window = binomial_window(10, 0.5)
+        assert window.exact_tail(3) == window.exact_tail(3.0)
+        assert window.mc_tails([3], 100, 1) == window.mc_tails([3.0], 100, 1)
+
     def test_bool_trials_refused(self):
         with pytest.raises(InvalidInputError, match="trials must be an integer, got True"):
             binomial_window(10, 0.5).mc_tails([2.0], True, 1)
@@ -554,6 +577,11 @@ class TestWindowEdges:
 
 
 class TestVerifyBound:
+    @pytest.mark.parametrize("oracle", [0.1, None, {"value": 0.1, "method": "exact"}])
+    def test_oracle_that_is_not_a_tail_estimate_rejected(self, oracle):
+        with pytest.raises(InvalidInputError, match="verification needs a TailEstimate oracle, got"):
+            verify_bound(chernoff_lower_tail(5.0, 2.0), oracle)
+
     def test_exact_pass(self):
         bound = chernoff_lower_tail(5.0, 2.0)
         oracle = binomial_window(100, 0.05).exact_tail(2.0)

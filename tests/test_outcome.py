@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -186,6 +187,33 @@ class TestDescriptor:
             outcome_from_descriptor({"l": 10, "p": 0.5, "injection": injection})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "payload, error, message",
+        [
+            ({"l": 10, "p": "x"}, ParseError, "failure probability must be a number, got 'x'"),
+            (
+                {"l": 10, "p": 0.5, "injection": {"K_hat": "x", "m_hat": 1.0}},
+                ParseError,
+                "injection (K_hat, m_hat): weibull K must be a number, got 'x'",
+            ),
+            (
+                {"l": 10, "p": 0.5, "injection": {"K_hat": 1.0, "m_hat": math.inf}},
+                ParseError,
+                "injection (K_hat, m_hat): weibull m must be a finite number, got inf",
+            ),
+            (
+                {"l": 10, "p": 0.5, "injection": {"K_hat": 0.0, "m_hat": 1.0}},
+                InvalidInputError,
+                "injection (K_hat, m_hat): weibull hazard requires K > 0, got 0.0",
+            ),
+        ],
+    )
+    def test_each_value_is_read_by_the_object_that_stores_it(self, payload, error, message):
+        # the injection's prefix keeps the class of the error it names
+        with pytest.raises(InvalidInputError) as info:
+            outcome_from_descriptor(payload)
+        assert (type(info.value), str(info.value)) == (error, message)
+
 
 class TestOutcomeFields:
     def test_p_is_the_float_given(self):
@@ -200,6 +228,12 @@ class TestOutcomeFields:
     def test_non_weibull_injection_rejected(self):
         with pytest.raises(InvalidInputError, match="injection must be a weibull HazardModel"):
             SdpOutcome(l=10, p=0.5, injection=HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0))
+
+    def test_injection_that_is_not_a_model_rejected(self):
+        # a look-alike with a weibull family is not a HazardModel
+        look_alike = types.SimpleNamespace(family=HazardFamily.WEIBULL, K=1.0, m=0.5)
+        with pytest.raises(InvalidInputError, match="injection must be a weibull HazardModel"):
+            SdpOutcome(l=10, p=0.5, injection=look_alike)
 
     def test_injection_reads_the_weibull_hazard(self):
         injection = HazardModel(HazardFamily.WEIBULL, K=2.0, m=1.5)
