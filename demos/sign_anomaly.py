@@ -12,20 +12,15 @@ discrepancy can be inspected rather than papered over.
 
 import math
 
-from sdpfeas import (
-    HazardFamily,
-    HazardModel,
-    SdpOutcome,
-    expected_reliability_bound,
-    reliability_bound,
-)
+from sdpfeas import HazardFamily, HazardModel, SdpOutcome, reliability_bound
 
 outcome = SdpOutcome(l=10, p=0.5, injection=HazardModel(HazardFamily.WEIBULL, K=1.0, m=0.0))
 model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
 t = 1.0
 
-published = expected_reliability_bound(outcome, t, corrected=False)
-corrected = expected_reliability_bound(outcome, t, corrected=True)
+# each mean slot is the mu of its bound's row
+published = reliability_bound(outcome, model, t, corrected=False).mu
+corrected = reliability_bound(outcome, model, t, corrected=True).mu
 
 print(f"as-published mean slot: exp(5*(e - 1))    = {published:.4f}   (> 1!)")
 print(f"corrected mean slot:    exp(5*(1/e - 1))  = {corrected:.6f}")

@@ -19,8 +19,6 @@ _EXPORTS = {
         "Regime",
         "bound_sweep",
         "chernoff_lower_tail",
-        "expected_hazard",
-        "expected_reliability_bound",
         "hazard_bound",
         "reliability_bound",
     ),

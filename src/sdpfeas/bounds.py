@@ -17,7 +17,9 @@ and Thm4 (reliability), weibull models only.
 
 One resolver gives both the named bounds and the sweep: it looks up the
 row of an (outcome, kind, sign mode) once per grid, then makes one pass
-over the grid. A named bound is a one-point grid.
+over the grid. A named bound is a one-point grid. A form's mean at t is
+public as the ``mu`` of its row, ``bound_sweep(outcome, model, [t])[0].mu``,
+in regime or out of it.
 Inside a sweep an out-of-regime point is an entry, not an exception;
 only the named bounds and ``chernoff_lower_tail`` raise OutOfRegimeError.
 
@@ -48,8 +50,6 @@ __all__ = [
     "hazard_bound",
     "reliability_bound",
     "bound_sweep",
-    "expected_hazard",
-    "expected_reliability_bound",
     "SWEEP_COLUMNS",
 ]
 
@@ -292,17 +292,6 @@ def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float, correct
     of the expected-reliability factor (see ``FORMS``).
     """
     return _one(outcome, model, t, BoundKind.RELIABILITY, corrected)
-
-
-def expected_hazard(outcome: SdpOutcome, t: float) -> float:
-    """Expected hazard at time t, the mean of the outcome's hazard form."""
-    return _form(outcome, BoundKind.HAZARD, True)[1].mean(outcome.mean_failures, outcome.injection, read_real(t, "time"))
-
-
-def expected_reliability_bound(outcome: SdpOutcome, t: float, corrected: bool = True) -> float:
-    """Upper bound on the expected reliability at time t > 0, the mean of
-    the outcome's reliability form (see ``FORMS``)."""
-    return _form(outcome, BoundKind.RELIABILITY, corrected)[1].mean(outcome.mean_failures, outcome.injection, read_real(t, "time"))
 
 
 #: CSV column contract for serialized sweeps

@@ -19,6 +19,10 @@ engine consumes.
 Each family is one row of ``FAMILIES``: its parameters, the closed forms
 of z, H and H/t, its time domain and its theorem tags. Nothing else in
 the package branches on the family, so a new family is one new row.
+
+The evaluators take a time in the family's domain (DomainError otherwise)
+and return a finite float: where a closed form passes the float range they
+raise NumericOverflowError naming the family and t.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import math
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from .errors import DomainError, InvalidInputError, ParseError, read_choice, read_number, read_object
+from .errors import DomainError, InvalidInputError, NumericOverflowError, ParseError
+from .errors import read_choice, read_number, read_object
 
 __all__ = [
     "HazardFamily",
@@ -160,11 +165,23 @@ def check_time(model: HazardModel, spec: FamilySpec, t: float, positive: bool) -
         raise DomainError(f"ld hazard is negative beyond t = K/m = {end!r}; got t = {t!r}")
 
 
+def _evaluate(model: HazardModel, closed_form: Callable[[HazardModel, float], float], t: float, name: str) -> float:
+    """closed_form(model, t), or NumericOverflowError naming the family and
+    t where it passes the float range: a pow raises, a product is inf."""
+    try:
+        value = closed_form(model, t)
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise NumericOverflowError(f"{model.family.value} {name} overflows a 64-bit float at t = {t!r}")
+
+
 def hazard_at(model: HazardModel, t: float) -> float:
     """Instantaneous hazard rate z(t)."""
     spec = FAMILIES[model.family]
     check_time(model, spec, t, positive=t == 0 and spec.singular_at_zero(model))
-    return spec.z(model, t)
+    return _evaluate(model, spec.z, t, "hazard z(t)")
 
 
 def cumulative_hazard(model: HazardModel, t: float) -> float:
@@ -175,7 +192,7 @@ def cumulative_hazard(model: HazardModel, t: float) -> float:
     """
     spec = FAMILIES[model.family]
     check_time(model, spec, t, positive=False)
-    return spec.H(model, t)
+    return _evaluate(model, spec.H, t, "cumulative hazard H(t)")
 
 
 def reliability_at(model: HazardModel, t: float) -> float:
@@ -189,7 +206,7 @@ def reliability_tail_threshold(model: HazardModel, t: float) -> float:
     """
     spec = FAMILIES[model.family]
     check_time(model, spec, t, positive=True)
-    return spec.H_over_t(model, t)
+    return _evaluate(model, spec.H_over_t, t, "threshold H(t)/t")
 
 
 def model_from_descriptor(payload: dict) -> HazardModel:

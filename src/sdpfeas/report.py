@@ -29,7 +29,7 @@ from .bounds import (
     bound_sweep,
 )
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_integer, read_json
-from .errors import read_list, read_number, read_object
+from .errors import NumericOverflowError, read_list, read_number, read_object
 from .hazards import HazardModel, hazard_at, model_from_descriptor
 from .oracle import MAX_TRIALS, BinomialWindow, VerificationRecord, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
@@ -197,20 +197,23 @@ def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardMo
     the row's t as the scale, or the integer k >= 1 it lies within 4 ulp of.
     The division can land an ulp above an integer k that is exact in
     real arithmetic, and the strict '<' of Pr[X < count] would then take
-    in Pr[X = k]. The threshold and the scale are positive in real
-    arithmetic; where either underflowed to 0.0, the count comes from the
-    logs of its closed form, log K - log Khat + (m - mhat)*log t, less
-    log1p(m) for Thm4, whose threshold is H/t = z/(m + 1). Where the count
-    overflows, it lies beyond every count and the count threshold is the
-    largest float: the event is certain. Where the count underflows to 0.0
-    (or the scale overflowed) or lies within 4 ulp of 0, it stays positive,
-    at least the smallest float: the event is {X = 0}.
+    in Pr[X = k]. The threshold and the scale are positive and finite in
+    real arithmetic; where either underflowed to 0.0 or the scale
+    overflowed, the count comes from the logs of its closed form,
+    log K - log Khat + (m - mhat)*log t, less log1p(m) for Thm4, whose
+    threshold is H/t = z/(m + 1). Where the count overflows, it lies beyond
+    every count and the count threshold is the largest float: the event is
+    certain. Where the count underflows to 0.0 or lies within 4 ulp of 0,
+    it stays positive, at least the smallest float: the event is {X = 0}.
     """
     threshold = entry.threshold
     if injection is None:
         return math.ulp(0.0) if threshold == 0 and entry.t < model.max_time else threshold
-    scale = hazard_at(injection, entry.t)
-    if threshold > 0 and scale > 0:
+    try:
+        scale = hazard_at(injection, entry.t)
+    except NumericOverflowError:
+        scale = math.inf
+    if threshold > 0 and 0 < scale < math.inf:
         count = threshold / scale
     else:
         log_count = math.log(model.K) - math.log(injection.K) + (model.m - injection.m) * math.log(entry.t)

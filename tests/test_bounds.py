@@ -23,13 +23,12 @@ from sdpfeas import (
     SdpOutcome,
     bound_sweep,
     chernoff_lower_tail,
-    expected_hazard,
-    expected_reliability_bound,
     hazard_at,
     hazard_bound,
     reliability_bound,
     reliability_tail_threshold,
 )
+from sdpfeas.bounds import _form
 from sdpfeas.hazards import FAMILIES
 
 
@@ -360,8 +359,8 @@ class TestInjectedVariant:
 
 
 def scalar_entry(outcome, model, t, kind, corrected):
-    """One sweep entry composed from the public per-point functions: the
-    outcome mean, the family threshold and the kernel at t alone."""
+    """One sweep entry composed per point: the mean of the outcome's
+    ``FORMS`` row, the family threshold and the kernel at t alone."""
     hazard, injected = kind is BoundKind.HAZARD, outcome.injection is not None
     if injected and model.family is not HazardFamily.WEIBULL:
         raise InvalidInputError(
@@ -371,12 +370,8 @@ def scalar_entry(outcome, model, t, kind, corrected):
     tag = ("Thm3" if hazard else "Thm4") if injected else (spec.hazard_tag if hazard else spec.reliability_tag)
     sign_mode = ("corrected" if corrected else "as-published") if injected and not hazard else None
     try:
-        if hazard:
-            mu = expected_hazard(outcome, t)
-            threshold = hazard_at(model, t)
-        else:
-            mu = expected_reliability_bound(outcome, t, corrected)
-            threshold = reliability_tail_threshold(model, t)
+        mu = _form(outcome, kind, corrected)[1].mean(outcome.mean_failures, outcome.injection, t)
+        threshold = hazard_at(model, t) if hazard else reliability_tail_threshold(model, t)
         return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
     except OutOfRegimeError as err:
         return OutOfRegime(err.theorem_tag, err.mu, err.threshold, err.delta, err.t)
@@ -477,8 +472,8 @@ class TestSweep:
 
 
 class TestNumbersAndFlagsFromPython:
-    """The named bounds, the expectations and the sweep read a time, a grid
-    value and ``corrected`` as a scenario file's are read: never coerced."""
+    """The named bounds and the sweep read a time, a grid value and
+    ``corrected`` as a scenario file's are read: never coerced."""
 
     OUTCOME = injected(50, 0.1, 1.0, 0.5)
     MODEL = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
@@ -506,9 +501,7 @@ class TestNumbersAndFlagsFromPython:
         for evaluate in (
             lambda: hazard_bound(self.OUTCOME, self.MODEL, t),
             lambda: reliability_bound(self.OUTCOME, self.MODEL, t),
-            lambda: expected_hazard(self.OUTCOME, t),
-            lambda: expected_reliability_bound(self.OUTCOME, t),
-            lambda: expected_hazard(SdpOutcome(l=10, p=0.5), t),
+            lambda: hazard_bound(SdpOutcome(l=10, p=0.5), self.MODEL, t),
         ):
             with pytest.raises(ParseError, match=f"^time must be a number, got {t!r}$"):
                 evaluate()
@@ -520,7 +513,6 @@ class TestNumbersAndFlagsFromPython:
     def test_corrected_that_is_not_a_boolean_is_a_parse_error(self, corrected):
         for evaluate in (
             lambda: reliability_bound(self.OUTCOME, self.MODEL, 1.0, corrected),
-            lambda: expected_reliability_bound(self.OUTCOME, 1.0, corrected),
             lambda: bound_sweep(self.OUTCOME, self.MODEL, [1.0], BoundKind.RELIABILITY, corrected),
             lambda: bound_sweep(SdpOutcome(l=10, p=0.5), self.MODEL, [1.0], BoundKind.HAZARD, corrected),
         ):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import strict_json
@@ -134,6 +134,25 @@ class TestMetrics:
         _, out, err = run(["metrics", "--records", str(path)], expect=EXIT_USAGE)
         assert out == ""
         assert err == "error: records CSV line 3: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize(
+        "index, line, message",
+        [
+            (4999, "defective,bogus", "unknown label 'bogus' (expected 'defective' or 'clean')"),
+            (2500, "defective,clean,clean", "expected an (actual, predicted) pair, got ['defective', 'clean', 'clean']"),
+            (4000, "   ", "expected an (actual, predicted) pair, got ['   ']"),
+        ],
+        ids=["unknown-label", "three-fields", "whitespace-only"],
+    )
+    def test_fault_deep_in_a_records_csv_is_an_error_line(self, run, tmp_path, index, line, message):
+        # 5000 records, one of them faulty: the error names its zero-based record
+        lines = ["defective,clean" if i % 2 else "clean,clean" for i in range(5000)]
+        lines[index] = line
+        path = tmp_path / "records.csv"
+        path.write_text("actual,predicted\n" + "\n".join(lines) + "\n")
+        _, out, err = run(["metrics", "--records", str(path)], expect=EXIT_USAGE)
+        assert out == ""
+        assert err == f"error: record {index}: {message}\n"
 
     def test_empty_records_csv_is_an_error_line(self, run, tmp_path):
         path = tmp_path / "records.csv"
@@ -828,15 +847,16 @@ class TestNumericLimits:
         ]
 
     @pytest.mark.parametrize(
-        "l, K_hat, family, t, kind, count, code",
+        "l, p, injection, family, t, kind, count, code",
         [
-            (10, 1e30, ("weibull", 1e-300, 0.0), 1.0, "hazard", "5e-324", EXIT_VERIFICATION),
-            (10, 1e200, ("weibull", 1e-200, 0.0), 1.0, "reliability", "5e-324", EXIT_OK),
-            (10, 1.0, ("weibull", 1.5e-323, 0.0), 1.0, "hazard", "1.5e-323", EXIT_OK),
-            (10, 1e30, ("weibull", 1e-300, 2.0), 1e-20, "hazard", "5e-324", EXIT_VERIFICATION),
-            (10, 1e30, ("weibull", 1e-300, 2.0), 1e-20, "reliability", "5e-324", EXIT_OK),
-            (1, None, ("li", 1e-300), 1e-30, "reliability", "5e-324", EXIT_VERIFICATION),
-            (1, None, ("ld", 1.5, 8.0), 0.1875, "hazard", "0.0", EXIT_OK),
+            (10, 0.05, (1e30, 0.0), ("weibull", 1e-300, 0.0), 1.0, "hazard", "5e-324", EXIT_VERIFICATION),
+            (10, 0.05, (1e200, 0.0), ("weibull", 1e-200, 0.0), 1.0, "reliability", "5e-324", EXIT_OK),
+            (10, 0.05, (1.0, 0.0), ("weibull", 1.5e-323, 0.0), 1.0, "hazard", "1.5e-323", EXIT_OK),
+            (10, 0.05, (1e30, 0.0), ("weibull", 1e-300, 2.0), 1e-20, "hazard", "5e-324", EXIT_VERIFICATION),
+            (10, 0.05, (1e30, 0.0), ("weibull", 1e-300, 2.0), 1e-20, "reliability", "5e-324", EXIT_OK),
+            (100, 0.5, (1.0, -0.99), ("weibull", 1.0, 0.5), 5e-324, "reliability", "5e-324", EXIT_OK),
+            (1, 0.05, None, ("li", 1e-300), 1e-30, "reliability", "5e-324", EXIT_VERIFICATION),
+            (1, 0.05, None, ("ld", 1.5, 8.0), 0.1875, "hazard", "0.0", EXIT_OK),
         ],
         ids=[
             "quotient-underflows",
@@ -844,28 +864,32 @@ class TestNumericLimits:
             "within-4-ulp-of-0",
             "threshold-underflows",
             "thm4-threshold-underflows",
+            "thm4-scale-overflows",
             "x-threshold-underflows",
             "ld-true-zero-at-K-over-m",
         ],
     )
-    def test_positive_count_threshold_stays_positive(self, run, tmp_path, l, K_hat, family, t, kind, count, code):
+    def test_positive_count_threshold_stays_positive(self, run, tmp_path, l, p, injection, family, t, kind, count, code):
         # threshold / scale is positive in real arithmetic, so the event is
-        # {X = 0}, Pr = 0.95**l, however close to 0 the quotient lands or
+        # {X = 0}, Pr = (1 - p)**l, however close to 0 the quotient lands or
         # where the threshold K*t**m = 1e-340 itself underflows: the Thm3
         # bound exp(-l*p*K_hat/2) = 0.0 fails against it, and the Thm4
-        # bound exp(-exp(-1/2)/2) = 0.738 holds. Without an injection (K_hat
-        # None) the X threshold H/t = K*t/2 underflows alike, so the Cor8
-        # bound exp(-1/2) fails; ld's z(K/m) = 0 is a true zero, Pr[X < 0] = 0
-        outcome = {"l": l, "p": 0.05}
-        if K_hat is not None:
-            outcome["injection"] = {"K_hat": K_hat, "m_hat": 0.0}
+        # bound exp(-exp(-1/2)/2) = 0.738 holds. Where the scale
+        # K_hat*t**m_hat = 5e-324**-0.99 overflows, the count comes from its
+        # logs, and the Thm4 bound 0.615 holds. Without an injection the X
+        # threshold H/t = K*t/2 underflows alike, so the Cor8 bound
+        # exp(-1/2) fails; ld's z(K/m) = 0 is a true zero, Pr[X < 0] = 0
+        outcome = {"l": l, "p": p}
+        if injection is not None:
+            outcome["injection"] = dict(zip(("K_hat", "m_hat"), injection))
         model = dict(zip(("family", "K", "m"), family))
         scenario = {"outcome": outcome, "model": model, "time_grid": {"t": t}, "kinds": [kind]}
         config = write_scenario(tmp_path, scenario)
-        _, out, _ = run(["verify", "--config", config], expect=code)
+        _, out, err = run(["verify", "--config", config], expect=code)
+        assert err == ""
         (record,) = strict_json(out)["verification"]
-        assert record["event"].split(": ", 1)[1] == f"Pr[X < {count}], X ~ Binomial(l={l}, p=0.05)"
-        assert record["oracle"] == pytest.approx(0.0 if count == "0.0" else 0.95**l, rel=1e-12)
+        assert record["event"].split(": ", 1)[1] == f"Pr[X < {count}], X ~ Binomial(l={l}, p={p})"
+        assert record["oracle"] == pytest.approx(0.0 if count == "0.0" else (1 - p) ** l, rel=1e-12)
         assert record["holds"] is (code == EXIT_OK)
 
     @pytest.mark.parametrize(
@@ -979,6 +1003,75 @@ class TestScenarioFuzz:
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_ASSUMPTION, EXIT_OUT_OF_REGIME), err.getvalue()
         if code == EXIT_USAGE:
             assert err.getvalue().startswith("error:")
+
+
+#: a positive float from the smallest subnormal to the largest float,
+#: the ends and powers of ten drawn as often as any float between
+EXTREME = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1.7976931348623157e308]),
+    st.integers(-323, 308).map(lambda e: 10.0**e),
+    st.floats(5e-324, 1.7976931348623157e308),
+)
+#: an exponent above -1, near -1 included
+EXPONENT = st.one_of(
+    st.sampled_from([-1 + 2**-52, -0.999999999, -0.99, -0.5, 0.0, 2.0]),
+    st.floats(-1.0, 50.0, exclude_min=True),
+)
+SCALE = st.integers(-300, 300).map(lambda e: 10.0**e) | st.floats(1e-300, 1e300)
+
+
+@st.composite
+def extreme_scenarios(draw):
+    """A well-formed scenario of any family, either variant, both kinds and
+    both sign modes, at the float range's ends, verified by the exact
+    oracle alone."""
+    family = draw(st.sampled_from(["weibull", "nld", "ld", "nli", "li", "constant"]))
+    if family == "constant":
+        model = {"family": family, "lambda": draw(SCALE)}
+    else:
+        model = {"family": family, "K": draw(SCALE)}
+    if family == "weibull":
+        model["m"] = draw(EXPONENT)
+    elif family == "ld":
+        model["m"] = draw(SCALE)
+    outcome = {"l": draw(st.integers(1, 30)), "p": draw(st.sampled_from([1e-300, 0.5]) | st.floats(1e-9, 1 - 1e-9))}
+    if draw(st.booleans()):
+        outcome["injection"] = {"K_hat": draw(SCALE), "m_hat": draw(EXPONENT)}
+    if draw(st.booleans()):
+        time_grid = {"t": draw(EXTREME)}
+    else:
+        start, stop = sorted((draw(EXTREME), draw(EXTREME)))
+        time_grid = {"start": start, "stop": stop, "steps": 3, "spacing": draw(st.sampled_from(["linear", "log"]))}
+    return {
+        "outcome": outcome,
+        "model": model,
+        "time_grid": time_grid,
+        "kinds": draw(st.sampled_from([["hazard"], ["reliability"], ["hazard", "reliability"]])),
+        "corrected": draw(st.booleans()),
+        "verify": {"exact": True, "mc_trials": 0},
+    }
+
+
+class TestExtremeScenarios:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario=extreme_scenarios())
+    # a Y row whose injection scale 5e-324**-0.99 overflows
+    @example(
+        scenario={
+            "outcome": {"l": 100, "p": 0.5, "injection": {"K_hat": 1.0, "m_hat": -0.99}},
+            "model": {"family": "weibull", "K": 1.0, "m": 0.5},
+            "time_grid": {"t": 5e-324},
+            "kinds": ["reliability"],
+        }
+    )
+    def test_sweep_and_verify_stay_in_the_exit_code_contract(self, tmp_path, scenario):
+        config = write_scenario(tmp_path, scenario)
+        for command in ("sweep", "verify"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", config])
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_OUT_OF_REGIME, EXIT_VERIFICATION), err.getvalue()
+            assert all(line.startswith("error:") for line in err.getvalue().splitlines()), err.getvalue()
 
 
 class TestJsonOutput:

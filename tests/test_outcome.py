@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 import reference_formulas as ref
 from sdpfeas import (
+    BoundKind,
     DomainError,
     HazardFamily,
     HazardModel,
     InvalidInputError,
     ParseError,
     SdpOutcome,
-    expected_hazard,
-    expected_reliability_bound,
+    bound_sweep,
     hazard_at,
+    hazard_bound,
     outcome_from_descriptor,
+    reliability_bound,
 )
 
 
@@ -25,25 +27,39 @@ def injected(l, p, K_hat, m_hat):
     return SdpOutcome(l=l, p=p, injection=HazardModel(HazardFamily.WEIBULL, K=K_hat, m=m_hat))
 
 
+#: the manual-testing model of every row below; a row's mean does not depend on it
+UNIT = HazardModel(HazardFamily.WEIBULL, K=1.0, m=0.0)
+
+
+def hazard_mu(outcome, t):
+    """The mean of the outcome's hazard form at t, the mu of its sweep row."""
+    return bound_sweep(outcome, UNIT, [t], BoundKind.HAZARD)[0].mu
+
+
+def reliability_mu(outcome, t, corrected=True):
+    """The mean of the outcome's reliability form at t, the mu of its sweep row."""
+    return bound_sweep(outcome, UNIT, [t], BoundKind.RELIABILITY, corrected)[0].mu
+
+
 class TestExpectedHazard:
     def test_x_is_lp(self):
-        assert expected_hazard(SdpOutcome(l=100, p=0.05), 1.0) == pytest.approx(5.0)
-        assert expected_hazard(SdpOutcome(l=1, p=0.5), 7.0) == 0.5
-        assert expected_hazard(SdpOutcome(l=20, p=0.15), 0.1) == pytest.approx(3.0)
+        assert hazard_mu(SdpOutcome(l=100, p=0.05), 1.0) == pytest.approx(5.0)
+        assert hazard_mu(SdpOutcome(l=1, p=0.5), 7.0) == 0.5
+        assert hazard_mu(SdpOutcome(l=20, p=0.15), 0.1) == pytest.approx(3.0)
 
     def test_y_unit_injection_reduces_to_lp(self):
-        assert expected_hazard(injected(100, 0.05, 1.0, 0.0), 9.0) == pytest.approx(5.0)
+        assert hazard_mu(injected(100, 0.05, 1.0, 0.0), 9.0) == pytest.approx(5.0)
 
     def test_y_scales_by_power_law(self):
-        assert expected_hazard(injected(10, 0.5, 2.0, 1.0), 3.0) == pytest.approx(30.0)
+        assert hazard_mu(injected(10, 0.5, 2.0, 1.0), 3.0) == pytest.approx(30.0)
 
     def test_y_negative_exponent(self):
         # 10 * 0.5 * 2 * 4**-0.5 = 5, by direct power evaluation
-        assert expected_hazard(injected(10, 0.5, 2.0, -0.5), 4.0) == pytest.approx(5.0, rel=1e-12)
+        assert hazard_mu(injected(10, 0.5, 2.0, -0.5), 4.0) == pytest.approx(5.0, rel=1e-12)
 
     def test_y_singular_time(self):
         with pytest.raises(DomainError):
-            expected_hazard(injected(10, 0.5, 2.0, -0.5), 0.0)
+            hazard_bound(injected(10, 0.5, 2.0, -0.5), UNIT, 0.0)
 
     @given(
         l=st.integers(1, 5000),
@@ -51,29 +67,29 @@ class TestExpectedHazard:
         t=st.floats(0.01, 100.0),
     )
     def test_reduction_identity(self, l, p, t):
-        plain = expected_hazard(SdpOutcome(l=l, p=p), t)
-        unit = expected_hazard(injected(l, p, 1.0, 0.0), t)
+        plain = hazard_mu(SdpOutcome(l=l, p=p), t)
+        unit = hazard_mu(injected(l, p, 1.0, 0.0), t)
         assert unit == pytest.approx(plain, rel=1e-12)
 
 
 class TestExpectedReliabilityBound:
     def test_frozen_value(self):
         # exponent 5*(e^-1 - 1) = -3.1606027941427883, checked independently
-        value = expected_reliability_bound(SdpOutcome(l=100, p=0.05), 1.0)
+        value = reliability_mu(SdpOutcome(l=100, p=0.05), 1.0)
         assert value == pytest.approx(math.exp(-3.1606027941427883), rel=1e-12)
         assert value == pytest.approx(0.042400174798661226, rel=1e-12)
 
     def test_small_time_limit(self):
-        value = expected_reliability_bound(SdpOutcome(l=100, p=0.05), 1e-12)
+        value = reliability_mu(SdpOutcome(l=100, p=0.05), 1e-12)
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_large_time_limit(self):
-        value = expected_reliability_bound(SdpOutcome(l=100, p=0.05), 1e6)
+        value = reliability_mu(SdpOutcome(l=100, p=0.05), 1e6)
         assert value == pytest.approx(math.exp(-5.0), rel=1e-9)
 
     def test_nonpositive_time_rejected(self):
         with pytest.raises(DomainError):
-            expected_reliability_bound(SdpOutcome(l=100, p=0.05), 0.0)
+            reliability_bound(SdpOutcome(l=100, p=0.05), UNIT, 0.0)
 
     @given(
         l=st.integers(1, 2000),
@@ -84,11 +100,11 @@ class TestExpectedReliabilityBound:
     def test_decreasing_in_time(self, l, p, t1, t2):
         lo, hi = sorted((t1, t2))
         o = SdpOutcome(l=l, p=p)
-        assert expected_reliability_bound(o, hi) <= expected_reliability_bound(o, lo)
+        assert reliability_mu(o, hi) <= reliability_mu(o, lo)
 
     def test_strictly_decreasing_at_resolvable_separation(self):
         o = SdpOutcome(l=100, p=0.05)
-        values = [expected_reliability_bound(o, t) for t in (0.5, 1.0, 2.0, 4.0)]
+        values = [reliability_mu(o, t) for t in (0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     @given(l=st.integers(1, 2000), p=st.floats(0.001, 0.999), t=st.floats(0.01, 20.0))
@@ -101,25 +117,25 @@ class TestExpectedReliabilityBound:
 
     def test_exact_product_strictly_below_bound_at_desk_point(self):
         o = SdpOutcome(l=100, p=0.05)
-        assert ref.exact_expected_reliability_x(o.l, o.p, 1.0) < expected_reliability_bound(o, 1.0)
+        assert ref.exact_expected_reliability_x(o.l, o.p, 1.0) < reliability_mu(o, 1.0)
 
     def test_y_unit_injection_matches_x(self):
         o_y = injected(10, 0.5, 1.0, 0.0)
         o_x = SdpOutcome(l=10, p=0.5)
         for t in (0.1, 1.0, 3.0):
-            assert expected_reliability_bound(o_y, t, corrected=True) == pytest.approx(
-                expected_reliability_bound(o_x, t), rel=1e-12
+            assert reliability_mu(o_y, t, corrected=True) == pytest.approx(
+                reliability_mu(o_x, t), rel=1e-12
             )
 
     def test_published_sign_mode_exceeds_one(self):
         # the as-published inner exponent is positive, so the "expected
         # reliability" blows past 1: exp(5*(e - 1)) ~ 5385.2
-        value = expected_reliability_bound(injected(10, 0.5, 1.0, 0.0), 1.0, corrected=False)
+        value = reliability_mu(injected(10, 0.5, 1.0, 0.0), 1.0, corrected=False)
         assert value == pytest.approx(math.exp(5.0 * (math.e - 1.0)), rel=1e-12)
         assert value > 1.0
 
     def test_corrected_sign_mode_is_probability(self):
-        value = expected_reliability_bound(injected(10, 0.5, 1.0, 0.0), 1.0, corrected=True)
+        value = reliability_mu(injected(10, 0.5, 1.0, 0.0), 1.0, corrected=True)
         assert value == pytest.approx(math.exp(5.0 * (math.exp(-1.0) - 1.0)), rel=1e-12)
         assert 0.0 < value < 1.0
 
@@ -139,7 +155,7 @@ class TestEmpirical:
         samples = ref.sample_binomial(rng, l, p, trials)
         values = np.exp(-samples * t)
         stderr = values.std(ddof=1) / math.sqrt(trials)
-        assert values.mean() <= expected_reliability_bound(o, t) + 3.0 * stderr
+        assert values.mean() <= reliability_mu(o, t) + 3.0 * stderr
 
 
 class TestDescriptor:
@@ -239,4 +255,4 @@ class TestOutcomeFields:
         injection = HazardModel(HazardFamily.WEIBULL, K=2.0, m=1.5)
         outcome = SdpOutcome(l=10, p=0.5, injection=injection)
         for t in (0.3, 1.0, 4.0):
-            assert expected_hazard(outcome, t) == 5.0 * hazard_at(injection, t)
+            assert hazard_mu(outcome, t) == 5.0 * hazard_at(injection, t)
