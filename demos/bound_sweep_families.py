@@ -11,9 +11,9 @@ import numpy as np
 
 from sdpfeas import (
     BoundKind,
-    BoundResult,
     HazardFamily,
     HazardModel,
+    Regime,
     SdpOutcome,
     bound_sweep,
 )
@@ -37,10 +37,10 @@ for model in models:
     entries = bound_sweep(outcome, model, usable, kind=BoundKind.HAZARD)
     marks = []
     for entry in entries:
-        if isinstance(entry, BoundResult):
-            marks.append(f"{entry.bound:.3f}")
-        else:
+        if entry.regime is Regime.OUT_OF_REGIME:
             marks.append("out")  # z(t) >= l*p here
+        else:
+            marks.append(f"{entry.bound:.3f}")
     tag = entries[0].theorem_tag
     print(f"{model.family.value:>9} ({tag:>4}): " + "  ".join(marks))
 

@@ -15,7 +15,6 @@ _EXPORTS = {
     "bounds": (
         "BoundKind",
         "BoundResult",
-        "OutOfRegime",
         "Regime",
         "bound_sweep",
         "chernoff_lower_tail",

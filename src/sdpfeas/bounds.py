@@ -20,7 +20,7 @@ row of an (outcome, kind, sign mode) once per grid, then makes one pass
 over the grid. A named bound is a one-point grid. A form's mean at t is
 public as the ``mu`` of its row, ``bound_sweep(outcome, model, [t])[0].mu``,
 in regime or out of it.
-Inside a sweep an out-of-regime point is an entry, not an exception;
+Inside a sweep an out-of-regime point is a row, not an exception;
 only the named bounds and ``chernoff_lower_tail`` raise OutOfRegimeError.
 
 The kernel works in log space; exp() happens once at the end so the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import DomainError, InvalidInputError, NumericOverflowError, OutOfRegimeError, read_boolean, read_choice
-from .errors import read_number, read_real
+from .errors import read_number, read_real, read_string
 from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel, check_time, hazard_at
 from .outcome import SdpOutcome
 
@@ -45,7 +45,6 @@ __all__ = [
     "Regime",
     "BoundKind",
     "BoundResult",
-    "OutOfRegime",
     "chernoff_lower_tail",
     "hazard_bound",
     "reliability_bound",
@@ -58,6 +57,8 @@ class Regime(str, enum.Enum):
     VALID = "valid"
     #: threshold exactly 0 (delta = 1): the bound degenerates to exp(-mu/2)
     TRIVIAL = "trivial"
+    #: delta outside (0, 1]: the theorem does not apply, and there is no bound
+    OUT_OF_REGIME = "out-of-regime"
 
 
 class BoundKind(str, enum.Enum):
@@ -67,14 +68,16 @@ class BoundKind(str, enum.Enum):
 
 @dataclass(slots=True)
 class BoundResult:
-    """One computed Chernoff bound and its diagnostics."""
+    """One sweep row: a computed Chernoff bound and its diagnostics, or,
+    with ``regime`` out-of-regime, a point where the bound is inapplicable
+    and ``bound`` and ``log_bound`` are None."""
 
     theorem_tag: str
     mu: float
     threshold: float
     delta: float
-    bound: float
-    log_bound: float
+    bound: float | None
+    log_bound: float | None
     regime: Regime
     t: float | None = None
     sign_mode: str | None = None
@@ -84,54 +87,30 @@ class BoundResult:
             "theorem": self.theorem_tag,
             "mu": self.mu,
             "threshold": self.threshold,
-            "delta": self.delta,
-            "bound": self.bound,
-            "log_bound": self.log_bound,
-            "regime": self.regime.value,
+            # JSON has no infinity: the delta of an underflowed mean is null
+            "delta": self.delta if math.isfinite(self.delta) else None,
         }
+        in_regime = self.regime is not Regime.OUT_OF_REGIME
+        if in_regime:
+            payload["bound"] = self.bound
+            payload["log_bound"] = self.log_bound
+        payload["regime"] = self.regime.value
         if self.t is not None:
             payload["t"] = self.t
-        if self.sign_mode is not None:
+        if in_regime and self.sign_mode is not None:
             payload["sign_mode"] = self.sign_mode
         return payload
 
 
-@dataclass(slots=True)
-class OutOfRegime:
-    """Sweep entry for a point where the bound is inapplicable."""
-
-    theorem_tag: str
-    mu: float
-    threshold: float
-    delta: float
-    t: float | None = None
-
-    def to_dict(self) -> dict:
-        payload = {
-            "theorem": self.theorem_tag,
-            "mu": self.mu,
-            "threshold": self.threshold,
-            # JSON has no infinity: the delta of an underflowed mean is null
-            "delta": self.delta if math.isfinite(self.delta) else None,
-            "regime": "out-of-regime",
-        }
-        if self.t is not None:
-            payload["t"] = self.t
-        return payload
-
-
-SweepEntry = BoundResult | OutOfRegime
-
-
-def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign_mode: str | None) -> SweepEntry:
-    """The kernel as a sweep entry: an OutOfRegime entry, not an exception,
+def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign_mode: str | None) -> BoundResult:
+    """The kernel as a sweep row: an out-of-regime row, not an exception,
     when the band misses (0, 1]. It takes a finite mu >= 0 and a finite
     threshold, and checks neither. A mu of 0.0 is a positive mean that
     underflowed: no threshold >= 0 is known to lie below it, so the point
     is out of regime with delta -inf."""
     delta = 1.0 - threshold / mu if mu else -math.inf
     if threshold >= mu or threshold < 0:
-        return OutOfRegime(theorem_tag, mu, threshold, delta, t)
+        return BoundResult(theorem_tag, mu, threshold, delta, None, None, Regime.OUT_OF_REGIME, t, sign_mode)
     try:
         log_bound = -((mu - threshold) ** 2) / (2.0 * mu)
     except OverflowError:
@@ -153,20 +132,25 @@ def chernoff_lower_tail(
     """The kernel: bound on Pr[X < threshold] for a variable with mean mu.
 
     Requires 0 <= threshold < mu; raises OutOfRegimeError otherwise,
-    ParseError where mu or the threshold is not a number, and
-    InvalidInputError where mu is not positive and finite or the threshold
-    is not finite.
+    ParseError where mu or the threshold is not a number, t is neither
+    None nor a finite number, or the theorem tag or a sign mode is not a
+    string, and InvalidInputError where mu is not positive and finite or
+    the threshold is not finite.
     """
     if not 0 < read_real(mu, "expectation mu") <= sys.float_info.max:
         raise InvalidInputError(f"expectation mu must be positive and finite, got {mu!r}")
     if not abs(read_real(threshold, "threshold")) <= sys.float_info.max:
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
+    t = t if t is None else read_number(t, "time")
+    read_string(theorem_tag, "theorem tag")
+    if sign_mode is not None:
+        read_string(sign_mode, "sign mode")
     return _in_regime(_kernel(mu, threshold, theorem_tag, t, sign_mode))
 
 
-def _in_regime(entry: SweepEntry) -> BoundResult:
-    """``entry`` if it is a bound; an OutOfRegime entry raises its error."""
-    if isinstance(entry, OutOfRegime):
+def _in_regime(entry: BoundResult) -> BoundResult:
+    """``entry`` if it is in regime; an out-of-regime row raises its error."""
+    if entry.regime is Regime.OUT_OF_REGIME:
         raise OutOfRegimeError(entry.mu, entry.threshold, entry.delta, theorem_tag=entry.theorem_tag, t=entry.t)
     return entry
 
@@ -230,12 +214,12 @@ def _bound(
     grid: Sequence[float],
     kind: BoundKind,
     corrected: bool = True,
-) -> list[SweepEntry]:
+) -> list[BoundResult]:
     """One named bound over ``grid`` in one pass.
 
     (outcome, kind, corrected) is resolved once to its ``FORMS`` row; each
     point then costs one mean, one threshold and one kernel call.
-    Out-of-regime points are entries, a mean that underflowed to 0.0 too.
+    Out-of-regime points are rows, a mean that underflowed to 0.0 too.
     The first point whose mean or threshold fails raises, mean first, as if
     evaluated alone: a time outside the family's domain raises DomainError,
     and an overflow, a mean or threshold that is not finite included (the
@@ -252,7 +236,7 @@ def _bound(
     mean_failures, injection = outcome.mean_failures, outcome.injection
     # times outside (0, end] get the domain's message; reliability means refuse t <= 0
     end, singular = min(spec.max_time(model), sys.float_info.max), spec.singular_at_zero(model)
-    entries: list[SweepEntry] = []
+    entries: list[BoundResult] = []
     try:
         for t in grid:
             mu = mean(mean_failures, injection, t)
@@ -304,11 +288,11 @@ def bound_sweep(
     grid: Iterable[float],
     kind: BoundKind = BoundKind.HAZARD,
     corrected: bool = True,
-) -> list[SweepEntry]:
+) -> list[BoundResult]:
     """Evaluate one bound over a time grid, of the outcome's variant.
 
     The grid must be non-empty, strictly increasing and positive.
-    Out-of-regime points are carried as tagged entries, never dropped;
+    Out-of-regime points are rows of regime out-of-regime, never dropped;
     results are in grid order.
     """
     grid = [t if type(t) is float else read_number(t, "time grid value") for t in grid]

@@ -94,7 +94,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_bound(args) -> int:
     """Compute a single bound at one time point."""
-    from .bounds import BoundResult
+    from .bounds import Regime
     from .report import run_sweep
 
     config = _load_config(args)
@@ -102,7 +102,7 @@ def cmd_bound(args) -> int:
         raise InvalidInputError("'bound' needs a single-point time grid and exactly one kind")
     entry = run_sweep(config)[0]
     _write_output(indented_json(entry.to_dict()) + "\n", args.out)
-    return EXIT_OK if isinstance(entry, BoundResult) else EXIT_OUT_OF_REGIME
+    return EXIT_OUT_OF_REGIME if entry.regime is Regime.OUT_OF_REGIME else EXIT_OK
 
 
 def cmd_sweep(args) -> int:

@@ -179,6 +179,7 @@ def _read(value, what: str, kind, noun: str):
 read_integer = functools.partial(_read, kind=int, noun="an integer")
 read_boolean = functools.partial(_read, kind=bool, noun="true or false")
 read_list = functools.partial(_read, kind=list, noun="a list")
+read_string = functools.partial(_read, kind=str, noun="a string")
 #: an integer or a float, as given; its caller judges its range
 read_real = functools.partial(_read, kind=(int, float), noun="a number")
 

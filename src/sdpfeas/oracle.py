@@ -33,8 +33,8 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .bounds import BoundResult
-from .errors import InvalidInputError, read_integer, read_number
+from .bounds import BoundResult, Regime
+from .errors import InvalidInputError, ParseError, read_integer, read_number
 
 __all__ = [
     "TailMethod",
@@ -45,6 +45,11 @@ __all__ = [
     "verify_bound",
 ]
 
+#: the types a tail value or a standard error takes on the fast path of
+#: TailEstimate's checks, matched exactly
+_REAL = (int, float)
+
+
 class TailMethod(str, enum.Enum):
     EXACT = "exact"
     MONTE_CARLO = "monte-carlo"
@@ -54,7 +59,10 @@ class TailMethod(str, enum.Enum):
 class TailEstimate:
     """A tail probability with its provenance; MC entries carry trials,
     standard error and the seed that reproduces them. ``log_value`` (by
-    default log(value)) stays finite where ``value`` underflows."""
+    default log(value)) stays finite where ``value`` underflows.
+    Construction refuses a value that is not a number in [0, 1], a method
+    that is not a ``TailMethod`` member, and an MC entry without an
+    integer trials >= 1 and a finite stderr >= 0."""
 
     value: float
     method: TailMethod
@@ -64,6 +72,21 @@ class TailEstimate:
     log_value: float | None = None
 
     def __post_init__(self):
+        # plain comparisons, as a verify round builds one estimate per
+        # record; a value they refuse goes through the readers for its error
+        value, trials, stderr = self.value, self.trials, self.stderr
+        if not (type(value) in _REAL and 0.0 <= value <= 1.0):
+            if not 0.0 <= read_number(value, "tail value") <= 1.0:
+                raise InvalidInputError(f"tail value must lie in [0, 1], got {value!r}")
+        if type(self.method) is not TailMethod:
+            raise ParseError(f"tail method must be a TailMethod member, got {self.method!r}")
+        if self.method is TailMethod.MONTE_CARLO and not (
+            type(trials) is int and trials >= 1 and type(stderr) in _REAL and 0.0 <= stderr <= sys.float_info.max
+        ):
+            if not 1 <= read_integer(trials, "Monte-Carlo trials"):
+                raise InvalidInputError(f"Monte-Carlo trials must be >= 1, got {trials!r}")
+            if not 0.0 <= read_number(stderr, "Monte-Carlo stderr"):
+                raise InvalidInputError(f"Monte-Carlo stderr must be >= 0, got {stderr!r}")
         # a log_value is kept only while it names value (dataclasses.replace
         # passes the old one on with a new value), which an underflowed
         # value's finite log still does
@@ -349,6 +372,10 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
     if not isinstance(bound, BoundResult):
         raise InvalidInputError(
             f"verification needs a computed BoundResult, got {type(bound).__name__}"
+        )
+    if bound.regime is Regime.OUT_OF_REGIME:
+        raise InvalidInputError(
+            f"verification needs an in-regime bound, got an out-of-regime {bound.theorem_tag} row at t = {bound.t!r}"
         )
     if not isinstance(oracle, TailEstimate):
         raise InvalidInputError(f"verification needs a TailEstimate oracle, got {type(oracle).__name__}")

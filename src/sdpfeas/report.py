@@ -25,7 +25,6 @@ from .bounds import (
     BoundKind,
     BoundResult,
     Regime,
-    SweepEntry,
     bound_sweep,
 )
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_integer, read_json
@@ -50,9 +49,12 @@ MAX_STEPS = 10**6
 
 
 #: one CSV row template per regime; %.17g gives format(x, ".17g"), 17
-#: significant digits, which round-trip every 64-bit float exactly
-_BOUND_ROWS = {regime: "%.17g,%s,%.17g,%.17g,%.17g,%.17g," + regime.value for regime in Regime}
-_OUT_OF_REGIME_ROW = "%.17g,%s,%.17g,%.17g,%.17g,,out-of-regime"
+#: significant digits, which round-trip every 64-bit float exactly, and
+#: %.0s writes an out-of-regime row's None bound as the empty field
+_CSV_ROWS = {
+    regime: "%.17g,%s,%.17g,%.17g,%.17g," + ("%.0s," if regime is Regime.OUT_OF_REGIME else "%.17g,") + regime.value
+    for regime in Regime
+}
 
 
 def _build_grid(payload: dict) -> list[float]:
@@ -169,9 +171,9 @@ class ScenarioConfig:
         return cls.from_descriptor(read_json(text))
 
 
-def run_sweep(config: ScenarioConfig) -> list[SweepEntry]:
+def run_sweep(config: ScenarioConfig) -> list[BoundResult]:
     """All bound rows for the scenario, kind-major then grid order."""
-    entries: list[SweepEntry] = []
+    entries: list[BoundResult] = []
     for kind in config.kinds:
         entries.extend(
             bound_sweep(
@@ -231,7 +233,7 @@ def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardMo
     return max(count, math.ulp(0.0))
 
 
-def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> list[VerificationRecord]:
+def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> list[VerificationRecord]:
     """Check every in-regime row against the exact and/or MC oracle.
 
     Every bound in the engine is a lower-tail statement about the
@@ -240,7 +242,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> l
     either variant: ``_count_threshold`` maps each row to its count, and
     one oracle answers every row at that count.
     """
-    checks = [entry for entry in entries if isinstance(entry, BoundResult)]
+    checks = [entry for entry in entries if entry.regime is not Regime.OUT_OF_REGIME]
     if not checks or not (config.verify_exact or config.mc_trials > 0):
         return []
     thresholds = [_count_threshold(entry, config.model, config.outcome.injection) for entry in checks]
@@ -264,7 +266,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[SweepEntry]) -> l
 @dataclass
 class FeasibilityReport:
     scenario: dict
-    rows: list[SweepEntry]
+    rows: list[BoundResult]
     verification: list[VerificationRecord]
     epsilon: float
     timestamp: str
@@ -276,13 +278,13 @@ class FeasibilityReport:
     def verdict(self) -> dict:
         """Classify each grid point and report each class as [lo, hi]
         ranges, one per run of consecutive grid points in that class."""
-        by_time: dict[float, list[SweepEntry]] = {}
+        by_time: dict[float, list[BoundResult]] = {}
         for row in self.rows:
             by_time.setdefault(row.t, []).append(row)
         ranges = {"feasible_at": [], "infeasible_at": [], "out_of_regime_at": []}
         previous = None
         for t in sorted(by_time):
-            bounds = [r.bound for r in by_time[t] if isinstance(r, BoundResult)]
+            bounds = [r.bound for r in by_time[t] if r.regime is not Regime.OUT_OF_REGIME]
             if not bounds:
                 key = "out_of_regime_at"
             elif min(bounds) <= self.epsilon:
@@ -334,15 +336,14 @@ def build_report(config: ScenarioConfig) -> FeasibilityReport:
     )
 
 
-def sweep_to_csv(entries: Sequence[SweepEntry]) -> str:
+def sweep_to_csv(entries: Sequence[BoundResult]) -> str:
     """Serialize sweep rows to the CSV contract
     ``t,theorem,mu,threshold,delta,bound,regime`` with 17-significant-digit
     numbers (round-trip exact), one format per row from its regime's
     template."""
     lines = [",".join(SWEEP_COLUMNS)]
     for e in entries:
-        if isinstance(e, BoundResult):
-            lines.append(_BOUND_ROWS[e.regime] % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound))
-        else:
-            lines.append(_OUT_OF_REGIME_ROW % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta))
-    return "\n".join(lines) + "\n"
+        lines.append(_CSV_ROWS[e.regime] % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound))
+    # the final newline joined in, so the text is built once and not copied
+    lines.append("")
+    return "\n".join(lines)

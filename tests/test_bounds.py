@@ -16,7 +16,6 @@ from sdpfeas import (
     InvalidInputError,
     NumericOverflowError,
     ParseError,
-    OutOfRegime,
     OutOfRegimeError,
     Regime,
     SdpFeasError,
@@ -27,6 +26,7 @@ from sdpfeas import (
     hazard_bound,
     reliability_bound,
     reliability_tail_threshold,
+    sweep_to_csv,
 )
 from sdpfeas.bounds import _form
 from sdpfeas.hazards import FAMILIES
@@ -374,7 +374,8 @@ def scalar_entry(outcome, model, t, kind, corrected):
         threshold = hazard_at(model, t) if hazard else reliability_tail_threshold(model, t)
         return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
     except OutOfRegimeError as err:
-        return OutOfRegime(err.theorem_tag, err.mu, err.threshold, err.delta, err.t)
+        out = Regime.OUT_OF_REGIME
+        return BoundResult(err.theorem_tag, err.mu, err.threshold, err.delta, None, None, out, err.t, sign_mode)
     except OverflowError as exc:
         form = tag if sign_mode is None else f"{tag} ({sign_mode})"
         raise NumericOverflowError(f"{form} overflows a 64-bit float at t = {t!r}") from exc
@@ -422,7 +423,21 @@ class TestSweep:
                 bound_sweep(outcome, model, grid, kind=kind, corrected=corrected)
             assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         else:
-            assert bound_sweep(outcome, model, grid, kind=kind, corrected=corrected) == expected
+            rows = bound_sweep(outcome, model, grid, kind=kind, corrected=corrected)
+            assert rows == expected
+            # each row's CSV line, from its regime's template, and its JSON
+            # payload carry the same regime and the row's own numbers
+            for row, line in zip(rows, sweep_to_csv(rows).splitlines()[1:], strict=True):
+                payload = row.to_dict()
+                t, theorem, mu, threshold, delta, bound, regime = line.split(",")
+                assert regime == payload["regime"] == row.regime.value and theorem == payload["theorem"]
+                assert [float(t), float(mu), float(threshold), float(delta)] == [row.t, row.mu, row.threshold, row.delta]
+                assert [payload["t"], payload["mu"], payload["threshold"]] == [row.t, row.mu, row.threshold]
+                assert payload["delta"] == (row.delta if math.isfinite(row.delta) else None)
+                out = regime == "out-of-regime"
+                assert (bound == "") == out == ("bound" not in payload) == (row.bound is None)
+                if not out:
+                    assert float(bound) == row.bound == payload["bound"]
 
     def test_constant_hazard_flat_across_grid(self):
         o = SdpOutcome(l=100, p=0.05)
@@ -435,9 +450,9 @@ class TestSweep:
         o = SdpOutcome(l=100, p=0.05)
         model = HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0)
         entries = bound_sweep(o, model, [1.0, 3.0, 4.9, 5.0, 6.0], kind=BoundKind.HAZARD)
-        kinds = [isinstance(e, BoundResult) for e in entries]
-        assert kinds == [True, True, True, False, False]
-        assert all(isinstance(e, OutOfRegime) for e in entries[3:])
+        regimes = [e.regime for e in entries]
+        assert regimes == [Regime.VALID] * 3 + [Regime.OUT_OF_REGIME] * 2
+        assert all(e.bound is None and e.log_bound is None for e in entries[3:])
 
     def test_out_of_regime_entries_keep_diagnostics(self):
         o = SdpOutcome(l=100, p=0.05)

@@ -22,11 +22,12 @@ import pytest
 from conftest import strict_json
 from sdpfeas import (
     BoundKind,
-    BoundResult,
     HazardFamily,
     HazardModel,
     SdpFeasError,
     SdpOutcome,
+    TailEstimate,
+    TailMethod,
     binomial_window,
     bound_sweep,
     chernoff_lower_tail,
@@ -132,6 +133,12 @@ LD = HazardFamily.LINEAR_DECREASING
 X_OUT = SdpOutcome(l=100, p=0.05)
 Y_OUT = SdpOutcome(l=100, p=0.05, injection=HazardModel(HazardFamily.WEIBULL, K=1.0, m=0.5))
 
+
+def verify_tail(*args, **kwargs):
+    """verify_bound of the kernel at (10, 2) against TailEstimate(*args, **kwargs)."""
+    return verify_bound(chernoff_lower_tail(10.0, 2.0), TailEstimate(*args, **kwargs))
+
+
 #: name -> thunk; the golden records the exception each one raises
 ERROR_CASES = {
     "weibull K=0": lambda: HazardModel(W, K=0.0, m=1.0),
@@ -217,6 +224,22 @@ ERROR_CASES = {
     "scenario dict model": lambda: build_report(
         ScenarioConfig(X_OUT, {"family": "weibull", "K": 1.0, "m": 1.0}, [1.0], ["hazard"])
     ),
+    # an oracle value that is not a probability, and a row with no bound
+    "tail value nan": lambda: verify_tail(math.nan, TailMethod.EXACT),
+    "tail value negative": lambda: verify_tail(-0.2, TailMethod.EXACT),
+    "tail value above 1": lambda: verify_tail(1.5, TailMethod.EXACT),
+    "tail mc without stderr": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100),
+    "tail method string": lambda: verify_tail(0.1, "exact"),
+    "verify out-of-regime row": lambda: verify_bound(
+        bound_sweep(X_OUT, HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0), [6.0])[0],
+        binomial_window(100, 0.05).exact_tail(6.0),
+    ),
+    # the kernel reads the arguments it stores in the row
+    "kernel t nan": lambda: chernoff_lower_tail(10.0, 2.0, t=math.nan),
+    "kernel t string": lambda: chernoff_lower_tail(10.0, 2.0, t="x"),
+    "kernel t bool": lambda: chernoff_lower_tail(10.0, 2.0, t=True),
+    "kernel theorem tag int": lambda: chernoff_lower_tail(10.0, 2.0, theorem_tag=5),
+    "kernel sign mode bool": lambda: chernoff_lower_tail(10.0, 2.0, sign_mode=True),
 }
 
 
@@ -298,7 +321,7 @@ def test_goldens_cover_every_regime_and_sign_mode():
             reached.update(key for key, row in FORMS.items() if row is form)
             entries = bound_sweep(outcome, config.model, config.grid, kind, corrected)
             tag = form.tag(FAMILIES[config.model.family])
-            modes = {entry.sign_mode for entry in entries if isinstance(entry, BoundResult)}
+            modes = {entry.sign_mode for entry in entries}
             assert {entry.theorem_tag for entry in entries} == {tag} and modes <= {sign_mode}
             sign_modes |= modes
             for entry in entries:

@@ -1,7 +1,7 @@
-"""The per-point records: sweep rows (BoundResult, OutOfRegime) and oracle
-records (TailEstimate, VerificationRecord) are plain slotted dataclasses,
-a sweep's CSV rows keep their bytes, and every JSON output is the one
-``json.dumps(..., indent=2)`` writes."""
+"""The per-point records: sweep rows (BoundResult, in regime or out of
+it) and oracle records (TailEstimate, VerificationRecord) are plain
+slotted dataclasses, a sweep's CSV rows keep their bytes, and every JSON
+output is the one ``json.dumps(..., indent=2)`` writes."""
 
 import dataclasses
 import json
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpfeas.bounds import BoundResult, OutOfRegime, Regime
+from sdpfeas.bounds import BoundResult, Regime
 from sdpfeas.oracle import TailEstimate, TailMethod, VerificationRecord, binomial_window, verify_bound
 from sdpfeas.errors import indented_json
 from sdpfeas.report import sweep_to_csv
@@ -19,8 +19,9 @@ from sdpfeas.report import sweep_to_csv
 MU = 0.1 + 0.2  # 0.30000000000000004: needs all 17 digits
 LOG_BOUND = -((MU - 0.1) ** 2) / (2 * MU)
 
-#: one fixed example per type: (type, positional args, keyword args, to_dict
-#: payload; None for TailEstimate, which has no to_dict)
+#: one fixed example per type, and a sweep row out of regime: (type,
+#: positional args, keyword args, to_dict payload; None for TailEstimate,
+#: which has no to_dict)
 EXAMPLES = {
     "BoundResult": (
         BoundResult,
@@ -46,11 +47,22 @@ EXAMPLES = {
             "t": 1.25,
         },
     ),
-    "OutOfRegime": (
-        OutOfRegime,
-        ("Thm2", 0.25, 0.5, -1.0, 3.0),
-        dict(theorem_tag="Thm2", mu=0.25, threshold=0.5, delta=-1.0, t=3.0),
-        {"theorem": "Thm2", "mu": 0.25, "threshold": 0.5, "delta": -1.0, "regime": "out-of-regime", "t": 3.0},
+    # out of regime, the row writes no bound, log bound or sign mode
+    "BoundResult-out-of-regime": (
+        BoundResult,
+        ("Thm4", 0.25, 0.5, -1.0, None, None, Regime.OUT_OF_REGIME, 3.0, "corrected"),
+        dict(
+            theorem_tag="Thm4",
+            mu=0.25,
+            threshold=0.5,
+            delta=-1.0,
+            bound=None,
+            log_bound=None,
+            regime=Regime.OUT_OF_REGIME,
+            t=3.0,
+            sign_mode="corrected",
+        ),
+        {"theorem": "Thm4", "mu": 0.25, "threshold": 0.5, "delta": -1.0, "regime": "out-of-regime", "t": 3.0},
     ),
     "TailEstimate": (
         TailEstimate,
@@ -123,12 +135,13 @@ class TestRecords:
 
     def test_bound_never_equals_out_of_regime(self):
         bound = BoundResult("Thm2", 0.25, 0.5, -1.0, 1.0, 0.0, Regime.VALID, 3.0)
-        out = OutOfRegime("Thm2", 0.25, 0.5, -1.0, 3.0)
+        out = BoundResult("Thm2", 0.25, 0.5, -1.0, None, None, Regime.OUT_OF_REGIME, 3.0)
         assert bound != out and out != bound
 
     def test_repr(self):
-        assert repr(OutOfRegime("Thm2", 0.25, 0.5, -1.0, 3.0)) == (
-            "OutOfRegime(theorem_tag='Thm2', mu=0.25, threshold=0.5, delta=-1.0, t=3.0)"
+        assert repr(BoundResult("Thm2", 0.25, 0.5, -1.0, None, None, Regime.OUT_OF_REGIME, 3.0)) == (
+            "BoundResult(theorem_tag='Thm2', mu=0.25, threshold=0.5, delta=-1.0, bound=None, log_bound=None, "
+            "regime=<Regime.OUT_OF_REGIME: 'out-of-regime'>, t=3.0, sign_mode=None)"
         )
 
     def test_log_value_of_zero_is_minus_inf(self):
@@ -166,7 +179,7 @@ class TestSweepCsv:
 
     VALID = BoundResult("Thm1", MU, 0.1, 1 - 0.1 / MU, math.exp(LOG_BOUND), LOG_BOUND, Regime.VALID, 1.25)
     TRIVIAL = BoundResult("Thm4", 2.5, 0.0, 1.0, math.exp(-1.25), -1.25, Regime.TRIVIAL, 1e-3, "corrected")
-    OUT = OutOfRegime("Thm2", 0.25, 0.5, -1.0, 3.0)
+    OUT = BoundResult("Thm2", 0.25, 0.5, -1.0, None, None, Regime.OUT_OF_REGIME, 3.0)
     HEADER = "t,theorem,mu,threshold,delta,bound,regime\n"
 
     def test_valid_row(self):
