@@ -10,11 +10,11 @@ lambda = 2 failures per unit time?
 import json
 
 from sdpfeas import (
+    BinomialWindow,
     ConfusionMatrix,
     HazardFamily,
     HazardModel,
     SdpOutcome,
-    binomial_window,
     false_omission_rate,
     hazard_bound,
     verify_bound,
@@ -40,7 +40,7 @@ print(f"  mu = {result.mu}, delta = {result.delta}, regime = {result.regime.valu
 # step 3: check it against the exact binomial tail and a seeded
 # Monte-Carlo estimate, both read from one oracle for Binomial(100, 0.05).
 # Both must land below the bound.
-window = binomial_window(outcome.l, outcome.p)
+window = BinomialWindow(outcome.l, outcome.p)
 [mc] = window.mc_tails([result.threshold], trials=200_000, seed=42)
 for oracle in (window.exact_tail(result.threshold), mc):
     record = verify_bound(result, oracle, event=window.describe(result.threshold))

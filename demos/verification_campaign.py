@@ -10,12 +10,12 @@ smallest concrete counterexample it finds.
 """
 
 from sdpfeas import (
+    BinomialWindow,
     HazardFamily,
     HazardModel,
     InvalidInputError,
     OutOfRegimeError,
     SdpOutcome,
-    binomial_window,
     hazard_bound,
     reliability_bound,
     verify_bound,
@@ -44,7 +44,7 @@ def campaign(models, bound_fn):
         for l in LS:
             for p in PS:
                 outcome = SdpOutcome(l=l, p=p)
-                window = binomial_window(l, p)
+                window = BinomialWindow(l, p)
                 for t in TS:
                     try:
                         result = bound_fn(outcome, model, t)

@@ -40,7 +40,7 @@ _EXPORTS = {
         "reliability_at",
         "reliability_tail_threshold",
     ),
-    "oracle": ("BinomialWindow", "TailEstimate", "TailMethod", "VerificationRecord", "binomial_window", "verify_bound"),
+    "oracle": ("BinomialWindow", "TailEstimate", "TailMethod", "VerificationRecord", "verify_bound"),
     "outcome": ("SdpOutcome", "outcome_from_descriptor"),
     "report": ("FeasibilityReport", "ScenarioConfig", "build_report", "run_sweep", "sweep_to_csv"),
 }

@@ -36,8 +36,8 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import DomainError, InvalidInputError, NumericOverflowError, OutOfRegimeError, read_boolean, read_choice
-from .errors import read_number, read_real, read_string
+from .errors import DomainError, InvalidInputError, NumericOverflowError, OutOfRegimeError, ParseError, read_boolean
+from .errors import read_choice, read_instance, read_number, read_real
 from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel, check_time, hazard_at
 from .outcome import SdpOutcome
 
@@ -49,7 +49,6 @@ __all__ = [
     "hazard_bound",
     "reliability_bound",
     "bound_sweep",
-    "SWEEP_COLUMNS",
 ]
 
 
@@ -122,30 +121,20 @@ def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign
     return BoundResult(theorem_tag, mu, threshold, delta, math.exp(log_bound), log_bound, regime, t, sign_mode)
 
 
-def chernoff_lower_tail(
-    mu: float,
-    threshold: float,
-    theorem_tag: str = "Chernoff",
-    t: float | None = None,
-    sign_mode: str | None = None,
-) -> BoundResult:
-    """The kernel: bound on Pr[X < threshold] for a variable with mean mu.
+def chernoff_lower_tail(mu: float, threshold: float) -> BoundResult:
+    """The kernel: bound on Pr[X < threshold] for a variable with mean mu,
+    as a row tagged "Chernoff" with no time.
 
     Requires 0 <= threshold < mu; raises OutOfRegimeError otherwise,
-    ParseError where mu or the threshold is not a number, t is neither
-    None nor a finite number, or the theorem tag or a sign mode is not a
-    string, and InvalidInputError where mu is not positive and finite or
-    the threshold is not finite.
+    ParseError where mu or the threshold is not a number, and
+    InvalidInputError where mu is not positive and finite or the threshold
+    is not finite.
     """
     if not 0 < read_real(mu, "expectation mu") <= sys.float_info.max:
         raise InvalidInputError(f"expectation mu must be positive and finite, got {mu!r}")
     if not abs(read_real(threshold, "threshold")) <= sys.float_info.max:
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
-    t = t if t is None else read_number(t, "time")
-    read_string(theorem_tag, "theorem tag")
-    if sign_mode is not None:
-        read_string(sign_mode, "sign mode")
-    return _in_regime(_kernel(mu, threshold, theorem_tag, t, sign_mode))
+    return _in_regime(_kernel(mu, threshold, "Chernoff", None, None))
 
 
 def _in_regime(entry: BoundResult) -> BoundResult:
@@ -225,6 +214,8 @@ def _bound(
     and an overflow, a mean or threshold that is not finite included (the
     as-published Thm4 form at moderate t, for one), raises
     NumericOverflowError naming the bound and t."""
+    read_instance(outcome, "outcome", SdpOutcome, "an SdpOutcome")
+    read_instance(model, "model", HazardModel, "a HazardModel")
     if outcome.injection is not None and model.family is not HazardFamily.WEIBULL:
         raise InvalidInputError(
             f"injection-variant bounds compare against a weibull manual-testing "
@@ -278,10 +269,6 @@ def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float, correct
     return _one(outcome, model, t, BoundKind.RELIABILITY, corrected)
 
 
-#: CSV column contract for serialized sweeps
-SWEEP_COLUMNS = ("t", "theorem", "mu", "threshold", "delta", "bound", "regime")
-
-
 def bound_sweep(
     outcome: SdpOutcome,
     model: HazardModel,
@@ -291,11 +278,15 @@ def bound_sweep(
 ) -> list[BoundResult]:
     """Evaluate one bound over a time grid, of the outcome's variant.
 
-    The grid must be non-empty, strictly increasing and positive.
-    Out-of-regime points are rows of regime out-of-regime, never dropped;
-    results are in grid order.
+    The grid must be an iterable of numbers, non-empty, strictly
+    increasing and positive. Out-of-regime points are rows of regime
+    out-of-regime, never dropped; results are in grid order.
     """
-    grid = [t if type(t) is float else read_number(t, "time grid value") for t in grid]
+    try:
+        points = iter(grid)
+    except TypeError:
+        raise ParseError(f"time grid must be iterable, got {type(grid).__name__}") from None
+    grid = [t if type(t) is float else read_number(t, "time grid value") for t in points]
     if not grid:
         raise InvalidInputError("time grid is empty")
     if any(t <= 0 for t in grid):

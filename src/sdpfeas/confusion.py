@@ -15,7 +15,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .errors import AssumptionViolationError, InvalidInputError, ParseError, read_integer, read_json, read_object
+from .errors import AssumptionViolationError, InvalidInputError, ParseError, read_instance, read_integer, read_json
+from .errors import read_object
 
 __all__ = [
     "ConfusionMatrix",
@@ -101,6 +102,7 @@ def false_omission_rate(matrix: ConfusionMatrix) -> Fraction:
     round onto either end (fn = 10**17, tn = 1 gives 1.0), and that is
     refused too.
     """
+    read_instance(matrix, "confusion matrix", ConfusionMatrix, "a ConfusionMatrix")
     if matrix.fn_ < 1 or matrix.tn < 1:
         zero_side = "fn" if matrix.fn_ < 1 else "tn"
         raise AssumptionViolationError(

@@ -179,9 +179,17 @@ def _read(value, what: str, kind, noun: str):
 read_integer = functools.partial(_read, kind=int, noun="an integer")
 read_boolean = functools.partial(_read, kind=bool, noun="true or false")
 read_list = functools.partial(_read, kind=list, noun="a list")
-read_string = functools.partial(_read, kind=str, noun="a string")
 #: an integer or a float, as given; its caller judges its range
 read_real = functools.partial(_read, kind=(int, float), noun="a number")
+
+
+def read_instance(value, what: str, cls: type, noun: str):
+    """``value`` if it is an instance of ``cls``, an object only Python
+    hands in (a model, an outcome, a matrix); anything else is refused by
+    its type's name."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{what} must be {noun}, got {type(value).__name__}")
+    return value
 
 
 def read_number(value, what: str) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from .errors import DomainError, InvalidInputError, NumericOverflowError, ParseError
-from .errors import read_choice, read_number, read_object
+from .errors import read_choice, read_instance, read_number, read_object
 
 __all__ = [
     "HazardFamily",
@@ -153,6 +153,11 @@ FAMILIES = {
 }
 
 
+def _spec(model: HazardModel) -> FamilySpec:
+    """The ``FAMILIES`` row of ``model``, which must be a HazardModel."""
+    return FAMILIES[read_instance(model, "model", HazardModel, "a HazardModel").family]
+
+
 def check_time(model: HazardModel, spec: FamilySpec, t: float, positive: bool) -> None:
     if not math.isfinite(t if type(t) is float else read_number(t, "time")):
         raise DomainError(f"time must be finite, got {t!r}")
@@ -179,7 +184,7 @@ def _evaluate(model: HazardModel, closed_form: Callable[[HazardModel, float], fl
 
 def hazard_at(model: HazardModel, t: float) -> float:
     """Instantaneous hazard rate z(t)."""
-    spec = FAMILIES[model.family]
+    spec = _spec(model)
     check_time(model, spec, t, positive=t == 0 and spec.singular_at_zero(model))
     return _evaluate(model, spec.z, t, "hazard z(t)")
 
@@ -190,7 +195,7 @@ def cumulative_hazard(model: HazardModel, t: float) -> float:
     Defined at t = 0 (where it is 0) even for families whose hazard is
     singular there, because the singularity is integrable.
     """
-    spec = FAMILIES[model.family]
+    spec = _spec(model)
     check_time(model, spec, t, positive=False)
     return _evaluate(model, spec.H, t, "cumulative hazard H(t)")
 
@@ -204,7 +209,7 @@ def reliability_tail_threshold(model: HazardModel, t: float) -> float:
     """c(t) = H(t)/t, the hazard-level threshold equivalent to a reliability
     comparison at time t (see ``FAMILIES`` for the closed form per family).
     """
-    spec = FAMILIES[model.family]
+    spec = _spec(model)
     check_time(model, spec, t, positive=True)
     return _evaluate(model, spec.H_over_t, t, "threshold H(t)/t")
 

@@ -6,8 +6,8 @@ integer-valued X and integral threshold k, Pr[X < k] = CDF(k - 1). An
 off-by-one here would silently invalidate every soundness check, so one
 helper, ``_strict_upper_index``, centralises it.
 
-Both oracles are methods of one object, ``BinomialWindow(l, p)`` (alias
-``binomial_window``), which checks l, p and the caps once.
+Both oracles are methods of one object, ``BinomialWindow(l, p)``, which
+checks l, p and the caps once.
 ``exact_tail`` computes log Pr[X <= k*] once per distinct k*, in plain
 ``math``: one Loader saddle-point term log Pr[X = k*] plus the log of a
 sum of pmf ratios taken down from k* (above the mean, log1p(-U) of the
@@ -41,13 +41,15 @@ __all__ = [
     "TailEstimate",
     "VerificationRecord",
     "BinomialWindow",
-    "binomial_window",
     "verify_bound",
 ]
 
 #: the types a tail value or a standard error takes on the fast path of
 #: TailEstimate's checks, matched exactly
 _REAL = (int, float)
+#: the end of the Philox key range, [0, 2**128), of an MC seed; a module
+#: constant, as the compiler does not fold a power past 128 bits
+_KEYS = 2**128
 
 
 class TailMethod(str, enum.Enum):
@@ -61,8 +63,10 @@ class TailEstimate:
     standard error and the seed that reproduces them. ``log_value`` (by
     default log(value)) stays finite where ``value`` underflows.
     Construction refuses a value that is not a number in [0, 1], a method
-    that is not a ``TailMethod`` member, and an MC entry without an
-    integer trials >= 1 and a finite stderr >= 0."""
+    that is not a ``TailMethod`` member, an exact entry with any MC
+    provenance, and an MC entry without an integer trials >= 1 and a
+    finite stderr >= 0 or with a seed that is neither None nor an integer
+    in the Philox key range [0, 2**128)."""
 
     value: float
     method: TailMethod
@@ -74,19 +78,27 @@ class TailEstimate:
     def __post_init__(self):
         # plain comparisons, as a verify round builds one estimate per
         # record; a value they refuse goes through the readers for its error
-        value, trials, stderr = self.value, self.trials, self.stderr
+        value, trials, stderr, seed = self.value, self.trials, self.stderr, self.seed
         if not (type(value) in _REAL and 0.0 <= value <= 1.0):
             if not 0.0 <= read_number(value, "tail value") <= 1.0:
                 raise InvalidInputError(f"tail value must lie in [0, 1], got {value!r}")
         if type(self.method) is not TailMethod:
             raise ParseError(f"tail method must be a TailMethod member, got {self.method!r}")
-        if self.method is TailMethod.MONTE_CARLO and not (
+        if self.method is TailMethod.EXACT:
+            if not (trials is None and stderr is None and seed is None):
+                raise InvalidInputError(
+                    f"an exact tail has no Monte-Carlo provenance, got trials={trials!r}, stderr={stderr!r}, seed={seed!r}"
+                )
+        elif not (
             type(trials) is int and trials >= 1 and type(stderr) in _REAL and 0.0 <= stderr <= sys.float_info.max
+            and (seed is None or type(seed) is int and 0 <= seed < _KEYS)
         ):
             if not 1 <= read_integer(trials, "Monte-Carlo trials"):
                 raise InvalidInputError(f"Monte-Carlo trials must be >= 1, got {trials!r}")
             if not 0.0 <= read_number(stderr, "Monte-Carlo stderr"):
                 raise InvalidInputError(f"Monte-Carlo stderr must be >= 0, got {stderr!r}")
+            if seed is not None and not 0 <= read_integer(seed, "Monte-Carlo seed") < _KEYS:
+                raise InvalidInputError(f"Monte-Carlo seed must lie in the Philox key range [0, 2**128), got {seed!r}")
         # a log_value is kept only while it names value (dataclasses.replace
         # passes the old one on with a new value), which an underflowed
         # value's finite log still does
@@ -321,10 +333,6 @@ class BinomialWindow:
             stderr = math.sqrt(value * (1.0 - value) / trials)
             estimates.append(TailEstimate(value, TailMethod.MONTE_CARLO, trials, stderr, seed))
         return estimates
-
-
-#: the oracle's other public name: the same class, with the same checks
-binomial_window = BinomialWindow
 
 
 @dataclass(slots=True)

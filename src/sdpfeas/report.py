@@ -20,15 +20,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import __version__ as _version
-from .bounds import (
-    SWEEP_COLUMNS,
-    BoundKind,
-    BoundResult,
-    Regime,
-    bound_sweep,
-)
-from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_integer, read_json
-from .errors import NumericOverflowError, read_list, read_number, read_object
+from .bounds import BoundKind, BoundResult, Regime, bound_sweep
+from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_instance, read_integer
+from .errors import NumericOverflowError, read_json, read_list, read_number, read_object
 from .hazards import HazardModel, hazard_at, model_from_descriptor
 from .oracle import MAX_TRIALS, BinomialWindow, VerificationRecord, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
@@ -48,9 +42,11 @@ DEFAULT_EPSILON = 0.05
 MAX_STEPS = 10**6
 
 
-#: one CSV row template per regime; %.17g gives format(x, ".17g"), 17
-#: significant digits, which round-trip every 64-bit float exactly, and
-#: %.0s writes an out-of-regime row's None bound as the empty field
+#: the CSV header, and one row template per regime in its column order;
+#: %.17g gives format(x, ".17g"), 17 significant digits, which round-trip
+#: every 64-bit float exactly, and %.0s writes an out-of-regime row's None
+#: bound as the empty field
+_CSV_HEADER = "t,theorem,mu,threshold,delta,bound,regime"
 _CSV_ROWS = {
     regime: "%.17g,%s,%.17g,%.17g,%.17g," + ("%.0s," if regime is Regime.OUT_OF_REGIME else "%.17g,") + regime.value
     for regime in Regime
@@ -117,10 +113,8 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.outcome, SdpOutcome):
-            raise InvalidInputError(f"scenario outcome must be an SdpOutcome, got {type(self.outcome).__name__}")
-        if not isinstance(self.model, HazardModel):
-            raise InvalidInputError(f"scenario model must be a HazardModel, got {type(self.model).__name__}")
+        read_instance(self.outcome, "scenario outcome", SdpOutcome, "an SdpOutcome")
+        read_instance(self.model, "scenario model", HazardModel, "a HazardModel")
         kinds = [read_choice(kind, "bound kind", BoundKind) for kind in read_list(self.kinds, "kinds")]
         if not kinds or len(set(kinds)) != len(kinds):
             raise ParseError(f"kinds must be a non-empty set, got {self.kinds!r}")
@@ -337,13 +331,16 @@ def build_report(config: ScenarioConfig) -> FeasibilityReport:
 
 
 def sweep_to_csv(entries: Sequence[BoundResult]) -> str:
-    """Serialize sweep rows to the CSV contract
-    ``t,theorem,mu,threshold,delta,bound,regime`` with 17-significant-digit
-    numbers (round-trip exact), one format per row from its regime's
-    template."""
-    lines = [",".join(SWEEP_COLUMNS)]
-    for e in entries:
-        lines.append(_CSV_ROWS[e.regime] % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound))
+    """Serialize sweep rows to the CSV contract ``_CSV_HEADER`` with
+    17-significant-digit numbers (round-trip exact), one format per row
+    from its regime's template. A row the template cannot write, such as
+    the kernel's, which has no t, raises InvalidInputError."""
+    lines = [_CSV_HEADER]
+    try:
+        for e in entries:
+            lines.append(_CSV_ROWS[e.regime] % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound))
+    except (TypeError, AttributeError, KeyError) as exc:
+        raise InvalidInputError(f"sweep row {len(lines) - 1} has no CSV form: {exc}") from None
     # the final newline joined in, so the text is built once and not copied
     lines.append("")
     return "\n".join(lines)

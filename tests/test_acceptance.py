@@ -21,12 +21,12 @@ import pytest
 import reference_formulas as ref
 from conftest import quadrature_cumulative_hazard
 from sdpfeas import (
+    BinomialWindow,
     HazardFamily,
     HazardModel,
     InvalidInputError,
     OutOfRegimeError,
     SdpOutcome,
-    binomial_window,
     chernoff_lower_tail,
     cumulative_hazard,
     hazard_at,
@@ -114,7 +114,7 @@ def _campaign(models, bound_fn, oracle_fn):
 
 
 def _count_oracle(outcome, result):
-    return binomial_window(outcome.l, outcome.p).exact_tail(result.threshold)
+    return BinomialWindow(outcome.l, outcome.p).exact_tail(result.threshold)
 
 
 class TestCriterion1:
@@ -186,7 +186,7 @@ def _y_campaign(models, bound_fn, threshold_to_query):
                             continue
                         valid += 1
                         scale = hazard_at(injection, t)
-                        oracle = binomial_window(l, p).exact_tail(result.threshold / scale)
+                        oracle = BinomialWindow(l, p).exact_tail(result.threshold / scale)
                         if not oracle.value < result.bound:
                             violations.append(
                                 (l, p, injection, t, scale, oracle.value, result.bound)
@@ -392,7 +392,7 @@ class TestCriterion5:
         for l in range(1, 31):
             for p in (0.1, 0.3, 0.5, 0.7, 0.9):
                 for k in range(0, l + 2):
-                    exact = binomial_window(l, p).exact_tail(float(k)).value
+                    exact = BinomialWindow(l, p).exact_tail(float(k)).value
                     naive = sum(
                         math.comb(l, j) * p**j * (1 - p) ** (l - j) for j in range(min(k, l + 1))
                     )
@@ -425,7 +425,7 @@ class TestCriterion6:
         within = 0
         total = 0
         for l, p, threshold in self.QUERIES:
-            window = binomial_window(l, p)
+            window = BinomialWindow(l, p)
             exact = window.exact_tail(threshold).value
             for seed in range(100):
                 [est] = window.mc_tails([threshold], trials=trials, seed=seed)
@@ -441,7 +441,7 @@ class TestCriterion6:
     def test_bit_identical_reruns(self):
         for l, p, threshold in self.QUERIES:
             for seed in (0, 57, 99):
-                rerun = [binomial_window(l, p).mc_tails([threshold], 20_000, seed) for _ in range(2)]
+                rerun = [BinomialWindow(l, p).mc_tails([threshold], 20_000, seed) for _ in range(2)]
                 assert rerun[0] == rerun[1]
         _line(6, True, "reruns at fixed (seed, trials, threshold) are bit-identical")
 
@@ -614,7 +614,7 @@ class TestSoundSubdomains:
                                 result = hazard_bound(outcome, model, t)
                             except OutOfRegimeError:
                                 continue
-                            oracle = binomial_window(l, p).exact_tail(result.threshold / scale)
+                            oracle = BinomialWindow(l, p).exact_tail(result.threshold / scale)
                             assert oracle.value < result.bound
                             checked += 1
         assert checked >= 200

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -88,6 +89,13 @@ class TestKernel:
     def test_integer_past_the_float_range_rejected(self, mu, threshold, message):
         with pytest.raises(InvalidInputError, match=message):
             chernoff_lower_tail(mu, threshold)
+
+    def test_row_is_tagged_chernoff_without_time(self):
+        r = chernoff_lower_tail(10.0, 2.0)
+        assert (r.theorem_tag, r.t, r.sign_mode) == ("Chernoff", None, None)
+        # the kernel takes (mu, threshold) alone: a row label is not an argument
+        with pytest.raises(TypeError):
+            chernoff_lower_tail(10.0, 2.0, "Thm1")
 
     def test_log_space_survives_huge_mu(self):
         r = chernoff_lower_tail(1e6, 1.0)
@@ -372,10 +380,11 @@ def scalar_entry(outcome, model, t, kind, corrected):
     try:
         mu = _form(outcome, kind, corrected)[1].mean(outcome.mean_failures, outcome.injection, t)
         threshold = hazard_at(model, t) if hazard else reliability_tail_threshold(model, t)
-        return chernoff_lower_tail(mu, threshold, theorem_tag=tag, t=t, sign_mode=sign_mode)
+        row = chernoff_lower_tail(mu, threshold)
+        return dataclasses.replace(row, theorem_tag=tag, t=t, sign_mode=sign_mode)
     except OutOfRegimeError as err:
         out = Regime.OUT_OF_REGIME
-        return BoundResult(err.theorem_tag, err.mu, err.threshold, err.delta, None, None, out, err.t, sign_mode)
+        return BoundResult(tag, err.mu, err.threshold, err.delta, None, None, out, t, sign_mode)
     except OverflowError as exc:
         form = tag if sign_mode is None else f"{tag} ({sign_mode})"
         raise NumericOverflowError(f"{form} overflows a 64-bit float at t = {t!r}") from exc

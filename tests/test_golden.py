@@ -21,6 +21,7 @@ import pytest
 
 from conftest import strict_json
 from sdpfeas import (
+    BinomialWindow,
     BoundKind,
     HazardFamily,
     HazardModel,
@@ -28,10 +29,10 @@ from sdpfeas import (
     SdpOutcome,
     TailEstimate,
     TailMethod,
-    binomial_window,
     bound_sweep,
     chernoff_lower_tail,
     cumulative_hazard,
+    false_omission_rate,
     hazard_at,
     hazard_bound,
     model_from_descriptor,
@@ -210,9 +211,9 @@ ERROR_CASES = {
     "hazard bound t bool": lambda: hazard_bound(X_OUT, HazardModel(W, K=1.0, m=1.0), True),
     "kernel mu bool": lambda: chernoff_lower_tail(True, 0.0),
     "kernel mu string": lambda: chernoff_lower_tail("5", "2"),
-    "exact tail bool": lambda: binomial_window(10, 0.5).exact_tail(True),
-    "exact tail string": lambda: binomial_window(10, 0.5).exact_tail("3"),
-    "mc tails string": lambda: binomial_window(10, 0.5).mc_tails(["1"], 100, 1),
+    "exact tail bool": lambda: BinomialWindow(10, 0.5).exact_tail(True),
+    "exact tail string": lambda: BinomialWindow(10, 0.5).exact_tail("3"),
+    "mc tails string": lambda: BinomialWindow(10, 0.5).mc_tails(["1"], 100, 1),
     "hazard at string": lambda: hazard_at(HazardModel(W, K=1.0, m=1.0), "1"),
     "scenario no kinds": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], []),
     "scenario duplicate kinds": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard", "hazard"]),
@@ -232,14 +233,29 @@ ERROR_CASES = {
     "tail method string": lambda: verify_tail(0.1, "exact"),
     "verify out-of-regime row": lambda: verify_bound(
         bound_sweep(X_OUT, HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0), [6.0])[0],
-        binomial_window(100, 0.05).exact_tail(6.0),
+        BinomialWindow(100, 0.05).exact_tail(6.0),
     ),
-    # the kernel reads the arguments it stores in the row
-    "kernel t nan": lambda: chernoff_lower_tail(10.0, 2.0, t=math.nan),
-    "kernel t string": lambda: chernoff_lower_tail(10.0, 2.0, t="x"),
-    "kernel t bool": lambda: chernoff_lower_tail(10.0, 2.0, t=True),
-    "kernel theorem tag int": lambda: chernoff_lower_tail(10.0, 2.0, theorem_tag=5),
-    "kernel sign mode bool": lambda: chernoff_lower_tail(10.0, 2.0, sign_mode=True),
+    # an object only Python hands in, of the wrong type
+    "hazard bound None outcome": lambda: hazard_bound(None, HazardModel(W, K=1.0, m=1.0), 1.0),
+    "reliability bound string model": lambda: reliability_bound(X_OUT, "weibull", 1.0),
+    "sweep string model": lambda: bound_sweep(X_OUT, "li", [1.0]),
+    "sweep dict outcome": lambda: bound_sweep({"l": 100, "p": 0.05}, HazardModel(W, K=1.0, m=1.0), [1.0]),
+    "hazard at None model": lambda: hazard_at(None, 1.0),
+    "cumulative dict model": lambda: cumulative_hazard({"family": "li", "K": 1.0}, 1.0),
+    "reliability at string model": lambda: reliability_at("li", 1.0),
+    "threshold None model": lambda: reliability_tail_threshold(None, 1.0),
+    "false omission rate tuple": lambda: false_omission_rate((1, 2, 3, 4)),
+    "sweep grid None": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), None),
+    "scenario grid None": lambda: build_report(ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), None, ["hazard"])),
+    # a row the CSV contract cannot write
+    "csv kernel row": lambda: sweep_to_csv([chernoff_lower_tail(10.0, 2.0)]),
+    "csv None row": lambda: sweep_to_csv([None]),
+    # Monte-Carlo provenance on an exact tail, and an MC seed outside the key range
+    "tail exact with seed": lambda: verify_tail(0.1, TailMethod.EXACT, seed=5),
+    "tail exact with trials": lambda: verify_tail(0.1, TailMethod.EXACT, 100, 0.01),
+    "tail mc seed string": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 0.01, "x"),
+    "tail mc seed negative": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 0.01, -1),
+    "tail mc seed past key range": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 0.01, 2**128),
 }
 
 

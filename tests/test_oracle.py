@@ -20,7 +20,6 @@ from sdpfeas import (
     ParseError,
     TailEstimate,
     TailMethod,
-    binomial_window,
     chernoff_lower_tail,
     verify_bound,
 )
@@ -38,7 +37,7 @@ def naive_tail(l, p, threshold):
 
 def span(l, p):
     """(lo, hi): the counts mean +- (40 sigma + 40), clipped to [0, l], which
-    hold all but exp(-55) of the mass; ``binomial_window`` refuses a
+    hold all but exp(-55) of the mass; ``BinomialWindow`` refuses a
     binomial whose hi is past 2**53."""
     mean, half = l * p, SPAN_SIGMAS * (math.sqrt(l * p * (1.0 - p)) + 1.0)
     return max(0, math.floor(mean - half)), min(l, math.ceil(mean + half))
@@ -67,22 +66,22 @@ class TestExactTail:
     def test_frozen_small_example(self):
         # sum of the k=0 and k=1 terms of Binomial(10, 0.3), checked by hand:
         # 0.7^10 + 10*0.3*0.7^9
-        est = binomial_window(10, 0.3).exact_tail(2.0)
+        est = BinomialWindow(10, 0.3).exact_tail(2.0)
         assert est.value == pytest.approx(0.14930834589999992, rel=1e-14)
         assert est.method is TailMethod.EXACT
 
     def test_frozen_desk_example(self):
-        est = binomial_window(100, 0.05).exact_tail(2.0)
+        est = BinomialWindow(100, 0.05).exact_tail(2.0)
         assert est.value == pytest.approx(0.037081209327355036, rel=1e-12)
 
     def test_dyadic_example(self):
         # Pr[Binom(10, 1/2) < 3] = 56/1024 exactly
-        est = binomial_window(10, 0.5).exact_tail(3.0)
+        est = BinomialWindow(10, 0.5).exact_tail(3.0)
         assert est.value == pytest.approx(56.0 / 1024.0, rel=1e-14)
 
     def test_empty_and_certain(self):
-        assert binomial_window(10, 0.3).exact_tail(0.0).value == 0.0
-        assert binomial_window(10, 0.3).exact_tail(11.0).value == 1.0
+        assert BinomialWindow(10, 0.3).exact_tail(0.0).value == 0.0
+        assert BinomialWindow(10, 0.3).exact_tail(11.0).value == 1.0
 
     @given(
         l=st.integers(1, 30),
@@ -90,40 +89,38 @@ class TestExactTail:
         threshold=st.floats(-1.0, 32.0),
     )
     def test_matches_naive_summation(self, l, p, threshold):
-        est = binomial_window(l, p).exact_tail(threshold)
+        est = BinomialWindow(l, p).exact_tail(threshold)
         assert est.value == pytest.approx(naive_tail(l, p, threshold), abs=1e-12)
 
     def test_large_l_stays_normalised(self):
-        est = binomial_window(10**6, 0.3).exact_tail(10**6 + 1)
+        est = BinomialWindow(10**6, 0.3).exact_tail(10**6 + 1)
         assert est.value == 1.0
 
     def test_large_l_tail_below_chernoff(self):
         l, p = 10**6, 0.3
         mu = l * p
-        est = binomial_window(l, p).exact_tail(0.99 * mu)
+        est = BinomialWindow(l, p).exact_tail(0.99 * mu)
         assert 0.0 < est.value < chernoff_lower_tail(mu, 0.99 * mu).bound
 
     def test_log_value_survives_underflow(self):
         # the tail is about 1e-702: value underflows to 0.0, its log does not
         reference = logsumexp(binom.logpmf(np.arange(100), 200_000, 0.01))
-        est = binomial_window(200_000, 0.01).exact_tail(100.0)
+        est = BinomialWindow(200_000, 0.01).exact_tail(100.0)
         assert est.value == 0.0
         assert est.log_value == pytest.approx(reference, rel=1e-10)
 
     def test_log_value_matches_value(self):
-        est = binomial_window(100, 0.05).exact_tail(2.0)
+        est = BinomialWindow(100, 0.05).exact_tail(2.0)
         assert est.log_value == pytest.approx(math.log(est.value), rel=1e-13)
         assert TailEstimate(value=0.25, method=TailMethod.EXACT).log_value == math.log(0.25)
         assert TailEstimate(value=0.0, method=TailMethod.EXACT).log_value == -math.inf
 
     def test_rejects_bad_query(self):
         # one class, one construction path: no oracle object skips the checks
-        assert binomial_window is BinomialWindow
         for l, p in [(0, 0.5), (True, 0.5), (2.0, 0.5), (10, 0.0), (10, 1.0), (10, 1.5), (10, math.nan), (10**20, 0.5)]:
-            for build in (binomial_window, BinomialWindow):
-                with pytest.raises(InvalidInputError):
-                    build(l, p)
-        window = binomial_window(10, 0.3)
+            with pytest.raises(InvalidInputError):
+                BinomialWindow(l, p)
+        window = BinomialWindow(10, 0.3)
         for threshold in (math.inf, -math.inf, math.nan):
             with pytest.raises(InvalidInputError, match="threshold must be finite"):
                 window.exact_tail(threshold)
@@ -190,9 +187,9 @@ class TestLoaderLogPmf:
         # the term cap reads the same 40 sigma + 40: at p = 1/2 and l =
         # 4 * 49999**2, sigma = 49999 puts it exactly at MAX_TERMS
         assert SPAN_SIGMAS * (49_999 + 1) == MAX_TERMS
-        assert binomial_window(4 * 49_999**2, 0.5).l == 4 * 49_999**2
+        assert BinomialWindow(4 * 49_999**2, 0.5).l == 4 * 49_999**2
         with pytest.raises(InvalidInputError, match=f"may sum up to {MAX_TERMS + 1} terms in one tail"):
-            binomial_window(4 * 49_999**2 + 1, 0.5)
+            BinomialWindow(4 * 49_999**2 + 1, 0.5)
 
 
 class TestWindowedTail:
@@ -221,14 +218,14 @@ class TestWindowedTail:
             "at l - 1": l - 1,
         }
         for name, k_star in cases.items():
-            est = binomial_window(l, p).exact_tail(k_star + 0.5)
+            est = BinomialWindow(l, p).exact_tail(k_star + 0.5)
             assert close_in_log(est.log_value, log_cdf[k_star]), (name, est.log_value, log_cdf[k_star])
             if log_cdf[k_star] > -700:
                 assert est.value == pytest.approx(math.exp(log_cdf[k_star]), rel=1e-12)
 
     def test_every_threshold(self):
         l, p = 3_000, 0.7
-        window = binomial_window(l, p)
+        window = BinomialWindow(l, p)
         log_cdf = reference_log_cdf(l, p)
         for k_star in range(l):
             got = window.exact_tail(k_star + 0.5).log_value
@@ -272,13 +269,13 @@ class TestLogCdf:
     @example(l=4000, p=0.5, z=-0.01)  # k* = the mean - 1: the lower branch
     def test_matches_mpmath(self, l, p, z):
         k_star = min(max(math.floor(l * p + z * (math.sqrt(l * p * (1 - p)) + 1)), 0), l - 1)
-        got, want = binomial_window(l, p)._log_cdf(k_star), reference_log_cdf_at(l, p, k_star)
+        got, want = BinomialWindow(l, p)._log_cdf(k_star), reference_log_cdf_at(l, p, k_star)
         assert abs(got - want) <= 1e-12 * abs(want), (l, p, k_star, got, want)
 
     def test_tail_within_2e_11_of_one(self):
         # log Pr[X <= 24] at l = 100, p = 0.05 is -1.8159668e-11: a sum of
         # the pmf from 0 up misses its last digits by 1.5e-6 relative
-        got = binomial_window(100, 0.05).exact_tail(25.0).log_value
+        got = BinomialWindow(100, 0.05).exact_tail(25.0).log_value
         want = reference_log_cdf_at(100, 0.05, 24)
         assert want == pytest.approx(-1.8159668e-11, rel=1e-7)
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -298,12 +295,12 @@ class TestScaledTail:
         # Pr[s*X < s*c] must equal Pr[X < c]; pick c just off the lattice
         # so float division cannot flip the strictness
         c = k + 0.5
-        window = binomial_window(l, p)
+        window = BinomialWindow(l, p)
         assert window.exact_tail(scale * c / scale).value == pytest.approx(window.exact_tail(c).value, rel=1e-12)
 
     def test_frozen_example(self):
         # Y = 6*X at the probe time; Pr[Y < 18] = Pr[X < 3]
-        est = binomial_window(10, 0.5).exact_tail(18.0 / 6.0)
+        est = BinomialWindow(10, 0.5).exact_tail(18.0 / 6.0)
         assert est.value == pytest.approx(56.0 / 1024.0, rel=1e-14)
 
 
@@ -318,22 +315,22 @@ class TestReliabilityTail:
         # exp(-X*t) > r iff X < -ln(r)/t; with r = exp(-c*t), c off the
         # lattice, that is X < c
         c = k + 0.5
-        window = binomial_window(l, p)
+        window = BinomialWindow(l, p)
         est = window.exact_tail(-math.log(math.exp(-c * t)) / t)
         assert est.value == pytest.approx(window.exact_tail(c).value, rel=1e-12)
 
 
 class TestMonteCarlo:
     def test_bit_identical_reruns(self):
-        window = binomial_window(100, 0.05)
+        window = BinomialWindow(100, 0.05)
         assert window.mc_tails([4.0], trials=50_000, seed=42) == window.mc_tails([4.0], trials=50_000, seed=42)
 
     def test_seed_changes_estimate(self):
-        window = binomial_window(100, 0.05)
+        window = BinomialWindow(100, 0.05)
         assert window.mc_tails([4.0], trials=50_000, seed=1) != window.mc_tails([4.0], trials=50_000, seed=2)
 
     def test_metadata(self):
-        [est] = binomial_window(10, 0.3).mc_tails([2.0], trials=1000, seed=9)
+        [est] = BinomialWindow(10, 0.3).mc_tails([2.0], trials=1000, seed=9)
         assert est.method is TailMethod.MONTE_CARLO
         assert est.trials == 1000
         assert est.seed == 9
@@ -344,7 +341,7 @@ class TestMonteCarlo:
         [(10, 0.3, 2.0), (100, 0.05, 4.0), (50, 0.5, 20.0), (7, 0.9, 6.5)],
     )
     def test_agrees_with_exact_within_three_sigma(self, l, p, threshold):
-        window = binomial_window(l, p)
+        window = BinomialWindow(l, p)
         exact = window.exact_tail(threshold)
         [est] = window.mc_tails([threshold], trials=100_000, seed=1234)
         band = 3.0 * max(est.stderr, 1e-4)
@@ -356,13 +353,13 @@ class TestMonteCarlo:
         l, p, threshold, trials = 200_000, 0.01, 1990.0, 100_000
         draws = sample_binomial(np.random.Generator(np.random.Philox(key=5)), l, p, trials)
         freq = (draws < threshold).mean()
-        exact = binomial_window(l, p).exact_tail(threshold).value
+        exact = BinomialWindow(l, p).exact_tail(threshold).value
         assert 0.1 < exact < 0.9
         assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / trials)
 
     def test_trials_validated(self):
         with pytest.raises(InvalidInputError):
-            binomial_window(10, 0.5).mc_tails([2.0], trials=0, seed=1)
+            BinomialWindow(10, 0.5).mc_tails([2.0], trials=0, seed=1)
 
 
 class TestSharedDraw:
@@ -372,7 +369,7 @@ class TestSharedDraw:
                   15.0 / 0.37, 9.0 / 1.7, 12.0 / 0.5]
 
     def window(self):
-        return binomial_window(self.L, self.P)
+        return BinomialWindow(self.L, self.P)
 
     def test_equals_one_draw_per_query(self):
         window = self.window()
@@ -413,17 +410,17 @@ class TestWindowCaps:
     def test_counts_past_2_53_refused(self):
         # p = 1 - 2**-53 puts hi at l = 2**53 + 1, with sigma about 1
         with pytest.raises(InvalidInputError, match=rf"up to {MAX_COUNT + 1}, past 2\*\*53"):
-            binomial_window(MAX_COUNT + 1, 1.0 - 2.0**-53)
+            BinomialWindow(MAX_COUNT + 1, 1.0 - 2.0**-53)
 
     def test_huge_l_refused_not_allocated(self):
         # mean 5e29: counts past 2**53, and sigma past the term cap
         with pytest.raises(InvalidInputError, match=r"past 2\*\*53"):
-            binomial_window(10**30, 0.5)
+            BinomialWindow(10**30, 0.5)
 
     def test_window_past_the_cap_refused(self):
         # sigma = 124998.99: a tail may sum up to 40 sigma + 40 = 5e6 terms
         with pytest.raises(InvalidInputError, match=f"may sum up to 5000000 terms in one tail, over {MAX_TERMS}"):
-            binomial_window(62_498_987_500, 0.5)
+            BinomialWindow(62_498_987_500, 0.5)
 
     def test_non_finite_log_pmf_refused(self):
         # mean 1e5 and sigma 316, within both caps, but 2*pi*k*(l - k)
@@ -432,14 +429,14 @@ class TestWindowCaps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match=r"Binomial\(l=10{305}, p=1e-300\) has a log-pmf that overflows"):
-                binomial_window(10**305, 1e-300)
+                BinomialWindow(10**305, 1e-300)
             # the term at the mode 250 is finite, but it overflows from k =
             # 287 on, within the 40 sigma + 40 above the mean that tails need
             with pytest.raises(InvalidInputError, match=r"overflows a float at count 923"):
-                binomial_window(10**305, 2.5e-303)
+                BinomialWindow(10**305, 2.5e-303)
             # a subnormal mean l*p: k / (l*p) overflows from k = 1 on
             with pytest.raises(InvalidInputError, match=r"overflows a float at count 40"):
-                binomial_window(1000, 1e-315)
+                BinomialWindow(1000, 1e-315)
 
     def test_l_1e20_matches_the_poisson_limit(self):
         lo, hi = span(10**20, 1e-17)
@@ -452,12 +449,12 @@ class TestWindowCaps:
         # vanishes anyway: the tail matches Poisson(1e5), and nothing warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tail = binomial_window(10**200, 1e-195).exact_tail(99_000.0)
+            tail = BinomialWindow(10**200, 1e-195).exact_tail(99_000.0)
         assert tail.value == pytest.approx(7.6579955751080204627e-4, rel=1e-14)
 
 
 class TestEntryPointArguments:
-    """``BinomialWindow`` (alias ``binomial_window``) and ``mc_tails``
+    """``BinomialWindow`` and ``mc_tails``
     refuse what float arithmetic would fail on, under the rules of
     ``SdpOutcome`` and ``ScenarioConfig``; each case is the value just past
     its rule."""
@@ -465,16 +462,14 @@ class TestEntryPointArguments:
     @pytest.mark.parametrize("l", [int(sys.float_info.max) + 1, 10**400])
     @pytest.mark.parametrize("p", [0.5, 1e-300])
     def test_l_past_the_float_range(self, l, p):
-        for build in (binomial_window, BinomialWindow):
-            with pytest.raises(InvalidInputError, match="l must be an integer in"):
-                build(l, p)
+        with pytest.raises(InvalidInputError, match="l must be an integer in"):
+            BinomialWindow(l, p)
 
     def test_fraction_p_refused(self):
         # a Fraction would carry every ratio of the tail's sum as a rational
-        for build in (binomial_window, BinomialWindow):
-            with pytest.raises(InvalidInputError, match=r"p must be a number, got Fraction\(3, 20\)"):
-                build(100, Fraction(3, 20))
-            assert build(100, float(Fraction(3, 20))).p == 0.15
+        with pytest.raises(InvalidInputError, match=r"p must be a number, got Fraction\(3, 20\)"):
+            BinomialWindow(100, Fraction(3, 20))
+        assert BinomialWindow(100, float(Fraction(3, 20))).p == 0.15
 
     @pytest.mark.parametrize(
         "threshold, message",
@@ -487,29 +482,29 @@ class TestEntryPointArguments:
         ids=["string", "bool", "None", "2**1024"],
     )
     def test_threshold_that_is_not_a_finite_number_is_a_parse_error(self, threshold, message):
-        window = binomial_window(10, 0.5)
+        window = BinomialWindow(10, 0.5)
         for query in (window.exact_tail, lambda threshold: window.mc_tails([threshold], 100, 1)):
             with pytest.raises(ParseError) as info:
                 query(threshold)
             assert str(info.value) == message
 
     def test_integer_threshold_is_a_threshold(self):
-        window = binomial_window(10, 0.5)
+        window = BinomialWindow(10, 0.5)
         assert window.exact_tail(3) == window.exact_tail(3.0)
         assert window.mc_tails([3], 100, 1) == window.mc_tails([3.0], 100, 1)
 
     def test_bool_trials_refused(self):
         with pytest.raises(InvalidInputError, match="trials must be an integer, got True"):
-            binomial_window(10, 0.5).mc_tails([2.0], True, 1)
+            BinomialWindow(10, 0.5).mc_tails([2.0], True, 1)
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True])
     def test_seed_outside_the_philox_key_range(self, seed):
         with pytest.raises(InvalidInputError, match="seed must"):
-            binomial_window(10, 0.5).mc_tails([2.0], 10, seed)
+            BinomialWindow(10, 0.5).mc_tails([2.0], 10, seed)
 
     @pytest.mark.parametrize("seed", [0, 2**128 - 1])
     def test_seed_at_the_key_range_edges(self, seed):
-        [estimate] = binomial_window(10, 0.5).mc_tails([2.0], 10, seed)
+        [estimate] = BinomialWindow(10, 0.5).mc_tails([2.0], 10, seed)
         assert estimate.seed == seed
 
 
@@ -521,7 +516,7 @@ class TestWindowEdges:
     L, P, TRIALS, SEED = 200_000, 0.01, 20_000, 8
 
     def window(self):
-        return binomial_window(self.L, self.P)
+        return BinomialWindow(self.L, self.P)
 
     def thresholds(self):
         """The mean, and k* = lo-1, lo, lo+1, hi-1, hi, hi+1, l-1, >= l and
@@ -567,7 +562,7 @@ class TestWindowEdges:
         first, second = window.exact_tail(1990.5), window.exact_tail(1991.0)
         assert calls == [1990]
         assert first == second and first is not second
-        assert binomial_window(self.L, self.P).exact_tail(1990.25) == first
+        assert BinomialWindow(self.L, self.P).exact_tail(1990.25) == first
         assert calls == [1990, 1990]
         # the MC cut of a k* is the same remembered tail
         [estimate] = window.mc_tails([1990.75], self.TRIALS, self.SEED)
@@ -584,7 +579,7 @@ class TestVerifyBound:
 
     def test_exact_pass(self):
         bound = chernoff_lower_tail(5.0, 2.0)
-        oracle = binomial_window(100, 0.05).exact_tail(2.0)
+        oracle = BinomialWindow(100, 0.05).exact_tail(2.0)
         record = verify_bound(bound, oracle, event="desk")
         assert record.holds
         assert record.slack == pytest.approx(0.3694884504132441, rel=1e-10)
@@ -601,7 +596,7 @@ class TestVerifyBound:
 
     def test_mc_pass_with_seed_echo(self):
         bound = chernoff_lower_tail(5.0, 2.0)
-        [oracle] = binomial_window(100, 0.05).mc_tails([2.0], trials=100_000, seed=77)
+        [oracle] = BinomialWindow(100, 0.05).mc_tails([2.0], trials=100_000, seed=77)
         record = verify_bound(bound, oracle)
         assert record.holds
         assert record.seed == 77
@@ -634,7 +629,7 @@ class TestVerifyBound:
         # mu = 2000, threshold = 100: log bound -902.5, log tail about -1615.7;
         # both print as 0.0, the verdict still holds
         bound = chernoff_lower_tail(2000.0, 100.0)
-        window = binomial_window(200_000, 0.01)
+        window = BinomialWindow(200_000, 0.01)
         assert bound.bound == 0.0
         exact = verify_bound(bound, window.exact_tail(100.0))
         assert exact.holds
@@ -655,7 +650,7 @@ class TestVerifyBound:
         # l = 1e5, p = 0.05, constant lambda = 2500 at t = 1: the bound is
         # 3.68e-272 (log -625), the exact tail underflows to 0.0
         bound = chernoff_lower_tail(5000.0, 2500.0)
-        exact = binomial_window(100_000, 0.05).exact_tail(2500.0)
+        exact = BinomialWindow(100_000, 0.05).exact_tail(2500.0)
         assert bound.bound > 0.0 and exact.value == 0.0 and math.isfinite(exact.log_value)
         record = verify_bound(bound, exact)
         assert record.holds
@@ -675,13 +670,13 @@ class TestVerifyBound:
         assert payload["verification"][0]["ratio"] is None
 
     def test_rejects_non_bound(self):
-        oracle = binomial_window(10, 0.3).exact_tail(2.0)
+        oracle = BinomialWindow(10, 0.3).exact_tail(2.0)
         with pytest.raises(InvalidInputError):
             verify_bound("not-a-bound", oracle)
 
     def test_record_serialises(self):
         bound = chernoff_lower_tail(5.0, 2.0)
-        oracle = binomial_window(100, 0.05).exact_tail(2.0)
+        oracle = BinomialWindow(100, 0.05).exact_tail(2.0)
         payload = verify_bound(bound, oracle, event="desk").to_dict()
         assert payload["holds"] is True
         assert payload["method"] == "exact"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpfeas.bounds import BoundResult, Regime
-from sdpfeas.oracle import TailEstimate, TailMethod, VerificationRecord, binomial_window, verify_bound
+from sdpfeas.oracle import BinomialWindow, TailEstimate, TailMethod, VerificationRecord, verify_bound
 from sdpfeas.errors import indented_json
 from sdpfeas.report import sweep_to_csv
 
@@ -162,7 +162,7 @@ class TestRecords:
 
     def test_underflowed_exact_tail_keeps_its_log(self):
         # Pr[X < 100], X ~ Binomial(2e5, 0.01), is about 1e-702
-        tail = binomial_window(200_000, 0.01).exact_tail(100.0)
+        tail = BinomialWindow(200_000, 0.01).exact_tail(100.0)
         assert tail.value == 0.0 and -1700.0 < tail.log_value < -1600.0
         assert TailEstimate(*dataclasses.astuple(tail)) == tail
         assert dataclasses.replace(tail, method=TailMethod.EXACT).log_value == tail.log_value
