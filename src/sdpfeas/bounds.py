@@ -60,6 +60,11 @@ class Regime(str, enum.Enum):
     OUT_OF_REGIME = "out-of-regime"
 
 
+#: the members as module names: on Python 3.11 every ``Regime.X`` read runs
+#: ``EnumType.__getattr__`` (about 0.1 us), and a sweep reads one per row
+_VALID, _TRIVIAL, _OUT_OF_REGIME = Regime.VALID, Regime.TRIVIAL, Regime.OUT_OF_REGIME
+
+
 class BoundKind(str, enum.Enum):
     HAZARD = "hazard"
     RELIABILITY = "reliability"
@@ -89,11 +94,12 @@ class BoundResult:
             # JSON has no infinity: the delta of an underflowed mean is null
             "delta": self.delta if math.isfinite(self.delta) else None,
         }
-        in_regime = self.regime is not Regime.OUT_OF_REGIME
+        in_regime = self.regime is not _OUT_OF_REGIME
         if in_regime:
             payload["bound"] = self.bound
             payload["log_bound"] = self.log_bound
-        payload["regime"] = self.regime.value
+        # _value_, not the value property, which costs 0.2 us a read on 3.11
+        payload["regime"] = self.regime._value_
         if self.t is not None:
             payload["t"] = self.t
         if in_regime and self.sign_mode is not None:
@@ -109,7 +115,7 @@ def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign
     is out of regime with delta -inf."""
     delta = 1.0 - threshold / mu if mu else -math.inf
     if threshold >= mu or threshold < 0:
-        return BoundResult(theorem_tag, mu, threshold, delta, None, None, Regime.OUT_OF_REGIME, t, sign_mode)
+        return BoundResult(theorem_tag, mu, threshold, delta, None, None, _OUT_OF_REGIME, t, sign_mode)
     try:
         log_bound = -((mu - threshold) ** 2) / (2.0 * mu)
     except OverflowError:
@@ -117,7 +123,7 @@ def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign
         # bound (about -mu/2) does not; 0 < d/mu <= 1 keeps this finite
         d = mu - threshold
         log_bound = -0.5 * (d / mu) * d
-    regime = Regime.TRIVIAL if threshold == 0 else Regime.VALID
+    regime = _TRIVIAL if threshold == 0 else _VALID
     return BoundResult(theorem_tag, mu, threshold, delta, math.exp(log_bound), log_bound, regime, t, sign_mode)
 
 
@@ -139,7 +145,7 @@ def chernoff_lower_tail(mu: float, threshold: float) -> BoundResult:
 
 def _in_regime(entry: BoundResult) -> BoundResult:
     """``entry`` if it is in regime; an out-of-regime row raises its error."""
-    if entry.regime is Regime.OUT_OF_REGIME:
+    if entry.regime is _OUT_OF_REGIME:
         raise OutOfRegimeError(entry.mu, entry.threshold, entry.delta, theorem_tag=entry.theorem_tag, t=entry.t)
     return entry
 
@@ -228,6 +234,7 @@ def _bound(
     # times outside (0, end] get the domain's message; reliability means refuse t <= 0
     end, singular = min(spec.max_time(model), sys.float_info.max), spec.singular_at_zero(model)
     entries: list[BoundResult] = []
+    append, isfinite = entries.append, math.isfinite
     try:
         for t in grid:
             mu = mean(mean_failures, injection, t)
@@ -235,9 +242,9 @@ def _bound(
                 check_time(model, spec, t, positive=t == 0 and singular)
             z = threshold(model, t)
             # a product such as l*p*Khat*t**mhat or K*t**m overflows to inf
-            if not (math.isfinite(mu) and math.isfinite(z)):
+            if not (isfinite(mu) and isfinite(z)):
                 raise OverflowError
-            entries.append(_kernel(mu, z, tag, t, sign_mode))
+            append(_kernel(mu, z, tag, t, sign_mode))
     except OverflowError as exc:
         label = tag if sign_mode is None else f"{tag} ({sign_mode})"
         raise NumericOverflowError(f"{label} overflows a 64-bit float at t = {t!r}") from exc

@@ -63,7 +63,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _load_config(args):
-    """The scenario file with SDPFEAS_SEED, where it gives no seed, and then the flags applied, checked alike."""
+    """The scenario file with SDPFEAS_SEED, where it gives no seed, and then the flags applied, checked alike;
+    the config is built again only where one of them changes a field."""
     import dataclasses
 
     from .report import ScenarioConfig
@@ -77,7 +78,8 @@ def _load_config(args):
             raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
         config = dataclasses.replace(config, seed=seed)
     flags = {"seed": args.seed, "mc_trials": args.trials, "corrected": args.corrected, "epsilon": args.epsilon}
-    return dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
+    changes = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(config, **changes) if changes else config
 
 
 def cmd_metrics(args) -> int:

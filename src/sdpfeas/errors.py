@@ -11,7 +11,7 @@ import functools
 import json
 import re
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 
 class SdpFeasError(Exception):
@@ -91,6 +91,26 @@ def read_json(text: str):
 #: the types json writes as scalars, matched exactly: any other type, a
 #: subclass too, takes the general path of indented_json
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+#: depth -> the C encoder that json.JSONEncoder(check_circular=False,
+#: separators=(",\n" + the indent of depth + 1, ": ")).encode runs, built
+#: once per process and depth; it keeps no state between calls
+_ENCODERS: dict = {}
+_DEFAULT = json.JSONEncoder().default
+
+
+def _encode(value, depth: int) -> str:
+    """``value`` as that depth's ``json.JSONEncoder.encode`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    encoder = _ENCODERS.get(depth)
+    if encoder is None:
+        # no cycle check: a container that reaches the encoder holds
+        # scalars or records of scalars, so it cannot hold itself
+        separator = ",\n" + "  " * (depth + 1)
+        encoder = _ENCODERS[depth] = c_make_encoder(
+            None, _DEFAULT, encode_basestring_ascii, None, ": ", separator, False, False, True
+        )
+    return "".join(encoder(value, 0))
 
 
 def indented_json(obj) -> str:
@@ -105,15 +125,6 @@ def indented_json(obj) -> str:
     Other containers are joined here, one level at a time, except a list
     of records (non-empty dicts of scalars), which takes one encoder call.
     """
-    encoders: dict = {}
-
-    def encoder(depth: int) -> json.JSONEncoder:
-        if depth not in encoders:
-            # no cycle check: a container that reaches the encoder holds
-            # scalars or records of scalars, so it cannot hold itself
-            separators = (",\n" + "  " * (depth + 1), ": ")
-            encoders[depth] = json.JSONEncoder(check_circular=False, separators=separators)
-        return encoders[depth]
 
     def encode(value, depth: int) -> str:
         if isinstance(value, dict):
@@ -121,13 +132,13 @@ def indented_json(obj) -> str:
         elif isinstance(value, (list, tuple)):
             items = value
         else:
-            return encoder(depth).encode(value)
+            return _encode(value, depth)
         brackets = "[]" if items is value else "{}"
         if not value:
             return brackets
         inner = "\n" + "  " * (depth + 1)
         if _SCALARS.issuperset(map(type, items)):
-            body = encoder(depth).encode(value)[1:-1]
+            body = _encode(value, depth)[1:-1]
         elif items is not value:
             body = ("," + inner).join([_json_key(key) + ": " + encode(item, depth + 1) for key, item in value.items()])
         elif all(type(item) is dict and item and _SCALARS.issuperset(map(type, item.values())) for item in value):
@@ -135,7 +146,7 @@ def indented_json(obj) -> str:
             # after a '}' and before a '{', where nothing else can: there it
             # is re-indented one level out
             deeper = inner + "  "
-            records = encoder(depth + 1).encode(value)[2:-2]
+            records = _encode(value, depth + 1)[2:-2]
             records = records.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
             body = "{" + deeper + records + inner + "}"
         else:

@@ -33,8 +33,8 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .bounds import BoundResult, Regime
-from .errors import InvalidInputError, ParseError, read_integer, read_number
+from .bounds import _OUT_OF_REGIME, BoundResult
+from .errors import InvalidInputError, ParseError, read_integer, read_number, read_real
 
 __all__ = [
     "TailMethod",
@@ -57,6 +57,10 @@ class TailMethod(str, enum.Enum):
     MONTE_CARLO = "monte-carlo"
 
 
+#: the members as module names, as every estimate reads one (see bounds._VALID)
+_EXACT, _MONTE_CARLO = TailMethod.EXACT, TailMethod.MONTE_CARLO
+
+
 @dataclass(slots=True)
 class TailEstimate:
     """A tail probability with its provenance; MC entries carry trials,
@@ -66,7 +70,8 @@ class TailEstimate:
     that is not a ``TailMethod`` member, an exact entry with any MC
     provenance, and an MC entry without an integer trials >= 1 and a
     finite stderr >= 0 or with a seed that is neither None nor an integer
-    in the Philox key range [0, 2**128)."""
+    in the Philox key range [0, 2**128), and a ``log_value`` that is
+    neither None nor a number <= 0 (-inf, the log of 0, included)."""
 
     value: float
     method: TailMethod
@@ -84,7 +89,7 @@ class TailEstimate:
                 raise InvalidInputError(f"tail value must lie in [0, 1], got {value!r}")
         if type(self.method) is not TailMethod:
             raise ParseError(f"tail method must be a TailMethod member, got {self.method!r}")
-        if self.method is TailMethod.EXACT:
+        if self.method is _EXACT:
             if not (trials is None and stderr is None and seed is None):
                 raise InvalidInputError(
                     f"an exact tail has no Monte-Carlo provenance, got trials={trials!r}, stderr={stderr!r}, seed={seed!r}"
@@ -99,12 +104,15 @@ class TailEstimate:
                 raise InvalidInputError(f"Monte-Carlo stderr must be >= 0, got {stderr!r}")
             if seed is not None and not 0 <= read_integer(seed, "Monte-Carlo seed") < _KEYS:
                 raise InvalidInputError(f"Monte-Carlo seed must lie in the Philox key range [0, 2**128), got {seed!r}")
+        log_value = self.log_value
+        if not (log_value is None or type(log_value) is float and log_value <= 0.0):
+            if not read_number(log_value, "tail log_value") <= 0.0:
+                raise InvalidInputError(f"tail log_value must be <= 0, got {log_value!r}")
         # a log_value is kept only while it names value (dataclasses.replace
         # passes the old one on with a new value), which an underflowed
         # value's finite log still does
-        log_value = self.log_value
-        if log_value is None or not (log_value <= 0.0 and math.exp(log_value) == self.value):
-            self.log_value = math.log(self.value) if self.value > 0 else -math.inf
+        if log_value is None or math.exp(log_value) != value:
+            self.log_value = math.log(value) if value > 0 else -math.inf
 
 
 def _strict_upper_index(threshold: float, l: int) -> int:
@@ -280,15 +288,15 @@ class BinomialWindow:
         """
         k_star = _strict_upper_index(threshold, self.l)
         if k_star < 0:
-            return TailEstimate(0.0, TailMethod.EXACT)
+            return TailEstimate(0.0, _EXACT)
         if k_star >= self.l:
-            return TailEstimate(1.0, TailMethod.EXACT)
+            return TailEstimate(1.0, _EXACT)
         # the tail depends on threshold only through k*: sum it once
         tail = self._tails.get(k_star)
         if tail is None:
             log_value = self._log_cdf(k_star)
             tail = self._tails[k_star] = (math.exp(log_value), log_value)
-        return TailEstimate(tail[0], TailMethod.EXACT, None, None, None, tail[1])
+        return TailEstimate(tail[0], _EXACT, None, None, None, tail[1])
 
     def _log_cdf(self, k_star: int) -> float:
         """log Pr[X <= k_star] for 0 <= k_star < l; see exact_tail."""
@@ -331,7 +339,7 @@ class BinomialWindow:
         for hits in np.searchsorted(uniforms, cuts, side="left").tolist():
             value = hits / trials
             stderr = math.sqrt(value * (1.0 - value) / trials)
-            estimates.append(TailEstimate(value, TailMethod.MONTE_CARLO, trials, stderr, seed))
+            estimates.append(TailEstimate(value, _MONTE_CARLO, trials, stderr, seed))
         return estimates
 
 
@@ -356,7 +364,7 @@ class VerificationRecord:
             "event": self.event,
             "bound": self.bound,
             "oracle": self.oracle,
-            "method": self.method.value,
+            "method": self.method._value_,  # not the value property (see BoundResult.to_dict)
             "holds": self.holds,
             "slack": self.slack,
             # JSON has no infinity: a ratio past the float range is null
@@ -381,15 +389,18 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
         raise InvalidInputError(
             f"verification needs a computed BoundResult, got {type(bound).__name__}"
         )
-    if bound.regime is Regime.OUT_OF_REGIME:
+    if bound.regime is _OUT_OF_REGIME:
         raise InvalidInputError(
             f"verification needs an in-regime bound, got an out-of-regime {bound.theorem_tag} row at t = {bound.t!r}"
         )
+    if not (type(bound.bound) in _REAL and type(bound.log_bound) in _REAL):
+        read_real(bound.bound, "verified bound")
+        read_real(bound.log_bound, "verified log bound")
     if not isinstance(oracle, TailEstimate):
         raise InvalidInputError(f"verification needs a TailEstimate oracle, got {type(oracle).__name__}")
     below = oracle.log_value < bound.log_bound
     advisory = False
-    if oracle.method is TailMethod.EXACT:
+    if oracle.method is _EXACT:
         holds = below
     else:
         lower = oracle.value - 3.0 * oracle.stderr

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import __version__ as _version
-from .bounds import BoundKind, BoundResult, Regime, bound_sweep
+from .bounds import _OUT_OF_REGIME, BoundKind, BoundResult, Regime, bound_sweep
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_instance, read_integer
 from .errors import NumericOverflowError, read_json, read_list, read_number, read_object
 from .hazards import HazardModel, hazard_at, model_from_descriptor
@@ -48,9 +48,12 @@ MAX_STEPS = 10**6
 #: bound as the empty field
 _CSV_HEADER = "t,theorem,mu,threshold,delta,bound,regime"
 _CSV_ROWS = {
-    regime: "%.17g,%s,%.17g,%.17g,%.17g," + ("%.0s," if regime is Regime.OUT_OF_REGIME else "%.17g,") + regime.value
+    regime: "%.17g,%s,%.17g,%.17g,%.17g," + ("%.0s," if regime is _OUT_OF_REGIME else "%.17g,") + regime.value
     for regime in Regime
 }
+#: what the one %s field, the theorem tag, may not hold: a tag with any of
+#: them would split or quote its field
+_CSV_SPECIAL = frozenset(',"\r\n')
 
 
 def _build_grid(payload: dict) -> list[float]:
@@ -236,7 +239,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> 
     either variant: ``_count_threshold`` maps each row to its count, and
     one oracle answers every row at that count.
     """
-    checks = [entry for entry in entries if entry.regime is not Regime.OUT_OF_REGIME]
+    checks = [entry for entry in entries if entry.regime is not _OUT_OF_REGIME]
     if not checks or not (config.verify_exact or config.mc_trials > 0):
         return []
     thresholds = [_count_threshold(entry, config.model, config.outcome.injection) for entry in checks]
@@ -278,7 +281,7 @@ class FeasibilityReport:
         ranges = {"feasible_at": [], "infeasible_at": [], "out_of_regime_at": []}
         previous = None
         for t in sorted(by_time):
-            bounds = [r.bound for r in by_time[t] if r.regime is not Regime.OUT_OF_REGIME]
+            bounds = [r.bound for r in by_time[t] if r.regime is not _OUT_OF_REGIME]
             if not bounds:
                 key = "out_of_regime_at"
             elif min(bounds) <= self.epsilon:
@@ -334,11 +337,22 @@ def sweep_to_csv(entries: Sequence[BoundResult]) -> str:
     """Serialize sweep rows to the CSV contract ``_CSV_HEADER`` with
     17-significant-digit numbers (round-trip exact), one format per row
     from its regime's template. A row the template cannot write, such as
-    the kernel's, which has no t, raises InvalidInputError."""
+    the kernel's, which has no t, or one whose theorem tag is not a string
+    free of commas, quotes and line breaks, raises InvalidInputError."""
     lines = [_CSV_HEADER]
+    # a sweep's rows share one tag object per kind: a tag is checked where it changes
+    checked = ""
     try:
         for e in entries:
-            lines.append(_CSV_ROWS[e.regime] % (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound))
+            template, tag = _CSV_ROWS[e.regime], e.theorem_tag
+            if tag is not checked:
+                if not (type(tag) is str and _CSV_SPECIAL.isdisjoint(tag)):
+                    raise InvalidInputError(
+                        f"sweep row {len(lines) - 1} has no CSV form: theorem tag {tag!r} is not a string "
+                        "free of commas, quotes and line breaks"
+                    )
+                checked = tag
+            lines.append(template % (e.t, tag, e.mu, e.threshold, e.delta, e.bound))
     except (TypeError, AttributeError, KeyError) as exc:
         raise InvalidInputError(f"sweep row {len(lines) - 1} has no CSV form: {exc}") from None
     # the final newline joined in, so the text is built once and not copied

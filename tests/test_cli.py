@@ -412,6 +412,37 @@ class TestVerify:
         text = json.dumps(dict(DESK_SCENARIO, verify={"exact": True, "mc_trials": 10}))
         assert report_module.ScenarioConfig.from_json(text).seed is None
 
+    @pytest.mark.parametrize(
+        "flags, env_seed, seeds",
+        [
+            # the file's config alone, built once
+            ([], None, [None]),
+            ([], "123", [None, 123]),
+            (["--seed", "7"], None, [None, 7]),
+            (["--trials", "10"], None, [None, None]),
+            (["--seed", "7"], "123", [None, 123, 7]),
+        ],
+        ids=["flagless", "env", "seed-flag", "trials-flag", "env-and-flag"],
+    )
+    def test_config_is_built_again_only_where_a_field_changes(self, run, tmp_path, monkeypatch, flags, env_seed, seeds):
+        built = []
+        post_init = report_module.ScenarioConfig.__post_init__
+
+        def counting_post_init(config):
+            built.append(config.seed)
+            post_init(config)
+
+        monkeypatch.setattr(report_module.ScenarioConfig, "__post_init__", counting_post_init)
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+        config = write_scenario(tmp_path, dict(DESK_SCENARIO, verify={"exact": True, "mc_trials": 100}))
+        _, out, _ = run(["verify", "--config", config, *flags], expect=EXIT_OK)
+        assert built == seeds
+        # the file gives no seed: the last one set is used, else 0
+        mc = [r for r in json.loads(out)["verification"] if r["method"] == "monte-carlo"]
+        assert [r["seed"] for r in mc] == [seeds[-1] or 0]
+
     def test_one_mc_draw_per_verify(self, run, tmp_path, monkeypatch):
         summed, draws = [], []
         log_cdf = oracle_module.BinomialWindow._log_cdf

@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -13,7 +16,8 @@ from sdpfeas import (
     confusion_from_records,
     false_omission_rate,
 )
-from sdpfeas.confusion import counts_from_json, records_from_csv
+from sdpfeas import confusion as confusion_module
+from sdpfeas.confusion import _CHUNK, counts_from_json, records_from_csv
 
 
 class TestConfusionFromCounts:
@@ -165,3 +169,102 @@ class TestSerializedForms:
     def test_records_csv_bad_header(self):
         with pytest.raises(ParseError):
             records_from_csv("a,b\nclean,clean\n")
+
+
+def read_each_record(text: str) -> ConfusionMatrix:
+    """The records CSV read one record at a time, through
+    ``confusion_from_records``: the reference that ``records_from_csv``'s
+    tally of distinct records must agree with, error for error."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty CSV input; expected an 'actual,predicted' header")
+        if [cell.strip().lower() for cell in header] != ["actual", "predicted"]:
+            raise ParseError(f"expected header 'actual,predicted', got {header!r}")
+        return confusion_from_records(row for row in reader if row)
+    except csv.Error as exc:
+        raise ParseError(f"records CSV line {reader.line_num}: {exc}") from None
+
+
+def result(read, text):
+    """The matrix ``read(text)`` returns, or the type, message and record
+    index of what it raises."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+#: a label as a file may spell it: any case, padded, bare or quoted, and
+#: quoted with a line break inside the quotes (which strip() removes)
+LABELS = st.builds(
+    lambda label, case, pad, quote: quote.format(pad + case(label) + pad),
+    st.sampled_from(["defective", "clean"]),
+    st.sampled_from([str.lower, str.upper, str.title, str.swapcase]),
+    st.sampled_from(["", " ", "\t "]),
+    st.sampled_from(["{}", '"{}"', '"{}\n"', '"\r\n{}"']),
+)
+#: a line no record may be: one or three fields, an unknown label, a
+#: label split by a quote, a whitespace-only row, a field past the csv
+#: module's size limit and a quote left open
+FAULTS = st.sampled_from(
+    [
+        "clean",
+        "clean,clean,clean",
+        "defective,maybe",
+        'cle"an,clean',
+        "   ",
+        "clean," + "x" * (csv.field_size_limit() + 1),
+        '"clean,clean',
+    ]
+)
+
+
+#: headers a file may give, the last one wrong
+HEADERS = ["actual,predicted", " Actual , PREDICTED ", '"actual","predicted"', "ACTUAL,predicted\t", "actual,label"]
+
+
+@st.composite
+def records_texts(draw):
+    lines = draw(st.lists(st.builds(",".join, st.tuples(LABELS, LABELS)), max_size=30))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(FAULTS))
+    header = draw(st.sampled_from(HEADERS))
+    size = len(lines) + 1
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n"]), min_size=size, max_size=size))
+    return "".join(line + end for line, end in zip([header, *lines], ends))
+
+
+class TestRecordsTally:
+    """``records_from_csv`` counts each distinct record once; where a record
+    is bad, or the csv module refuses the text, it reads the records one at
+    a time, so the first error is the one raised."""
+
+    @given(records_texts(), st.sampled_from([1, 3, _CHUNK]))
+    def test_tally_agrees_with_reading_each_record(self, text, chunk):
+        # small chunks put the faults and the repeats across chunk boundaries
+        with mock.patch.object(confusion_module, "_CHUNK", chunk):
+            assert result(records_from_csv, text) == result(read_each_record, text)
+
+    @pytest.mark.parametrize("before", [1, _CHUNK + 1], ids=["first-chunk", "second-chunk"])
+    def test_first_fault_is_the_one_raised(self, before):
+        oversize = "clean," + "x" * (csv.field_size_limit() + 1)
+        valid = "clean,clean\n" * before
+        # a bad label before a field the csv module refuses, a chunk of
+        # records apart
+        text = "actual,predicted\n" + valid + "\nclean,maybe\n" + valid + oversize + "\n"
+        with pytest.raises(ParseError, match=rf"^record {before}: unknown label 'maybe' \(expected") as info:
+            records_from_csv(text)
+        assert info.value.index == before
+        # and the field before the bad label
+        text = "actual,predicted\n" + valid + oversize + "\n" + valid + "clean,maybe\n"
+        with pytest.raises(ParseError, match=rf"^records CSV line {before + 2}: field larger than field limit"):
+            records_from_csv(text)
+
+    def test_distinct_records_are_counted_in_their_cells(self):
+        text = "actual,predicted\r\n" + "defective,clean\n" * 3 + " CLEAN ,Clean\n" * 4 + '"clean\n",defective\n' * 2
+        assert records_from_csv(text) == ConfusionMatrix(tp=0, fn_=3, fp=2, tn=4)
+        # over several chunks of records
+        text = "actual,predicted\n" + ("defective,defective\n" + "clean,Clean\n" * 2) * _CHUNK
+        assert records_from_csv(text) == ConfusionMatrix(tp=_CHUNK, fn_=0, fp=0, tn=2 * _CHUNK)

@@ -7,7 +7,9 @@ process loads import dataclasses, typing, pathlib or inspect. In the
 whole package only the oracle's Monte-Carlo draw imports numpy, so no
 command but a verify with Monte-Carlo trials ever loads it, and no module
 imports typing at import time. The descriptor readers of the outcome and
-the scenario leave each value to the object that reads it."""
+the scenario leave each value to the object that reads it, and the
+functions that run once per sweep row, oracle estimate or verification
+record read no enum member through its class."""
 
 import ast
 import importlib
@@ -226,14 +228,19 @@ def test_only_mc_tails_imports_numpy_in_the_oracle():
 
 
 
-def called_names(tree, *qualname: str) -> set:
-    """The names of the functions called, by name or by attribute, inside
-    the definition ``qualname`` (a function, or a class and its method) of
-    the module ``tree``."""
+def definition(tree, *qualname: str):
+    """The definition ``qualname`` (a function, or a class and its method)
+    of the module ``tree``."""
     node = tree
     for name in qualname:
         [node] = [child for child in node.body if getattr(child, "name", None) == name]
-    calls = (child.func for child in ast.walk(node) if isinstance(child, ast.Call))
+    return node
+
+
+def called_names(tree, *qualname: str) -> set:
+    """The names of the functions called, by name or by attribute, inside
+    the definition ``qualname`` of the module ``tree``."""
+    calls = (child.func for child in ast.walk(definition(tree, *qualname)) if isinstance(child, ast.Call))
     return {func.id if isinstance(func, ast.Name) else getattr(func, "attr", None) for func in calls}
 
 
@@ -264,3 +271,49 @@ class C:
 def test_descriptor_readers_leave_each_value_to_the_object_that_reads_it(module, qualname, readers):
     path = Path(sdpfeas.__file__).parent / module
     assert called_names(ast.parse(path.read_text(), str(path)), *qualname) & readers == set()
+
+
+#: the enums whose members the hot paths read through module names
+ENUMS = ("Regime", "TailMethod")
+
+
+def enum_member_reads(node) -> list:
+    """Each ``<enum>.<member>`` read of one of ``ENUMS`` inside ``node``, as
+    source text. On Python 3.11 each such read runs ``EnumType.__getattr__``."""
+    return [
+        ast.unparse(child)
+        for child in ast.walk(node)
+        if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name) and child.value.id in ENUMS
+    ]
+
+
+def test_enum_member_reads_sees_attribute_reads_of_the_enums_alone():
+    source = """
+def f(row, method):
+    if row.regime is Regime.VALID and type(method) is TailMethod:
+        return [TailMethod.EXACT, row.Regime.VALID, bounds.Regime, _VALID, Regime]
+"""
+    assert enum_member_reads(ast.parse(source)) == ["Regime.VALID", "TailMethod.EXACT"]
+
+
+#: the functions that run once per sweep row, per oracle estimate or per
+#: verification record
+HOT_PATHS = [
+    ("bounds.py", ["_kernel"]),
+    ("bounds.py", ["_bound"]),
+    ("bounds.py", ["BoundResult", "to_dict"]),
+    ("oracle.py", ["TailEstimate", "__post_init__"]),
+    ("oracle.py", ["BinomialWindow", "exact_tail"]),
+    ("oracle.py", ["BinomialWindow", "mc_tails"]),
+    ("oracle.py", ["verify_bound"]),
+    ("oracle.py", ["VerificationRecord", "to_dict"]),
+    ("report.py", ["run_verification"]),
+    ("report.py", ["FeasibilityReport", "verdict"]),
+    ("report.py", ["sweep_to_csv"]),
+]
+
+
+@pytest.mark.parametrize("module, qualname", HOT_PATHS, ids=[f"{module}:{'.'.join(name)}" for module, name in HOT_PATHS])
+def test_hot_path_reads_no_enum_member(module, qualname):
+    path = Path(sdpfeas.__file__).parent / module
+    assert enum_member_reads(definition(ast.parse(path.read_text(), str(path)), *qualname)) == []

@@ -23,9 +23,11 @@ from conftest import strict_json
 from sdpfeas import (
     BinomialWindow,
     BoundKind,
+    BoundResult,
     HazardFamily,
     HazardModel,
     SdpFeasError,
+    Regime,
     SdpOutcome,
     TailEstimate,
     TailMethod,
@@ -256,6 +258,25 @@ ERROR_CASES = {
     "tail mc seed string": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 0.01, "x"),
     "tail mc seed negative": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 0.01, -1),
     "tail mc seed past key range": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 0.01, 2**128),
+    # a log value that is not the log of a probability
+    "tail log value string": lambda: verify_tail(0.1, TailMethod.EXACT, log_value="x"),
+    "tail log value nan": lambda: verify_tail(0.1, TailMethod.EXACT, log_value=math.nan),
+    "tail log value positive": lambda: verify_tail(0.1, TailMethod.EXACT, log_value=0.5),
+    # a hand-built row whose fields its consumers cannot use
+    "verify row log bound string": lambda: verify_bound(
+        BoundResult("Thm1", 5.0, 2.0, 0.6, 0.4, "x", Regime.VALID, 1.0), TailEstimate(0.1, TailMethod.EXACT)
+    ),
+    "verify row bound None": lambda: verify_bound(
+        BoundResult("Thm1", 5.0, 2.0, 0.6, None, -0.9, Regime.VALID, 1.0), TailEstimate(0.1, TailMethod.EXACT)
+    ),
+    "csv tag with comma": lambda: sweep_to_csv([BoundResult("a,b", 5.0, 2.0, 0.6, 0.4, -0.9, Regime.VALID, 1.0)]),
+    "csv tag with line break": lambda: sweep_to_csv(
+        [
+            *bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0]),
+            BoundResult("a\nb", 5.0, 2.0, 0.6, 0.4, -0.9, Regime.VALID, 2.0),
+        ]
+    ),
+    "csv tag int": lambda: sweep_to_csv([BoundResult(1, 5.0, 2.0, 0.6, 0.4, -0.9, Regime.VALID, 1.0)]),
 }
 
 
