@@ -15,8 +15,8 @@ from sdpfeas import (
     HazardFamily,
     HazardModel,
     SdpOutcome,
+    bound_sweep,
     false_omission_rate,
-    hazard_bound,
     verify_bound,
 )
 
@@ -32,8 +32,9 @@ outcome = SdpOutcome(l=100, p=0.05)
 model = HazardModel(HazardFamily.CONSTANT, lam=2.0)
 
 # step 2: the bound. X counts failures among the shipped modules,
-# E[X] = 5; "fewer failures than manual testing" is the event X < 2
-result = hazard_bound(outcome, model, t=5.0)
+# E[X] = 5; "fewer failures than manual testing" is the event X < 2.
+# The bound at one time is the one row of a one-point sweep.
+[result] = bound_sweep(outcome, model, [5.0])
 print(f"\n{result.theorem_tag}: Pr[X < {result.threshold}] < {result.bound:.6f}")
 print(f"  mu = {result.mu}, delta = {result.delta}, regime = {result.regime.value}")
 

@@ -11,13 +11,12 @@ smallest concrete counterexample it finds.
 
 from sdpfeas import (
     BinomialWindow,
+    BoundKind,
     HazardFamily,
     HazardModel,
-    InvalidInputError,
-    OutOfRegimeError,
+    Regime,
     SdpOutcome,
-    hazard_bound,
-    reliability_bound,
+    bound_sweep,
     verify_bound,
 )
 
@@ -37,7 +36,7 @@ reliability_models = [
 ]
 
 
-def campaign(models, bound_fn):
+def campaign(models, kind):
     held = failed = 0
     first_failure = None
     for model in models:
@@ -45,10 +44,9 @@ def campaign(models, bound_fn):
             for p in PS:
                 outcome = SdpOutcome(l=l, p=p)
                 window = BinomialWindow(l, p)
-                for t in TS:
-                    try:
-                        result = bound_fn(outcome, model, t)
-                    except (OutOfRegimeError, InvalidInputError):
+                # one sweep per outcome; an out-of-regime row has no bound to check
+                for result in bound_sweep(outcome, model, TS, kind):
+                    if result.regime is Regime.OUT_OF_REGIME:
                         continue
                     oracle = window.exact_tail(result.threshold)
                     if verify_bound(result, oracle).holds:
@@ -56,14 +54,14 @@ def campaign(models, bound_fn):
                     else:
                         failed += 1
                         if first_failure is None:
-                            first_failure = (l, p, model, t, oracle.value, result.bound)
+                            first_failure = (l, p, model, result.t, oracle.value, result.bound)
     return held, failed, first_failure
 
 
-held, failed, _ = campaign(hazard_models, hazard_bound)
+held, failed, _ = campaign(hazard_models, BoundKind.HAZARD)
 print(f"hazard side:      {held} held, {failed} failed")
 
-held, failed, failure = campaign(reliability_models, reliability_bound)
+held, failed, failure = campaign(reliability_models, BoundKind.RELIABILITY)
 print(f"reliability side: {held} held, {failed} failed")
 
 if failure is not None:

@@ -18,8 +18,6 @@ _EXPORTS = {
         "Regime",
         "bound_sweep",
         "chernoff_lower_tail",
-        "hazard_bound",
-        "reliability_bound",
     ),
     "confusion": ("ConfusionMatrix", "confusion_from_records", "false_omission_rate"),
     "errors": (
@@ -27,7 +25,6 @@ _EXPORTS = {
         "DomainError",
         "InvalidInputError",
         "NumericOverflowError",
-        "OutOfRegimeError",
         "ParseError",
         "SdpFeasError",
     ),

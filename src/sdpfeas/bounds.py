@@ -15,13 +15,11 @@ Each printed form is one row of ``FORMS``, keyed by the outcome's variant
 take the family's tags in ``hazards.FAMILIES``; Y rows are Thm3 (hazard)
 and Thm4 (reliability), weibull models only.
 
-One resolver gives both the named bounds and the sweep: it looks up the
-row of an (outcome, kind, sign mode) once per grid, then makes one pass
-over the grid. A named bound is a one-point grid. A form's mean at t is
-public as the ``mu`` of its row, ``bound_sweep(outcome, model, [t])[0].mu``,
-in regime or out of it.
-Inside a sweep an out-of-regime point is a row, not an exception;
-only the named bounds and ``chernoff_lower_tail`` raise OutOfRegimeError.
+``bound_sweep`` is the one evaluator of that table: it looks up the row
+of an (outcome, kind, sign mode) once per grid, then makes one pass over
+it. A bound at one t is a one-point grid, and a form's mean at t is its
+row's ``mu``. An out-of-regime point is a row whose ``bound`` and
+``log_bound`` are None, from the sweep and ``chernoff_lower_tail`` alike.
 
 The kernel works in log space; exp() happens once at the end so the
 interesting near-zero bounds at large l do not underflow prematurely.
@@ -32,12 +30,12 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import DomainError, InvalidInputError, NumericOverflowError, OutOfRegimeError, ParseError, read_boolean
-from .errors import read_choice, read_instance, read_number, read_real
+from .errors import InvalidInputError, NumericOverflowError, ParseError, read_boolean, read_choice, read_instance
+from .errors import read_number, read_real
 from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel, check_time, hazard_at
 from .outcome import SdpOutcome
 
@@ -46,8 +44,6 @@ __all__ = [
     "BoundKind",
     "BoundResult",
     "chernoff_lower_tail",
-    "hazard_bound",
-    "reliability_bound",
     "bound_sweep",
 ]
 
@@ -66,7 +62,9 @@ _VALID, _TRIVIAL, _OUT_OF_REGIME = Regime.VALID, Regime.TRIVIAL, Regime.OUT_OF_R
 
 
 class BoundKind(str, enum.Enum):
+    #: Pr[X < z(t)]: fewer failures than the manual-testing hazard level
     HAZARD = "hazard"
+    #: Pr[X < H(t)/t], i.e. Pr[exp(-X*t) > R(t)]: better reliability than manual testing
     RELIABILITY = "reliability"
 
 
@@ -87,6 +85,8 @@ class BoundResult:
     sign_mode: str | None = None
 
     def to_dict(self) -> dict:
+        if type(self.regime) is not Regime:
+            raise InvalidInputError(f"sweep row regime must be a Regime member, got {self.regime!r}")
         payload = {
             "theorem": self.theorem_tag,
             "mu": self.mu,
@@ -129,10 +129,10 @@ def _kernel(mu: float, threshold: float, theorem_tag: str, t: float | None, sign
 
 def chernoff_lower_tail(mu: float, threshold: float) -> BoundResult:
     """The kernel: bound on Pr[X < threshold] for a variable with mean mu,
-    as a row tagged "Chernoff" with no time.
+    as a row tagged "Chernoff" with no time. Where 0 <= threshold < mu
+    fails, the row is out of regime and its bound and log_bound are None.
 
-    Requires 0 <= threshold < mu; raises OutOfRegimeError otherwise,
-    ParseError where mu or the threshold is not a number, and
+    Raises ParseError where mu or the threshold is not a number, and
     InvalidInputError where mu is not positive and finite or the threshold
     is not finite.
     """
@@ -140,14 +140,7 @@ def chernoff_lower_tail(mu: float, threshold: float) -> BoundResult:
         raise InvalidInputError(f"expectation mu must be positive and finite, got {mu!r}")
     if not abs(read_real(threshold, "threshold")) <= sys.float_info.max:
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
-    return _in_regime(_kernel(mu, threshold, "Chernoff", None, None))
-
-
-def _in_regime(entry: BoundResult) -> BoundResult:
-    """``entry`` if it is in regime; an out-of-regime row raises its error."""
-    if entry.regime is _OUT_OF_REGIME:
-        raise OutOfRegimeError(entry.mu, entry.threshold, entry.delta, theorem_tag=entry.theorem_tag, t=entry.t)
-    return entry
+    return _kernel(mu, threshold, "Chernoff", None, None)
 
 
 @dataclass(frozen=True)
@@ -162,11 +155,9 @@ class BoundForm:
 
 
 def _reliability_mean(exponent: Callable[[HazardModel | None, float], float]):
-    """The reliability mean exp(l*p*(exp(exponent(injection, t)) - 1)), t > 0."""
+    """The reliability mean exp(l*p*(exp(exponent(injection, t)) - 1))."""
 
     def mean(mean_failures: float, injection: HazardModel | None, t: float) -> float:
-        if t <= 0:
-            raise DomainError(f"reliability bound requires t > 0, got {t!r}")
         return math.exp(mean_failures * math.expm1(exponent(injection, t)))
 
     return mean
@@ -203,79 +194,6 @@ def _form(outcome: SdpOutcome, kind: BoundKind, corrected: bool) -> tuple[str | 
     return sign_mode, FORMS[variant, kind, sign_mode]
 
 
-def _bound(
-    outcome: SdpOutcome,
-    model: HazardModel,
-    grid: Sequence[float],
-    kind: BoundKind,
-    corrected: bool = True,
-) -> list[BoundResult]:
-    """One named bound over ``grid`` in one pass.
-
-    (outcome, kind, corrected) is resolved once to its ``FORMS`` row; each
-    point then costs one mean, one threshold and one kernel call.
-    Out-of-regime points are rows, a mean that underflowed to 0.0 too.
-    The first point whose mean or threshold fails raises, mean first, as if
-    evaluated alone: a time outside the family's domain raises DomainError,
-    and an overflow, a mean or threshold that is not finite included (the
-    as-published Thm4 form at moderate t, for one), raises
-    NumericOverflowError naming the bound and t."""
-    read_instance(outcome, "outcome", SdpOutcome, "an SdpOutcome")
-    read_instance(model, "model", HazardModel, "a HazardModel")
-    if outcome.injection is not None and model.family is not HazardFamily.WEIBULL:
-        raise InvalidInputError(
-            f"injection-variant bounds compare against a weibull manual-testing "
-            f"model only, got {model.family.value!r}"
-        )
-    spec = FAMILIES[model.family]
-    sign_mode, form = _form(outcome, kind, corrected)
-    tag, mean, threshold = form.tag(spec), form.mean, getattr(spec, form.threshold)
-    mean_failures, injection = outcome.mean_failures, outcome.injection
-    # times outside (0, end] get the domain's message; reliability means refuse t <= 0
-    end, singular = min(spec.max_time(model), sys.float_info.max), spec.singular_at_zero(model)
-    entries: list[BoundResult] = []
-    append, isfinite = entries.append, math.isfinite
-    try:
-        for t in grid:
-            mu = mean(mean_failures, injection, t)
-            if not 0.0 < t <= end:
-                check_time(model, spec, t, positive=t == 0 and singular)
-            z = threshold(model, t)
-            # a product such as l*p*Khat*t**mhat or K*t**m overflows to inf
-            if not (isfinite(mu) and isfinite(z)):
-                raise OverflowError
-            append(_kernel(mu, z, tag, t, sign_mode))
-    except OverflowError as exc:
-        label = tag if sign_mode is None else f"{tag} ({sign_mode})"
-        raise NumericOverflowError(f"{label} overflows a 64-bit float at t = {t!r}") from exc
-    return entries
-
-
-def _one(outcome, model, t, kind, corrected=True) -> BoundResult:
-    """``_bound`` at the single time t; an out-of-regime point raises."""
-    [entry] = _bound(outcome, model, [read_real(t, "time")], kind, corrected)
-    return _in_regime(entry)
-
-
-def hazard_bound(outcome: SdpOutcome, model: HazardModel, t: float) -> BoundResult:
-    """Bound on Pr[X < z(t)]: fewer failures under prediction-based testing
-    than the manual-testing hazard level. With an injection it is Thm3,
-    Pr[Y < K*t^m] with mean l*p*Khat*t^mhat."""
-    return _one(outcome, model, t, BoundKind.HAZARD)
-
-
-def reliability_bound(outcome: SdpOutcome, model: HazardModel, t: float, corrected: bool = True) -> BoundResult:
-    """Bound on Pr[exp(-X*t) > R(t)]: better reliability under
-    prediction-based testing than the manual-testing survival curve.
-
-    The comparison reduces to Pr[X < H(t)/t]; the expectation slot holds
-    the expected-reliability bound, following the source derivation. With
-    an injection it is Thm4, and ``corrected`` selects the sign convention
-    of the expected-reliability factor (see ``FORMS``).
-    """
-    return _one(outcome, model, t, BoundKind.RELIABILITY, corrected)
-
-
 def bound_sweep(
     outcome: SdpOutcome,
     model: HazardModel,
@@ -283,11 +201,16 @@ def bound_sweep(
     kind: BoundKind = BoundKind.HAZARD,
     corrected: bool = True,
 ) -> list[BoundResult]:
-    """Evaluate one bound over a time grid, of the outcome's variant.
+    """The ``FORMS`` row of (outcome, kind, corrected) over a time grid,
+    in one pass; the bound at one t is ``bound_sweep(..., [t], ...)[0]``.
 
     The grid must be an iterable of numbers, non-empty, strictly
-    increasing and positive. Out-of-regime points are rows of regime
-    out-of-regime, never dropped; results are in grid order.
+    increasing and positive. Each point costs one mean, one threshold and
+    one kernel call, and makes one row in grid order, out of regime too (a
+    mean that underflowed to 0.0 included). The first point whose mean or
+    threshold fails raises, mean first: a time not finite or past ld's
+    domain raises DomainError, and an overflow (the as-published Thm4 at
+    moderate t, for one) NumericOverflowError naming the bound and t.
     """
     try:
         points = iter(grid)
@@ -300,5 +223,34 @@ def bound_sweep(
         raise InvalidInputError("time grid values must be > 0")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("time grid must be strictly increasing")
-
-    return _bound(outcome, model, grid, read_choice(kind, "bound kind", BoundKind), corrected)
+    kind = read_choice(kind, "bound kind", BoundKind)
+    read_instance(outcome, "outcome", SdpOutcome, "an SdpOutcome")
+    read_instance(model, "model", HazardModel, "a HazardModel")
+    if outcome.injection is not None and model.family is not HazardFamily.WEIBULL:
+        raise InvalidInputError(
+            f"injection-variant bounds compare against a weibull manual-testing "
+            f"model only, got {model.family.value!r}"
+        )
+    spec = FAMILIES[model.family]
+    sign_mode, form = _form(outcome, kind, corrected)
+    tag, mean, threshold = form.tag(spec), form.mean, getattr(spec, form.threshold)
+    mean_failures, injection = outcome.mean_failures, outcome.injection
+    # every t is a float > 0; check_time names one past ld's K/m, the float
+    # range or NaN, which the grid checks let through as floats
+    end = min(spec.max_time(model), sys.float_info.max)
+    entries: list[BoundResult] = []
+    append, isfinite = entries.append, math.isfinite
+    try:
+        for t in grid:
+            mu = mean(mean_failures, injection, t)
+            if not t <= end:
+                check_time(model, spec, t, positive=False)
+            z = threshold(model, t)
+            # a product such as l*p*Khat*t**mhat or K*t**m overflows to inf
+            if not (isfinite(mu) and isfinite(z)):
+                raise OverflowError
+            append(_kernel(mu, z, tag, t, sign_mode))
+    except OverflowError as exc:
+        label = tag if sign_mode is None else f"{tag} ({sign_mode})"
+        raise NumericOverflowError(f"{label} overflows a 64-bit float at t = {t!r}") from exc
+    return entries

@@ -55,28 +55,6 @@ class DomainError(SdpFeasError):
     """Evaluation requested outside a hazard family's valid time domain."""
 
 
-class OutOfRegimeError(SdpFeasError):
-    """The Chernoff lower-tail bound is inapplicable: the deviation band
-    delta = 1 - threshold/mu falls outside (0, 1], or mu underflowed to
-    0.0 and delta is -inf.
-
-    This is a finding, not a defect; callers that sweep over parameters
-    should catch it and report the point as out-of-regime. ``mu``,
-    ``threshold`` and ``delta`` carry the diagnostics.
-    """
-
-    def __init__(self, mu, threshold, delta, theorem_tag=None, t=None):
-        self.mu = mu
-        self.threshold = threshold
-        self.delta = delta
-        self.theorem_tag = theorem_tag
-        self.t = t
-        super().__init__(
-            f"Chernoff lower tail inapplicable: threshold={threshold!r} vs "
-            f"mu={mu!r} gives delta={self.delta!r} outside (0, 1]"
-        )
-
-
 def read_json(text: str):
     """The JSON document ``text``. Besides malformed text, ``json.loads``
     refuses an integer past the interpreter's digit limit (ValueError) and
@@ -92,8 +70,8 @@ def read_json(text: str):
 #: subclass too, takes the general path of indented_json
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 #: depth -> the C encoder that json.JSONEncoder(check_circular=False,
-#: separators=(",\n" + the indent of depth + 1, ": ")).encode runs, built
-#: once per process and depth; it keeps no state between calls
+#: allow_nan=False, separators=(",\n" + the indent of depth + 1, ": ")).encode
+#: runs, built once per process and depth; it keeps no state between calls
 _ENCODERS: dict = {}
 _DEFAULT = json.JSONEncoder().default
 
@@ -108,14 +86,16 @@ def _encode(value, depth: int) -> str:
         # scalars or records of scalars, so it cannot hold itself
         separator = ",\n" + "  " * (depth + 1)
         encoder = _ENCODERS[depth] = c_make_encoder(
-            None, _DEFAULT, encode_basestring_ascii, None, ": ", separator, False, False, True
+            None, _DEFAULT, encode_basestring_ascii, None, ": ", separator, False, False, False
         )
     return "".join(encoder(value, 0))
 
 
 def indented_json(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, with the C encoder
-    (which ``indent`` turns off) writing every container of scalars.
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, with
+    the C encoder (which ``indent`` turns off) writing every container of
+    scalars; where that raises ValueError (a NaN or infinite float, value or
+    key), this raises InvalidInputError.
 
     Encoded strings escape every newline, so an encoder whose item
     separator is a comma, a newline and the items' indent writes a
@@ -153,7 +133,10 @@ def indented_json(obj) -> str:
             body = ("," + inner).join([encode(item, depth + 1) for item in value])
         return brackets[0] + inner + body + "\n" + "  " * depth + brackets[1]
 
-    return encode(obj, 0)
+    try:
+        return encode(obj, 0)
+    except ValueError:
+        raise InvalidInputError("output has no JSON form: it holds a float that is NaN or infinite") from None
 
 
 def _json_key(key) -> str:
@@ -161,7 +144,7 @@ def _json_key(key) -> str:
     None) becomes the string json makes of it."""
     if isinstance(key, str):
         return encode_basestring_ascii(key)
-    return json.dumps({key: None})[1 : -len(": null}")]
+    return json.dumps({key: None}, allow_nan=False)[1 : -len(": null}")]
 
 
 def read_object(payload, what: str, required=(), optional=()) -> dict:

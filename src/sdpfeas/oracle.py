@@ -33,7 +33,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .bounds import _OUT_OF_REGIME, BoundResult
+from .bounds import _OUT_OF_REGIME, BoundResult, Regime
 from .errors import InvalidInputError, ParseError, read_integer, read_number, read_real
 
 __all__ = [
@@ -47,8 +47,8 @@ __all__ = [
 #: the types a tail value or a standard error takes on the fast path of
 #: TailEstimate's checks, matched exactly
 _REAL = (int, float)
-#: the end of the Philox key range, [0, 2**128), of an MC seed; a module
-#: constant, as the compiler does not fold a power past 128 bits
+#: the end of the Philox key range [0, 2**128) that every seed check reads;
+#: a module constant, as the compiler does not fold a power past 128 bits
 _KEYS = 2**128
 
 
@@ -324,7 +324,7 @@ class BinomialWindow:
         """
         if not 1 <= read_integer(trials, "trials") <= MAX_TRIALS:
             raise InvalidInputError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
-        if not 0 <= read_integer(seed, "seed") < 2**128:
+        if not 0 <= read_integer(seed, "seed") < _KEYS:
             raise InvalidInputError(f"seed must lie in the Philox key range [0, 2**128), got {seed!r}")
         # draws are integers, so X < threshold is X <= k*, and its cut is
         # the exact tail Pr[X < threshold]
@@ -383,19 +383,25 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
 
     Exact oracles are compared directly; MC oracles pass when the point
     estimate minus three standard errors stays below the bound, with an
-    advisory flag when the point estimate alone does not.
+    advisory flag when the point estimate alone does not. The row's
+    bound must lie in [0, 1] and its log bound be <= 0, so never NaN.
     """
     if not isinstance(bound, BoundResult):
         raise InvalidInputError(
             f"verification needs a computed BoundResult, got {type(bound).__name__}"
         )
+    if type(bound.regime) is not Regime:
+        raise InvalidInputError(f"verification needs a row whose regime is a Regime member, got {bound.regime!r}")
     if bound.regime is _OUT_OF_REGIME:
         raise InvalidInputError(
             f"verification needs an in-regime bound, got an out-of-regime {bound.theorem_tag} row at t = {bound.t!r}"
         )
-    if not (type(bound.bound) in _REAL and type(bound.log_bound) in _REAL):
-        read_real(bound.bound, "verified bound")
-        read_real(bound.log_bound, "verified log bound")
+    value, log_value = bound.bound, bound.log_bound
+    if not (type(value) in _REAL and type(log_value) in _REAL and 0.0 <= value <= 1.0 and log_value <= 0.0):
+        if not 0.0 <= read_real(value, "verified bound") <= 1.0:
+            raise InvalidInputError(f"verified bound must lie in [0, 1], got {value!r}")
+        if not read_real(log_value, "verified log bound") <= 0.0:
+            raise InvalidInputError(f"verified log bound must be <= 0, got {log_value!r}")
     if not isinstance(oracle, TailEstimate):
         raise InvalidInputError(f"verification needs a TailEstimate oracle, got {type(oracle).__name__}")
     below = oracle.log_value < bound.log_bound

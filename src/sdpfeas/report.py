@@ -24,7 +24,7 @@ from .bounds import _OUT_OF_REGIME, BoundKind, BoundResult, Regime, bound_sweep
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_instance, read_integer
 from .errors import NumericOverflowError, read_json, read_list, read_number, read_object
 from .hazards import HazardModel, hazard_at, model_from_descriptor
-from .oracle import MAX_TRIALS, BinomialWindow, VerificationRecord, verify_bound
+from .oracle import _KEYS, MAX_TRIALS, BinomialWindow, VerificationRecord, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
 
 __all__ = [
@@ -42,13 +42,13 @@ DEFAULT_EPSILON = 0.05
 MAX_STEPS = 10**6
 
 
-#: the CSV header, and one row template per regime in its column order;
-#: %.17g gives format(x, ".17g"), 17 significant digits, which round-trip
-#: every 64-bit float exactly, and %.0s writes an out-of-regime row's None
-#: bound as the empty field
+#: the CSV header, and one row template per regime (keyed by ``_value_``,
+#: which a plain string lacks) in its column order; %.17g gives 17
+#: significant digits, which round-trip every 64-bit float exactly, and
+#: %.0s writes an out-of-regime row's None bound as the empty field
 _CSV_HEADER = "t,theorem,mu,threshold,delta,bound,regime"
 _CSV_ROWS = {
-    regime: "%.17g,%s,%.17g,%.17g,%.17g," + ("%.0s," if regime is _OUT_OF_REGIME else "%.17g,") + regime.value
+    regime._value_: "%.17g,%s,%.17g,%.17g,%.17g," + ("%.0s," if regime is _OUT_OF_REGIME else "%.17g,") + regime.value
     for regime in Regime
 }
 #: what the one %s field, the theorem tag, may not hold: a tag with any of
@@ -126,7 +126,7 @@ class ScenarioConfig:
         read_boolean(self.verify_exact, "verify.exact")
         if not 0 <= read_integer(self.mc_trials, "mc_trials") <= MAX_TRIALS:
             raise InvalidInputError(f"mc_trials must lie in [0, {MAX_TRIALS}], got {self.mc_trials}")
-        if self.seed is not None and not 0 <= read_integer(self.seed, "seed") < 2**128:
+        if self.seed is not None and not 0 <= read_integer(self.seed, "seed") < _KEYS:
             raise InvalidInputError(f"seed must lie in the Philox key range [0, 2**128), got {self.seed}")
         if not 0.0 < read_number(self.epsilon, "epsilon") < 1.0:
             raise InvalidInputError(f"epsilon must lie strictly in (0, 1), got {self.epsilon!r}")
@@ -337,14 +337,15 @@ def sweep_to_csv(entries: Sequence[BoundResult]) -> str:
     """Serialize sweep rows to the CSV contract ``_CSV_HEADER`` with
     17-significant-digit numbers (round-trip exact), one format per row
     from its regime's template. A row the template cannot write, such as
-    the kernel's, which has no t, or one whose theorem tag is not a string
-    free of commas, quotes and line breaks, raises InvalidInputError."""
+    the kernel's, which has no t, one whose regime is not a ``Regime``
+    member, or one whose theorem tag is not a string free of commas, quotes
+    and line breaks, raises InvalidInputError."""
     lines = [_CSV_HEADER]
     # a sweep's rows share one tag object per kind: a tag is checked where it changes
     checked = ""
     try:
         for e in entries:
-            template, tag = _CSV_ROWS[e.regime], e.theorem_tag
+            template, tag = _CSV_ROWS[e.regime._value_], e.theorem_tag
             if tag is not checked:
                 if not (type(tag) is str and _CSV_SPECIAL.isdisjoint(tag)):
                     raise InvalidInputError(

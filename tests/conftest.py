@@ -42,3 +42,12 @@ def desk_outcome():
     from sdpfeas import SdpOutcome
 
     return SdpOutcome(l=100, p=0.05)
+
+
+def bound_at(outcome, model, t, kind="hazard", corrected=True):
+    """The bound at the single time t: the one row of a one-point sweep,
+    out of regime too."""
+    from sdpfeas import bound_sweep
+
+    [row] = bound_sweep(outcome, model, [t], kind, corrected)
+    return row

@@ -19,20 +19,18 @@ import numpy as np
 import pytest
 
 import reference_formulas as ref
-from conftest import quadrature_cumulative_hazard
+from conftest import bound_at, quadrature_cumulative_hazard
 from sdpfeas import (
     BinomialWindow,
+    BoundKind,
     HazardFamily,
     HazardModel,
-    InvalidInputError,
-    OutOfRegimeError,
+    Regime,
     SdpOutcome,
     chernoff_lower_tail,
     cumulative_hazard,
     hazard_at,
-    hazard_bound,
     reliability_at,
-    reliability_bound,
     reliability_tail_threshold,
 )
 from sdpfeas.cli import EXIT_OK, EXIT_OUT_OF_REGIME, main
@@ -43,6 +41,9 @@ LD = HazardFamily.LINEAR_DECREASING
 NLI = HazardFamily.NONLINEAR_INCREASING
 LI = HazardFamily.LINEAR_INCREASING
 CONST = HazardFamily.CONSTANT
+HAZARD = BoundKind.HAZARD
+RELIABILITY = BoundKind.RELIABILITY
+OUT = Regime.OUT_OF_REGIME
 
 
 def _line(criterion, ok, detail):
@@ -87,7 +88,7 @@ RELIABILITY_MODELS = [
 ]
 
 
-def _campaign(models, bound_fn, oracle_fn):
+def _campaign(models, kind, oracle_fn):
     """Run every (l, p, model, t) tuple; return (generated, valid,
     violations) where a violation is a valid-regime bound at or below its
     exact oracle value."""
@@ -102,9 +103,8 @@ def _campaign(models, bound_fn, oracle_fn):
                     if t > model.max_time:
                         continue
                     generated += 1
-                    try:
-                        result = bound_fn(outcome, model, t)
-                    except (OutOfRegimeError, InvalidInputError):
+                    result = bound_at(outcome, model, t, kind)
+                    if result.regime is OUT:
                         continue
                     valid += 1
                     oracle = oracle_fn(outcome, result)
@@ -120,7 +120,7 @@ def _count_oracle(outcome, result):
 class TestCriterion1:
     def test_hazard_soundness_campaign(self):
         start = time.monotonic()
-        generated, valid, violations = _campaign(HAZARD_MODELS, hazard_bound, _count_oracle)
+        generated, valid, violations = _campaign(HAZARD_MODELS, HAZARD, _count_oracle)
         elapsed = time.monotonic() - start
         ok = generated >= 1000 and valid >= 1000 and not violations and elapsed < 60.0
         _line(1, ok, f"hazard side: {valid} valid of {generated} tuples, "
@@ -139,7 +139,7 @@ class TestCriterion1:
     )
     def test_reliability_soundness_campaign(self):
         generated, valid, violations = _campaign(
-            RELIABILITY_MODELS, reliability_bound, _count_oracle
+            RELIABILITY_MODELS, RELIABILITY, _count_oracle
         )
         if violations:
             worst = max(violations, key=lambda v: v[4] - v[5])
@@ -169,7 +169,7 @@ Y_RELIABILITY_MODELS = [
 ]
 
 
-def _y_campaign(models, bound_fn, threshold_to_query):
+def _y_campaign(models, kind, threshold_to_query):
     generated = 0
     valid = 0
     violations = []
@@ -181,8 +181,10 @@ def _y_campaign(models, bound_fn, threshold_to_query):
                     for t in T_GRID:
                         generated += 1
                         try:
-                            result = bound_fn(outcome, model, t)
-                        except (OutOfRegimeError, InvalidInputError, OverflowError):
+                            result = bound_at(outcome, model, t, kind)
+                        except OverflowError:
+                            continue
+                        if result.regime is OUT:
                             continue
                         valid += 1
                         scale = hazard_at(injection, t)
@@ -204,7 +206,7 @@ class TestCriterion2:
     )
     def test_injected_hazard_soundness_campaign(self):
         generated, valid, violations = _y_campaign(
-            Y_HAZARD_MODELS, hazard_bound, None
+            Y_HAZARD_MODELS, HAZARD, None
         )
         if violations:
             worst = max(violations, key=lambda v: v[5] - v[6])
@@ -224,7 +226,7 @@ class TestCriterion2:
     def test_injected_reliability_soundness_campaign(self):
         generated, valid, violations = _y_campaign(
             Y_RELIABILITY_MODELS,
-            lambda o, m, t: reliability_bound(o, m, t, corrected=True),
+            RELIABILITY,
             None,
         )
         if violations:
@@ -241,7 +243,7 @@ class TestCriterion2:
         # makes the mean slot exceed 1 and the bound collapse toward 0
         outcome = SdpOutcome(l=10, p=0.5, injection=HazardModel(WEIBULL, K=1.0, m=0.0))
         model = HazardModel(WEIBULL, K=0.02, m=0.0)
-        result = reliability_bound(outcome, model, 1.0, corrected=False)
+        result = bound_at(outcome, model, 1.0, RELIABILITY, corrected=False)
         ok = result.sign_mode == "as-published" and result.mu > 1.0
         _line(2, ok, "as-published sign mode runs and is tagged (soundness exempt; "
                      f"mu = {result.mu:.4g} exceeds 1)")
@@ -274,9 +276,8 @@ class TestCriterion3:
         for l, p, t in self.TUPLES:
             if t > model.max_time:
                 continue
-            try:
-                result = hazard_bound(SdpOutcome(l=l, p=p), model, t)
-            except OutOfRegimeError:
+            result = bound_at(SdpOutcome(l=l, p=p), model, t)
+            if result.regime is OUT:
                 continue
             yield result.bound, printed_fn(l, p, t)
 
@@ -284,9 +285,8 @@ class TestCriterion3:
         for l, p, t in self.R_TUPLES:
             if t > model.max_time:
                 continue
-            try:
-                result = reliability_bound(SdpOutcome(l=l, p=p), model, t)
-            except (OutOfRegimeError, InvalidInputError):
+            result = bound_at(SdpOutcome(l=l, p=p), model, t, RELIABILITY)
+            if result.regime is OUT:
                 continue
             yield result.bound, printed_fn(l, p, t)
 
@@ -342,9 +342,8 @@ class TestCriterion3:
         for l, p, t in self.TUPLES:
             for K_hat, m_hat in ((0.5, 0.0), (1.0, 0.5), (2.0, -0.5)):
                 outcome = SdpOutcome(l=l, p=p, injection=HazardModel(WEIBULL, K=K_hat, m=m_hat))
-                try:
-                    result = hazard_bound(outcome, model, t)
-                except OutOfRegimeError:
+                result = bound_at(outcome, model, t)
+                if result.regime is OUT:
                     continue
                 yield result.bound, ref.thm3_injected_hazard(l, p, K_hat, m_hat, 0.2, 0.5, t)
 
@@ -354,8 +353,10 @@ class TestCriterion3:
             for corrected in (True, False):
                 outcome = SdpOutcome(l=l, p=p, injection=HazardModel(WEIBULL, K=0.5, m=0.0))
                 try:
-                    result = reliability_bound(outcome, model, t, corrected=corrected)
-                except (OutOfRegimeError, InvalidInputError, OverflowError):
+                    result = bound_at(outcome, model, t, RELIABILITY, corrected)
+                except OverflowError:
+                    continue
+                if result.regime is OUT:
                     continue
                 yield result.bound, ref.thm4_injected_reliability(
                     l, p, 0.5, 0.0, 0.02, 0.0, t, corrected
@@ -480,10 +481,10 @@ class TestCriterion8:
                 threshold = mu * float(1.0 + rng.uniform(0.0, 10.0))
             else:
                 threshold = -float(rng.uniform(0.0, 10.0))
-            with pytest.raises(OutOfRegimeError):
-                chernoff_lower_tail(mu, threshold)
+            result = chernoff_lower_tail(mu, threshold)
+            assert result.regime is OUT and result.bound is None and result.log_bound is None
         _line(8, True, "10,000 fuzzed tuples with threshold >= mu or < 0 all "
-                       "raised out-of-regime, none produced a numeric bound")
+                       "came back out-of-regime, none produced a numeric bound")
 
     def test_cli_reports_exit_3(self, tmp_path, capsys):
         scenario = {
@@ -508,12 +509,9 @@ class TestCriterion9:
         model = HazardModel(WEIBULL, K=0.3, m=0.7)
         checked = 0
         for l, p, t in self.POINTS:
-            try:
-                plain = hazard_bound(SdpOutcome(l=l, p=p), model, t)
-                unit = hazard_bound(
-                    SdpOutcome(l=l, p=p, injection=HazardModel(WEIBULL, K=1.0, m=0.0)), model, t
-                )
-            except OutOfRegimeError:
+            plain = bound_at(SdpOutcome(l=l, p=p), model, t)
+            unit = bound_at(SdpOutcome(l=l, p=p, injection=HazardModel(WEIBULL, K=1.0, m=0.0)), model, t)
+            if OUT in (plain.regime, unit.regime):
                 continue
             assert unit.bound == pytest.approx(plain.bound, rel=1e-12)
             checked += 1
@@ -590,9 +588,8 @@ class TestSoundSubdomains:
                     for t in T_GRID:
                         if t > model.max_time:
                             continue
-                        try:
-                            result = reliability_bound(outcome, model, t)
-                        except (OutOfRegimeError, InvalidInputError):
+                        result = bound_at(outcome, model, t, RELIABILITY)
+                        if result.regime is OUT:
                             continue
                         oracle = _count_oracle(outcome, result)
                         assert oracle.value < result.bound
@@ -610,9 +607,8 @@ class TestSoundSubdomains:
                             scale = hazard_at(injection, t)
                             if scale > 1.0:
                                 continue
-                            try:
-                                result = hazard_bound(outcome, model, t)
-                            except OutOfRegimeError:
+                            result = bound_at(outcome, model, t)
+                            if result.regime is OUT:
                                 continue
                             oracle = BinomialWindow(l, p).exact_tail(result.threshold / scale)
                             assert oracle.value < result.bound

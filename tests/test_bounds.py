@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_formulas as ref
+from conftest import bound_at
 from sdpfeas import (
     BoundKind,
     BoundResult,
@@ -17,15 +18,12 @@ from sdpfeas import (
     InvalidInputError,
     NumericOverflowError,
     ParseError,
-    OutOfRegimeError,
     Regime,
     SdpFeasError,
     SdpOutcome,
     bound_sweep,
     chernoff_lower_tail,
     hazard_at,
-    hazard_bound,
-    reliability_bound,
     reliability_tail_threshold,
     sweep_to_csv,
 )
@@ -51,13 +49,21 @@ class TestKernel:
         assert r.regime is Regime.VALID
 
     def test_threshold_at_mu_rejected(self):
-        with pytest.raises(OutOfRegimeError):
-            chernoff_lower_tail(5.0, 5.0)
+        # rejected as out of regime: a row with no bound
+        r = chernoff_lower_tail(5.0, 5.0)
+        assert r.regime is Regime.OUT_OF_REGIME and r.bound is None and r.log_bound is None
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(OutOfRegimeError) as info:
-            chernoff_lower_tail(5.0, -1.0)
-        assert info.value.delta > 1.0
+        r = chernoff_lower_tail(5.0, -1.0)
+        assert r.regime is Regime.OUT_OF_REGIME and r.delta > 1.0
+
+    @pytest.mark.parametrize("mu, threshold", [(5.0, 5.0), (5.0, 6.0), (5.0, -1.0), (3, 7)])
+    def test_out_of_regime_row_keeps_the_diagnostics(self, mu, threshold):
+        # the row carries what an out-of-regime point reports: mu, the
+        # threshold and delta = 1 - threshold/mu, with no bound
+        out = Regime.OUT_OF_REGIME
+        expected = BoundResult("Chernoff", mu, threshold, 1.0 - threshold / mu, None, None, out, None, None)
+        assert chernoff_lower_tail(mu, threshold) == expected
 
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(InvalidInputError, match="expectation mu must be positive and finite"):
@@ -136,10 +142,8 @@ def _tuples():
 
 class TestHazardWrappersMatchPrintedForms:
     def _assert_match(self, model, printed, l, p, t):
-        o = SdpOutcome(l=l, p=p)
-        try:
-            engine = hazard_bound(o, model, t)
-        except OutOfRegimeError:
+        engine = bound_at(SdpOutcome(l=l, p=p), model, t)
+        if engine.regime is Regime.OUT_OF_REGIME:
             return False
         assert engine.bound == pytest.approx(printed, rel=1e-12)
         return True
@@ -197,10 +201,8 @@ class TestHazardWrappersMatchPrintedForms:
 
 class TestReliabilityWrappersMatchPrintedForms:
     def _assert_match(self, model, printed, l, p, t):
-        o = SdpOutcome(l=l, p=p)
-        try:
-            engine = reliability_bound(o, model, t)
-        except OutOfRegimeError:
+        engine = bound_at(SdpOutcome(l=l, p=p), model, t, BoundKind.RELIABILITY)
+        if engine.regime is Regime.OUT_OF_REGIME:
             return False
         assert engine.bound == pytest.approx(printed, rel=1e-12)
         return True
@@ -263,7 +265,7 @@ class TestInjectedVariant:
         o = injected(50, 0.1, 1.0, 0.5)
         model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
         with pytest.raises(NumericOverflowError, match=rf"Thm4 \(as-published\) .* t = {t!r}") as info:
-            reliability_bound(o, model, t, corrected=False)
+            bound_at(o, model, t, BoundKind.RELIABILITY, corrected=False)
         assert isinstance(info.value, OverflowError) and isinstance(info.value, SdpFeasError)
 
     @pytest.mark.parametrize("t", [2.64, 2.65])
@@ -272,7 +274,7 @@ class TestInjectedVariant:
         # the log bound, about -mu/2, is
         o = injected(50, 0.1, 1.0, 0.5)
         model = HazardModel(HazardFamily.WEIBULL, K=2.0, m=0.5)
-        r = reliability_bound(o, model, t, corrected=False)
+        r = bound_at(o, model, t, BoundKind.RELIABILITY, corrected=False)
         assert r.mu > 1e156 and r.bound == 0.0 and r.regime is Regime.VALID
         d = r.mu - r.threshold
         assert r.log_bound == pytest.approx(-0.5 * d * (d / r.mu), rel=1e-15)
@@ -292,7 +294,7 @@ class TestInjectedVariant:
     def test_frozen_example(self):
         o = injected(10, 0.5, 2.0, 1.0)
         model = HazardModel(HazardFamily.WEIBULL, K=6.0, m=1.0)
-        r = hazard_bound(o, model, 3.0)
+        r = bound_at(o, model, 3.0)
         assert r.mu == pytest.approx(30.0)
         assert r.threshold == pytest.approx(18.0)
         assert r.bound == pytest.approx(math.exp(-2.4), rel=1e-12)
@@ -304,9 +306,8 @@ class TestInjectedVariant:
                 for K, m in ((0.2, 0.5), (0.9, 0.0)):
                     o = injected(l, p, K_hat, m_hat)
                     model = HazardModel(HazardFamily.WEIBULL, K=K, m=m)
-                    try:
-                        engine = hazard_bound(o, model, t)
-                    except OutOfRegimeError:
+                    engine = bound_at(o, model, t)
+                    if engine.regime is Regime.OUT_OF_REGIME:
                         continue
                     printed = ref.thm3_injected_hazard(l, p, K_hat, m_hat, K, m, t)
                     assert engine.bound == pytest.approx(printed, rel=1e-12)
@@ -316,16 +317,15 @@ class TestInjectedVariant:
     def test_unit_injection_reduces_to_plain_hazard_bound(self):
         model = HazardModel(HazardFamily.WEIBULL, K=0.4, m=0.5)
         for l, p, t in _tuples():
-            try:
-                plain = hazard_bound(SdpOutcome(l=l, p=p), model, t)
-                unit = hazard_bound(injected(l, p, 1.0, 0.0), model, t)
-            except OutOfRegimeError:
+            plain = bound_at(SdpOutcome(l=l, p=p), model, t)
+            unit = bound_at(injected(l, p, 1.0, 0.0), model, t)
+            if Regime.OUT_OF_REGIME in (plain.regime, unit.regime):
                 continue
             assert unit.bound == pytest.approx(plain.bound, rel=1e-12)
 
     def test_non_weibull_model_rejected(self):
         with pytest.raises(InvalidInputError):
-            hazard_bound(injected(10, 0.5, 1.0, 0.0), HazardModel(HazardFamily.CONSTANT, lam=1.0), 1.0)
+            bound_at(injected(10, 0.5, 1.0, 0.0), HazardModel(HazardFamily.CONSTANT, lam=1.0), 1.0)
 
     def test_reliability_corrected_matches_printed_form(self):
         hits = 0
@@ -334,8 +334,10 @@ class TestInjectedVariant:
                 o = injected(l, p, 0.5, 0.0)
                 model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
                 try:
-                    engine = reliability_bound(o, model, t, corrected=corrected)
-                except (OutOfRegimeError, OverflowError):
+                    engine = bound_at(o, model, t, BoundKind.RELIABILITY, corrected)
+                except OverflowError:
+                    continue
+                if engine.regime is Regime.OUT_OF_REGIME:
                     continue
                 printed = ref.thm4_injected_reliability(l, p, 0.5, 0.0, 0.02, 0.0, t, corrected)
                 assert engine.bound == pytest.approx(printed, rel=1e-12)
@@ -345,22 +347,22 @@ class TestInjectedVariant:
     def test_sign_mode_recorded(self):
         o = injected(10, 0.5, 1.0, 0.0)
         model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
-        assert reliability_bound(o, model, 1.0, corrected=True).sign_mode == "corrected"
-        assert reliability_bound(o, model, 1.0, corrected=False).sign_mode == "as-published"
+        assert bound_at(o, model, 1.0, BoundKind.RELIABILITY, corrected=True).sign_mode == "corrected"
+        assert bound_at(o, model, 1.0, BoundKind.RELIABILITY, corrected=False).sign_mode == "as-published"
 
     def test_corrected_frozen_value(self):
         # mu = exp(5(e^-1 - 1)) = 0.0424002..., threshold 0.02: same
         # arithmetic as the plain constant-rate reliability example
         o = injected(10, 0.5, 1.0, 0.0)
         model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
-        r = reliability_bound(o, model, 1.0, corrected=True)
+        r = bound_at(o, model, 1.0, BoundKind.RELIABILITY, corrected=True)
         assert r.mu == pytest.approx(0.042400174798661226, rel=1e-12)
         assert r.bound == pytest.approx(0.9941004221733092, rel=1e-12)
 
     def test_as_published_astronomically_small(self):
         o = injected(10, 0.5, 1.0, 0.0)
         model = HazardModel(HazardFamily.WEIBULL, K=0.02, m=0.0)
-        r = reliability_bound(o, model, 1.0, corrected=False)
+        r = bound_at(o, model, 1.0, BoundKind.RELIABILITY, corrected=False)
         assert r.mu == pytest.approx(math.exp(5.0 * (math.e - 1.0)), rel=1e-12)
         assert r.log_bound == pytest.approx(-((r.mu - 0.02) ** 2) / (2 * r.mu), rel=1e-12)
         assert r.bound < 1e-300  # ~exp(-mu/2) at mu ~ 5385
@@ -382,9 +384,6 @@ def scalar_entry(outcome, model, t, kind, corrected):
         threshold = hazard_at(model, t) if hazard else reliability_tail_threshold(model, t)
         row = chernoff_lower_tail(mu, threshold)
         return dataclasses.replace(row, theorem_tag=tag, t=t, sign_mode=sign_mode)
-    except OutOfRegimeError as err:
-        out = Regime.OUT_OF_REGIME
-        return BoundResult(tag, err.mu, err.threshold, err.delta, None, None, out, t, sign_mode)
     except OverflowError as exc:
         form = tag if sign_mode is None else f"{tag} ({sign_mode})"
         raise NumericOverflowError(f"{form} overflows a 64-bit float at t = {t!r}") from exc
@@ -496,7 +495,7 @@ class TestSweep:
 
 
 class TestNumbersAndFlagsFromPython:
-    """The named bounds and the sweep read a time, a grid value and
+    """The sweep, one point or many, reads a time, a grid value and
     ``corrected`` as a scenario file's are read: never coerced."""
 
     OUTCOME = injected(50, 0.1, 1.0, 0.5)
@@ -523,21 +522,21 @@ class TestNumbersAndFlagsFromPython:
     @pytest.mark.parametrize("t", ["1", True, None])
     def test_time_that_is_not_a_number_is_a_parse_error(self, t):
         for evaluate in (
-            lambda: hazard_bound(self.OUTCOME, self.MODEL, t),
-            lambda: reliability_bound(self.OUTCOME, self.MODEL, t),
-            lambda: hazard_bound(SdpOutcome(l=10, p=0.5), self.MODEL, t),
+            lambda: bound_at(self.OUTCOME, self.MODEL, t),
+            lambda: bound_at(self.OUTCOME, self.MODEL, t, BoundKind.RELIABILITY),
+            lambda: bound_at(SdpOutcome(l=10, p=0.5), self.MODEL, t),
         ):
-            with pytest.raises(ParseError, match=f"^time must be a number, got {t!r}$"):
+            with pytest.raises(ParseError, match=f"^time grid value must be a number, got {t!r}$"):
                 evaluate()
 
     def test_integer_time_is_a_time(self):
-        assert hazard_bound(self.OUTCOME, self.MODEL, 1).bound == hazard_bound(self.OUTCOME, self.MODEL, 1.0).bound
+        assert bound_at(self.OUTCOME, self.MODEL, 1) == bound_at(self.OUTCOME, self.MODEL, 1.0)
 
     @pytest.mark.parametrize("corrected", ["no", None, 0, 1])
     def test_corrected_that_is_not_a_boolean_is_a_parse_error(self, corrected):
         for evaluate in (
-            lambda: reliability_bound(self.OUTCOME, self.MODEL, 1.0, corrected),
-            lambda: bound_sweep(self.OUTCOME, self.MODEL, [1.0], BoundKind.RELIABILITY, corrected),
+            lambda: bound_at(self.OUTCOME, self.MODEL, 1.0, BoundKind.RELIABILITY, corrected),
+            lambda: bound_sweep(self.OUTCOME, self.MODEL, [1.0, 2.0], BoundKind.RELIABILITY, corrected),
             lambda: bound_sweep(SdpOutcome(l=10, p=0.5), self.MODEL, [1.0], BoundKind.HAZARD, corrected),
         ):
             with pytest.raises(ParseError, match=f"^corrected must be true or false, got {corrected!r}$"):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import strict_json
+from conftest import bound_at, strict_json
 from sdpfeas import InvalidInputError
 from sdpfeas import oracle as oracle_module
 from sdpfeas import report as report_module
@@ -272,7 +272,7 @@ class TestSweep:
     def test_csv_floats_round_trip_exactly(self, run, tmp_path):
         config = write_scenario(tmp_path, self.li_scenario())
         _, out, _ = run(["sweep", "--config", config], expect=EXIT_OK)
-        from sdpfeas import HazardFamily, HazardModel, SdpOutcome, hazard_bound
+        from sdpfeas import HazardFamily, HazardModel, SdpOutcome
 
         model = HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0)
         outcome = SdpOutcome(l=100, p=0.05)
@@ -280,7 +280,7 @@ class TestSweep:
             t = float(row["t"])
             if row["regime"] != "valid":
                 continue
-            expected = hazard_bound(outcome, model, t)
+            expected = bound_at(outcome, model, t)
             assert float(row["bound"]) == expected.bound  # bit-exact, not approx
             assert float(row["mu"]) == expected.mu
             assert float(row["delta"]) == expected.delta
@@ -783,12 +783,11 @@ class TestNumericLimits:
         rows = out.splitlines()[1:]
         assert len(rows) == 4 and rows[0].endswith(",,out-of-regime")
         assert [row.split(",", 1)[1] for row in rows[1:]] == ["Cor10,0,2,-inf,,out-of-regime"] * 3
-        # the named bound raises it, with the row's delta
-        from sdpfeas import HazardFamily, HazardModel, OutOfRegimeError, SdpOutcome, reliability_bound
+        # a one-point sweep gives the same row, with its delta
+        from sdpfeas import HazardFamily, HazardModel, Regime, SdpOutcome
 
-        with pytest.raises(OutOfRegimeError) as info:
-            reliability_bound(SdpOutcome(l=2000, p=0.5), HazardModel(HazardFamily.CONSTANT, lam=2.0), 4.0)
-        assert (info.value.mu, info.value.delta) == (0.0, -math.inf)
+        row = bound_at(SdpOutcome(l=2000, p=0.5), HazardModel(HazardFamily.CONSTANT, lam=2.0), 4.0, "reliability")
+        assert (row.regime, row.mu, row.delta, row.bound) == (Regime.OUT_OF_REGIME, 0.0, -math.inf, None)
 
     def test_underflowed_injected_mean_is_out_of_regime(self, run, tmp_path):
         # the Thm3 mean l*p*K_hat*t**m_hat = 50 * 1e-330 underflows to 0.0

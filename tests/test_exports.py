@@ -47,10 +47,10 @@ def test_star_import(name):
 PACKAGE_EXPORTS = [
     "AssumptionViolationError", "BinomialWindow", "BoundKind", "BoundResult", "ConfusionMatrix", "DomainError",
     "FeasibilityReport", "HazardFamily", "HazardModel", "InvalidInputError", "NumericOverflowError",
-    "OutOfRegimeError", "ParseError", "Regime", "ScenarioConfig", "SdpFeasError", "SdpOutcome", "TailEstimate",
+    "ParseError", "Regime", "ScenarioConfig", "SdpFeasError", "SdpOutcome", "TailEstimate",
     "TailMethod", "VerificationRecord", "bound_sweep", "build_report", "chernoff_lower_tail",
-    "confusion_from_records", "cumulative_hazard", "false_omission_rate", "hazard_at", "hazard_bound",
-    "model_from_descriptor", "outcome_from_descriptor", "reliability_at", "reliability_bound",
+    "confusion_from_records", "cumulative_hazard", "false_omission_rate", "hazard_at",
+    "model_from_descriptor", "outcome_from_descriptor", "reliability_at",
     "reliability_tail_threshold", "run_sweep", "sweep_to_csv", "verify_bound",
 ]
 
@@ -77,7 +77,7 @@ class TestPackageExports:
         "name",
         [
             "frobnicate", "expected_hazard_x", "expected_hazard", "expected_reliability_bound", "indented_json",
-            "OutOfRegime", "binomial_window",
+            "OutOfRegime", "binomial_window", "hazard_bound", "reliability_bound", "OutOfRegimeError",
         ],
     )
     def test_unknown_name_raises_attribute_error(self, name):
@@ -85,7 +85,13 @@ class TestPackageExports:
             getattr(sdpfeas, name)
 
 
-@pytest.mark.parametrize("module, name", [("oracle", "binomial_window"), ("bounds", "SWEEP_COLUMNS"), ("errors", "read_string")])
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("oracle", "binomial_window"), ("bounds", "SWEEP_COLUMNS"), ("errors", "read_string"),
+        ("bounds", "_bound"), ("bounds", "_one"), ("bounds", "_in_regime"), ("errors", "OutOfRegimeError"),
+    ],
+)
 def test_retired_module_name_is_gone(module, name):
     assert not hasattr(importlib.import_module(f"sdpfeas.{module}"), name)
 
@@ -300,7 +306,7 @@ def f(row, method):
 #: verification record
 HOT_PATHS = [
     ("bounds.py", ["_kernel"]),
-    ("bounds.py", ["_bound"]),
+    ("bounds.py", ["bound_sweep"]),
     ("bounds.py", ["BoundResult", "to_dict"]),
     ("oracle.py", ["TailEstimate", "__post_init__"]),
     ("oracle.py", ["BinomialWindow", "exact_tail"]),

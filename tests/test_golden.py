@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import strict_json
+from conftest import bound_at, strict_json
 from sdpfeas import (
     BinomialWindow,
     BoundKind,
@@ -36,16 +36,15 @@ from sdpfeas import (
     cumulative_hazard,
     false_omission_rate,
     hazard_at,
-    hazard_bound,
     model_from_descriptor,
     reliability_at,
-    reliability_bound,
     reliability_tail_threshold,
     verify_bound,
 )
 from sdpfeas.bounds import FORMS, _form
+from sdpfeas.errors import indented_json
 from sdpfeas.hazards import FAMILIES
-from sdpfeas.report import ScenarioConfig, build_report, run_sweep, sweep_to_csv
+from sdpfeas.report import FeasibilityReport, ScenarioConfig, build_report, run_sweep, sweep_to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,6 +132,7 @@ VERIFY_Y = {
 
 W = HazardFamily.WEIBULL
 LD = HazardFamily.LINEAR_DECREASING
+R = BoundKind.RELIABILITY
 X_OUT = SdpOutcome(l=100, p=0.05)
 Y_OUT = SdpOutcome(l=100, p=0.05, injection=HazardModel(HazardFamily.WEIBULL, K=1.0, m=0.5))
 
@@ -140,6 +140,13 @@ Y_OUT = SdpOutcome(l=100, p=0.05, injection=HazardModel(HazardFamily.WEIBULL, K=
 def verify_tail(*args, **kwargs):
     """verify_bound of the kernel at (10, 2) against TailEstimate(*args, **kwargs)."""
     return verify_bound(chernoff_lower_tail(10.0, 2.0), TailEstimate(*args, **kwargs))
+
+
+def verify_row(bound, log_bound):
+    """verify_bound of a hand-built in-regime row with this bound and log
+    bound against an exact tail of 0.1."""
+    row = BoundResult("Thm1", 5.0, 2.0, 0.6, bound, log_bound, Regime.VALID, 1.0)
+    return verify_bound(row, TailEstimate(0.1, TailMethod.EXACT))
 
 
 #: name -> thunk; the golden records the exception each one raises
@@ -186,10 +193,10 @@ ERROR_CASES = {
     "threshold product overflows": lambda: reliability_tail_threshold(
         HazardModel(HazardFamily.NONLINEAR_INCREASING, K=1e300), 1e10
     ),
-    "X reliability at t=0": lambda: reliability_bound(X_OUT, HazardModel(W, K=1.0, m=1.0), 0.0),
-    "X reliability beyond ld domain": lambda: reliability_bound(X_OUT, HazardModel(LD, K=3.0, m=1.5), 2.5),
-    "Y hazard on ld": lambda: hazard_bound(Y_OUT, HazardModel(LD, K=3.0, m=1.5), 1.0),
-    "Y reliability on constant": lambda: reliability_bound(Y_OUT, HazardModel(HazardFamily.CONSTANT, lam=1.0), 1.0),
+    "X reliability at t=0": lambda: bound_at(X_OUT, HazardModel(W, K=1.0, m=1.0), 0.0, R),
+    "X reliability beyond ld domain": lambda: bound_at(X_OUT, HazardModel(LD, K=3.0, m=1.5), 2.5, R),
+    "Y hazard on ld": lambda: bound_at(Y_OUT, HazardModel(LD, K=3.0, m=1.5), 1.0),
+    "Y reliability on constant": lambda: bound_at(Y_OUT, HazardModel(HazardFamily.CONSTANT, lam=1.0), 1.0, R),
     "scenario X on Y outcome": lambda: ScenarioConfig.from_descriptor(dict(SWEEPS["y-corrected"], variant="X")),
     "scenario Y on X outcome": lambda: ScenarioConfig.from_descriptor(dict(SWEEPS["weibull"], variant="Y")),
     "sweep bad kind": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], kind="bogus"),
@@ -202,7 +209,7 @@ ERROR_CASES = {
     "weibull m inf": lambda: HazardModel(W, K=1.0, m=math.inf),
     "family bogus": lambda: HazardModel("bogus", K=1.0),
     "family by value": lambda: HazardModel("li", K=1.0),
-    "Y hazard on li by value": lambda: hazard_bound(Y_OUT, HazardModel("li", K=1.0), 1.0),
+    "Y hazard on li by value": lambda: bound_at(Y_OUT, HazardModel("li", K=1.0), 1.0),
     # a number or flag given from Python is read as a descriptor's is
     "sweep grid string": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), ["2"]),
     "sweep grid bool": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [True]),
@@ -210,7 +217,7 @@ ERROR_CASES = {
     "sweep corrected string": lambda: bound_sweep(
         Y_OUT, HazardModel(W, K=2.0, m=0.5), [1.0], kind=BoundKind.RELIABILITY, corrected="no"
     ),
-    "hazard bound t bool": lambda: hazard_bound(X_OUT, HazardModel(W, K=1.0, m=1.0), True),
+    "hazard bound t bool": lambda: bound_at(X_OUT, HazardModel(W, K=1.0, m=1.0), True),
     "kernel mu bool": lambda: chernoff_lower_tail(True, 0.0),
     "kernel mu string": lambda: chernoff_lower_tail("5", "2"),
     "exact tail bool": lambda: BinomialWindow(10, 0.5).exact_tail(True),
@@ -222,7 +229,7 @@ ERROR_CASES = {
     # a parameter the family does not take, and an object of the wrong type
     "weibull lambda unused": lambda: HazardModel(W, K=1.0, m=1.0, lam="junk"),
     "li m unused": lambda: HazardModel("li", K=1.0, m=2.0),
-    "verify float oracle": lambda: verify_bound(hazard_bound(X_OUT, HazardModel(W, K=1.0, m=1.0), 1.0), 0.1),
+    "verify float oracle": lambda: verify_bound(bound_at(X_OUT, HazardModel(W, K=1.0, m=1.0), 1.0), 0.1),
     "scenario string outcome": lambda: build_report(ScenarioConfig("x", HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"])),
     "scenario dict model": lambda: build_report(
         ScenarioConfig(X_OUT, {"family": "weibull", "K": 1.0, "m": 1.0}, [1.0], ["hazard"])
@@ -238,8 +245,8 @@ ERROR_CASES = {
         BinomialWindow(100, 0.05).exact_tail(6.0),
     ),
     # an object only Python hands in, of the wrong type
-    "hazard bound None outcome": lambda: hazard_bound(None, HazardModel(W, K=1.0, m=1.0), 1.0),
-    "reliability bound string model": lambda: reliability_bound(X_OUT, "weibull", 1.0),
+    "hazard bound None outcome": lambda: bound_at(None, HazardModel(W, K=1.0, m=1.0), 1.0),
+    "reliability bound string model": lambda: bound_at(X_OUT, "weibull", 1.0, R),
     "sweep string model": lambda: bound_sweep(X_OUT, "li", [1.0]),
     "sweep dict outcome": lambda: bound_sweep({"l": 100, "p": 0.05}, HazardModel(W, K=1.0, m=1.0), [1.0]),
     "hazard at None model": lambda: hazard_at(None, 1.0),
@@ -277,6 +284,23 @@ ERROR_CASES = {
         ]
     ),
     "csv tag int": lambda: sweep_to_csv([BoundResult(1, 5.0, 2.0, 0.6, 0.4, -0.9, Regime.VALID, 1.0)]),
+    # a bound that is not a probability, and a number JSON cannot hold
+    "verify row bound nan": lambda: verify_row(math.nan, math.nan),
+    "verify row bound above 1": lambda: verify_row(1.5, -0.9),
+    "verify row bound negative": lambda: verify_row(-0.1, -0.9),
+    "verify row log bound nan": lambda: verify_row(0.4, math.nan),
+    "verify row log bound positive": lambda: verify_row(0.4, 0.5),
+    "json nan": lambda: indented_json({"rows": [{"bound": math.nan}]}),
+    "json infinity": lambda: indented_json([1.0, math.inf]),
+    "report row mu nan": lambda: FeasibilityReport(
+        {}, [BoundResult("Thm1", math.nan, 2.0, 0.6, None, None, Regime.OUT_OF_REGIME, 1.0)], [], 0.05, ""
+    ).to_json(),
+    # a regime that is not a Regime member
+    "verify row regime string": lambda: verify_bound(
+        BoundResult("Thm1", 5.0, 6.0, -0.2, None, None, "out-of-regime", 1.0), TailEstimate(0.1, TailMethod.EXACT)
+    ),
+    "row to_dict regime string": lambda: BoundResult("Thm1", 5.0, 2.0, 0.6, 0.4, -0.9, "valid", 1.0).to_dict(),
+    "csv row regime string": lambda: sweep_to_csv([BoundResult("Thm1", 5.0, 6.0, -0.2, None, None, "out-of-regime", 1.0)]),
 }
 
 

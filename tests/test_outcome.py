@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_formulas as ref
+from conftest import bound_at
 from sdpfeas import (
     BoundKind,
     DomainError,
@@ -17,9 +18,7 @@ from sdpfeas import (
     SdpOutcome,
     bound_sweep,
     hazard_at,
-    hazard_bound,
     outcome_from_descriptor,
-    reliability_bound,
 )
 
 
@@ -58,8 +57,12 @@ class TestExpectedHazard:
         assert hazard_mu(injected(10, 0.5, 2.0, -0.5), 4.0) == pytest.approx(5.0, rel=1e-12)
 
     def test_y_singular_time(self):
+        # the injected hazard is singular at 0, and a bound's time grid is > 0
+        outcome = injected(10, 0.5, 2.0, -0.5)
         with pytest.raises(DomainError):
-            hazard_bound(injected(10, 0.5, 2.0, -0.5), UNIT, 0.0)
+            hazard_at(outcome.injection, 0.0)
+        with pytest.raises(InvalidInputError, match="^time grid values must be > 0$"):
+            bound_at(outcome, UNIT, 0.0)
 
     @given(
         l=st.integers(1, 5000),
@@ -88,8 +91,8 @@ class TestExpectedReliabilityBound:
         assert value == pytest.approx(math.exp(-5.0), rel=1e-9)
 
     def test_nonpositive_time_rejected(self):
-        with pytest.raises(DomainError):
-            reliability_bound(SdpOutcome(l=100, p=0.05), UNIT, 0.0)
+        with pytest.raises(InvalidInputError, match="^time grid values must be > 0$"):
+            bound_at(SdpOutcome(l=100, p=0.05), UNIT, 0.0, BoundKind.RELIABILITY)
 
     @given(
         l=st.integers(1, 2000),

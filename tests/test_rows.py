@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sdpfeas.bounds import BoundResult, Regime
 from sdpfeas.oracle import BinomialWindow, TailEstimate, TailMethod, VerificationRecord, verify_bound
-from sdpfeas.errors import indented_json
+from sdpfeas.errors import InvalidInputError, indented_json
 from sdpfeas.report import sweep_to_csv
 
 MU = 0.1 + 0.2  # 0.30000000000000004: needs all 17 digits
@@ -206,8 +206,8 @@ class TestSweepCsv:
 
 
 #: JSON trees as json.dumps takes them: non-ASCII, escaped and control
-#: characters, every float json writes (NaN, +-inf, -0.0), ints past 64
-#: bits, non-string keys, tuples, and empty and nested-empty containers
+#: characters, -0.0 and the floats JSON cannot hold (NaN, +-inf), ints past
+#: 64 bits, non-string keys, tuples, and empty and nested-empty containers
 SCALARS = (
     st.none()
     | st.booleans()
@@ -233,7 +233,14 @@ class TestIndentedJson:
     @settings(max_examples=200, deadline=None)
     @given(TREES)
     def test_equals_json_dumps_indent_2(self, tree):
-        assert indented_json(tree) == json.dumps(tree, indent=2)
+        # with allow_nan=False: a NaN or infinite float, value or key, has no JSON form
+        try:
+            expected = json.dumps(tree, indent=2, allow_nan=False)
+        except ValueError:
+            with pytest.raises(InvalidInputError, match="^output has no JSON form"):
+                indented_json(tree)
+        else:
+            assert indented_json(tree) == expected
 
     @pytest.mark.parametrize(
         "tree",
