@@ -36,7 +36,7 @@ from operator import attrgetter
 
 from .errors import InvalidInputError, NumericOverflowError, ParseError, read_boolean, read_choice, read_instance
 from .errors import read_number, read_real
-from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel, check_time, hazard_at
+from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel, check_time
 from .outcome import SdpOutcome
 
 __all__ = [
@@ -164,18 +164,19 @@ def _reliability_mean(exponent: Callable[[HazardModel | None, float], float]):
 
 
 #: (variant, kind, sign mode) -> the printed form. The hazard means are l*p
-#: (X) and l*p*Khat*t**mhat (Y); the reliability means bound the expected
-#: reliability E[exp(-X*t)] by exp(l*p*(exp(-t) - 1)), strictly inside (0, 1),
-#: and E[exp(-Y*t)] by Thm4. The published Thm4 uses exp(+Khat*t^(mhat+1))
-#: inside the outer exponent, which contradicts the per-module reliability
-#: exp(-Y*t) and can exceed 1; the corrected form flips that inner sign; only
-#: it is consistent with simulation. Both are kept, clearly labelled.
+#: (X) and l*p*(Khat*t**mhat) (Y), the injection's closed form, as in Thm4;
+#: the reliability means bound the expected reliability E[exp(-X*t)] by
+#: exp(l*p*(exp(-t) - 1)), strictly inside (0, 1), and E[exp(-Y*t)] by Thm4.
+#: The published Thm4 uses exp(+Khat*t^(mhat+1)) inside the outer exponent,
+#: which contradicts the per-module reliability exp(-Y*t) and can exceed 1;
+#: the corrected form flips that inner sign; only it is consistent with
+#: simulation. Both are kept, clearly labelled.
 FORMS = {
     ("X", BoundKind.HAZARD, None): BoundForm(attrgetter("hazard_tag"), lambda lp, injection, t: lp, "z"),
     ("X", BoundKind.RELIABILITY, None): BoundForm(
         attrgetter("reliability_tag"), _reliability_mean(lambda injection, t: -t), "H_over_t"
     ),
-    ("Y", BoundKind.HAZARD, None): BoundForm(lambda spec: "Thm3", lambda lp, injection, t: lp * hazard_at(injection, t), "z"),
+    ("Y", BoundKind.HAZARD, None): BoundForm(lambda spec: "Thm3", lambda lp, injection, t: lp * (injection.K * t**injection.m), "z"),
     ("Y", BoundKind.RELIABILITY, "corrected"): BoundForm(
         lambda spec: "Thm4", _reliability_mean(lambda injection, t: -injection.K * t ** (injection.m + 1)), "H_over_t"
     ),
@@ -204,13 +205,13 @@ def bound_sweep(
     """The ``FORMS`` row of (outcome, kind, corrected) over a time grid,
     in one pass; the bound at one t is ``bound_sweep(..., [t], ...)[0]``.
 
-    The grid must be an iterable of numbers, non-empty, strictly
+    The grid must be an iterable of finite numbers, non-empty, strictly
     increasing and positive. Each point costs one mean, one threshold and
     one kernel call, and makes one row in grid order, out of regime too (a
     mean that underflowed to 0.0 included). The first point whose mean or
-    threshold fails raises, mean first: a time not finite or past ld's
-    domain raises DomainError, and an overflow (the as-published Thm4 at
-    moderate t, for one) NumericOverflowError naming the bound and t.
+    threshold fails raises, mean first: a time past ld's domain raises
+    DomainError, and an overflow (the as-published Thm4 at moderate t, for
+    one) NumericOverflowError naming the bound and t.
     """
     try:
         points = iter(grid)
@@ -219,9 +220,12 @@ def bound_sweep(
     grid = [t if type(t) is float else read_number(t, "time grid value") for t in points]
     if not grid:
         raise InvalidInputError("time grid is empty")
-    if any(t <= 0 for t in grid):
-        raise InvalidInputError("time grid values must be > 0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    # increasing from > 0 to finite holds no NaN or inf; a value not finite is refused first
+    if not (0 < grid[0] and grid[-1] <= sys.float_info.max and all(a < b for a, b in zip(grid, grid[1:]))):
+        for t in grid:
+            read_number(t, "time grid value")
+        if any(t <= 0 for t in grid):
+            raise InvalidInputError("time grid values must be > 0")
         raise InvalidInputError("time grid must be strictly increasing")
     kind = read_choice(kind, "bound kind", BoundKind)
     read_instance(outcome, "outcome", SdpOutcome, "an SdpOutcome")
@@ -235,15 +239,14 @@ def bound_sweep(
     sign_mode, form = _form(outcome, kind, corrected)
     tag, mean, threshold = form.tag(spec), form.mean, getattr(spec, form.threshold)
     mean_failures, injection = outcome.mean_failures, outcome.injection
-    # every t is a float > 0; check_time names one past ld's K/m, the float
-    # range or NaN, which the grid checks let through as floats
-    end = min(spec.max_time(model), sys.float_info.max)
+    # every t is a finite float > 0; check_time names one past ld's K/m
+    end = spec.max_time(model)
     entries: list[BoundResult] = []
     append, isfinite = entries.append, math.isfinite
     try:
         for t in grid:
             mu = mean(mean_failures, injection, t)
-            if not t <= end:
+            if t > end:
                 check_time(model, spec, t, positive=False)
             z = threshold(model, t)
             # a product such as l*p*Khat*t**mhat or K*t**m overflows to inf

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from . import __version__ as _version
 from .bounds import _OUT_OF_REGIME, BoundKind, BoundResult, Regime, bound_sweep
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_instance, read_integer
-from .errors import NumericOverflowError, read_json, read_list, read_number, read_object
-from .hazards import HazardModel, hazard_at, model_from_descriptor
+from .errors import read_json, read_list, read_number, read_object
+from .hazards import HazardModel, model_from_descriptor
 from .oracle import _KEYS, MAX_TRIALS, BinomialWindow, VerificationRecord, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
 
@@ -192,42 +192,30 @@ def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardMo
     float, the event {X = 0}, where the threshold underflowed to 0.0 at a t
     below the family's max_time; at max_time a 0.0 is ld's true zero.
 
-    A Y row's count is ``threshold / scale``, with the injected hazard at
-    the row's t as the scale, or the integer k >= 1 it lies within 4 ulp of.
-    The division can land an ulp above an integer k that is exact in
-    real arithmetic, and the strict '<' of Pr[X < count] would then take
-    in Pr[X = k]. The threshold and the scale are positive and finite in
-    real arithmetic; where either underflowed to 0.0 or the scale
-    overflowed, the count comes from the logs of its closed form,
-    log K - log Khat + (m - mhat)*log t, less log1p(m) for Thm4, whose
-    threshold is H/t = z/(m + 1). Where the count overflows, it lies beyond
-    every count and the count threshold is the largest float: the event is
-    certain. Where the count underflows to 0.0 or lies within 4 ulp of 0,
-    it stays positive, at least the smallest float: the event is {X = 0}.
+    A Y row's count is the closed form of z(t)/zhat(t), (K/Khat)*t**(m -
+    mhat), over m + 1 for Thm4 (whose threshold is H/t = z/(m + 1)): one
+    power, so where m = mhat it is K/Khat correctly rounded. Where K/Khat
+    or the power leaves the float range and the product is not in (0, inf),
+    it comes from the logs, log K - log Khat + (m - mhat)*log t, less
+    log1p(m) for Thm4. A count past the float range is the largest float,
+    the event certain; one that underflows to 0.0 is the smallest float,
+    the event {X = 0}.
     """
     threshold = entry.threshold
     if injection is None:
         return math.ulp(0.0) if threshold == 0 and entry.t < model.max_time else threshold
+    K, m, t, thm4 = model.K, model.m, entry.t, entry.theorem_tag == "Thm4"
     try:
-        scale = hazard_at(injection, entry.t)
-    except NumericOverflowError:
-        scale = math.inf
-    if threshold > 0 and 0 < scale < math.inf:
-        count = threshold / scale
-    else:
-        log_count = math.log(model.K) - math.log(injection.K) + (model.m - injection.m) * math.log(entry.t)
-        if entry.theorem_tag == "Thm4":
-            log_count -= math.log1p(model.m)
+        count = K / injection.K * t ** (m - injection.m) / (m + 1 if thm4 else 1.0)
+    except OverflowError:
+        count = math.inf
+    if not 0 < count < math.inf:
+        log_count = math.log(K) - math.log(injection.K) + (m - injection.m) * math.log(t)
         try:
-            count = math.exp(log_count)
+            count = math.exp(log_count - math.log1p(m) if thm4 else log_count)
         except OverflowError:
             count = math.inf
-    if not math.isfinite(count):
-        return sys.float_info.max
-    k = float(round(count))
-    if k >= 1 and abs(count - k) <= 4 * math.ulp(count):
-        return k
-    return max(count, math.ulp(0.0))
+    return min(max(count, math.ulp(0.0)), sys.float_info.max)
 
 
 def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> list[VerificationRecord]:
@@ -235,7 +223,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> 
 
     Every bound in the engine is a lower-tail statement about the
     underlying count X (reliability events transform to X < H(t)/t, and
-    Y = scale * X at fixed t), so one binomial query covers both kinds of
+    Y = zhat(t) * X at fixed t), so one binomial query covers both kinds of
     either variant: ``_count_threshold`` maps each row to its count, and
     one oracle answers every row at that count.
     """
@@ -336,10 +324,11 @@ def build_report(config: ScenarioConfig) -> FeasibilityReport:
 def sweep_to_csv(entries: Sequence[BoundResult]) -> str:
     """Serialize sweep rows to the CSV contract ``_CSV_HEADER`` with
     17-significant-digit numbers (round-trip exact), one format per row
-    from its regime's template. A row the template cannot write, such as
-    the kernel's, which has no t, one whose regime is not a ``Regime``
-    member, or one whose theorem tag is not a string free of commas, quotes
-    and line breaks, raises InvalidInputError."""
+    from its regime's template. A row the template cannot write raises
+    InvalidInputError: the kernel's, which has no t, one whose regime is not
+    a ``Regime`` member, whose theorem tag is not a string free of commas,
+    quotes and line breaks, or that holds NaN or, but in delta (an
+    underflowed mean's is -inf), an infinity, which JSON cannot hold."""
     lines = [_CSV_HEADER]
     # a sweep's rows share one tag object per kind: a tag is checked where it changes
     checked = ""
@@ -358,4 +347,12 @@ def sweep_to_csv(entries: Sequence[BoundResult]) -> str:
         raise InvalidInputError(f"sweep row {len(lines) - 1} has no CSV form: {exc}") from None
     # the final newline joined in, so the text is built once and not copied
     lines.append("")
-    return "\n".join(lines)
+    text = "\n".join(lines)
+    # past the header only nan, inf and a hand-built tag hold an "n": read the rows again only then
+    if text.find("n", len(_CSV_HEADER)) >= 0:
+        for index, line in enumerate(lines[1:-1]):
+            t, _, mu, threshold, delta, bound, _ = line.split(",")
+            for name, value in (("t", t), ("mu", mu), ("threshold", threshold), ("delta", delta), ("bound", bound)):
+                if value == "nan" or value.endswith("inf") and name != "delta":
+                    raise InvalidInputError(f"sweep row {index} has no CSV form: {name} is {value}")
+    return text

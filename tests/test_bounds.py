@@ -393,7 +393,7 @@ def scalar_entry(outcome, model, t, kind, corrected):
 def sweep_cases(draw):
     """(outcome, model, grid, kind, corrected). One injected (Y) outcome in
     ten draws its model from every family, so a Y bound meets non-weibull
-    models; one grid in ten ends at inf, outside every domain."""
+    models; one grid in ten ends at inf, which no grid may hold."""
     kind, injected = draw(st.sampled_from(list(BoundKind))), draw(st.booleans())
     if injected and draw(st.sampled_from([True] * 9 + [False])):
         family = HazardFamily.WEIBULL
@@ -423,6 +423,12 @@ class TestSweep:
     @given(case=sweep_cases())
     def test_matches_scalar_composition(self, case):
         outcome, model, grid, kind, corrected = case
+        if math.inf in grid:
+            # a grid value that is not finite is refused as an unread one is,
+            # ahead of every point's own checks
+            with pytest.raises(ParseError, match=r"^time grid value must be a finite number, got inf$"):
+                bound_sweep(outcome, model, grid, kind=kind, corrected=corrected)
+            return
         try:
             expected = [scalar_entry(outcome, model, t, kind, corrected) for t in grid]
         except SdpFeasError as exc:
@@ -512,12 +518,19 @@ class TestNumbersAndFlagsFromPython:
         )
 
     @pytest.mark.parametrize(
-        "value", ["2", True, None, Decimal("2"), Fraction(1, 2), 2**1024],
-        ids=["string", "bool", "None", "Decimal", "Fraction", "2**1024"],
+        "value", ["2", True, None, Decimal("2"), Fraction(1, 2), 2**1024, math.inf, -math.inf, math.nan],
+        ids=["string", "bool", "None", "Decimal", "Fraction", "2**1024", "inf", "-inf", "nan"],
     )
     def test_grid_value_that_is_not_a_finite_number_is_a_parse_error(self, value):
         with pytest.raises(ParseError, match="^time grid value must be a"):
             bound_sweep(self.OUTCOME, self.MODEL, [value])
+
+    @pytest.mark.parametrize(
+        "grid", [[1.0, math.nan, math.nan], [-1.0, math.inf], [0.0, 1.0, math.nan], np.array([1.0, np.inf])]
+    )
+    def test_grid_value_not_finite_is_refused_ahead_of_order_and_sign(self, grid):
+        with pytest.raises(ParseError, match="^time grid value must be a finite number, got "):
+            bound_sweep(self.OUTCOME, self.MODEL, grid)
 
     @pytest.mark.parametrize("t", ["1", True, None])
     def test_time_that_is_not_a_number_is_a_parse_error(self, t):

@@ -11,15 +11,17 @@ import random
 import subprocess
 import sys
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from conftest import bound_at, strict_json
-from sdpfeas import InvalidInputError
+from sdpfeas import BoundResult, HazardFamily, HazardModel, InvalidInputError, Regime
 from sdpfeas import oracle as oracle_module
 from sdpfeas import report as report_module
 from sdpfeas.cli import (
@@ -474,8 +476,9 @@ class TestVerify:
         assert draws == [4000]
 
     def test_y_count_threshold_on_the_lattice(self, run, tmp_path):
-        # the Thm3 count threshold is 6 in exact arithmetic at every t, but
-        # threshold / scale rounds to 6 +- 1 ulp at some 280 of these points
+        # the Thm3 count threshold is 6 in exact arithmetic at every t; the
+        # quotient of the two rounded hazards K*t**m / (K_hat*t**m_hat)
+        # would round to 6 +- 1 ulp at some 280 of these points
         scenario = {
             "outcome": {"l": 200, "p": 0.05, "injection": {"K_hat": 1.0, "m_hat": 0.5}},
             "model": {"family": "weibull", "K": 6.0, "m": 0.5},
@@ -490,6 +493,60 @@ class TestVerify:
         assert len(records) == 2000
         assert {r["event"].split(": ", 1)[1] for r in records} == {"Pr[X < 6.0], X ~ Binomial(l=200, p=0.05)"}
         assert len({r["oracle"] for r in records}) == 1
+
+    def test_y_count_threshold_just_above_the_lattice(self, run, tmp_path):
+        # K / K_hat = 6 / (1 - 2**-53) is 6 + 6.7e-16, so the event is
+        # {X <= 6}: the count is that ratio correctly rounded, one ulp above 6
+        scenario = {
+            "outcome": {"l": 200, "p": 0.05, "injection": {"K_hat": 1 - 2**-53, "m_hat": 0.5}},
+            "model": {"family": "weibull", "K": 6.0, "m": 0.5},
+            "time_grid": {"t": 1.0},
+            "variant": "Y",
+            "verify": {"exact": True},
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["verify", "--config", config], expect=EXIT_OK)
+        (record,) = json.loads(out)["verification"]
+        assert record["event"].split(": ", 1)[1] == "Pr[X < 6.000000000000001], X ~ Binomial(l=200, p=0.05)"
+        assert record["oracle"] == pytest.approx(binom.cdf(6, 200, 0.05), rel=1e-9)
+        assert round(record["oracle"], 4) == 0.1237
+
+    def test_y_count_threshold_from_logs_where_the_power_overflows(self, run, tmp_path):
+        # the count (K/K_hat)*t**(m - m_hat) = 2.5e-310 * (1e155)**2 is 2.5,
+        # but the power t**2 overflows, so it comes from the logs; the event
+        # is {X <= 2}, and the bound, about exp(-8.9e222), fails against it
+        scenario = {
+            "outcome": {"l": 200, "p": 0.05, "injection": {"K_hat": 1e300, "m_hat": -0.5}},
+            "model": {"family": "weibull", "K": 2.5e-10, "m": 1.5},
+            "time_grid": {"t": 1e155},
+            "variant": "Y",
+            "verify": {"exact": True},
+        }
+        config = write_scenario(tmp_path, scenario)
+        _, out, _ = run(["verify", "--config", config], expect=EXIT_VERIFICATION)
+        (record,) = strict_json(out)["verification"]
+        event = record["event"].split(": ", 1)[1]
+        assert event.startswith("Pr[X < 2.49999999999") and event.endswith("], X ~ Binomial(l=200, p=0.05)")
+        assert float(event[len("Pr[X < "):].split("]")[0]) == pytest.approx(2.5, rel=1e-12)
+        assert record["oracle"] == pytest.approx(binom.cdf(2, 200, 0.05), rel=1e-9)
+        assert round(record["oracle"], 6) == 0.002336
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        K=st.floats(1e-100, 1e100),
+        K_hat=st.floats(1e-100, 1e100),
+        m=st.floats(-0.99, 10.0),
+        t=st.floats(1e-3, 1e3),
+    )
+    def test_y_count_threshold_is_the_ratio_where_m_is_m_hat(self, K, K_hat, m, t):
+        # the count is K/K_hat * t**0.0, and t**0.0 is exactly 1, so it is
+        # the exact rational K/K_hat correctly rounded, whatever the two
+        # rounded hazards K*t**m and K_hat*t**m give as a quotient
+        model = HazardModel(HazardFamily.WEIBULL, K=K, m=m)
+        injection = HazardModel(HazardFamily.WEIBULL, K=K_hat, m=m)
+        mu, threshold = 10.0 * K_hat * t**m, K * t**m
+        row = BoundResult("Thm3", mu, threshold, 1.0 - threshold / mu, None, None, Regime.OUT_OF_REGIME, t)
+        assert report_module._count_threshold(row, model, injection) == float(Fraction(K) / Fraction(K_hat))
 
     def test_verdict_ranges(self, run, tmp_path):
         scenario = {

@@ -9,6 +9,9 @@ Regenerate the files under ``tests/golden/`` (only when a change of output
 is intended, and say so in CHANGES.md) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the files whose bytes differ and prints
+``changed <name>`` for each.
 """
 
 import decimal
@@ -301,6 +304,22 @@ ERROR_CASES = {
     ),
     "row to_dict regime string": lambda: BoundResult("Thm1", 5.0, 2.0, 0.6, 0.4, -0.9, "valid", 1.0).to_dict(),
     "csv row regime string": lambda: sweep_to_csv([BoundResult("Thm1", 5.0, 6.0, -0.2, None, None, "out-of-regime", 1.0)]),
+    # a grid value that is not finite, refused as an unread one is
+    "sweep grid inf": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [math.inf]),
+    "sweep grid nan": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [math.nan]),
+    "sweep grid trailing nans": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0, math.nan, math.nan]),
+    "sweep grid -inf": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [-math.inf]),
+    # a hand-built row with a number neither the CSV nor JSON holds
+    "csv row bound nan": lambda: sweep_to_csv(
+        [
+            *bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0]),
+            BoundResult("Thm1", 5.0, 2.0, 0.6, math.nan, -0.9, Regime.VALID, 2.0),
+        ]
+    ),
+    "csv row mu nan": lambda: sweep_to_csv([BoundResult("Thm1", math.nan, 2.0, 0.6, None, None, Regime.OUT_OF_REGIME, 1.0)]),
+    "csv row threshold inf": lambda: sweep_to_csv(
+        [BoundResult("Thm1", 5.0, math.inf, -math.inf, None, None, Regime.OUT_OF_REGIME, 1.0)]
+    ),
 }
 
 
@@ -401,12 +420,16 @@ def test_goldens_cover_every_regime_and_sign_mode():
 if __name__ == "__main__":
     from test_demos import DEMOS, demo_golden, run_demo
 
+    def write(path: Path, data: bytes) -> None:
+        """Write ``data`` to ``path`` only where its bytes differ."""
+        if not path.exists() or path.read_bytes() != data:
+            path.write_bytes(data)
+            print(f"changed {path.name}")
+
     GOLDEN.mkdir(exist_ok=True)
     for name, thunk in OUTPUTS.items():
-        (GOLDEN / name).write_text(thunk())
-        print(f"wrote {GOLDEN / name}")
+        write(GOLDEN / name, thunk().encode())
     for demo in DEMOS:
         result = run_demo(demo)
         result.check_returncode()
-        demo_golden(demo).write_bytes(result.stdout)
-        print(f"wrote {demo_golden(demo)}")
+        write(demo_golden(demo), result.stdout)

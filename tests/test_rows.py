@@ -204,6 +204,27 @@ class TestSweepCsv:
     def test_header_only_when_empty(self):
         assert sweep_to_csv([]) == self.HEADER
 
+    def test_underflowed_mean_writes_delta_minus_inf(self):
+        # a mean that underflowed to 0.0 is below every threshold: its delta
+        # is -inf, the one infinity the CSV writes
+        row = BoundResult("Thm2", 0.0, 0.5, -math.inf, None, None, Regime.OUT_OF_REGIME, 3.0)
+        assert sweep_to_csv([self.VALID, row]).endswith("\n3,Thm2,0,0.5,-inf,,out-of-regime\n")
+
+    def test_tag_with_an_n_is_written(self):
+        # the scan for nan and inf also finds the n of a tag, whose row then holds neither
+        row = BoundResult("Chernoff", MU, 0.1, 1 - 0.1 / MU, math.exp(LOG_BOUND), LOG_BOUND, Regime.VALID, 1.25)
+        assert sweep_to_csv([row]) == sweep_to_csv([self.VALID]).replace("Thm1", "Chernoff")
+
+    @pytest.mark.parametrize("field", ["t", "mu", "threshold", "delta", "bound"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_number_json_cannot_hold_is_refused(self, field, value):
+        row = dataclasses.replace(self.VALID, **{field: value})
+        if field == "delta" and math.isinf(value):
+            assert f",{value}," in sweep_to_csv([self.TRIVIAL, row])
+            return
+        with pytest.raises(InvalidInputError, match=f"^sweep row 1 has no CSV form: {field} is {value}$"):
+            sweep_to_csv([self.TRIVIAL, row])
+
 
 #: JSON trees as json.dumps takes them: non-ASCII, escaped and control
 #: characters, -0.0 and the floats JSON cannot hold (NaN, +-inf), ints past
