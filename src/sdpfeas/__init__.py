@@ -31,11 +31,7 @@ _EXPORTS = {
     "hazards": (
         "HazardFamily",
         "HazardModel",
-        "cumulative_hazard",
-        "hazard_at",
         "model_from_descriptor",
-        "reliability_at",
-        "reliability_tail_threshold",
     ),
     "oracle": ("BinomialWindow", "TailEstimate", "TailMethod", "VerificationRecord", "verify_bound"),
     "outcome": ("SdpOutcome", "outcome_from_descriptor"),

@@ -34,9 +34,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import InvalidInputError, NumericOverflowError, ParseError, read_boolean, read_choice, read_instance
-from .errors import read_number, read_real
-from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel, check_time
+from .errors import DomainError, InvalidInputError, NumericOverflowError, ParseError, read_boolean, read_choice
+from .errors import read_instance, read_number, read_real
+from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel
 from .outcome import SdpOutcome
 
 __all__ = [
@@ -239,7 +239,7 @@ def bound_sweep(
     sign_mode, form = _form(outcome, kind, corrected)
     tag, mean, threshold = form.tag(spec), form.mean, getattr(spec, form.threshold)
     mean_failures, injection = outcome.mean_failures, outcome.injection
-    # every t is a finite float > 0; check_time names one past ld's K/m
+    # every t is a finite float > 0, and only ld's domain ends, at K/m
     end = spec.max_time(model)
     entries: list[BoundResult] = []
     append, isfinite = entries.append, math.isfinite
@@ -247,7 +247,7 @@ def bound_sweep(
         for t in grid:
             mu = mean(mean_failures, injection, t)
             if t > end:
-                check_time(model, spec, t, positive=False)
+                raise DomainError(f"ld hazard is negative beyond t = K/m = {end!r}; got t = {t!r}")
             z = threshold(model, t)
             # a product such as l*p*Khat*t**mhat or K*t**m overflows to inf
             if not (isfinite(mu) and isfinite(z)):

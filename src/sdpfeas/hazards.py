@@ -14,15 +14,14 @@ Reliability is R(t) = exp(-H(t)) with H(t) the cumulative hazard
 (integral of z over [0, t]); every family has a closed form for H. The
 ratio H(t)/t is the threshold at which a reliability comparison between
 two systems reduces to a hazard-level comparison, and is what the bound
-engine consumes.
+engine consumes; R(t) is exp(-t * H(t)/t).
 
 Each family is one row of ``FAMILIES``: its parameters, the closed forms
-of z, H and H/t, its time domain and its theorem tags. Nothing else in
-the package branches on the family, so a new family is one new row.
-
-The evaluators take a time in the family's domain (DomainError otherwise)
-and return a finite float: where a closed form passes the float range they
-raise NumericOverflowError naming the family and t.
+of z and H/t, its time domain and its theorem tags. Nothing else in the
+package branches on the family, so a new family is one new row.
+``bounds.bound_sweep`` is the one evaluator of the table: a closed form
+at one t is the ``threshold`` of a one-point sweep, of the hazard kind
+for z and of the reliability kind for H/t.
 """
 
 from __future__ import annotations
@@ -32,16 +31,11 @@ import math
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from .errors import DomainError, InvalidInputError, NumericOverflowError, ParseError
-from .errors import read_choice, read_instance, read_number, read_object
+from .errors import InvalidInputError, ParseError, read_choice, read_number, read_object
 
 __all__ = [
     "HazardFamily",
     "HazardModel",
-    "hazard_at",
-    "cumulative_hazard",
-    "reliability_at",
-    "reliability_tail_threshold",
     "model_from_descriptor",
 ]
 
@@ -93,17 +87,15 @@ class HazardModel:
 class FamilySpec:
     """One family: its theorem tags, its descriptor fields (each with the
     exclusive lower bound its value must exceed and the rule as printed in
-    errors), the closed forms z(t), H(t) and H(t)/t, the end of its time
-    domain and whether z is singular at t = 0."""
+    errors), the closed forms z(t) and H(t)/t, which take a time inside the
+    domain and check none, and the end of its time domain."""
 
     hazard_tag: str
     reliability_tag: str
     params: tuple[tuple[str, float, str], ...]
     z: Callable[[HazardModel, float], float]
-    H: Callable[[HazardModel, float], float]
     H_over_t: Callable[[HazardModel, float], float]
     max_time: Callable[[HazardModel], float] = lambda model: math.inf
-    singular_at_zero: Callable[[HazardModel], bool] = lambda model: False
 
 
 #: descriptor field -> HazardModel attribute
@@ -114,104 +106,35 @@ FAMILIES = {
     HazardFamily.WEIBULL: FamilySpec(
         hazard_tag="Thm1", reliability_tag="Thm2", params=(_K, ("m", -1.0, "m > -1")),
         z=lambda model, t: model.K * t**model.m,
-        H=lambda model, t: model.K * t ** (model.m + 1) / (model.m + 1),
         H_over_t=lambda model, t: model.K * t**model.m / (model.m + 1),
-        singular_at_zero=lambda model: model.m < 0,
     ),
     HazardFamily.NONLINEAR_DECREASING: FamilySpec(
         hazard_tag="Cor1", reliability_tag="Cor2", params=(_K,),
         z=lambda model, t: model.K / math.sqrt(t),
-        H=lambda model, t: 2.0 * model.K * math.sqrt(t),
         H_over_t=lambda model, t: 2.0 * model.K / math.sqrt(t),
-        singular_at_zero=lambda model: True,
     ),
     HazardFamily.LINEAR_DECREASING: FamilySpec(
         hazard_tag="Cor3", reliability_tag="Cor4", params=(_K, ("m", 0.0, "slope m > 0")),
         z=lambda model, t: model.K - model.m * t,
-        H=lambda model, t: model.K * t - model.m * t**2 / 2.0,
         H_over_t=lambda model, t: model.K - model.m * t / 2.0,
         max_time=lambda model: model.K / model.m,
     ),
     HazardFamily.NONLINEAR_INCREASING: FamilySpec(
         hazard_tag="Cor5", reliability_tag="Cor6", params=(_K,),
         z=lambda model, t: model.K * t**2,
-        H=lambda model, t: model.K * t**3 / 3.0,
         H_over_t=lambda model, t: model.K * t**2 / 3.0,
     ),
     HazardFamily.LINEAR_INCREASING: FamilySpec(
         hazard_tag="Cor7", reliability_tag="Cor8", params=(_K,),
         z=lambda model, t: model.K * t,
-        H=lambda model, t: model.K * t**2 / 2.0,
         H_over_t=lambda model, t: model.K * t / 2.0,
     ),
     HazardFamily.CONSTANT: FamilySpec(
         hazard_tag="Cor9", reliability_tag="Cor10", params=(("lambda", 0.0, "lambda > 0"),),
         z=lambda model, t: model.lam,
-        H=lambda model, t: model.lam * t,
         H_over_t=lambda model, t: model.lam,
     ),
 }
-
-
-def _spec(model: HazardModel) -> FamilySpec:
-    """The ``FAMILIES`` row of ``model``, which must be a HazardModel."""
-    return FAMILIES[read_instance(model, "model", HazardModel, "a HazardModel").family]
-
-
-def check_time(model: HazardModel, spec: FamilySpec, t: float, positive: bool) -> None:
-    if not math.isfinite(t if type(t) is float else read_number(t, "time")):
-        raise DomainError(f"time must be finite, got {t!r}")
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t!r}")
-    if positive and t == 0:
-        raise DomainError(f"{model.family.value} evaluation requires t > 0")
-    end = spec.max_time(model)
-    if t > end:
-        raise DomainError(f"ld hazard is negative beyond t = K/m = {end!r}; got t = {t!r}")
-
-
-def _evaluate(model: HazardModel, closed_form: Callable[[HazardModel, float], float], t: float, name: str) -> float:
-    """closed_form(model, t), or NumericOverflowError naming the family and
-    t where it passes the float range: a pow raises, a product is inf."""
-    try:
-        value = closed_form(model, t)
-        if math.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    raise NumericOverflowError(f"{model.family.value} {name} overflows a 64-bit float at t = {t!r}")
-
-
-def hazard_at(model: HazardModel, t: float) -> float:
-    """Instantaneous hazard rate z(t)."""
-    spec = _spec(model)
-    check_time(model, spec, t, positive=t == 0 and spec.singular_at_zero(model))
-    return _evaluate(model, spec.z, t, "hazard z(t)")
-
-
-def cumulative_hazard(model: HazardModel, t: float) -> float:
-    """Accumulated hazard H(t) = integral of z over [0, t], in closed form.
-
-    Defined at t = 0 (where it is 0) even for families whose hazard is
-    singular there, because the singularity is integrable.
-    """
-    spec = _spec(model)
-    check_time(model, spec, t, positive=False)
-    return _evaluate(model, spec.H, t, "cumulative hazard H(t)")
-
-
-def reliability_at(model: HazardModel, t: float) -> float:
-    """Survival probability R(t) = exp(-H(t)); R(0) = 1."""
-    return math.exp(-cumulative_hazard(model, t))
-
-
-def reliability_tail_threshold(model: HazardModel, t: float) -> float:
-    """c(t) = H(t)/t, the hazard-level threshold equivalent to a reliability
-    comparison at time t (see ``FAMILIES`` for the closed form per family).
-    """
-    spec = _spec(model)
-    check_time(model, spec, t, positive=True)
-    return _evaluate(model, spec.H_over_t, t, "threshold H(t)/t")
 
 
 def model_from_descriptor(payload: dict) -> HazardModel:

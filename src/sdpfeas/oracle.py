@@ -320,7 +320,7 @@ class BinomialWindow:
         with no draw formed.
 
         The estimates share one sample, so they are perfectly correlated: a
-        3-sigma test of each record is not a test of the whole campaign.
+        z = 3 test of each record is not a test of the whole campaign.
         """
         if not 1 <= read_integer(trials, "trials") <= MAX_TRIALS:
             raise InvalidInputError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
@@ -356,7 +356,7 @@ class VerificationRecord:
     ratio: float
     seed: int | None = None
     #: MC only: the point estimate alone exceeds the bound even though the
-    #: 3-sigma test passed
+    #: Wilson lower limit at z = 3 lies below it
     advisory: bool = False
 
     def to_dict(self) -> dict:
@@ -381,9 +381,10 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
     """Check the strict inequality oracle < bound, in log space so that
     the verdict holds where the bound or the oracle underflows to 0.0.
 
-    Exact oracles are compared directly; MC oracles pass when the point
-    estimate minus three standard errors stays below the bound, with an
-    advisory flag when the point estimate alone does not. The row's
+    Exact oracles are compared directly; MC oracles pass when Wilson's
+    score lower limit at z = 3 (Wilson 1927) stays below the bound, with an
+    advisory flag when the point estimate alone does not. An estimate of 0
+    passes, and one of 1 from n trials is tested at n/(n + 9). The row's
     bound must lie in [0, 1] and its log bound be <= 0, so never NaN.
     """
     if not isinstance(bound, BoundResult):
@@ -409,8 +410,13 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
     if oracle.method is _EXACT:
         holds = below
     else:
-        lower = oracle.value - 3.0 * oracle.stderr
-        holds = lower <= 0 or math.log(lower) < bound.log_bound
+        # Wilson's score lower limit at z = 3, which unlike the estimate
+        # less 3 stderr stays below an estimate of 1, where the stderr is 0.
+        # At an estimate of 0 the limit is 0, but the float expression can
+        # round to a tiny positive number, which an underflowed bound fails
+        value, n = oracle.value, oracle.trials
+        lower = (value + 4.5 / n - 3.0 * math.sqrt(value * (1.0 - value) / n + 2.25 / n / n)) / (1.0 + 9.0 / n)
+        holds = value == 0 or lower <= 0 or math.log(lower) < bound.log_bound
         advisory = holds and not below
     try:  # an underflowed bound or oracle takes the ratio from the logs
         if bound.bound > 0 and oracle.value > 0:

@@ -4,7 +4,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from sdpfeas.hazards import HazardFamily, HazardModel, hazard_at
+from sdpfeas.hazards import FAMILIES, HazardFamily, HazardModel
 
 
 def strict_json(text: str):
@@ -18,8 +18,8 @@ def strict_json(text: str):
 
 
 def quadrature_cumulative_hazard(model: HazardModel, t: float) -> float:
-    """Adaptive-quadrature oracle for the cumulative hazard, independent of
-    the closed forms under test.
+    """Adaptive-quadrature oracle for the cumulative hazard: the integral of
+    the family's ``FAMILIES`` z column, independent of its H/t column.
 
     Families with an integrable singularity at 0 (nld, weibull with m < 0)
     are integrated after the substitution x = u**2, which removes the
@@ -27,13 +27,14 @@ def quadrature_cumulative_hazard(model: HazardModel, t: float) -> float:
     """
     if t == 0:
         return 0.0
+    z = FAMILIES[model.family].z
     singular = model.family is HazardFamily.NONLINEAR_DECREASING or (
         model.family is HazardFamily.WEIBULL and model.m < 0
     )
     if singular:
-        value, _ = quad(lambda u: hazard_at(model, u * u) * 2 * u, 0.0, math.sqrt(t), limit=200)
+        value, _ = quad(lambda u: z(model, u * u) * 2 * u, 0.0, math.sqrt(t), limit=200)
     else:
-        value, _ = quad(lambda x: hazard_at(model, x), 0.0, t, limit=200)
+        value, _ = quad(lambda x: z(model, x), 0.0, t, limit=200)
     return value
 
 

@@ -28,12 +28,9 @@ from sdpfeas import (
     Regime,
     SdpOutcome,
     chernoff_lower_tail,
-    cumulative_hazard,
-    hazard_at,
-    reliability_at,
-    reliability_tail_threshold,
 )
 from sdpfeas.cli import EXIT_OK, EXIT_OUT_OF_REGIME, main
+from sdpfeas.hazards import FAMILIES
 
 WEIBULL = HazardFamily.WEIBULL
 NLD = HazardFamily.NONLINEAR_DECREASING
@@ -187,7 +184,7 @@ def _y_campaign(models, kind, threshold_to_query):
                         if result.regime is OUT:
                             continue
                         valid += 1
-                        scale = hazard_at(injection, t)
+                        scale = FAMILIES[WEIBULL].z(injection, t)
                         oracle = BinomialWindow(l, p).exact_tail(result.threshold / scale)
                         if not oracle.value < result.bound:
                             violations.append(
@@ -366,6 +363,7 @@ class TestCriterion3:
 class TestCriterion4:
     MODELS = [
         HazardModel(WEIBULL, K=2.0, m=0.5),
+        HazardModel(WEIBULL, K=1.5, m=-0.5),
         HazardModel(NLD, K=1.2),
         HazardModel(LD, K=3.0, m=0.5),
         HazardModel(NLI, K=0.7),
@@ -380,11 +378,11 @@ class TestCriterion4:
             for i in range(1, 101):
                 t = top * i / 100.0
                 expected = math.exp(-quadrature_cumulative_hazard(model, t))
-                err = abs(reliability_at(model, t) - expected)
+                err = abs(math.exp(-t * FAMILIES[model.family].H_over_t(model, t)) - expected)
                 worst = max(worst, err)
                 assert err <= 1e-8
-        _line(4, True, f"6 families x 100-point grids vs numeric integration, "
-                       f"worst |error| = {worst:.2e} <= 1e-8")
+        _line(4, True, f"6 families (7 models) x 100-point grids: exp(-t * H/t) vs numeric "
+                       f"integration of z, worst |error| = {worst:.2e} <= 1e-8")
 
 
 class TestCriterion5:
@@ -527,15 +525,11 @@ class TestCriterion9:
             (HazardModel(CONST, lam=0.7), HazardModel(WEIBULL, K=0.7, m=0.0)),
         ]
         for special, general in pairs:
+            columns, powers = FAMILIES[special.family], FAMILIES[WEIBULL]
             for t in np.linspace(0.1, 6.0, 25):
                 t = float(t)
-                assert hazard_at(special, t) == pytest.approx(hazard_at(general, t), rel=1e-12)
-                assert cumulative_hazard(special, t) == pytest.approx(
-                    cumulative_hazard(general, t), rel=1e-12
-                )
-                assert reliability_tail_threshold(special, t) == pytest.approx(
-                    reliability_tail_threshold(general, t), rel=1e-12
-                )
+                assert columns.z(special, t) == pytest.approx(powers.z(general, t), rel=1e-12)
+                assert columns.H_over_t(special, t) == pytest.approx(powers.H_over_t(general, t), rel=1e-12)
         _line(9, True, "li, nli, nld and constant agree with the m=1, 2, -1/2 and 0 "
                        "power laws at rel 1e-12")
 
@@ -604,7 +598,7 @@ class TestSoundSubdomains:
                     for p in PS:
                         outcome = SdpOutcome(l=l, p=p, injection=injection)
                         for t in T_GRID:
-                            scale = hazard_at(injection, t)
+                            scale = FAMILIES[WEIBULL].z(injection, t)
                             if scale > 1.0:
                                 continue
                             result = bound_at(outcome, model, t)

@@ -13,6 +13,7 @@ from conftest import bound_at
 from sdpfeas import (
     BoundKind,
     BoundResult,
+    DomainError,
     HazardFamily,
     HazardModel,
     InvalidInputError,
@@ -23,8 +24,6 @@ from sdpfeas import (
     SdpOutcome,
     bound_sweep,
     chernoff_lower_tail,
-    hazard_at,
-    reliability_tail_threshold,
     sweep_to_csv,
 )
 from sdpfeas.bounds import _form
@@ -370,7 +369,8 @@ class TestInjectedVariant:
 
 def scalar_entry(outcome, model, t, kind, corrected):
     """One sweep entry composed per point: the mean of the outcome's
-    ``FORMS`` row, the family threshold and the kernel at t alone."""
+    ``FORMS`` row, the family's ``FAMILIES`` column inside its domain and
+    the kernel at t alone."""
     hazard, injected = kind is BoundKind.HAZARD, outcome.injection is not None
     if injected and model.family is not HazardFamily.WEIBULL:
         raise InvalidInputError(
@@ -381,7 +381,11 @@ def scalar_entry(outcome, model, t, kind, corrected):
     sign_mode = ("corrected" if corrected else "as-published") if injected and not hazard else None
     try:
         mu = _form(outcome, kind, corrected)[1].mean(outcome.mean_failures, outcome.injection, t)
-        threshold = hazard_at(model, t) if hazard else reliability_tail_threshold(model, t)
+        if t > model.max_time:
+            raise DomainError(f"ld hazard is negative beyond t = K/m = {model.max_time!r}; got t = {t!r}")
+        threshold = (spec.z if hazard else spec.H_over_t)(model, t)
+        if not math.isfinite(threshold):
+            raise OverflowError
         row = chernoff_lower_tail(mu, threshold)
         return dataclasses.replace(row, theorem_tag=tag, t=t, sign_mode=sign_mode)
     except OverflowError as exc:

@@ -366,6 +366,28 @@ class TestVerify:
         assert report["summary"]["all_hold"] is False
         assert any(not r["holds"] for r in report["verification"])
 
+    def test_mc_estimate_of_one_passes_a_sound_bound(self, run, tmp_path):
+        # Cor7 at t = 1: the exact tail Pr[X < 0.001] = 0.999**100 = 0.9048
+        # lies below the bound 0.9522. All 10 trials hit under 39 of these
+        # seeds, and an estimate of 1 has stderr 0, so the estimate less
+        # 3 stderr fails there; Wilson's lower limit, 10/19, holds
+        scenario = {
+            "outcome": {"l": 100, "p": 0.001},
+            "model": {"family": "li", "K": 0.001},
+            "time_grid": {"t": 1.0},
+            "kinds": ["hazard"],
+            "verify": {"exact": True, "mc_trials": 10},
+        }
+        config = write_scenario(tmp_path, scenario)
+        certain = 0
+        for seed in range(100):
+            _, out, _ = run(["verify", "--config", config, "--seed", str(seed)], expect=EXIT_OK)
+            exact, mc = strict_json(out)["verification"]
+            assert (exact["oracle"], exact["bound"]) == (pytest.approx(0.999**100), pytest.approx(0.95224, rel=1e-4))
+            assert exact["holds"] and mc["holds"]
+            certain += mc["oracle"] == 1.0
+        assert certain == 39
+
     def test_deterministic_apart_from_timestamp(self, run, tmp_path):
         config = write_scenario(tmp_path, DESK_SCENARIO)
         _, out1, _ = run(["verify", "--config", config], expect=EXIT_OK)

@@ -12,6 +12,7 @@ functions that run once per sweep row, oracle estimate or verification
 record read no enum member through its class."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import sys
@@ -49,9 +50,8 @@ PACKAGE_EXPORTS = [
     "FeasibilityReport", "HazardFamily", "HazardModel", "InvalidInputError", "NumericOverflowError",
     "ParseError", "Regime", "ScenarioConfig", "SdpFeasError", "SdpOutcome", "TailEstimate",
     "TailMethod", "VerificationRecord", "bound_sweep", "build_report", "chernoff_lower_tail",
-    "confusion_from_records", "cumulative_hazard", "false_omission_rate", "hazard_at",
-    "model_from_descriptor", "outcome_from_descriptor", "reliability_at",
-    "reliability_tail_threshold", "run_sweep", "sweep_to_csv", "verify_bound",
+    "confusion_from_records", "false_omission_rate", "model_from_descriptor", "outcome_from_descriptor",
+    "run_sweep", "sweep_to_csv", "verify_bound",
 ]
 
 
@@ -78,6 +78,7 @@ class TestPackageExports:
         [
             "frobnicate", "expected_hazard_x", "expected_hazard", "expected_reliability_bound", "indented_json",
             "OutOfRegime", "binomial_window", "hazard_bound", "reliability_bound", "OutOfRegimeError",
+            "hazard_at", "cumulative_hazard", "reliability_at", "reliability_tail_threshold",
         ],
     )
     def test_unknown_name_raises_attribute_error(self, name):
@@ -90,10 +91,20 @@ class TestPackageExports:
     [
         ("oracle", "binomial_window"), ("bounds", "SWEEP_COLUMNS"), ("errors", "read_string"),
         ("bounds", "_bound"), ("bounds", "_one"), ("bounds", "_in_regime"), ("errors", "OutOfRegimeError"),
+        ("hazards", "hazard_at"), ("hazards", "cumulative_hazard"), ("hazards", "reliability_at"),
+        ("hazards", "reliability_tail_threshold"), ("hazards", "check_time"), ("hazards", "_spec"),
+        ("hazards", "_evaluate"),
     ],
 )
 def test_retired_module_name_is_gone(module, name):
     assert not hasattr(importlib.import_module(f"sdpfeas.{module}"), name)
+
+
+def test_family_table_holds_only_the_columns_the_engine_reads():
+    from sdpfeas.hazards import FamilySpec
+
+    names = {field.name for field in dataclasses.fields(FamilySpec)}
+    assert names == {"hazard_tag", "reliability_tag", "params", "z", "H_over_t", "max_time"}
 
 
 def imported_modules(node) -> list:
@@ -152,7 +163,7 @@ from .report import run_sweep
 from . import oracle, errors
 from .confusion import records_from_csv
 import sdpfeas.bounds
-from sdpfeas.hazards import hazard_at
+from sdpfeas.hazards import FAMILIES
 from .reporting import x
 def cmd():
     from .outcome import SdpOutcome

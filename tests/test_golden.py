@@ -36,12 +36,8 @@ from sdpfeas import (
     TailMethod,
     bound_sweep,
     chernoff_lower_tail,
-    cumulative_hazard,
     false_omission_rate,
-    hazard_at,
     model_from_descriptor,
-    reliability_at,
-    reliability_tail_threshold,
     verify_bound,
 )
 from sdpfeas.bounds import FORMS, _form
@@ -172,30 +168,17 @@ ERROR_CASES = {
     "descriptor extra": lambda: model_from_descriptor({"family": "li", "K": 1, "m": 2}),
     "descriptor lambda extra": lambda: model_from_descriptor({"family": "constant", "lambda": 1, "K": 1}),
     "descriptor weibull both missing": lambda: model_from_descriptor({"family": "weibull"}),
-    "hazard beyond ld domain": lambda: hazard_at(HazardModel(LD, K=3.0, m=1.5), 2.5),
-    "cumulative beyond ld domain": lambda: cumulative_hazard(HazardModel(LD, K=3.0, m=1.5), 2.5),
-    "threshold beyond ld domain": lambda: reliability_tail_threshold(HazardModel(LD, K=3.0, m=1.5), 2.5),
-    "nld hazard at 0": lambda: hazard_at(HazardModel(HazardFamily.NONLINEAR_DECREASING, K=1.0), 0.0),
-    "weibull m<0 hazard at 0": lambda: hazard_at(HazardModel(W, K=1.0, m=-0.5), 0.0),
-    "weibull m>0 hazard at 0": lambda: hazard_at(HazardModel(W, K=1.0, m=0.5), 0.0),
-    "li threshold at 0": lambda: reliability_tail_threshold(HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0), 0.0),
-    "nld cumulative at 0": lambda: cumulative_hazard(HazardModel(HazardFamily.NONLINEAR_DECREASING, K=1.0), 0.0),
-    "negative time": lambda: hazard_at(HazardModel(W, K=1.0, m=1.0), -1.0),
-    "infinite time": lambda: cumulative_hazard(HazardModel(HazardFamily.CONSTANT, lam=1.0), math.inf),
-    "nan time": lambda: reliability_tail_threshold(HazardModel(HazardFamily.CONSTANT, lam=1.0), math.nan),
+    "X hazard beyond ld domain": lambda: bound_at(X_OUT, HazardModel(LD, K=3.0, m=1.5), 2.5),
     # a closed form past the float range: a pow (t**4) raises, a product (K*t**2) is inf
-    "hazard pow overflows": lambda: hazard_at(HazardModel(W, K=1.0, m=4.0), 1e100),
-    "cumulative pow overflows": lambda: cumulative_hazard(HazardModel(W, K=1.0, m=4.0), 1e100),
-    "reliability pow overflows": lambda: reliability_at(HazardModel(W, K=1.0, m=4.0), 1e100),
-    "threshold pow overflows": lambda: reliability_tail_threshold(HazardModel(W, K=1.0, m=4.0), 1e100),
-    "hazard product overflows": lambda: hazard_at(HazardModel(HazardFamily.NONLINEAR_INCREASING, K=1e300), 1e10),
-    "cumulative product overflows": lambda: cumulative_hazard(
-        HazardModel(HazardFamily.NONLINEAR_INCREASING, K=1e300), 1e10
+    "X hazard pow overflows": lambda: bound_at(X_OUT, HazardModel(W, K=1.0, m=4.0), 1e100),
+    "X hazard product overflows": lambda: bound_at(X_OUT, HazardModel(HazardFamily.NONLINEAR_INCREASING, K=1e300), 1e10),
+    "X reliability pow overflows": lambda: bound_at(X_OUT, HazardModel(W, K=1.0, m=4.0), 1e100, R),
+    "X reliability product overflows": lambda: bound_at(
+        X_OUT, HazardModel(HazardFamily.NONLINEAR_INCREASING, K=1e300), 1e10, R
     ),
-    "reliability product overflows": lambda: reliability_at(HazardModel(HazardFamily.NONLINEAR_INCREASING, K=1e300), 1e10),
-    "threshold product overflows": lambda: reliability_tail_threshold(
-        HazardModel(HazardFamily.NONLINEAR_INCREASING, K=1e300), 1e10
-    ),
+    # nld's z divides by sqrt(t): the sweep refuses t <= 0 before reading a column
+    "X hazard at t=0": lambda: bound_at(X_OUT, HazardModel(HazardFamily.NONLINEAR_DECREASING, K=1.0), 0.0),
+    "X hazard at negative t": lambda: bound_at(X_OUT, HazardModel(W, K=1.0, m=1.0), -1.0),
     "X reliability at t=0": lambda: bound_at(X_OUT, HazardModel(W, K=1.0, m=1.0), 0.0, R),
     "X reliability beyond ld domain": lambda: bound_at(X_OUT, HazardModel(LD, K=3.0, m=1.5), 2.5, R),
     "Y hazard on ld": lambda: bound_at(Y_OUT, HazardModel(LD, K=3.0, m=1.5), 1.0),
@@ -226,7 +209,6 @@ ERROR_CASES = {
     "exact tail bool": lambda: BinomialWindow(10, 0.5).exact_tail(True),
     "exact tail string": lambda: BinomialWindow(10, 0.5).exact_tail("3"),
     "mc tails string": lambda: BinomialWindow(10, 0.5).mc_tails(["1"], 100, 1),
-    "hazard at string": lambda: hazard_at(HazardModel(W, K=1.0, m=1.0), "1"),
     "scenario no kinds": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], []),
     "scenario duplicate kinds": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard", "hazard"]),
     # a parameter the family does not take, and an object of the wrong type
@@ -252,10 +234,6 @@ ERROR_CASES = {
     "reliability bound string model": lambda: bound_at(X_OUT, "weibull", 1.0, R),
     "sweep string model": lambda: bound_sweep(X_OUT, "li", [1.0]),
     "sweep dict outcome": lambda: bound_sweep({"l": 100, "p": 0.05}, HazardModel(W, K=1.0, m=1.0), [1.0]),
-    "hazard at None model": lambda: hazard_at(None, 1.0),
-    "cumulative dict model": lambda: cumulative_hazard({"family": "li", "K": 1.0}, 1.0),
-    "reliability at string model": lambda: reliability_at("li", 1.0),
-    "threshold None model": lambda: reliability_tail_threshold(None, 1.0),
     "false omission rate tuple": lambda: false_omission_rate((1, 2, 3, 4)),
     "sweep grid None": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), None),
     "scenario grid None": lambda: build_report(ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), None, ["hazard"])),
