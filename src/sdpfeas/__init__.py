@@ -22,7 +22,6 @@ _EXPORTS = {
     "confusion": ("ConfusionMatrix", "confusion_from_records", "false_omission_rate"),
     "errors": (
         "AssumptionViolationError",
-        "DomainError",
         "InvalidInputError",
         "NumericOverflowError",
         "ParseError",

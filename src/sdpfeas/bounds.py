@@ -34,7 +34,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import DomainError, InvalidInputError, NumericOverflowError, ParseError, read_boolean, read_choice
+from .errors import InvalidInputError, NumericOverflowError, ParseError, read_boolean, read_choice
 from .errors import read_instance, read_number, read_real
 from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel
 from .outcome import SdpOutcome
@@ -210,8 +210,8 @@ def bound_sweep(
     one kernel call, and makes one row in grid order, out of regime too (a
     mean that underflowed to 0.0 included). The first point whose mean or
     threshold fails raises, mean first: a time past ld's domain raises
-    DomainError, and an overflow (the as-published Thm4 at moderate t, for
-    one) NumericOverflowError naming the bound and t.
+    InvalidInputError, and an overflow (the as-published Thm4 at moderate
+    t, for one) NumericOverflowError naming the bound and t.
     """
     try:
         points = iter(grid)
@@ -247,7 +247,7 @@ def bound_sweep(
         for t in grid:
             mu = mean(mean_failures, injection, t)
             if t > end:
-                raise DomainError(f"ld hazard is negative beyond t = K/m = {end!r}; got t = {t!r}")
+                raise InvalidInputError(f"ld hazard is negative beyond t = K/m = {end!r}; got t = {t!r}")
             z = threshold(model, t)
             # a product such as l*p*Khat*t**mhat or K*t**m overflows to inf
             if not (isfinite(mu) and isfinite(z)):

@@ -174,16 +174,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.run(args)
-    except AssumptionViolationError as exc:
-        print(
-            f"error: assumption {exc.assumption} violated "
-            f"(at least one false negative and one true negative required): {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_ASSUMPTION
     except SdpFeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_ASSUMPTION if isinstance(exc, AssumptionViolationError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

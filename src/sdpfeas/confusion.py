@@ -79,7 +79,7 @@ def confusion_from_records(records: Iterable[Sequence]) -> ConfusionMatrix:
     actual=defective & predicted=clean counts as a false negative. Labels
     are case-insensitive.
     """
-    tp = fn_ = fp = tn = 0
+    counts = [0, 0, 0, 0]
     for index, record in enumerate(records):
         try:
             actual_raw, predicted_raw = record
@@ -88,17 +88,8 @@ def confusion_from_records(records: Iterable[Sequence]) -> ConfusionMatrix:
                 f"record {index}: expected an (actual, predicted) pair, got {record!r}",
                 index=index,
             ) from None
-        actual = _canonical_label(actual_raw, index)
-        predicted = _canonical_label(predicted_raw, index)
-        if actual == DEFECTIVE and predicted == DEFECTIVE:
-            tp += 1
-        elif actual == DEFECTIVE and predicted == CLEAN:
-            fn_ += 1
-        elif actual == CLEAN and predicted == DEFECTIVE:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, fn_=fn_, fp=fp, tn=tn)
+        counts[_CELLS[_canonical_label(actual_raw, index), _canonical_label(predicted_raw, index)]] += 1
+    return ConfusionMatrix(*counts)
 
 
 def false_omission_rate(matrix: ConfusionMatrix) -> Fraction:

@@ -42,17 +42,14 @@ class AssumptionViolationError(SdpFeasError):
     """A precondition required by the underlying failure model does not hold.
 
     ``assumption`` identifies which modelling assumption was violated,
-    ``detail`` says how (e.g. which confusion-matrix cell is zero).
+    ``detail`` says how (e.g. which confusion-matrix cell is zero); the
+    message reads ``assumption {assumption} violated: {message}``.
     """
 
     def __init__(self, message, assumption, detail=None):
-        super().__init__(message)
+        super().__init__(f"assumption {assumption} violated: {message}")
         self.assumption = assumption
         self.detail = detail
-
-
-class DomainError(SdpFeasError):
-    """Evaluation requested outside a hazard family's valid time domain."""
 
 
 def read_json(text: str):

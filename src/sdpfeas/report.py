@@ -77,17 +77,14 @@ def _build_grid(payload: dict) -> list[float]:
         return [start]
     if not stop > start:
         raise InvalidInputError(f"time_grid requires stop > start, got {start!r}..{stop!r}")
-    # np.linspace(lo, hi, steps) without numpy, bit for bit: where the step
-    # underflows to 0 (a subnormal span), numpy's own fallback. A log grid
-    # is np.geomspace's algorithm on libm: the linspace of the log10 ends,
+    # np.linspace(lo, hi, steps) without numpy, bit for bit, where its step
+    # is not 0: a step that rounds to 0 (a span of at most half an ulp per
+    # interval) repeats a point, which the sweep refuses. A log grid is
+    # np.geomspace's algorithm on libm: the linspace of the log10 ends,
     # each point after the first raised to 10 ** x, the ends pinned.
     lo, hi = (math.log10(start), math.log10(stop)) if spacing == "log" else (start, stop)
-    div, delta = steps - 1, hi - lo
-    step = delta / div
-    if step == 0:
-        grid = [i / div * delta + lo for i in range(div)]
-    else:
-        grid = [i * step + lo for i in range(div)]
+    step = (hi - lo) / (steps - 1)
+    grid = [i * step + lo for i in range(steps - 1)]
     if spacing == "log":
         try:
             grid = [start, *(10.0**x for x in grid[1:])]

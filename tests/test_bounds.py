@@ -13,7 +13,6 @@ from conftest import bound_at
 from sdpfeas import (
     BoundKind,
     BoundResult,
-    DomainError,
     HazardFamily,
     HazardModel,
     InvalidInputError,
@@ -382,7 +381,7 @@ def scalar_entry(outcome, model, t, kind, corrected):
     try:
         mu = _form(outcome, kind, corrected)[1].mean(outcome.mean_failures, outcome.injection, t)
         if t > model.max_time:
-            raise DomainError(f"ld hazard is negative beyond t = K/m = {model.max_time!r}; got t = {t!r}")
+            raise InvalidInputError(f"ld hazard is negative beyond t = K/m = {model.max_time!r}; got t = {t!r}")
         threshold = (spec.z if hazard else spec.H_over_t)(model, t)
         if not math.isfinite(threshold):
             raise OverflowError
@@ -495,6 +494,15 @@ class TestSweep:
                 HazardModel(HazardFamily.CONSTANT, lam=1.0),
                 [1.0, 1.0],
             )
+
+    @pytest.mark.parametrize("kind", list(BoundKind))
+    def test_time_past_ld_domain_is_invalid_input(self, kind):
+        # the points up to K/m = 0.5 are evaluated; the first one past it
+        # raises the one out-of-range type README names
+        model = HazardModel(HazardFamily.LINEAR_DECREASING, K=1.0, m=2.0)
+        assert len(bound_sweep(SdpOutcome(l=100, p=0.05), model, [0.25, 0.5], kind=kind)) == 2
+        with pytest.raises(InvalidInputError, match=r"^ld hazard is negative beyond t = K/m = 0\.5; got t = 0\.75$"):
+            bound_sweep(SdpOutcome(l=100, p=0.05), model, [0.25, 0.5, 0.75, 1.0], kind=kind)
 
     def test_y_variant_dispatch(self):
         o = injected(10, 0.5, 2.0, 1.0)

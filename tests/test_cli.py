@@ -93,11 +93,21 @@ class TestMetrics:
         _, out, _ = run(["metrics", "--records", str(path)], expect=EXIT_OK)
         assert json.loads(out)["p"] == pytest.approx(0.5)
 
-    def test_assumption_violation_exits_2(self, run, tmp_path):
+    @pytest.mark.parametrize(
+        "zero_side, counts",
+        [("fn", '{"tp": 5, "fn": 0, "fp": 2, "tn": 17}'), ("tn", '{"tp": 5, "fn": 3, "fp": 2, "tn": 0}')],
+        ids=["fn", "tn"],
+    )
+    def test_assumption_violation_exits_2(self, run, tmp_path, zero_side, counts):
+        # the error line says which assumption failed once, in the exception's own words
         path = tmp_path / "counts.json"
-        path.write_text('{"tp": 5, "fn": 0, "fp": 2, "tn": 17}')
-        _, _, err = run(["metrics", "--counts", str(path)], expect=EXIT_ASSUMPTION)
-        assert "at least one false negative and one true negative" in err
+        path.write_text(counts)
+        _, out, err = run(["metrics", "--counts", str(path)], expect=EXIT_ASSUMPTION)
+        assert out == ""
+        assert err == (
+            "error: assumption 5 violated: false omission rate needs at least one false negative "
+            f"and one true negative; {zero_side} is zero\n"
+        )
 
     def test_missing_source_is_usage_error(self, run):
         run(["metrics"], expect=EXIT_USAGE)
@@ -732,14 +742,13 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_grid_matches_numpy(self, spacing):
-        # a linear grid is np.linspace bit for bit, the subnormal spans taking
-        # numpy's fallback for a step that is 0; a log grid is np.geomspace's
-        # algorithm on libm, so its inner points may differ from numpy's
-        # log10 and power in the last bits (by hundreds of ulp at ratios
-        # near 1, where the two log10 ends differ by an ulp), its ends and
-        # whether it strictly increases never
-        cases = [(5e-324, 1e-323, 10), (5e-324, 1.5e-323, 1000), (1e-320, 2e-320, 10**6),
-                 (0.25, 3.0, 2), (0.1, 7.3, report_module.MAX_STEPS)]
+        # a linear grid is np.linspace bit for bit where its step is not 0
+        # (see test_zero_step_grid_repeats_a_point); a log grid is
+        # np.geomspace's algorithm on libm, so its inner points may differ
+        # from numpy's log10 and power in the last bits (by hundreds of ulp
+        # at ratios near 1, where the two log10 ends differ by an ulp), its
+        # ends and whether it strictly increases never
+        cases = [(0.25, 3.0, 2), (0.1, 7.3, report_module.MAX_STEPS)]
         rng = random.Random(20260)
         for _ in range(2000):
             start = 10.0 ** rng.uniform(-300, 300)
@@ -760,6 +769,20 @@ class TestMalformedInput:
             if array("d", grid).tobytes() != array("d", expected).tobytes():
                 i = next(i for i, (a, b) in enumerate(zip(grid, expected)) if a.hex() != b.hex())
                 pytest.fail(f"{where}, point {i}: {grid[i].hex()} != {expected[i].hex()}")
+
+    @pytest.mark.parametrize(
+        "start, stop, steps", [(5e-324, 1e-323, 10), (5e-324, 1.5e-323, 1000), (1e-320, 2e-320, 10**6)]
+    )
+    def test_zero_step_grid_repeats_a_point(self, run, tmp_path, start, stop, steps):
+        # a subnormal span of at most half an ulp per interval: its step
+        # rounds to 0, and the grid repeats a point, which the sweep refuses
+        scenario = {
+            "outcome": {"l": 100, "p": 0.05},
+            "model": {"family": "constant", "lambda": 2.0},
+            "time_grid": {"start": start, "stop": stop, "steps": steps},
+        }
+        _, out, err = run(["sweep", "--config", write_scenario(tmp_path, scenario)], expect=EXIT_USAGE)
+        assert (out, err) == ("", "error: time grid must be strictly increasing\n")
 
     def test_unreadable_config_is_an_error_line(self, run, tmp_path):
         path = tmp_path / "scenario.json"

@@ -84,6 +84,24 @@ class TestConfusionFromRecords:
         assert info.value.index == 1
 
 
+#: every (actual, predicted) pair, spelt in mixed case and padded, and the
+#: matrix of three such records, written out
+PAIR_CELLS = [
+    (" Defective", "DEFECTIVE ", ConfusionMatrix(tp=3, fn_=0, fp=0, tn=0)),
+    ("defective\t", " Clean", ConfusionMatrix(tp=0, fn_=3, fp=0, tn=0)),
+    (" CLEAN ", "deFective", ConfusionMatrix(tp=0, fn_=0, fp=3, tn=0)),
+    ("clean", "\tcLEAN ", ConfusionMatrix(tp=0, fn_=0, fp=0, tn=3)),
+]
+
+
+@pytest.mark.parametrize("actual, predicted, matrix", PAIR_CELLS)
+def test_each_pair_counts_in_its_cell(actual, predicted, matrix):
+    # both paths read the one table of cells; a literal matrix keeps a
+    # swapped cell from passing both alike
+    assert confusion_from_records([(actual, predicted)] * 3) == matrix
+    assert records_from_csv("actual,predicted\n" + f"{actual},{predicted}\n" * 3) == matrix
+
+
 class TestFalseOmissionRate:
     def test_desk_example(self):
         p = false_omission_rate(ConfusionMatrix(tp=5, fn_=3, fp=2, tn=17))

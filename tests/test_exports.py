@@ -15,6 +15,7 @@ import ast
 import dataclasses
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -46,7 +47,7 @@ def test_star_import(name):
 
 #: the names the package re-exports, each from the module defining it
 PACKAGE_EXPORTS = [
-    "AssumptionViolationError", "BinomialWindow", "BoundKind", "BoundResult", "ConfusionMatrix", "DomainError",
+    "AssumptionViolationError", "BinomialWindow", "BoundKind", "BoundResult", "ConfusionMatrix",
     "FeasibilityReport", "HazardFamily", "HazardModel", "InvalidInputError", "NumericOverflowError",
     "ParseError", "Regime", "ScenarioConfig", "SdpFeasError", "SdpOutcome", "TailEstimate",
     "TailMethod", "VerificationRecord", "bound_sweep", "build_report", "chernoff_lower_tail",
@@ -68,6 +69,11 @@ class TestPackageExports:
         assert module.__name__.startswith("sdpfeas.")
         assert getattr(module, name) is value is getattr(sdpfeas, name)
 
+    def test_readme_states_the_number_of_names(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        [stated] = re.findall(r"the package resolves its (\d+)\s+re-exported names lazily", readme)
+        assert int(stated) == len(sdpfeas.__all__)
+
     def test_star_import_binds_exactly_all(self):
         namespace = {}
         exec("from sdpfeas import *", namespace)
@@ -78,7 +84,7 @@ class TestPackageExports:
         [
             "frobnicate", "expected_hazard_x", "expected_hazard", "expected_reliability_bound", "indented_json",
             "OutOfRegime", "binomial_window", "hazard_bound", "reliability_bound", "OutOfRegimeError",
-            "hazard_at", "cumulative_hazard", "reliability_at", "reliability_tail_threshold",
+            "hazard_at", "cumulative_hazard", "reliability_at", "reliability_tail_threshold", "DomainError",
         ],
     )
     def test_unknown_name_raises_attribute_error(self, name):
@@ -93,7 +99,7 @@ class TestPackageExports:
         ("bounds", "_bound"), ("bounds", "_one"), ("bounds", "_in_regime"), ("errors", "OutOfRegimeError"),
         ("hazards", "hazard_at"), ("hazards", "cumulative_hazard"), ("hazards", "reliability_at"),
         ("hazards", "reliability_tail_threshold"), ("hazards", "check_time"), ("hazards", "_spec"),
-        ("hazards", "_evaluate"),
+        ("hazards", "_evaluate"), ("errors", "DomainError"),
     ],
 )
 def test_retired_module_name_is_gone(module, name):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpfeas import (
-    DomainError,
     HazardFamily,
     HazardModel,
     InvalidInputError,
@@ -100,7 +99,7 @@ class TestHazard:
 
     def test_ld_beyond_domain(self):
         # the one evaluator of the table refuses a time past ld's K/m
-        with pytest.raises(DomainError, match=r"^ld hazard is negative beyond t = K/m = 0.5; got t = 0.75$"):
+        with pytest.raises(InvalidInputError, match=r"^ld hazard is negative beyond t = K/m = 0.5; got t = 0.75$"):
             bound_at(OUTCOME, HazardModel(LD, K=1.0, m=2.0), 0.75)
 
     @pytest.mark.parametrize("model", all_family_models())
