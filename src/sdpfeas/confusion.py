@@ -63,13 +63,10 @@ class ConfusionMatrix(namedtuple("ConfusionMatrix", ("tp", "fn_", "fp", "tn"))):
 
 def _canonical_label(raw, index: int):
     if not isinstance(raw, str):
-        raise ParseError(f"record {index}: label {raw!r} is not a string", index=index)
+        raise ParseError(f"record {index}: label {raw!r} is not a string")
     label = raw.strip().lower()
     if label not in (DEFECTIVE, CLEAN):
-        raise ParseError(
-            f"record {index}: unknown label {raw!r} (expected 'defective' or 'clean')",
-            index=index,
-        )
+        raise ParseError(f"record {index}: unknown label {raw!r} (expected 'defective' or 'clean')")
     return label
 
 
@@ -84,10 +81,7 @@ def confusion_from_records(records: Iterable[Sequence]) -> ConfusionMatrix:
         try:
             actual_raw, predicted_raw = record
         except (TypeError, ValueError):
-            raise ParseError(
-                f"record {index}: expected an (actual, predicted) pair, got {record!r}",
-                index=index,
-            ) from None
+            raise ParseError(f"record {index}: expected an (actual, predicted) pair, got {record!r}") from None
         counts[_CELLS[_canonical_label(actual_raw, index), _canonical_label(predicted_raw, index)]] += 1
     return ConfusionMatrix(*counts)
 
@@ -108,7 +102,6 @@ def false_omission_rate(matrix: ConfusionMatrix) -> Fraction:
             "false omission rate needs at least one false negative and one "
             f"true negative; {zero_side} is zero",
             assumption=5,
-            detail=zero_side,
         )
     p = Fraction(matrix.fn_, matrix.fn_ + matrix.tn)
     if not 0.0 < float(p) < 1.0:

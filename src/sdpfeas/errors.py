@@ -23,14 +23,8 @@ class InvalidInputError(SdpFeasError):
 
 
 class ParseError(InvalidInputError):
-    """A record or descriptor could not be parsed.
-
-    Carries the zero-based index of the offending record when applicable.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """A record or descriptor could not be parsed. A record's message
+    names its zero-based index: ``record 3: ...``."""
 
 
 class NumericOverflowError(SdpFeasError, OverflowError):
@@ -39,17 +33,12 @@ class NumericOverflowError(SdpFeasError, OverflowError):
 
 
 class AssumptionViolationError(SdpFeasError):
-    """A precondition required by the underlying failure model does not hold.
-
-    ``assumption`` identifies which modelling assumption was violated,
-    ``detail`` says how (e.g. which confusion-matrix cell is zero); the
-    message reads ``assumption {assumption} violated: {message}``.
+    """A precondition required by the underlying failure model does not
+    hold; the message reads ``assumption {assumption} violated: {message}``.
     """
 
-    def __init__(self, message, assumption, detail=None):
+    def __init__(self, message, assumption):
         super().__init__(f"assumption {assumption} violated: {message}")
-        self.assumption = assumption
-        self.detail = detail
 
 
 def read_json(text: str):

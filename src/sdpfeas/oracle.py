@@ -44,8 +44,8 @@ __all__ = [
     "verify_bound",
 ]
 
-#: the types a tail value or a standard error takes on the fast path of
-#: TailEstimate's checks, matched exactly
+#: the types a tail value or a bound takes on the fast path of the checks
+#: of TailEstimate and verify_bound, matched exactly
 _REAL = (int, float)
 #: the end of the Philox key range [0, 2**128) that every seed check reads;
 #: a module constant, as the compiler does not fold a power past 128 bits
@@ -63,45 +63,37 @@ _EXACT, _MONTE_CARLO = TailMethod.EXACT, TailMethod.MONTE_CARLO
 
 @dataclass(slots=True)
 class TailEstimate:
-    """A tail probability with its provenance; MC entries carry trials,
-    standard error and the seed that reproduces them. ``log_value`` (by
-    default log(value)) stays finite where ``value`` underflows.
+    """A tail probability with its provenance; MC entries carry trials
+    and the seed that reproduces them. ``log_value`` (by default
+    log(value)) stays finite where ``value`` underflows.
     Construction refuses a value that is not a number in [0, 1], a method
     that is not a ``TailMethod`` member, an exact entry with any MC
-    provenance, and an MC entry without an integer trials >= 1 and a
-    finite stderr >= 0 or with a seed that is neither None nor an integer
-    in the Philox key range [0, 2**128), and a ``log_value`` that is
-    neither None nor a number <= 0 (-inf, the log of 0, included)."""
+    provenance, and an MC entry without an integer trials >= 1 or with a
+    seed that is neither None nor an integer in the Philox key range
+    [0, 2**128), and a ``log_value`` that is neither None nor a number
+    <= 0 (-inf, the log of 0, included)."""
 
     value: float
     method: TailMethod
     trials: int | None = None
-    stderr: float | None = None
     seed: int | None = None
     log_value: float | None = None
 
     def __post_init__(self):
         # plain comparisons, as a verify round builds one estimate per
         # record; a value they refuse goes through the readers for its error
-        value, trials, stderr, seed = self.value, self.trials, self.stderr, self.seed
+        value, trials, seed = self.value, self.trials, self.seed
         if not (type(value) in _REAL and 0.0 <= value <= 1.0):
             if not 0.0 <= read_number(value, "tail value") <= 1.0:
                 raise InvalidInputError(f"tail value must lie in [0, 1], got {value!r}")
         if type(self.method) is not TailMethod:
             raise ParseError(f"tail method must be a TailMethod member, got {self.method!r}")
         if self.method is _EXACT:
-            if not (trials is None and stderr is None and seed is None):
-                raise InvalidInputError(
-                    f"an exact tail has no Monte-Carlo provenance, got trials={trials!r}, stderr={stderr!r}, seed={seed!r}"
-                )
-        elif not (
-            type(trials) is int and trials >= 1 and type(stderr) in _REAL and 0.0 <= stderr <= sys.float_info.max
-            and (seed is None or type(seed) is int and 0 <= seed < _KEYS)
-        ):
+            if not (trials is None and seed is None):
+                raise InvalidInputError(f"an exact tail has no Monte-Carlo provenance, got trials={trials!r}, seed={seed!r}")
+        elif not (type(trials) is int and trials >= 1 and (seed is None or type(seed) is int and 0 <= seed < _KEYS)):
             if not 1 <= read_integer(trials, "Monte-Carlo trials"):
                 raise InvalidInputError(f"Monte-Carlo trials must be >= 1, got {trials!r}")
-            if not 0.0 <= read_number(stderr, "Monte-Carlo stderr"):
-                raise InvalidInputError(f"Monte-Carlo stderr must be >= 0, got {stderr!r}")
             if seed is not None and not 0 <= read_integer(seed, "Monte-Carlo seed") < _KEYS:
                 raise InvalidInputError(f"Monte-Carlo seed must lie in the Philox key range [0, 2**128), got {seed!r}")
         log_value = self.log_value
@@ -296,7 +288,7 @@ class BinomialWindow:
         if tail is None:
             log_value = self._log_cdf(k_star)
             tail = self._tails[k_star] = (math.exp(log_value), log_value)
-        return TailEstimate(tail[0], _EXACT, None, None, None, tail[1])
+        return TailEstimate(tail[0], _EXACT, None, None, tail[1])
 
     def _log_cdf(self, k_star: int) -> float:
         """log Pr[X <= k_star] for 0 <= k_star < l; see exact_tail."""
@@ -335,12 +327,8 @@ class BinomialWindow:
 
         uniforms = np.random.Generator(np.random.Philox(key=seed)).random(trials)
         uniforms.sort()
-        estimates = []
-        for hits in np.searchsorted(uniforms, cuts, side="left").tolist():
-            value = hits / trials
-            stderr = math.sqrt(value * (1.0 - value) / trials)
-            estimates.append(TailEstimate(value, _MONTE_CARLO, trials, stderr, seed))
-        return estimates
+        hits = np.searchsorted(uniforms, cuts, side="left").tolist()
+        return [TailEstimate(count / trials, _MONTE_CARLO, trials, seed) for count in hits]
 
 
 @dataclass(slots=True)
@@ -411,7 +399,8 @@ def verify_bound(bound: BoundResult, oracle: TailEstimate, event: str = "") -> V
         holds = below
     else:
         # Wilson's score lower limit at z = 3, which unlike the estimate
-        # less 3 stderr stays below an estimate of 1, where the stderr is 0.
+        # less 3 Wald standard errors sqrt(value * (1 - value) / n) stays
+        # below an estimate of 1, where that error is 0.
         # At an estimate of 0 the limit is 0, but the float expression can
         # round to a tiny positive number, which an underflowed bound fails
         value, n = oracle.value, oracle.trials

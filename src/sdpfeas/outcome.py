@@ -26,15 +26,13 @@ __all__ = ["SdpOutcome", "outcome_from_descriptor"]
 class SdpOutcome:
     """(l, p) description of the predicted-clean modules.
 
-    ``p`` lies strictly inside (0, 1). ``n`` (total developed modules) is
-    reporting metadata only; the math uses just l and p. ``injection``
-    makes the outcome, and every bound on it, of the Y-variant.
+    ``p`` lies strictly inside (0, 1). ``injection`` makes the outcome,
+    and every bound on it, of the Y-variant.
     """
 
     l: int
     p: float
     injection: HazardModel | None = None
-    n: int | None = None
 
     def __post_init__(self):
         # l * p is a float: an l past the float range has no mean
@@ -45,8 +43,6 @@ class SdpOutcome:
         injection = self.injection
         if injection is not None and not (isinstance(injection, HazardModel) and injection.family is HazardFamily.WEIBULL):
             raise InvalidInputError(f"injection must be a weibull HazardModel, got {injection!r}")
-        if self.n is not None and read_integer(self.n, "total module count n") < self.l:
-            raise InvalidInputError(f"total module count n={self.n} cannot be below l={self.l}")
 
     @property
     def mean_failures(self) -> float:
@@ -58,7 +54,9 @@ def outcome_from_descriptor(payload: dict) -> SdpOutcome:
 
     Either ``{"l": int, "p": num}`` or ``{"l": int, "confusion": {...}}``
     (p derived as the false omission rate), plus optional
-    ``"injection": {"K_hat": num, "m_hat": num}`` and ``"n": int``.
+    ``"injection": {"K_hat": num, "m_hat": num}`` and ``"n": int``, the
+    total module count, which is checked (an integer, at least l) but not
+    kept: the math uses just l and p.
     """
     read_object(payload, "outcome descriptor", required=("l",), optional=("p", "confusion", "injection", "n"))
     if ("p" in payload) == ("confusion" in payload):
@@ -71,4 +69,8 @@ def outcome_from_descriptor(payload: dict) -> SdpOutcome:
             injection = HazardModel(HazardFamily.WEIBULL, K=fields["K_hat"], m=fields["m_hat"])
         except InvalidInputError as exc:
             raise type(exc)(f"injection (K_hat, m_hat): {exc}") from None
-    return SdpOutcome(l=payload["l"], p=p, injection=injection, n=payload.get("n"))
+    outcome = SdpOutcome(l=payload["l"], p=p, injection=injection)
+    n = payload.get("n")
+    if n is not None and read_integer(n, "total module count n") < outcome.l:
+        raise InvalidInputError(f"total module count n={n} cannot be below l={outcome.l}")
+    return outcome

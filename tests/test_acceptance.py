@@ -429,7 +429,8 @@ class TestCriterion6:
             for seed in range(100):
                 [est] = window.mc_tails([threshold], trials=trials, seed=seed)
                 total += 1
-                if abs(est.value - exact) <= 3.0 * max(est.stderr, 1e-12):
+                stderr = math.sqrt(est.value * (1.0 - est.value) / est.trials)
+                if abs(est.value - exact) <= 3.0 * max(stderr, 1e-12):
                     within += 1
         rate = within / total
         ok = rate >= 0.99

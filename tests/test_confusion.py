@@ -70,18 +70,16 @@ class TestConfusionFromRecords:
         assert m.fn_ == 1
 
     def test_malformed_record_carries_index(self):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(ParseError, match=r"^record 1: expected an \(actual, predicted\) pair, got \('clean',\)$"):
             confusion_from_records([("clean", "clean"), ("clean",)])
-        assert info.value.index == 1
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ParseError):
             confusion_from_records([("clean", "maybe")])
 
     def test_non_string_label_rejected(self):
-        with pytest.raises(ParseError, match="record 1: label 1 is not a string") as info:
+        with pytest.raises(ParseError, match="^record 1: label 1 is not a string$"):
             confusion_from_records([("clean", "clean"), ("defective", 1)])
-        assert info.value.index == 1
 
 
 #: every (actual, predicted) pair, spelt in mixed case and padded, and the
@@ -114,15 +112,12 @@ class TestFalseOmissionRate:
         assert float(p) == 0.5
 
     def test_zero_fn_rejected(self):
-        with pytest.raises(AssumptionViolationError) as info:
+        with pytest.raises(AssumptionViolationError, match="^assumption 5 violated: .*; fn is zero$"):
             false_omission_rate(ConfusionMatrix(tp=5, fn_=0, fp=2, tn=10))
-        assert info.value.assumption == 5
-        assert info.value.detail == "fn"
 
     def test_zero_tn_rejected(self):
-        with pytest.raises(AssumptionViolationError) as info:
+        with pytest.raises(AssumptionViolationError, match="^assumption 5 violated: .*; tn is zero$"):
             false_omission_rate(ConfusionMatrix(tp=5, fn_=4, fp=2, tn=0))
-        assert info.value.detail == "tn"
 
     @given(fn=st.integers(1, 10**6), tn=st.integers(1, 10**6), k=st.integers(1, 1000))
     def test_scale_invariance(self, fn, tn, k):
@@ -272,9 +267,8 @@ class TestRecordsTally:
         # a bad label before a field the csv module refuses, a chunk of
         # records apart
         text = "actual,predicted\n" + valid + "\nclean,maybe\n" + valid + oversize + "\n"
-        with pytest.raises(ParseError, match=rf"^record {before}: unknown label 'maybe' \(expected") as info:
+        with pytest.raises(ParseError, match=rf"^record {before}: unknown label 'maybe' \(expected"):
             records_from_csv(text)
-        assert info.value.index == before
         # and the field before the bad label
         text = "actual,predicted\n" + valid + oversize + "\n" + valid + "clean,maybe\n"
         with pytest.raises(ParseError, match=rf"^records CSV line {before + 2}: field larger than field limit"):

@@ -9,11 +9,14 @@ command but a verify with Monte-Carlo trials ever loads it, and no module
 imports typing at import time. The descriptor readers of the outcome and
 the scenario leave each value to the object that reads it, and the
 functions that run once per sweep row, oracle estimate or verification
-record read no enum member through its class."""
+record read no enum member through its class. No estimate, outcome or
+error keeps state that no code reads, and README's "Called from Python"
+table names each entry point's parameters as its signature does."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 import sys
@@ -111,6 +114,48 @@ def test_family_table_holds_only_the_columns_the_engine_reads():
 
     names = {field.name for field in dataclasses.fields(FamilySpec)}
     assert names == {"hazard_tag", "reliability_tag", "params", "z", "H_over_t", "max_time"}
+
+
+def test_no_write_only_state():
+    # an estimate, an outcome and an error keep only what some code reads
+    from sdpfeas import AssumptionViolationError, BinomialWindow, ParseError, SdpOutcome
+
+    [estimate] = BinomialWindow(10, 0.3).mc_tails([2.0], trials=100, seed=1)
+    assert not hasattr(estimate, "stderr")
+    assert "n" not in SdpOutcome.__dataclass_fields__
+    with pytest.raises(TypeError):
+        SdpOutcome(l=10, p=0.5, n=25)
+    assert not hasattr(ParseError("x"), "index")
+    error = AssumptionViolationError("x", 5)
+    assert not hasattr(error, "assumption") and not hasattr(error, "detail")
+
+
+def readme_entry_points() -> list:
+    """(name, parameter names) of each ``name(a, b, ...)`` in the first
+    column of README's "Called from Python" table, but ``ScenarioConfig(...)``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| entry point | rule |") :].split("\n\n")[0]
+    entries = []
+    for line in table.splitlines()[2:]:
+        for name, params in re.findall(r"`(\w+)\(([^)]*)\)`", line.split(" | ")[0]):
+            if params != "...":
+                entries.append((name, [param.strip() for param in params.split(",")]))
+    return entries
+
+
+README_ENTRY_POINTS = readme_entry_points()
+
+
+def test_readme_entry_points_found():
+    names = {name for name, _ in README_ENTRY_POINTS}
+    assert {"SdpOutcome", "TailEstimate", "verify_bound", "sweep_to_csv", "exact_tail", "mc_tails"} <= names
+
+
+@pytest.mark.parametrize("name, params", README_ENTRY_POINTS, ids=[name for name, _ in README_ENTRY_POINTS])
+def test_readme_entry_point_names_its_parameters(name, params):
+    # a name the package does not export is a BinomialWindow method
+    target = getattr(sdpfeas, name) if name in sdpfeas.__all__ else getattr(sdpfeas.BinomialWindow, name)
+    assert params == [param for param in inspect.signature(target).parameters if param != "self"]
 
 
 def imported_modules(node) -> list:

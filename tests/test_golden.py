@@ -223,7 +223,6 @@ ERROR_CASES = {
     "tail value nan": lambda: verify_tail(math.nan, TailMethod.EXACT),
     "tail value negative": lambda: verify_tail(-0.2, TailMethod.EXACT),
     "tail value above 1": lambda: verify_tail(1.5, TailMethod.EXACT),
-    "tail mc without stderr": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100),
     "tail method string": lambda: verify_tail(0.1, "exact"),
     "verify out-of-regime row": lambda: verify_bound(
         bound_sweep(X_OUT, HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0), [6.0])[0],
@@ -242,10 +241,10 @@ ERROR_CASES = {
     "csv None row": lambda: sweep_to_csv([None]),
     # Monte-Carlo provenance on an exact tail, and an MC seed outside the key range
     "tail exact with seed": lambda: verify_tail(0.1, TailMethod.EXACT, seed=5),
-    "tail exact with trials": lambda: verify_tail(0.1, TailMethod.EXACT, 100, 0.01),
-    "tail mc seed string": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 0.01, "x"),
-    "tail mc seed negative": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 0.01, -1),
-    "tail mc seed past key range": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 0.01, 2**128),
+    "tail exact with trials": lambda: verify_tail(0.1, TailMethod.EXACT, 100),
+    "tail mc seed string": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, "x"),
+    "tail mc seed negative": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, -1),
+    "tail mc seed past key range": lambda: verify_tail(0.1, TailMethod.MONTE_CARLO, 100, 2**128),
     # a log value that is not the log of a probability
     "tail log value string": lambda: verify_tail(0.1, TailMethod.EXACT, log_value="x"),
     "tail log value nan": lambda: verify_tail(0.1, TailMethod.EXACT, log_value=math.nan),

@@ -334,7 +334,8 @@ class TestMonteCarlo:
         assert est.method is TailMethod.MONTE_CARLO
         assert est.trials == 1000
         assert est.seed == 9
-        assert est.stderr == pytest.approx(math.sqrt(est.value * (1 - est.value) / 1000))
+        # a hit count over the trials
+        assert (est.value * 1000).is_integer()
 
     @pytest.mark.parametrize(
         "l,p,threshold",
@@ -344,7 +345,7 @@ class TestMonteCarlo:
         window = BinomialWindow(l, p)
         exact = window.exact_tail(threshold)
         [est] = window.mc_tails([threshold], trials=100_000, seed=1234)
-        band = 3.0 * max(est.stderr, 1e-4)
+        band = 3.0 * max(math.sqrt(est.value * (1.0 - est.value) / est.trials), 1e-4)
         assert abs(est.value - exact.value) <= band
 
     def test_sampler_matches_exact_at_large_l(self):
@@ -384,7 +385,6 @@ class TestSharedDraw:
                 value=value,
                 method=TailMethod.MONTE_CARLO,
                 trials=self.TRIALS,
-                stderr=math.sqrt(value * (1.0 - value) / self.TRIALS),
                 seed=self.SEED,
             )
 
@@ -603,25 +603,17 @@ class TestVerifyBound:
         assert not record.advisory
 
     def test_mc_advisory_band(self):
-        # point estimate above the bound but within three standard errors:
+        # point estimate above the bound but Wilson's lower limit below it:
         # passes with the advisory flag raised
         bound = chernoff_lower_tail(5.0, 2.0)
-        oracle = TailEstimate(
-            value=bound.bound + 1e-4,
-            method=TailMethod.MONTE_CARLO,
-            trials=100,
-            stderr=0.05,
-            seed=1,
-        )
+        oracle = TailEstimate(value=bound.bound + 1e-4, method=TailMethod.MONTE_CARLO, trials=100, seed=1)
         record = verify_bound(bound, oracle)
         assert record.holds
         assert record.advisory
 
     def test_mc_hard_fail(self):
         bound = chernoff_lower_tail(5.0, 2.0)
-        oracle = TailEstimate(
-            value=0.99, method=TailMethod.MONTE_CARLO, trials=100, stderr=0.001, seed=1
-        )
+        oracle = TailEstimate(value=0.99, method=TailMethod.MONTE_CARLO, trials=100, seed=1)
         record = verify_bound(bound, oracle)
         assert not record.holds
 

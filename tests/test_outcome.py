@@ -171,8 +171,8 @@ class TestDescriptor:
         o = outcome_from_descriptor(
             {"l": 10, "p": 0.5, "injection": {"K_hat": 2.0, "m_hat": 1.0}, "n": 25}
         )
-        assert o.injection == HazardModel(HazardFamily.WEIBULL, K=2.0, m=1.0)
-        assert o.n == 25
+        # n is checked, then dropped: the math uses just l and p
+        assert o == SdpOutcome(l=10, p=0.5, injection=HazardModel(HazardFamily.WEIBULL, K=2.0, m=1.0))
 
     def test_p_and_confusion_together_rejected(self):
         with pytest.raises(ParseError):

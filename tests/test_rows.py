@@ -66,8 +66,8 @@ EXAMPLES = {
     ),
     "TailEstimate": (
         TailEstimate,
-        (0.125, TailMethod.MONTE_CARLO, 4000, 0.005, 7),
-        dict(value=0.125, method=TailMethod.MONTE_CARLO, trials=4000, stderr=0.005, seed=7),
+        (0.125, TailMethod.MONTE_CARLO, 4000, 7),
+        dict(value=0.125, method=TailMethod.MONTE_CARLO, trials=4000, seed=7),
         None,
     ),
     "VerificationRecord": (
@@ -149,7 +149,7 @@ class TestRecords:
 
     def test_log_value_of_positive_is_its_log(self):
         assert TailEstimate(0.125, TailMethod.EXACT).log_value == math.log(0.125)
-        assert TailEstimate(0.0, TailMethod.EXACT, None, None, None, -800.0).log_value == -800.0
+        assert TailEstimate(0.0, TailMethod.EXACT, None, None, -800.0).log_value == -800.0
 
     def test_replaced_value_gets_its_own_log(self):
         copy = dataclasses.replace(TailEstimate(0.125, TailMethod.EXACT), value=0.5)
