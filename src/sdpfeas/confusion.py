@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import islice
 
 from .errors import AssumptionViolationError, InvalidInputError, ParseError, read_instance, read_integer, read_json
 from .errors import read_object
@@ -34,10 +33,6 @@ CLEAN = "clean"
 #: (actual, predicted) canonical labels -> the index of the matrix cell
 #: they count in: tp, fn, fp, tn
 _CELLS = {(DEFECTIVE, DEFECTIVE): 0, (DEFECTIVE, CLEAN): 1, (CLEAN, DEFECTIVE): 2, (CLEAN, CLEAN): 3}
-#: rows counted at a time: a file whose rows are not label pairs (one
-#: with a column of unique ids, say) is given up within one chunk, and
-#: never held whole as distinct rows
-_CHUNK = 4096
 
 
 class ConfusionMatrix(namedtuple("ConfusionMatrix", ("tp", "fn_", "fp", "tn"))):
@@ -74,7 +69,8 @@ def confusion_from_records(records: Iterable[Sequence]) -> ConfusionMatrix:
     """Tally (actual, predicted) label pairs into a confusion matrix.
 
     actual=defective & predicted=clean counts as a false negative. Labels
-    are case-insensitive.
+    are case-insensitive. The records are read in order and each is
+    classified as it comes, so the first bad one raises and none is held.
     """
     counts = [0, 0, 0, 0]
     for index, record in enumerate(records):
@@ -120,51 +116,21 @@ def counts_from_json(text: str) -> ConfusionMatrix:
     return counts_from_descriptor(read_json(text))
 
 
-def _read_header(reader) -> None:
-    """Read the ``actual,predicted`` header off ``reader``, or raise."""
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("empty CSV input; expected an 'actual,predicted' header")
-    if [cell.strip().lower() for cell in header] != ["actual", "predicted"]:
-        raise ParseError(f"expected header 'actual,predicted', got {header!r}")
-
-
-def _tally(text: str) -> ConfusionMatrix | None:
-    """The matrix of the records CSV ``text``, its rows counted in C, a
-    chunk at a time, and each distinct row of a chunk classified once;
-    None where the csv module refuses the text or a row is not a label
-    pair. A bad header raises."""
-    reader = csv.reader(io.StringIO(text))
-    rows = map(tuple, filter(None, reader))
-    counts = [0, 0, 0, 0]
-    try:
-        _read_header(reader)
-        while chunk := Counter(islice(rows, _CHUNK)):
-            for row, count in chunk.items():
-                cell = _CELLS.get((row[0].strip().lower(), row[1].strip().lower())) if len(row) == 2 else None
-                if cell is None:
-                    return None
-                counts[cell] += count
-    except csv.Error:
-        return None
-    return ConfusionMatrix(*counts)
-
-
 def records_from_csv(text: str) -> ConfusionMatrix:
     """Parse the CSV record format: header ``actual,predicted``, one pair per line.
 
-    The records are counted a chunk at a time, and each distinct record of
-    a chunk is classified once. Text with a bad record, or
-    text the csv module refuses (a field past its size limit, which is not
-    raised), is read again record by record, so that the first error is
-    the one raised: a ParseError naming the record or the line it stopped
-    on."""
-    matrix = _tally(text)
-    if matrix is not None:
-        return matrix
+    The text is read once, its records tallied by
+    ``confusion_from_records``; blank lines are skipped. The first fault
+    in file order raises a ParseError: a bad record names its zero-based
+    index, and text the csv module refuses (a field past its size limit,
+    a quote left open) names the line it stopped on."""
     reader = csv.reader(io.StringIO(text))
     try:
-        _read_header(reader)
-        return confusion_from_records(row for row in reader if row)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty CSV input; expected an 'actual,predicted' header")
+        if [cell.strip().lower() for cell in header] != ["actual", "predicted"]:
+            raise ParseError(f"expected header 'actual,predicted', got {header!r}")
+        return confusion_from_records(filter(None, reader))
     except csv.Error as exc:
         raise ParseError(f"records CSV line {reader.line_num}: {exc}") from None

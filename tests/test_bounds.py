@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_formulas as ref
@@ -383,7 +383,8 @@ def scalar_entry(outcome, model, t, kind, corrected):
         if t > model.max_time:
             raise InvalidInputError(f"ld hazard is negative beyond t = K/m = {model.max_time!r}; got t = {t!r}")
         threshold = (spec.z if hazard else spec.H_over_t)(model, t)
-        if not math.isfinite(threshold):
+        # a product such as l*p*expm1(...) overflows to inf without raising
+        if not (math.isfinite(mu) and math.isfinite(threshold)):
             raise OverflowError
         row = chernoff_lower_tail(mu, threshold)
         return dataclasses.replace(row, theorem_tag=tag, t=t, sign_mode=sign_mode)
@@ -424,6 +425,16 @@ def sweep_cases(draw):
 class TestSweep:
     @settings(max_examples=300, deadline=None)
     @given(case=sweep_cases())
+    # the as-published Thm4 mean l*p*expm1(K_hat*t**(m_hat+1)) = 3.5 * 5.8e307 is inf
+    @example(
+        case=(
+            SdpOutcome(l=7, p=0.5, injection=HazardModel(HazardFamily.WEIBULL, K=2.90625, m=0.41418168954196755)),
+            HazardModel(HazardFamily.WEIBULL, K=1.0, m=0.0),
+            [48.75],
+            BoundKind.RELIABILITY,
+            False,
+        )
+    )
     def test_matches_scalar_composition(self, case):
         outcome, model, grid, kind, corrected = case
         if math.inf in grid:

@@ -147,6 +147,19 @@ class TestMetrics:
         assert out == ""
         assert err == "error: records CSV line 3: field larger than field limit (131072)\n"
 
+    def test_one_field_record_before_an_oversize_field_is_the_error_line(self, run, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("actual,predicted\nclean\nclean," + "x" * 200000 + "\n")
+        _, out, err = run(["metrics", "--records", str(path)], expect=EXIT_USAGE)
+        assert out == ""
+        assert err == "error: record 0: expected an (actual, predicted) pair, got ['clean']\n"
+
+    def test_quoted_label_spanning_a_line_break_is_counted(self, run, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text('actual,predicted\n"clean\n",defective\ndefective,clean\nclean,clean\n')
+        _, out, _ = run(["metrics", "--records", str(path)], expect=EXIT_OK)
+        assert json.loads(out)["confusion"] == {"tp": 0, "fn": 1, "fp": 1, "tn": 1}
+
     @pytest.mark.parametrize(
         "index, line, message",
         [

@@ -2,7 +2,6 @@ import csv
 import io
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -16,8 +15,7 @@ from sdpfeas import (
     confusion_from_records,
     false_omission_rate,
 )
-from sdpfeas import confusion as confusion_module
-from sdpfeas.confusion import _CHUNK, counts_from_json, records_from_csv
+from sdpfeas.confusion import _CELLS, _canonical_label, counts_from_json, records_from_csv
 
 
 class TestConfusionFromCounts:
@@ -80,6 +78,18 @@ class TestConfusionFromRecords:
     def test_non_string_label_rejected(self):
         with pytest.raises(ParseError, match="^record 1: label 1 is not a string$"):
             confusion_from_records([("clean", "clean"), ("defective", 1)])
+
+    def test_list_label_rejected(self):
+        # an unhashable label after a pair of str labels
+        with pytest.raises(ParseError, match=r"^record 1: label \['clean'\] is not a string$"):
+            confusion_from_records([("clean", "clean"), (["clean"], "clean")])
+
+    def test_unique_ids_fail_at_the_first_record(self):
+        rows = iter([[str(i), "clean", "clean"] for i in range(10)])
+        with pytest.raises(ParseError, match=r"^record 0: expected an \(actual, predicted\) pair, got \['0', "):
+            confusion_from_records(rows)
+        # and no record past the first was read
+        assert next(rows) == ["1", "clean", "clean"]
 
 
 #: every (actual, predicted) pair, spelt in mixed case and padded, and the
@@ -185,19 +195,24 @@ class TestSerializedForms:
 
 
 def read_each_record(text: str) -> ConfusionMatrix:
-    """The records CSV read one record at a time, through
-    ``confusion_from_records``: the reference that ``records_from_csv``'s
-    tally of distinct records must agree with, error for error."""
+    """The records CSV read and classified one record at a time, without
+    ``confusion_from_records``: the reference that ``records_from_csv``
+    must agree with, error for error."""
     reader = csv.reader(io.StringIO(text))
+    counts = [0, 0, 0, 0]
     try:
         header = next(reader, None)
         if header is None:
             raise ParseError("empty CSV input; expected an 'actual,predicted' header")
         if [cell.strip().lower() for cell in header] != ["actual", "predicted"]:
             raise ParseError(f"expected header 'actual,predicted', got {header!r}")
-        return confusion_from_records(row for row in reader if row)
+        for index, row in enumerate(row for row in reader if row):
+            if len(row) != 2:
+                raise ParseError(f"record {index}: expected an (actual, predicted) pair, got {row!r}")
+            counts[_CELLS[_canonical_label(row[0], index), _canonical_label(row[1], index)]] += 1
     except csv.Error as exc:
         raise ParseError(f"records CSV line {reader.line_num}: {exc}") from None
+    return ConfusionMatrix(*counts)
 
 
 def result(read, text):
@@ -250,22 +265,20 @@ def records_texts(draw):
 
 
 class TestRecordsTally:
-    """``records_from_csv`` counts each distinct record once; where a record
-    is bad, or the csv module refuses the text, it reads the records one at
-    a time, so the first error is the one raised."""
+    """``records_from_csv`` reads the text once, through
+    ``confusion_from_records``, which classifies each record as it comes;
+    the first error in file order is the one raised."""
 
-    @given(records_texts(), st.sampled_from([1, 3, _CHUNK]))
-    def test_tally_agrees_with_reading_each_record(self, text, chunk):
-        # small chunks put the faults and the repeats across chunk boundaries
-        with mock.patch.object(confusion_module, "_CHUNK", chunk):
-            assert result(records_from_csv, text) == result(read_each_record, text)
+    @given(records_texts())
+    def test_tally_agrees_with_reading_each_record(self, text):
+        assert result(records_from_csv, text) == result(read_each_record, text)
 
-    @pytest.mark.parametrize("before", [1, _CHUNK + 1], ids=["first-chunk", "second-chunk"])
+    @pytest.mark.parametrize("before", [1, 4097], ids=["1-row-before", "4097-rows-before"])
     def test_first_fault_is_the_one_raised(self, before):
         oversize = "clean," + "x" * (csv.field_size_limit() + 1)
         valid = "clean,clean\n" * before
-        # a bad label before a field the csv module refuses, a chunk of
-        # records apart
+        # a bad label before a field the csv module refuses, valid records
+        # apart
         text = "actual,predicted\n" + valid + "\nclean,maybe\n" + valid + oversize + "\n"
         with pytest.raises(ParseError, match=rf"^record {before}: unknown label 'maybe' \(expected"):
             records_from_csv(text)
@@ -277,6 +290,13 @@ class TestRecordsTally:
     def test_distinct_records_are_counted_in_their_cells(self):
         text = "actual,predicted\r\n" + "defective,clean\n" * 3 + " CLEAN ,Clean\n" * 4 + '"clean\n",defective\n' * 2
         assert records_from_csv(text) == ConfusionMatrix(tp=0, fn_=3, fp=2, tn=4)
-        # over several chunks of records
-        text = "actual,predicted\n" + ("defective,defective\n" + "clean,Clean\n" * 2) * _CHUNK
-        assert records_from_csv(text) == ConfusionMatrix(tp=_CHUNK, fn_=0, fp=0, tn=2 * _CHUNK)
+        # over many repeats of each record
+        text = "actual,predicted\n" + ("defective,defective\n" + "clean,Clean\n" * 2) * 4096
+        assert records_from_csv(text) == ConfusionMatrix(tp=4096, fn_=0, fp=0, tn=2 * 4096)
+
+    def test_unique_id_file_fails_at_record_0(self):
+        text = "actual,predicted\n" + "".join(f"{i},defective,clean\n" for i in range(10000))
+        with pytest.raises(
+            ParseError, match=r"^record 0: expected an \(actual, predicted\) pair, got \['0', 'defective', 'clean'\]$"
+        ):
+            records_from_csv(text)

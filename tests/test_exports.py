@@ -102,7 +102,8 @@ class TestPackageExports:
         ("bounds", "_bound"), ("bounds", "_one"), ("bounds", "_in_regime"), ("errors", "OutOfRegimeError"),
         ("hazards", "hazard_at"), ("hazards", "cumulative_hazard"), ("hazards", "reliability_at"),
         ("hazards", "reliability_tail_threshold"), ("hazards", "check_time"), ("hazards", "_spec"),
-        ("hazards", "_evaluate"), ("errors", "DomainError"),
+        ("hazards", "_evaluate"), ("errors", "DomainError"), ("confusion", "_tally"), ("confusion", "_CHUNK"),
+        ("confusion", "_read_header"), ("confusion", "Counter"), ("confusion", "islice"),
     ],
 )
 def test_retired_module_name_is_gone(module, name):

@@ -41,6 +41,7 @@ from sdpfeas import (
     verify_bound,
 )
 from sdpfeas.bounds import FORMS, _form
+from sdpfeas.confusion import records_from_csv
 from sdpfeas.errors import indented_json
 from sdpfeas.hazards import FAMILIES
 from sdpfeas.report import FeasibilityReport, ScenarioConfig, build_report, run_sweep, sweep_to_csv
@@ -296,6 +297,10 @@ ERROR_CASES = {
     "csv row mu nan": lambda: sweep_to_csv([BoundResult("Thm1", math.nan, 2.0, 0.6, None, None, Regime.OUT_OF_REGIME, 1.0)]),
     "csv row threshold inf": lambda: sweep_to_csv(
         [BoundResult("Thm1", 5.0, math.inf, -math.inf, None, None, Regime.OUT_OF_REGIME, 1.0)]
+    ),
+    # the first fault in file order: a bad record before a field the csv module refuses
+    "records one field before an oversize field": lambda: records_from_csv(
+        "actual,predicted\nclean\nclean," + "x" * 200000 + "\n"
     ),
 }
 
