@@ -2,9 +2,9 @@
 Monte-Carlo simulation.
 
 Strictness convention, stated once and relied on everywhere: for an
-integer-valued X and integral threshold k, Pr[X < k] = CDF(k - 1). An
-off-by-one here would silently invalidate every soundness check, so one
-helper, ``_strict_upper_index``, centralises it.
+integer-valued X and any threshold c, Pr[X < c] = CDF(k*) with
+k* = ceil(c) - 1. An off-by-one here would silently invalidate every
+soundness check, so one helper, ``_strict_upper_index``, centralises it.
 
 Both oracles are methods of one object, ``BinomialWindow(l, p)``, which
 checks l, p and the caps once.
@@ -13,9 +13,10 @@ checks l, p and the caps once.
 sum of pmf ratios taken down from k* (above the mean, log1p(-U) of the
 same kind of sum U taken up from k* + 1), stopped once a geometric bound
 on the dropped terms is below 2**-60 of the sum. The work is O(sigma)
-per distinct k* at most, and far less in a deep tail. ``mc_tails`` reads
-every hit count from one sorted draw of uniforms at those same exact
-tails.
+per distinct k* at most, and far less in a deep tail; the empty and the
+certain event are in its table from the start. ``mc_tails`` reads every
+hit count from one draw of uniforms, sorted block by block, at those
+same exact tails.
 
 The Monte-Carlo sampler uses the Philox counter-based generator, so a
 (seed, trials, threshold) triple maps to a bit-reproducible estimate
@@ -108,17 +109,15 @@ class TailEstimate:
 
 
 def _strict_upper_index(threshold: float, l: int) -> int:
-    """Largest k with Pr[X <= k] contributing to Pr[X < threshold];
-    -1 means the event is empty, >= l means it is certain."""
+    """k* = ceil(threshold) - 1, the largest count X < threshold admits,
+    clamped to [-1, l]: -1 means the event is empty, l that it is certain."""
     if not math.isfinite(threshold if type(threshold) is float else read_number(threshold, "threshold")):
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
     if threshold <= 0:
         return -1
     if threshold > l:
         return l
-    if float(threshold).is_integer():
-        return int(threshold) - 1
-    return math.floor(threshold)
+    return math.ceil(threshold) - 1
 
 
 #: stirlerr(n) = log(n!) - log(sqrt(2*pi*n) * (n/e)**n) for n = 1..15
@@ -144,8 +143,12 @@ MAX_COUNT = 2**53
 #: terms one tail may sum, checked from sigma before any is summed; a tail
 #: at the cap takes about 0.15 s on a 2-vCPU x86-64 host (Python 3.11)
 MAX_TERMS = 2 * 10**6
-#: trials one Monte-Carlo draw may ask for, checked before it is allocated
+#: trials one Monte-Carlo draw may ask for, checked before any is drawn:
+#: it bounds a draw's time, as its memory is one block
 MAX_TRIALS = 10**8
+#: uniforms one block of a draw holds (8 MiB); a larger draw is taken,
+#: sorted and counted block by block
+MC_BLOCK = 2**20
 
 
 def _stirlerr(n: float) -> float:
@@ -234,7 +237,8 @@ class BinomialWindow:
 
     l: int
     p: float
-    #: k* -> (value, log_value) of every exact tail this oracle has summed
+    #: k* -> (value, log_value) of every exact tail this oracle has summed,
+    #: and of the empty event (k* = -1) and the certain one (k* = l)
     _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -256,6 +260,7 @@ class BinomialWindow:
         top = min(hi, l - 1)
         if not math.isfinite(_log_pmf(l, p, top)):
             raise InvalidInputError(f"Binomial(l={l}, p={p!r}) has a log-pmf that overflows a float at count {top}")
+        self._tails[-1], self._tails[l] = (0.0, -math.inf), (1.0, 0.0)
 
     def describe(self, threshold: float) -> str:
         """The event Pr[X < threshold], strict '<', as the report prints it."""
@@ -278,12 +283,8 @@ class BinomialWindow:
         up to l = 5000; the Loader terms themselves to the same bound up to
         l = 1e6.
         """
-        k_star = _strict_upper_index(threshold, self.l)
-        if k_star < 0:
-            return TailEstimate(0.0, _EXACT)
-        if k_star >= self.l:
-            return TailEstimate(1.0, _EXACT)
         # the tail depends on threshold only through k*: sum it once
+        k_star = _strict_upper_index(threshold, self.l)
         tail = self._tails.get(k_star)
         if tail is None:
             log_value = self._log_cdf(k_star)
@@ -309,7 +310,8 @@ class BinomialWindow:
         Inversion draws #{k : Pr[X <= k] <= u} for a uniform u, so a draw
         is at most k* exactly when u < Pr[X <= k*]: each hit count is read
         from the sorted uniforms at that one cut, the exact tail of k*,
-        with no draw formed.
+        with no draw formed. The uniforms are drawn, sorted and counted in
+        blocks of at most MC_BLOCK, so a draw holds at most 8 MiB at once.
 
         The estimates share one sample, so they are perfectly correlated: a
         z = 3 test of each record is not a test of the whole campaign.
@@ -325,10 +327,16 @@ class BinomialWindow:
             return []
         import numpy as np
 
-        uniforms = np.random.Generator(np.random.Philox(key=seed)).random(trials)
-        uniforms.sort()
-        hits = np.searchsorted(uniforms, cuts, side="left").tolist()
-        return [TailEstimate(count / trials, _MONTE_CARLO, trials, seed) for count in hits]
+        # blocks drawn in turn concatenate to the one draw of all trials,
+        # so their summed counts are that draw's
+        generator = np.random.Generator(np.random.Philox(key=seed))
+        blocks = []
+        for start in range(0, trials, MC_BLOCK):
+            uniforms = generator.random(min(MC_BLOCK, trials - start))
+            uniforms.sort()
+            blocks.append(np.searchsorted(uniforms, cuts, side="left").tolist())
+            del uniforms  # before the next block is drawn
+        return [TailEstimate(sum(hits) / trials, _MONTE_CARLO, trials, seed) for hits in zip(*blocks)]
 
 
 @dataclass(slots=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -23,7 +24,10 @@ from sdpfeas import (
     chernoff_lower_tail,
     verify_bound,
 )
-from sdpfeas.oracle import MAX_COUNT, MAX_TERMS, MAX_TRIALS, SPAN_SIGMAS, _STIRLERR_SMALL, _log_pmf, _strict_upper_index
+from sdpfeas import oracle as oracle_module
+from sdpfeas.oracle import (
+    MAX_COUNT, MAX_TERMS, MAX_TRIALS, MC_BLOCK, SPAN_SIGMAS, _STIRLERR_SMALL, _log_pmf, _strict_upper_index,
+)
 
 
 def naive_tail(l, p, threshold):
@@ -61,6 +65,24 @@ class TestStrictUpperIndex:
     def test_certain_event(self):
         assert _strict_upper_index(10.5, 10) == 10
 
+    @given(threshold=st.floats(-60.0, 60.0) | st.integers(-60, 60), l=st.integers(1, 50))
+    @example(threshold=0.0, l=10)
+    @example(threshold=-0.0, l=10)
+    @example(threshold=5e-324, l=10)
+    @example(threshold=-5e-324, l=10)
+    @example(threshold=3, l=10)
+    @example(threshold=3.0, l=10)
+    @example(threshold=math.nextafter(3.0, math.inf), l=10)
+    @example(threshold=10, l=10)
+    @example(threshold=10.0, l=10)
+    @example(threshold=math.nextafter(10.0, -math.inf), l=10)
+    @example(threshold=math.nextafter(10.0, math.inf), l=10)
+    @example(threshold=11, l=10)
+    def test_largest_count_the_strict_event_admits(self, threshold, l):
+        # the literal rule: the largest count k in [0, l] with k < threshold,
+        # or -1 where there is none
+        assert _strict_upper_index(threshold, l) == max([-1] + [k for k in range(l + 1) if k < threshold])
+
 
 class TestExactTail:
     def test_frozen_small_example(self):
@@ -79,9 +101,24 @@ class TestExactTail:
         est = BinomialWindow(10, 0.5).exact_tail(3.0)
         assert est.value == pytest.approx(56.0 / 1024.0, rel=1e-14)
 
-    def test_empty_and_certain(self):
-        assert BinomialWindow(10, 0.3).exact_tail(0.0).value == 0.0
-        assert BinomialWindow(10, 0.3).exact_tail(11.0).value == 1.0
+    def test_empty_and_certain(self, monkeypatch):
+        # both events are read from the oracle's table, never summed
+        summed = []
+        log_cdf = BinomialWindow._log_cdf
+
+        def counting_log_cdf(window, k_star):
+            summed.append(k_star)
+            return log_cdf(window, k_star)
+
+        monkeypatch.setattr(BinomialWindow, "_log_cdf", counting_log_cdf)
+        window = BinomialWindow(10, 0.3)
+        for threshold in [0.0, -0.0, 0, -3.0, -5, -1e300]:
+            assert window.exact_tail(threshold) == TailEstimate(0.0, TailMethod.EXACT)
+        for threshold in [math.nextafter(10.0, math.inf), 10.5, 11, 1e300]:
+            assert window.exact_tail(threshold) == TailEstimate(1.0, TailMethod.EXACT)
+        assert summed == []
+        window.exact_tail(10.0)
+        assert summed == [9]
 
     @given(
         l=st.integers(1, 30),
@@ -401,6 +438,30 @@ class TestSharedDraw:
 
     def test_no_queries_no_draw(self):
         assert self.window().mc_tails([], self.TRIALS, self.SEED) == []
+
+    @pytest.mark.parametrize("block, trials", [(MC_BLOCK, MC_BLOCK + 3), (7, 3 * 7 + 4)])
+    def test_blocks_count_as_one_draw(self, monkeypatch, block, trials):
+        # full blocks and a partial last one give the counts of one draw of
+        # all trials, sorted at once
+        monkeypatch.setattr(oracle_module, "MC_BLOCK", block)
+        window = self.window()
+        uniforms = np.sort(np.random.Generator(np.random.Philox(key=self.SEED)).random(trials))
+        cuts = [window.exact_tail(threshold).value for threshold in self.THRESHOLDS]
+        hits = np.searchsorted(uniforms, cuts, side="left").tolist()
+        assert window.mc_tails(self.THRESHOLDS, trials, self.SEED) == [
+            TailEstimate(count / trials, TailMethod.MONTE_CARLO, trials, self.SEED) for count in hits
+        ]
+
+    def test_draw_holds_one_block(self):
+        # one draw of 2**22 uniforms would hold 32 MiB; a block holds 8 MiB
+        window = self.window()
+        tracemalloc.start()
+        try:
+            window.mc_tails(self.THRESHOLDS, 4 * MC_BLOCK, self.SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * MC_BLOCK
 
 
 class TestWindowCaps:

@@ -168,6 +168,12 @@ class TestRecords:
         assert dataclasses.replace(tail, method=TailMethod.EXACT).log_value == tail.log_value
         assert dataclasses.replace(tail, value=0.5).log_value == math.log(0.5)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_monte_carlo_trials_below_one_refused(self, trials):
+        with pytest.raises(InvalidInputError) as info:
+            TailEstimate(0.125, TailMethod.MONTE_CARLO, trials, 7)
+        assert str(info.value) == f"Monte-Carlo trials must be >= 1, got {trials}"
+
     def test_ratio_past_float_range_is_null(self):
         record = VerificationRecord("e", 0.0, 0.5, TailMethod.EXACT, False, -0.5, math.inf)
         assert record.to_dict()["ratio"] is None
