@@ -13,7 +13,8 @@ finding the report must show.
 Each printed form is one row of ``FORMS``, keyed by the outcome's variant
 (X without an injection, Y with one), the kind and the sign mode. X rows
 take the family's tags in ``hazards.FAMILIES``; Y rows are Thm3 (hazard)
-and Thm4 (reliability), weibull models only.
+and Thm4 (reliability), weibull models only. The kind fixes the threshold,
+the family's z(t) for a hazard bound and H(t)/t for a reliability bound.
 
 ``bound_sweep`` is the one evaluator of that table: it looks up the row
 of an (outcome, kind, sign mode) once per grid, then makes one pass over
@@ -32,11 +33,10 @@ import math
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import InvalidInputError, NumericOverflowError, ParseError, read_boolean, read_choice
 from .errors import read_instance, read_number, read_real
-from .hazards import FAMILIES, FamilySpec, HazardFamily, HazardModel
+from .hazards import FAMILIES, HazardFamily, HazardModel
 from .outcome import SdpOutcome
 
 __all__ = [
@@ -145,43 +145,32 @@ def chernoff_lower_tail(mu: float, threshold: float) -> BoundResult:
 
 @dataclass(frozen=True)
 class BoundForm:
-    """One printed form: its theorem tag, given the family's ``FAMILIES``
-    row; its mean, a function of (l*p, the outcome's injection, t); and the
-    ``FamilySpec`` closed form of its threshold, ``z`` or ``H_over_t``."""
+    """One printed form: its theorem tag, None on an X row, whose tag is
+    the family's ``FAMILIES`` tag for the kind; and its mean, a function of
+    (l*p, the outcome's injection, t). The kind fixes the threshold: z(t)
+    for a hazard bound, H(t)/t for a reliability bound."""
 
-    tag: Callable[[FamilySpec], str]
+    tag: str | None
     mean: Callable[[float, HazardModel | None, float], float]
-    threshold: str
 
 
-def _reliability_mean(exponent: Callable[[HazardModel | None, float], float]):
-    """The reliability mean exp(l*p*(exp(exponent(injection, t)) - 1))."""
-
-    def mean(mean_failures: float, injection: HazardModel | None, t: float) -> float:
-        return math.exp(mean_failures * math.expm1(exponent(injection, t)))
-
-    return mean
-
-
-#: (variant, kind, sign mode) -> the printed form. The hazard means are l*p
-#: (X) and l*p*(Khat*t**mhat) (Y), the injection's closed form, as in Thm4;
-#: the reliability means bound the expected reliability E[exp(-X*t)] by
-#: exp(l*p*(exp(-t) - 1)), strictly inside (0, 1), and E[exp(-Y*t)] by Thm4.
-#: The published Thm4 uses exp(+Khat*t^(mhat+1)) inside the outer exponent,
-#: which contradicts the per-module reliability exp(-Y*t) and can exceed 1;
-#: the corrected form flips that inner sign; only it is consistent with
-#: simulation. Both are kept, clearly labelled.
+#: (variant, kind, sign mode) -> the printed form's tag and mean. The hazard
+#: means are l*p (X) and l*p*(Khat*t**mhat) (Y), the injection's closed form,
+#: as in Thm4; the reliability means bound the expected reliability
+#: E[exp(-X*t)] by exp(l*p*(exp(-t) - 1)), strictly inside (0, 1), and
+#: E[exp(-Y*t)] by Thm4. The published Thm4 uses exp(+Khat*t^(mhat+1)) inside
+#: the outer exponent, which contradicts the per-module reliability exp(-Y*t)
+#: and can exceed 1; the corrected form flips that inner sign; only it is
+#: consistent with simulation. Both are kept, clearly labelled.
 FORMS = {
-    ("X", BoundKind.HAZARD, None): BoundForm(attrgetter("hazard_tag"), lambda lp, injection, t: lp, "z"),
-    ("X", BoundKind.RELIABILITY, None): BoundForm(
-        attrgetter("reliability_tag"), _reliability_mean(lambda injection, t: -t), "H_over_t"
-    ),
-    ("Y", BoundKind.HAZARD, None): BoundForm(lambda spec: "Thm3", lambda lp, injection, t: lp * (injection.K * t**injection.m), "z"),
+    ("X", BoundKind.HAZARD, None): BoundForm(None, lambda lp, injection, t: lp),
+    ("X", BoundKind.RELIABILITY, None): BoundForm(None, lambda lp, injection, t: math.exp(lp * math.expm1(-t))),
+    ("Y", BoundKind.HAZARD, None): BoundForm("Thm3", lambda lp, injection, t: lp * (injection.K * t**injection.m)),
     ("Y", BoundKind.RELIABILITY, "corrected"): BoundForm(
-        lambda spec: "Thm4", _reliability_mean(lambda injection, t: -injection.K * t ** (injection.m + 1)), "H_over_t"
+        "Thm4", lambda lp, injection, t: math.exp(lp * math.expm1(-injection.K * t ** (injection.m + 1)))
     ),
     ("Y", BoundKind.RELIABILITY, "as-published"): BoundForm(
-        lambda spec: "Thm4", _reliability_mean(lambda injection, t: injection.K * t ** (injection.m + 1)), "H_over_t"
+        "Thm4", lambda lp, injection, t: math.exp(lp * math.expm1(injection.K * t ** (injection.m + 1)))
     ),
 }
 
@@ -236,8 +225,9 @@ def bound_sweep(
             f"model only, got {model.family.value!r}"
         )
     spec = FAMILIES[model.family]
+    family_tag, threshold = (spec.hazard_tag, spec.z) if kind is BoundKind.HAZARD else (spec.reliability_tag, spec.H_over_t)
     sign_mode, form = _form(outcome, kind, corrected)
-    tag, mean, threshold = form.tag(spec), form.mean, getattr(spec, form.threshold)
+    tag, mean = form.tag or family_tag, form.mean
     mean_failures, injection = outcome.mean_failures, outcome.injection
     # every t is a finite float > 0, and only ld's domain ends, at K/m
     end = spec.max_time(model)

@@ -64,8 +64,6 @@ _DEFAULT = json.JSONEncoder().default
 
 def _encode(value, depth: int) -> str:
     """``value`` as that depth's ``json.JSONEncoder.encode`` writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     encoder = _ENCODERS.get(depth)
     if encoder is None:
         # no cycle check: a container that reaches the encoder holds

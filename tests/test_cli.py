@@ -373,6 +373,24 @@ class TestVerify:
         assert report["summary"]["all_hold"] is True
         assert "min_slack" not in report["summary"] and "max_slack" not in report["summary"]
 
+    @pytest.mark.parametrize(
+        "lam, verify, expect",
+        [(1e300, {"exact": True, "mc_trials": 0}, EXIT_OK), (1.0, {"exact": False, "mc_trials": 0}, EXIT_OK),
+         (1.0, {"exact": True, "mc_trials": 0}, EXIT_USAGE)],
+        ids=["all out of regime", "no oracle asked", "oracle refuses"],
+    )
+    def test_nothing_to_check_builds_no_oracle(self, run, tmp_path, lam, verify, expect):
+        # the oracle refuses Binomial(10**300, 0.5); a verify with no row in
+        # regime, or no oracle asked for, reports no record and never builds it
+        scenario = dict(DESK_SCENARIO, outcome={"l": 10**300, "p": 0.5},
+                        model={"family": "constant", "lambda": lam}, verify=verify)
+        _, out, err = run(["verify", "--config", write_scenario(tmp_path, scenario)], expect=expect)
+        if expect == EXIT_OK:
+            assert strict_json(out)["verification"] == []
+        else:
+            assert out == "" and err.startswith(f"error: Binomial(l={10**300}, p=0.5) needs counts up to ")
+            assert err.endswith(", past 2**53, where floats skip integers\n")
+
     def test_corrupted_bound_exits_4(self, run, tmp_path, monkeypatch):
         verify_bound = report_module.verify_bound
 

@@ -302,6 +302,21 @@ ERROR_CASES = {
     "records one field before an oversize field": lambda: records_from_csv(
         "actual,predicted\nclean\nclean," + "x" * 200000 + "\n"
     ),
+    # a scenario's time grid and flags, read as its descriptor or constructor gives them
+    "scenario time_grid missing stop": lambda: ScenarioConfig.from_descriptor(
+        dict(SWEEPS["weibull"], time_grid={"start": 1.0, "steps": 3})
+    ),
+    "scenario time_grid extra step": lambda: ScenarioConfig.from_descriptor(
+        dict(SWEEPS["weibull"], time_grid={"start": 1.0, "stop": 2.0, "steps": 3, "step": 0.5})
+    ),
+    "scenario time_grid geometric spacing": lambda: ScenarioConfig.from_descriptor(
+        dict(SWEEPS["weibull"], time_grid={"start": 1.0, "stop": 2.0, "steps": 3, "spacing": "geometric"})
+    ),
+    "scenario time point 0": lambda: ScenarioConfig.from_descriptor(dict(SWEEPS["weibull"], time_grid={"t": 0})),
+    "scenario corrected string": lambda: ScenarioConfig(
+        X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"], corrected="yes"
+    ),
+    "scenario seed negative": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"], seed=-1),
 }
 
 
@@ -382,7 +397,8 @@ def test_goldens_cover_every_regime_and_sign_mode():
             sign_mode, form = _form(outcome, kind, corrected)
             reached.update(key for key, row in FORMS.items() if row is form)
             entries = bound_sweep(outcome, config.model, config.grid, kind, corrected)
-            tag = form.tag(FAMILIES[config.model.family])
+            spec = FAMILIES[config.model.family]
+            tag = form.tag or (spec.hazard_tag if kind is BoundKind.HAZARD else spec.reliability_tag)
             modes = {entry.sign_mode for entry in entries}
             assert {entry.theorem_tag for entry in entries} == {tag} and modes <= {sign_mode}
             sign_modes |= modes
