@@ -70,7 +70,8 @@ def confusion_from_records(records: Iterable[Sequence]) -> ConfusionMatrix:
 
     actual=defective & predicted=clean counts as a false negative. Labels
     are case-insensitive. The records are read in order and each is
-    classified as it comes, so the first bad one raises and none is held.
+    classified as it comes, by one ``_CELLS`` lookup, so the first bad one
+    raises and none is held.
     """
     counts = [0, 0, 0, 0]
     for index, record in enumerate(records):
@@ -78,7 +79,15 @@ def confusion_from_records(records: Iterable[Sequence]) -> ConfusionMatrix:
             actual_raw, predicted_raw = record
         except (TypeError, ValueError):
             raise ParseError(f"record {index}: expected an (actual, predicted) pair, got {record!r}") from None
-        counts[_CELLS[_canonical_label(actual_raw, index), _canonical_label(predicted_raw, index)]] += 1
+        cell = None
+        # one lookup for exact strs; a str subclass (whose own strip() or
+        # lower() may give a label no cell can hash) and a refused record go
+        # through ``_canonical_label``, which words the fault, the actual's first
+        if type(actual_raw) is str and type(predicted_raw) is str:
+            cell = _CELLS.get((actual_raw.strip().lower(), predicted_raw.strip().lower()))
+        if cell is None:
+            cell = _CELLS[_canonical_label(actual_raw, index), _canonical_label(predicted_raw, index)]
+        counts[cell] += 1
     return ConfusionMatrix(*counts)
 
 

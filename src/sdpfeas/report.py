@@ -318,15 +318,32 @@ def build_report(config: ScenarioConfig) -> FeasibilityReport:
     )
 
 
+def _first_fault(templates: list[str], values: Sequence, fault) -> InvalidInputError:
+    """The error writing the collected rows one at a time would raise: the
+    format fault of the first row its template cannot write, else ``fault``
+    at the row after them. The error path alone formats row by row."""
+    row = len(values) // 6
+    for index in range(row):
+        try:
+            templates[index + 1] % tuple(values[6 * index : 6 * index + 6])
+        except (TypeError, AttributeError, KeyError) as exc:
+            row, fault = index, exc
+            break
+    return InvalidInputError(f"sweep row {row} has no CSV form: {fault}")
+
+
 def sweep_to_csv(entries: Sequence[BoundResult]) -> str:
     """Serialize sweep rows to the CSV contract ``_CSV_HEADER`` with
-    17-significant-digit numbers (round-trip exact), one format per row
-    from its regime's template. A row the template cannot write raises
-    InvalidInputError: the kernel's, which has no t, one whose regime is not
-    a ``Regime`` member, whose theorem tag is not a string free of commas,
-    quotes and line breaks, or that holds NaN or, but in delta (an
-    underflowed mean's is -inf), an infinity, which JSON cannot hold."""
-    lines = [_CSV_HEADER]
+    17-significant-digit numbers (round-trip exact), each row from its
+    regime's template, the text written by one format over the joined
+    templates. A row the template cannot write raises InvalidInputError,
+    the first such row in row order: the kernel's, which has no t, one
+    whose regime is not a ``Regime`` member, whose theorem tag is not a
+    string free of commas, quotes and line breaks, or that holds NaN or,
+    but in delta (an underflowed mean's is -inf), an infinity, which JSON
+    cannot hold."""
+    templates: list[str] = [_CSV_HEADER]
+    values: list | tuple = []
     # a sweep's rows share one tag object per kind: a tag is checked where it changes
     checked = ""
     try:
@@ -334,20 +351,24 @@ def sweep_to_csv(entries: Sequence[BoundResult]) -> str:
             template, tag = _CSV_ROWS[e.regime._value_], e.theorem_tag
             if tag is not checked:
                 if not (type(tag) is str and _CSV_SPECIAL.isdisjoint(tag)):
-                    raise InvalidInputError(
-                        f"sweep row {len(lines) - 1} has no CSV form: theorem tag {tag!r} is not a string "
-                        "free of commas, quotes and line breaks"
+                    raise _first_fault(
+                        templates,
+                        values,
+                        f"theorem tag {tag!r} is not a string free of commas, quotes and line breaks",
                     )
                 checked = tag
-            lines.append(template % (e.t, tag, e.mu, e.threshold, e.delta, e.bound))
+            values += (e.t, tag, e.mu, e.threshold, e.delta, e.bound)
+            templates.append(template)
+        # the final newline joined in; one format writes every row, and the
+        # list is let go first, so the values are not held twice as it runs
+        templates.append("")
+        values = tuple(values)
+        text = "\n".join(templates) % values
     except (TypeError, AttributeError, KeyError) as exc:
-        raise InvalidInputError(f"sweep row {len(lines) - 1} has no CSV form: {exc}") from None
-    # the final newline joined in, so the text is built once and not copied
-    lines.append("")
-    text = "\n".join(lines)
+        raise _first_fault(templates, values, exc) from None
     # past the header only nan, inf and a hand-built tag hold an "n": read the rows again only then
     if text.find("n", len(_CSV_HEADER)) >= 0:
-        for index, line in enumerate(lines[1:-1]):
+        for index, line in enumerate(text.split("\n")[1:-1]):
             t, _, mu, threshold, delta, bound, _ = line.split(",")
             for name, value in (("t", t), ("mu", mu), ("threshold", threshold), ("delta", delta), ("bound", bound)):
                 if value == "nan" or value.endswith("inf") and name != "delta":

@@ -84,6 +84,46 @@ class TestConfusionFromRecords:
         with pytest.raises(ParseError, match=r"^record 1: label \['clean'\] is not a string$"):
             confusion_from_records([("clean", "clean"), (["clean"], "clean")])
 
+    def test_str_subclass_label_counted(self):
+        class Label(str):
+            pass
+
+        m = confusion_from_records([(Label(" Defective"), "clean"), ("clean", Label("CLEAN"))])
+        assert m == ConfusionMatrix(0, 1, 0, 1)
+
+    def test_str_subclass_label_read_by_its_own_methods(self):
+        # the label checks see what the subclass's strip() and lower() give
+        class Listed(str):
+            def strip(self):
+                return self
+
+            def lower(self):
+                return ["clean"]
+
+        with pytest.raises(ParseError, match=r"^record 0: unknown label 'clean' \(expected"):
+            confusion_from_records([(Listed("clean"), "clean")])
+
+    def test_label_that_only_acts_as_a_string_rejected(self):
+        # strip() and lower() that give "clean" do not make a label a string
+        class Lookalike:
+            def strip(self):
+                return self
+
+            def lower(self):
+                return "clean"
+
+            def __repr__(self):
+                return "Lookalike()"
+
+        with pytest.raises(ParseError, match=r"^record 1: label Lookalike\(\) is not a string$"):
+            confusion_from_records([("clean", "clean"), ("clean", Lookalike())])
+        with pytest.raises(ParseError, match=r"^record 0: label Lookalike\(\) is not a string$"):
+            confusion_from_records([(Lookalike(), "clean")])
+
+    def test_actual_fault_reported_before_predicted(self):
+        with pytest.raises(ParseError, match=r"^record 1: unknown label 'maybe' \(expected"):
+            confusion_from_records([("clean", "clean"), ("maybe", 1)])
+
     def test_unique_ids_fail_at_the_first_record(self):
         rows = iter([[str(i), "clean", "clean"] for i in range(10)])
         with pytest.raises(ParseError, match=r"^record 0: expected an \(actual, predicted\) pair, got \['0', "):

@@ -317,6 +317,13 @@ ERROR_CASES = {
         X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"], corrected="yes"
     ),
     "scenario seed negative": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"], seed=-1),
+    # a CSV row the format refuses, named by its index and ahead of a later row's bad tag
+    "csv kernel row after two good rows": lambda: sweep_to_csv(
+        [*bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0, 2.0]), chernoff_lower_tail(10.0, 2.0)]
+    ),
+    "csv kernel row before a tag with comma": lambda: sweep_to_csv(
+        [chernoff_lower_tail(10.0, 2.0), BoundResult("a,b", 5.0, 2.0, 0.6, 0.4, -0.9, Regime.VALID, 1.0)]
+    ),
 }
 
 

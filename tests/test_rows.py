@@ -6,6 +6,7 @@ output is the one ``json.dumps(..., indent=2)`` writes."""
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,71 @@ class TestSweepCsv:
             return
         with pytest.raises(InvalidInputError, match=f"^sweep row 1 has no CSV form: {field} is {value}$"):
             sweep_to_csv([self.TRIVIAL, row])
+
+
+#: the CSV header and each regime's row template, written out apart from
+#: the writer's own: the reference formats one row at a time
+CSV_HEADER = "t,theorem,mu,threshold,delta,bound,regime"
+CSV_TEMPLATES = {
+    Regime.VALID: "%.17g,%s,%.17g,%.17g,%.17g,%.17g,valid",
+    Regime.TRIVIAL: "%.17g,%s,%.17g,%.17g,%.17g,%.17g,trivial",
+    Regime.OUT_OF_REGIME: "%.17g,%s,%.17g,%.17g,%.17g,%.0s,out-of-regime",
+}
+#: finite floats, with the edges of the float range: -0.0, the smallest
+#: subnormal and the largest float, either sign
+CSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+)
+#: tags free of commas, quotes and line breaks, a "%" and an "n" among them
+CSV_TAGS = st.sampled_from(["Thm1", "Thm2", "Thm3", "Thm4", "Chernoff", "100%", "%s", ""]) | st.text(
+    st.characters(blacklist_characters=',"\r\n'), max_size=6
+)
+
+
+@st.composite
+def csv_rows(draw):
+    regime = draw(st.sampled_from(list(Regime)))
+    # an underflowed mean's delta is -inf; an out-of-regime row has no bound
+    delta = draw(CSV_FLOATS | st.just(-math.inf))
+    bound = None if regime is Regime.OUT_OF_REGIME else draw(CSV_FLOATS)
+    log_bound = None if bound is None else -1.0
+    t, mu, threshold = draw(CSV_FLOATS), draw(CSV_FLOATS), draw(CSV_FLOATS)
+    return BoundResult(draw(CSV_TAGS), mu, threshold, delta, bound, log_bound, regime, t)
+
+
+def reference_csv(rows) -> str:
+    return (
+        "\n".join(
+            [
+                CSV_HEADER,
+                *(
+                    CSV_TEMPLATES[row.regime] % (row.t, row.theorem_tag, row.mu, row.threshold, row.delta, row.bound)
+                    for row in rows
+                ),
+            ]
+        )
+        + "\n"
+    )
+
+
+class TestSweepCsvBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(csv_rows(), max_size=12))
+    def test_equals_row_at_a_time_writer(self, rows):
+        assert sweep_to_csv(rows) == reference_csv(rows)
+
+    def test_edge_floats(self):
+        rows = [
+            BoundResult("Thm1", sys.float_info.max, 5e-324, -0.0, 5e-324, -744.0, Regime.VALID, -0.0),
+            BoundResult("Thm4", 0.0, 0.5, -math.inf, None, None, Regime.OUT_OF_REGIME, sys.float_info.max),
+            BoundResult("Thm4", 2.5, -0.0, 1.0, sys.float_info.max, 0.0, Regime.TRIVIAL, 5e-324),
+        ]
+        assert sweep_to_csv(rows) == reference_csv(rows) == (
+            CSV_HEADER + "\n"
+            "-0,Thm1,1.7976931348623157e+308,4.9406564584124654e-324,-0,4.9406564584124654e-324,valid\n"
+            "1.7976931348623157e+308,Thm4,0,0.5,-inf,,out-of-regime\n"
+            "4.9406564584124654e-324,Thm4,2.5,-0,1,1.7976931348623157e+308,trivial\n"
+        )
 
 
 #: JSON trees as json.dumps takes them: non-ASCII, escaped and control
