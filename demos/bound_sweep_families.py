@@ -15,7 +15,7 @@ from sdpfeas import (
     SdpOutcome,
     bound_sweep,
 )
-from sdpfeas.report import sweep_to_csv
+from sdpfeas.report import ScenarioConfig, sweep_to_csv
 
 outcome = SdpOutcome(l=100, p=0.05)  # E[X] = 5
 
@@ -46,5 +46,4 @@ for model in models:
 # out-of-regime afterwards. The CSV serialisation keeps those rows, with
 # an empty bound column:
 model = HazardModel(HazardFamily.LINEAR_INCREASING, K=1.0)
-entries = bound_sweep(outcome, model, [4.0, 4.9, 5.0, 6.0], kind=BoundKind.HAZARD)
-print("\n" + sweep_to_csv(entries))
+print("\n" + sweep_to_csv(ScenarioConfig(outcome, model, [4.0, 4.9, 5.0, 6.0], ["hazard"])))

@@ -112,11 +112,10 @@ def cmd_sweep(args) -> int:
     from .report import run_sweep, sweep_to_csv
 
     config = _load_config(args)
-    entries = run_sweep(config)
     if args.format == "json":
-        text = indented_json([e.to_dict() for e in entries]) + "\n"
+        text = indented_json([e.to_dict() for e in run_sweep(config)]) + "\n"
     else:
-        text = sweep_to_csv(entries)
+        text = sweep_to_csv(config)
     _write_output(text, args.out)
     return EXIT_OK
 

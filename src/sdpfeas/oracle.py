@@ -48,9 +48,17 @@ __all__ = [
 #: the types a tail value or a bound takes on the fast path of the checks
 #: of TailEstimate and verify_bound, matched exactly
 _REAL = (int, float)
-#: the end of the Philox key range [0, 2**128) that every seed check reads;
-#: a module constant, as the compiler does not fold a power past 128 bits
+#: the end of the Philox key range [0, 2**128) that ``read_seed`` reads; a
+#: module constant, as the compiler does not fold a power past 128 bits
 _KEYS = 2**128
+
+
+def read_seed(seed, what: str) -> int:
+    """``seed`` if it is an integer in the Philox key range [0, 2**128),
+    the one rule for every seed; ``what`` names it in the error."""
+    if not 0 <= (seed if type(seed) is int else read_integer(seed, what)) < _KEYS:
+        raise InvalidInputError(f"{what} must lie in the Philox key range [0, 2**128), got {seed!r}")
+    return seed
 
 
 class TailMethod(str, enum.Enum):
@@ -92,11 +100,10 @@ class TailEstimate:
         if self.method is _EXACT:
             if not (trials is None and seed is None):
                 raise InvalidInputError(f"an exact tail has no Monte-Carlo provenance, got trials={trials!r}, seed={seed!r}")
-        elif not (type(trials) is int and trials >= 1 and (seed is None or type(seed) is int and 0 <= seed < _KEYS)):
-            if not 1 <= read_integer(trials, "Monte-Carlo trials"):
-                raise InvalidInputError(f"Monte-Carlo trials must be >= 1, got {trials!r}")
-            if seed is not None and not 0 <= read_integer(seed, "Monte-Carlo seed") < _KEYS:
-                raise InvalidInputError(f"Monte-Carlo seed must lie in the Philox key range [0, 2**128), got {seed!r}")
+        elif not (type(trials) is int and trials >= 1) and not 1 <= read_integer(trials, "Monte-Carlo trials"):
+            raise InvalidInputError(f"Monte-Carlo trials must be >= 1, got {trials!r}")
+        elif seed is not None:
+            read_seed(seed, "Monte-Carlo seed")
         log_value = self.log_value
         if not (log_value is None or type(log_value) is float and log_value <= 0.0):
             if not read_number(log_value, "tail log_value") <= 0.0:
@@ -318,8 +325,7 @@ class BinomialWindow:
         """
         if not 1 <= read_integer(trials, "trials") <= MAX_TRIALS:
             raise InvalidInputError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
-        if not 0 <= read_integer(seed, "seed") < _KEYS:
-            raise InvalidInputError(f"seed must lie in the Philox key range [0, 2**128), got {seed!r}")
+        read_seed(seed, "seed")
         # draws are integers, so X < threshold is X <= k*, and its cut is
         # the exact tail Pr[X < threshold]
         cuts = [self.exact_tail(threshold).value for threshold in thresholds]

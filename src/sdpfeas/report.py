@@ -24,7 +24,7 @@ from .bounds import _OUT_OF_REGIME, BoundKind, BoundResult, Regime, bound_sweep
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_instance, read_integer
 from .errors import read_json, read_list, read_number, read_object
 from .hazards import HazardModel, model_from_descriptor
-from .oracle import _KEYS, MAX_TRIALS, BinomialWindow, VerificationRecord, verify_bound
+from .oracle import MAX_TRIALS, BinomialWindow, VerificationRecord, read_seed, verify_bound
 from .outcome import SdpOutcome, outcome_from_descriptor
 
 __all__ = [
@@ -42,18 +42,15 @@ DEFAULT_EPSILON = 0.05
 MAX_STEPS = 10**6
 
 
-#: the CSV header, and one row template per regime (keyed by ``_value_``,
-#: which a plain string lacks) in its column order; %.17g gives 17
-#: significant digits, which round-trip every 64-bit float exactly, and
-#: %.0s writes an out-of-regime row's None bound as the empty field
+#: the CSV header, and one row template per regime (keyed by ``_value_``)
+#: in its column order; %.17g gives 17 significant digits, which round-trip
+#: every 64-bit float exactly, and %.0s writes an out-of-regime row's None
+#: bound as the empty field
 _CSV_HEADER = "t,theorem,mu,threshold,delta,bound,regime"
 _CSV_ROWS = {
     regime._value_: "%.17g,%s,%.17g,%.17g,%.17g," + ("%.0s," if regime is _OUT_OF_REGIME else "%.17g,") + regime.value
     for regime in Regime
 }
-#: what the one %s field, the theorem tag, may not hold: a tag with any of
-#: them would split or quote its field
-_CSV_SPECIAL = frozenset(',"\r\n')
 
 
 def _build_grid(payload: dict) -> list[float]:
@@ -123,8 +120,8 @@ class ScenarioConfig:
         read_boolean(self.verify_exact, "verify.exact")
         if not 0 <= read_integer(self.mc_trials, "mc_trials") <= MAX_TRIALS:
             raise InvalidInputError(f"mc_trials must lie in [0, {MAX_TRIALS}], got {self.mc_trials}")
-        if self.seed is not None and not 0 <= read_integer(self.seed, "seed") < _KEYS:
-            raise InvalidInputError(f"seed must lie in the Philox key range [0, 2**128), got {self.seed}")
+        if self.seed is not None:
+            read_seed(self.seed, "seed")
         if not 0.0 < read_number(self.epsilon, "epsilon") < 1.0:
             raise InvalidInputError(f"epsilon must lie strictly in (0, 1), got {self.epsilon!r}")
 
@@ -259,9 +256,12 @@ class FeasibilityReport:
 
     def verdict(self) -> dict:
         """Classify each grid point and report each class as [lo, hi]
-        ranges, one per run of consecutive grid points in that class."""
+        ranges, one per run of consecutive grid points in that class. A row
+        without a t, such as the kernel's, is refused."""
         by_time: dict[float, list[BoundResult]] = {}
-        for row in self.rows:
+        for index, row in enumerate(self.rows):
+            if row.t is None:
+                raise InvalidInputError(f"report row {index} has no t: a report holds swept rows")
             by_time.setdefault(row.t, []).append(row)
         ranges = {"feasible_at": [], "infeasible_at": [], "out_of_regime_at": []}
         previous = None
@@ -318,59 +318,23 @@ def build_report(config: ScenarioConfig) -> FeasibilityReport:
     )
 
 
-def _first_fault(templates: list[str], values: Sequence, fault) -> InvalidInputError:
-    """The error writing the collected rows one at a time would raise: the
-    format fault of the first row its template cannot write, else ``fault``
-    at the row after them. The error path alone formats row by row."""
-    row = len(values) // 6
-    for index in range(row):
-        try:
-            templates[index + 1] % tuple(values[6 * index : 6 * index + 6])
-        except (TypeError, AttributeError, KeyError) as exc:
-            row, fault = index, exc
-            break
-    return InvalidInputError(f"sweep row {row} has no CSV form: {fault}")
-
-
-def sweep_to_csv(entries: Sequence[BoundResult]) -> str:
-    """Serialize sweep rows to the CSV contract ``_CSV_HEADER`` with
-    17-significant-digit numbers (round-trip exact), each row from its
-    regime's template, the text written by one format over the joined
-    templates. A row the template cannot write raises InvalidInputError,
-    the first such row in row order: the kernel's, which has no t, one
-    whose regime is not a ``Regime`` member, whose theorem tag is not a
-    string free of commas, quotes and line breaks, or that holds NaN or,
-    but in delta (an underflowed mean's is -inf), an infinity, which JSON
-    cannot hold."""
-    templates: list[str] = [_CSV_HEADER]
+def _csv_text(entries: Sequence[BoundResult]) -> str:
+    """Sweep rows as CSV text: ``_CSV_HEADER``, then each row from its
+    regime's template, every row written by one format over the templates."""
+    templates = [_CSV_HEADER]
     values: list | tuple = []
-    # a sweep's rows share one tag object per kind: a tag is checked where it changes
-    checked = ""
-    try:
-        for e in entries:
-            template, tag = _CSV_ROWS[e.regime._value_], e.theorem_tag
-            if tag is not checked:
-                if not (type(tag) is str and _CSV_SPECIAL.isdisjoint(tag)):
-                    raise _first_fault(
-                        templates,
-                        values,
-                        f"theorem tag {tag!r} is not a string free of commas, quotes and line breaks",
-                    )
-                checked = tag
-            values += (e.t, tag, e.mu, e.threshold, e.delta, e.bound)
-            templates.append(template)
-        # the final newline joined in; one format writes every row, and the
-        # list is let go first, so the values are not held twice as it runs
-        templates.append("")
-        values = tuple(values)
-        text = "\n".join(templates) % values
-    except (TypeError, AttributeError, KeyError) as exc:
-        raise _first_fault(templates, values, exc) from None
-    # past the header only nan, inf and a hand-built tag hold an "n": read the rows again only then
-    if text.find("n", len(_CSV_HEADER)) >= 0:
-        for index, line in enumerate(text.split("\n")[1:-1]):
-            t, _, mu, threshold, delta, bound, _ = line.split(",")
-            for name, value in (("t", t), ("mu", mu), ("threshold", threshold), ("delta", delta), ("bound", bound)):
-                if value == "nan" or value.endswith("inf") and name != "delta":
-                    raise InvalidInputError(f"sweep row {index} has no CSV form: {name} is {value}")
-    return text
+    for e in entries:
+        templates.append(_CSV_ROWS[e.regime._value_])
+        values += (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound)
+    # the final newline joined in; the list is let go before the format
+    # runs, so the values are not held twice
+    templates.append("")
+    values = tuple(values)
+    return "\n".join(templates) % values
+
+
+def sweep_to_csv(config: ScenarioConfig) -> str:
+    """The rows of ``run_sweep(config)`` as CSV text. A swept row always has
+    a CSV form: a theorem tag, a ``Regime`` member, and numbers that are
+    finite but for delta, -inf where a mean underflowed."""
+    return _csv_text(run_sweep(config))

@@ -27,6 +27,7 @@ from sdpfeas import (
 )
 from sdpfeas.bounds import _form
 from sdpfeas.hazards import FAMILIES
+from sdpfeas.report import ScenarioConfig
 
 
 def injected(l, p, K_hat, m_hat):
@@ -455,7 +456,8 @@ class TestSweep:
             assert rows == expected
             # each row's CSV line, from its regime's template, and its JSON
             # payload carry the same regime and the row's own numbers
-            for row, line in zip(rows, sweep_to_csv(rows).splitlines()[1:], strict=True):
+            text = sweep_to_csv(ScenarioConfig(outcome, model, grid, [kind], corrected=corrected))
+            for row, line in zip(rows, text.splitlines()[1:], strict=True):
                 payload = row.to_dict()
                 t, theorem, mu, threshold, delta, bound, regime = line.split(",")
                 assert regime == payload["regime"] == row.regime.value and theorem == payload["theorem"]

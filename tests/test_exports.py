@@ -104,6 +104,7 @@ class TestPackageExports:
         ("hazards", "reliability_tail_threshold"), ("hazards", "check_time"), ("hazards", "_spec"),
         ("hazards", "_evaluate"), ("errors", "DomainError"), ("confusion", "_tally"), ("confusion", "_CHUNK"),
         ("confusion", "_read_header"), ("confusion", "Counter"), ("confusion", "islice"),
+        ("report", "_first_fault"), ("report", "_CSV_SPECIAL"), ("report", "_KEYS"),
     ],
 )
 def test_retired_module_name_is_gone(module, name):
@@ -379,6 +380,7 @@ HOT_PATHS = [
     ("report.py", ["run_verification"]),
     ("report.py", ["FeasibilityReport", "verdict"]),
     ("report.py", ["sweep_to_csv"]),
+    ("report.py", ["_csv_text"]),
 ]
 
 

@@ -44,7 +44,7 @@ from sdpfeas.bounds import FORMS, _form
 from sdpfeas.confusion import records_from_csv
 from sdpfeas.errors import indented_json
 from sdpfeas.hazards import FAMILIES
-from sdpfeas.report import FeasibilityReport, ScenarioConfig, build_report, run_sweep, sweep_to_csv
+from sdpfeas.report import FeasibilityReport, ScenarioConfig, build_report, sweep_to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -237,9 +237,6 @@ ERROR_CASES = {
     "false omission rate tuple": lambda: false_omission_rate((1, 2, 3, 4)),
     "sweep grid None": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), None),
     "scenario grid None": lambda: build_report(ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), None, ["hazard"])),
-    # a row the CSV contract cannot write
-    "csv kernel row": lambda: sweep_to_csv([chernoff_lower_tail(10.0, 2.0)]),
-    "csv None row": lambda: sweep_to_csv([None]),
     # Monte-Carlo provenance on an exact tail, and an MC seed outside the key range
     "tail exact with seed": lambda: verify_tail(0.1, TailMethod.EXACT, seed=5),
     "tail exact with trials": lambda: verify_tail(0.1, TailMethod.EXACT, 100),
@@ -257,14 +254,6 @@ ERROR_CASES = {
     "verify row bound None": lambda: verify_bound(
         BoundResult("Thm1", 5.0, 2.0, 0.6, None, -0.9, Regime.VALID, 1.0), TailEstimate(0.1, TailMethod.EXACT)
     ),
-    "csv tag with comma": lambda: sweep_to_csv([BoundResult("a,b", 5.0, 2.0, 0.6, 0.4, -0.9, Regime.VALID, 1.0)]),
-    "csv tag with line break": lambda: sweep_to_csv(
-        [
-            *bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0]),
-            BoundResult("a\nb", 5.0, 2.0, 0.6, 0.4, -0.9, Regime.VALID, 2.0),
-        ]
-    ),
-    "csv tag int": lambda: sweep_to_csv([BoundResult(1, 5.0, 2.0, 0.6, 0.4, -0.9, Regime.VALID, 1.0)]),
     # a bound that is not a probability, and a number JSON cannot hold
     "verify row bound nan": lambda: verify_row(math.nan, math.nan),
     "verify row bound above 1": lambda: verify_row(1.5, -0.9),
@@ -281,23 +270,11 @@ ERROR_CASES = {
         BoundResult("Thm1", 5.0, 6.0, -0.2, None, None, "out-of-regime", 1.0), TailEstimate(0.1, TailMethod.EXACT)
     ),
     "row to_dict regime string": lambda: BoundResult("Thm1", 5.0, 2.0, 0.6, 0.4, -0.9, "valid", 1.0).to_dict(),
-    "csv row regime string": lambda: sweep_to_csv([BoundResult("Thm1", 5.0, 6.0, -0.2, None, None, "out-of-regime", 1.0)]),
     # a grid value that is not finite, refused as an unread one is
     "sweep grid inf": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [math.inf]),
     "sweep grid nan": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [math.nan]),
     "sweep grid trailing nans": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0, math.nan, math.nan]),
     "sweep grid -inf": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [-math.inf]),
-    # a hand-built row with a number neither the CSV nor JSON holds
-    "csv row bound nan": lambda: sweep_to_csv(
-        [
-            *bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0]),
-            BoundResult("Thm1", 5.0, 2.0, 0.6, math.nan, -0.9, Regime.VALID, 2.0),
-        ]
-    ),
-    "csv row mu nan": lambda: sweep_to_csv([BoundResult("Thm1", math.nan, 2.0, 0.6, None, None, Regime.OUT_OF_REGIME, 1.0)]),
-    "csv row threshold inf": lambda: sweep_to_csv(
-        [BoundResult("Thm1", 5.0, math.inf, -math.inf, None, None, Regime.OUT_OF_REGIME, 1.0)]
-    ),
     # the first fault in file order: a bad record before a field the csv module refuses
     "records one field before an oversize field": lambda: records_from_csv(
         "actual,predicted\nclean\nclean," + "x" * 200000 + "\n"
@@ -317,19 +294,16 @@ ERROR_CASES = {
         X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"], corrected="yes"
     ),
     "scenario seed negative": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"], seed=-1),
-    # a CSV row the format refuses, named by its index and ahead of a later row's bad tag
-    "csv kernel row after two good rows": lambda: sweep_to_csv(
-        [*bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0, 2.0]), chernoff_lower_tail(10.0, 2.0)]
-    ),
-    "csv kernel row before a tag with comma": lambda: sweep_to_csv(
-        [chernoff_lower_tail(10.0, 2.0), BoundResult("a,b", 5.0, 2.0, 0.6, 0.4, -0.9, Regime.VALID, 1.0)]
-    ),
+    # a report row without a t, alone and after a swept row
+    "report kernel row": lambda: FeasibilityReport({}, [chernoff_lower_tail(10.0, 2.0)], [], 0.05, "").to_json(),
+    "report kernel row after a swept row": lambda: FeasibilityReport(
+        {}, [*bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0]), chernoff_lower_tail(10.0, 2.0)], [], 0.05, ""
+    ).to_json(),
 }
 
 
 def sweep_csv(name: str) -> str:
-    config = ScenarioConfig.from_descriptor(dict(SWEEPS[name], kinds=BOTH))
-    return sweep_to_csv(run_sweep(config))
+    return sweep_to_csv(ScenarioConfig.from_descriptor(dict(SWEEPS[name], kinds=BOTH)))
 
 
 def verify_json(descriptor: dict) -> str:

@@ -1,15 +1,15 @@
 """``ScenarioConfig`` checks every field it stores, from a descriptor or
 from Python alike: the outcome and the model are built objects, and the
-kinds a non-empty list of distinct bound kinds, stored as members. Two
-known defects of the report are strict xfails, each naming the ROADMAP
-item that mends it."""
+kinds a non-empty list of distinct bound kinds, stored as members. A
+report refuses a row without a t. Two known defects of the report are
+strict xfails, each naming the ROADMAP item that mends it."""
 
 import dataclasses
 
 import pytest
 
-from sdpfeas import BoundKind, HazardFamily, HazardModel, InvalidInputError, ParseError, SdpOutcome
-from sdpfeas.report import ScenarioConfig, build_report
+from sdpfeas import BoundKind, HazardFamily, HazardModel, InvalidInputError, ParseError, SdpOutcome, chernoff_lower_tail
+from sdpfeas.report import FeasibilityReport, ScenarioConfig, build_report, run_sweep
 
 OUTCOME = SdpOutcome(l=100, p=0.05)
 MODEL = HazardModel(HazardFamily.WEIBULL, K=1.0, m=1.0)
@@ -67,6 +67,18 @@ def test_outcome_and_model_must_be_built_objects(outcome, model, message):
     with pytest.raises(InvalidInputError) as info:
         build_report(ScenarioConfig(outcome, model, [1.0], ["hazard"]))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("swept", [0, 2], ids=["alone", "after-swept-rows"])
+def test_report_row_without_t_is_refused(swept):
+    # the kernel's row has no t: alone its report wrote "infeasible_at":
+    # [[null, null]], and after swept rows sorting the grid raised a TypeError
+    rows = run_sweep(ScenarioConfig(OUTCOME, MODEL, [1.0, 2.0], ["hazard"]))[:swept]
+    report = FeasibilityReport({}, [*rows, chernoff_lower_tail(10.0, 2.0)], [], 0.05, "")
+    for write in (report.verdict, report.to_dict, report.to_json):
+        with pytest.raises(InvalidInputError) as info:
+            write()
+        assert str(info.value) == f"report row {swept} has no t: a report holds swept rows"
 
 
 def exact_report(outcome, model, t):

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpfeas.bounds import BoundResult, Regime
+from sdpfeas.bounds import BoundKind, BoundResult, Regime
 from sdpfeas.oracle import BinomialWindow, TailEstimate, TailMethod, VerificationRecord, verify_bound
-from sdpfeas.errors import InvalidInputError, indented_json
-from sdpfeas.report import sweep_to_csv
+from sdpfeas.errors import InvalidInputError, SdpFeasError, indented_json
+from sdpfeas.report import ScenarioConfig, _csv_text, run_sweep, sweep_to_csv
+from test_bounds import sweep_cases
 
 MU = 0.1 + 0.2  # 0.30000000000000004: needs all 17 digits
 LOG_BOUND = -((MU - 0.1) ** 2) / (2 * MU)
@@ -190,18 +191,18 @@ class TestSweepCsv:
     HEADER = "t,theorem,mu,threshold,delta,bound,regime\n"
 
     def test_valid_row(self):
-        assert sweep_to_csv([self.VALID]) == self.HEADER + (
+        assert _csv_text([self.VALID]) == self.HEADER + (
             "1.25,Thm1,0.30000000000000004,0.10000000000000001,0.66666666666666674,0.93550698503161778,valid\n"
         )
 
     def test_trivial_row(self):
-        assert sweep_to_csv([self.TRIVIAL]) == self.HEADER + "0.001,Thm4,2.5,0,1,0.28650479686019009,trivial\n"
+        assert _csv_text([self.TRIVIAL]) == self.HEADER + "0.001,Thm4,2.5,0,1,0.28650479686019009,trivial\n"
 
     def test_out_of_regime_row(self):
-        assert sweep_to_csv([self.OUT]) == self.HEADER + "3,Thm2,0.25,0.5,-1,,out-of-regime\n"
+        assert _csv_text([self.OUT]) == self.HEADER + "3,Thm2,0.25,0.5,-1,,out-of-regime\n"
 
     def test_mixed_rows_in_order(self):
-        assert sweep_to_csv([self.VALID, self.TRIVIAL, self.OUT]) == (
+        assert _csv_text([self.VALID, self.TRIVIAL, self.OUT]) == (
             "t,theorem,mu,threshold,delta,bound,regime\n"
             "1.25,Thm1,0.30000000000000004,0.10000000000000001,0.66666666666666674,0.93550698503161778,valid\n"
             "0.001,Thm4,2.5,0,1,0.28650479686019009,trivial\n"
@@ -209,28 +210,17 @@ class TestSweepCsv:
         )
 
     def test_header_only_when_empty(self):
-        assert sweep_to_csv([]) == self.HEADER
+        assert _csv_text([]) == self.HEADER
 
     def test_underflowed_mean_writes_delta_minus_inf(self):
         # a mean that underflowed to 0.0 is below every threshold: its delta
         # is -inf, the one infinity the CSV writes
         row = BoundResult("Thm2", 0.0, 0.5, -math.inf, None, None, Regime.OUT_OF_REGIME, 3.0)
-        assert sweep_to_csv([self.VALID, row]).endswith("\n3,Thm2,0,0.5,-inf,,out-of-regime\n")
+        assert _csv_text([self.VALID, row]).endswith("\n3,Thm2,0,0.5,-inf,,out-of-regime\n")
 
     def test_tag_with_an_n_is_written(self):
-        # the scan for nan and inf also finds the n of a tag, whose row then holds neither
         row = BoundResult("Chernoff", MU, 0.1, 1 - 0.1 / MU, math.exp(LOG_BOUND), LOG_BOUND, Regime.VALID, 1.25)
-        assert sweep_to_csv([row]) == sweep_to_csv([self.VALID]).replace("Thm1", "Chernoff")
-
-    @pytest.mark.parametrize("field", ["t", "mu", "threshold", "delta", "bound"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_number_json_cannot_hold_is_refused(self, field, value):
-        row = dataclasses.replace(self.VALID, **{field: value})
-        if field == "delta" and math.isinf(value):
-            assert f",{value}," in sweep_to_csv([self.TRIVIAL, row])
-            return
-        with pytest.raises(InvalidInputError, match=f"^sweep row 1 has no CSV form: {field} is {value}$"):
-            sweep_to_csv([self.TRIVIAL, row])
+        assert _csv_text([row]) == _csv_text([self.VALID]).replace("Thm1", "Chernoff")
 
 
 #: the CSV header and each regime's row template, written out apart from
@@ -280,9 +270,26 @@ def reference_csv(rows) -> str:
 
 class TestSweepCsvBytes:
     @settings(max_examples=200, deadline=None)
+    @given(case=sweep_cases())
+    def test_sweep_equals_row_at_a_time_writer(self, case):
+        # both kinds, the drawn one first; a sweep that fails writes nothing
+        # and raises as run_sweep does
+        outcome, model, grid, kind, corrected = case
+        kinds = [kind, *(other for other in BoundKind if other is not kind)]
+        config = ScenarioConfig(outcome, model, grid, kinds, corrected=corrected)
+        try:
+            rows = run_sweep(config)
+        except SdpFeasError as exc:
+            with pytest.raises(type(exc)) as info:
+                sweep_to_csv(config)
+            assert str(info.value) == str(exc)
+            return
+        assert sweep_to_csv(config) == reference_csv(rows)
+
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(csv_rows(), max_size=12))
     def test_equals_row_at_a_time_writer(self, rows):
-        assert sweep_to_csv(rows) == reference_csv(rows)
+        assert _csv_text(rows) == reference_csv(rows)
 
     def test_edge_floats(self):
         rows = [
@@ -290,7 +297,7 @@ class TestSweepCsvBytes:
             BoundResult("Thm4", 0.0, 0.5, -math.inf, None, None, Regime.OUT_OF_REGIME, sys.float_info.max),
             BoundResult("Thm4", 2.5, -0.0, 1.0, sys.float_info.max, 0.0, Regime.TRIVIAL, 5e-324),
         ]
-        assert sweep_to_csv(rows) == reference_csv(rows) == (
+        assert _csv_text(rows) == reference_csv(rows) == (
             CSV_HEADER + "\n"
             "-0,Thm1,1.7976931348623157e+308,4.9406564584124654e-324,-0,4.9406564584124654e-324,valid\n"
             "1.7976931348623157e+308,Thm4,0,0.5,-inf,,out-of-regime\n"
