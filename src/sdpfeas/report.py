@@ -16,8 +16,9 @@ from __future__ import annotations
 import datetime
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import __version__ as _version
 from .bounds import _OUT_OF_REGIME, BoundKind, BoundResult, Regime, bound_sweep
@@ -42,15 +43,12 @@ DEFAULT_EPSILON = 0.05
 MAX_STEPS = 10**6
 
 
-#: the CSV header, and one row template per regime (keyed by ``_value_``)
-#: in its column order; %.17g gives 17 significant digits, which round-trip
-#: every 64-bit float exactly, and %.0s writes an out-of-regime row's None
-#: bound as the empty field
+#: the CSV header, and per regime the end of a row template: the format of
+#: a bound that varies over the block, then the regime field. %.17g gives
+#: 17 significant digits, which round-trip every 64-bit float exactly, and
+#: %.0s writes an out-of-regime row's None bound as the empty field
 _CSV_HEADER = "t,theorem,mu,threshold,delta,bound,regime"
-_CSV_ROWS = {
-    regime._value_: "%.17g,%s,%.17g,%.17g,%.17g," + ("%.0s," if regime is _OUT_OF_REGIME else "%.17g,") + regime.value
-    for regime in Regime
-}
+_CSV_ROWS = {regime: ("%.0s" if regime is _OUT_OF_REGIME else "%.17g", f",{regime.value}\n") for regime in Regime}
 
 
 def _build_grid(payload: dict) -> list[float]:
@@ -163,7 +161,9 @@ class ScenarioConfig:
 
 
 def run_sweep(config: ScenarioConfig) -> list[BoundResult]:
-    """All bound rows for the scenario, kind-major then grid order."""
+    """All bound rows for the scenario, kind-major then grid order; a
+    config that is not a ``ScenarioConfig`` raises InvalidInputError."""
+    read_instance(config, "config", ScenarioConfig, "a ScenarioConfig")
     entries: list[BoundResult] = []
     for kind in config.kinds:
         entries.extend(
@@ -318,23 +318,47 @@ def build_report(config: ScenarioConfig) -> FeasibilityReport:
     )
 
 
-def _csv_text(entries: Sequence[BoundResult]) -> str:
-    """Sweep rows as CSV text: ``_CSV_HEADER``, then each row from its
-    regime's template, every row written by one format over the templates."""
-    templates = [_CSV_HEADER]
+def _csv_text(times: Sequence[float], blocks: Iterable[Sequence[BoundResult]]) -> str:
+    """Sweep rows as CSV text: ``_CSV_HEADER``, then the rows of each block
+    in order. A block is one kind's rows over the grid: row i is at
+    ``times[i]``, and every row carries the first row's theorem tag.
+
+    A value the sweep repeats is formatted once: each time for all blocks,
+    and in a block a column (mu, threshold, delta, bound) that holds one
+    nonzero number at every row; an out-of-regime row's bound is None, so
+    a block with one has no shared bound. That text and the tag, its "%"
+    escaped, are baked into the block's row templates, and one ``%`` over
+    the joined templates writes every other field. The bytes are those of
+    formatting each row on its own: equal nonzero floats have one %.17g
+    text, and a zero column is formatted row by row, since 0.0 == -0.0 but
+    the two write "0" and "-0".
+    """
+    stamps = ["%.17g," % t for t in times]
+    pieces = [_CSV_HEADER + "\n"]
     values: list | tuple = []
-    for e in entries:
-        templates.append(_CSV_ROWS[e.regime._value_])
-        values += (e.t, e.theorem_tag, e.mu, e.threshold, e.delta, e.bound)
-    # the final newline joined in; the list is let go before the format
-    # runs, so the values are not held twice
-    templates.append("")
+    for block in blocks:
+        columns = (
+            [e.mu for e in block],
+            [e.threshold for e in block],
+            [e.delta for e in block],
+            [e.bound for e in block],
+        )
+        shared = ["%.17g" % c[0] if c[0] and c.count(c[0]) == len(c) else None for c in columns]
+        values += chain.from_iterable(zip(*(c for c, text in zip(columns, shared) if text is None)))
+        head = ",".join([block[0].theorem_tag.replace("%", "%%"), *(text or "%.17g" for text in shared[:3])]) + ","
+        templates = {regime: head + (shared[3] or bound) + end for regime, (bound, end) in _CSV_ROWS.items()}
+        pieces += chain.from_iterable(zip(stamps, map(templates.__getitem__, [e.regime for e in block])))
+    # the list is let go before the format runs, so the values are not held twice
     values = tuple(values)
-    return "\n".join(templates) % values
+    return "".join(pieces) % values
 
 
 def sweep_to_csv(config: ScenarioConfig) -> str:
     """The rows of ``run_sweep(config)`` as CSV text. A swept row always has
     a CSV form: a theorem tag, a ``Regime`` member, and numbers that are
     finite but for delta, -inf where a mean underflowed."""
-    return _csv_text(run_sweep(config))
+    rows = run_sweep(config)
+    # one block per kind, each of one row per grid point
+    size = len(rows) // len(config.kinds)
+    blocks = [rows[start : start + size] for start in range(0, len(rows), size)]
+    return _csv_text([e.t for e in blocks[0]], blocks)

@@ -299,6 +299,8 @@ ERROR_CASES = {
     "report kernel row after a swept row": lambda: FeasibilityReport(
         {}, [*bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0]), chernoff_lower_tail(10.0, 2.0)], [], 0.05, ""
     ).to_json(),
+    # the sweep's rows where its scenario belongs
+    "sweep csv of rows": lambda: sweep_to_csv(bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0])),
 }
 
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from sdpfeas.bounds import BoundKind, BoundResult, Regime
 from sdpfeas.oracle import BinomialWindow, TailEstimate, TailMethod, VerificationRecord, verify_bound
 from sdpfeas.errors import InvalidInputError, SdpFeasError, indented_json
+from sdpfeas.hazards import HazardFamily, HazardModel
+from sdpfeas.outcome import SdpOutcome
 from sdpfeas.report import ScenarioConfig, _csv_text, run_sweep, sweep_to_csv
 from test_bounds import sweep_cases
 
@@ -191,18 +193,18 @@ class TestSweepCsv:
     HEADER = "t,theorem,mu,threshold,delta,bound,regime\n"
 
     def test_valid_row(self):
-        assert _csv_text([self.VALID]) == self.HEADER + (
+        assert one_point_sweeps(self.VALID) == self.HEADER + (
             "1.25,Thm1,0.30000000000000004,0.10000000000000001,0.66666666666666674,0.93550698503161778,valid\n"
         )
 
     def test_trivial_row(self):
-        assert _csv_text([self.TRIVIAL]) == self.HEADER + "0.001,Thm4,2.5,0,1,0.28650479686019009,trivial\n"
+        assert one_point_sweeps(self.TRIVIAL) == self.HEADER + "0.001,Thm4,2.5,0,1,0.28650479686019009,trivial\n"
 
     def test_out_of_regime_row(self):
-        assert _csv_text([self.OUT]) == self.HEADER + "3,Thm2,0.25,0.5,-1,,out-of-regime\n"
+        assert one_point_sweeps(self.OUT) == self.HEADER + "3,Thm2,0.25,0.5,-1,,out-of-regime\n"
 
     def test_mixed_rows_in_order(self):
-        assert _csv_text([self.VALID, self.TRIVIAL, self.OUT]) == (
+        assert one_point_sweeps(self.VALID, self.TRIVIAL, self.OUT) == (
             "t,theorem,mu,threshold,delta,bound,regime\n"
             "1.25,Thm1,0.30000000000000004,0.10000000000000001,0.66666666666666674,0.93550698503161778,valid\n"
             "0.001,Thm4,2.5,0,1,0.28650479686019009,trivial\n"
@@ -210,17 +212,17 @@ class TestSweepCsv:
         )
 
     def test_header_only_when_empty(self):
-        assert _csv_text([]) == self.HEADER
+        assert _csv_text([], []) == self.HEADER
 
     def test_underflowed_mean_writes_delta_minus_inf(self):
         # a mean that underflowed to 0.0 is below every threshold: its delta
         # is -inf, the one infinity the CSV writes
         row = BoundResult("Thm2", 0.0, 0.5, -math.inf, None, None, Regime.OUT_OF_REGIME, 3.0)
-        assert _csv_text([self.VALID, row]).endswith("\n3,Thm2,0,0.5,-inf,,out-of-regime\n")
+        assert one_point_sweeps(self.VALID, row).endswith("\n3,Thm2,0,0.5,-inf,,out-of-regime\n")
 
     def test_tag_with_an_n_is_written(self):
         row = BoundResult("Chernoff", MU, 0.1, 1 - 0.1 / MU, math.exp(LOG_BOUND), LOG_BOUND, Regime.VALID, 1.25)
-        assert _csv_text([row]) == _csv_text([self.VALID]).replace("Thm1", "Chernoff")
+        assert one_point_sweeps(row) == one_point_sweeps(self.VALID).replace("Thm1", "Chernoff")
 
 
 #: the CSV header and each regime's row template, written out apart from
@@ -242,17 +244,6 @@ CSV_TAGS = st.sampled_from(["Thm1", "Thm2", "Thm3", "Thm4", "Chernoff", "100%", 
 )
 
 
-@st.composite
-def csv_rows(draw):
-    regime = draw(st.sampled_from(list(Regime)))
-    # an underflowed mean's delta is -inf; an out-of-regime row has no bound
-    delta = draw(CSV_FLOATS | st.just(-math.inf))
-    bound = None if regime is Regime.OUT_OF_REGIME else draw(CSV_FLOATS)
-    log_bound = None if bound is None else -1.0
-    t, mu, threshold = draw(CSV_FLOATS), draw(CSV_FLOATS), draw(CSV_FLOATS)
-    return BoundResult(draw(CSV_TAGS), mu, threshold, delta, bound, log_bound, regime, t)
-
-
 def reference_csv(rows) -> str:
     return (
         "\n".join(
@@ -266,6 +257,62 @@ def reference_csv(rows) -> str:
         )
         + "\n"
     )
+
+
+def one_point_sweeps(*rows) -> str:
+    """Each row written as a one-point sweep at its own t, after one header,
+    as a writer of grid slices joins them."""
+    texts = [_csv_text([row.t], [[row]]) for row in rows]
+    return CSV_HEADER + "\n" + "".join(text.partition("\n")[2] for text in texts)
+
+
+@st.composite
+def csv_blocks(draw):
+    """A grid's times and up to three blocks of rows over it, one tag a
+    block. Each column of a block is drawn row by row, as one value at
+    every row, or as zeros of either sign, which are equal but write "0"
+    and "-0"; an out-of-regime row has no bound."""
+    times = draw(st.lists(CSV_FLOATS, max_size=6))
+    n = len(times)
+
+    def column(values):
+        shape = draw(st.sampled_from(["rows", "one", "zeros"]))
+        if shape == "one":
+            return [draw(values)] * n
+        return draw(st.lists(st.sampled_from([0.0, -0.0]) if shape == "zeros" else values, min_size=n, max_size=n))
+
+    blocks = []
+    for _ in range(draw(st.integers(0, 3)) if times else 0):
+        tag, regimes = draw(CSV_TAGS), draw(st.lists(st.sampled_from(list(Regime)), min_size=n, max_size=n))
+        mus, thresholds, bounds = column(CSV_FLOATS), column(CSV_FLOATS), column(CSV_FLOATS)
+        deltas = column(CSV_FLOATS | st.just(-math.inf))
+        rows = []
+        for t, regime, mu, threshold, delta, bound in zip(times, regimes, mus, thresholds, deltas, bounds):
+            out = regime is Regime.OUT_OF_REGIME
+            log_bound = None if out else -1.0
+            rows.append(BoundResult(tag, mu, threshold, delta, None if out else bound, log_bound, regime, t))
+        blocks.append(rows)
+    return times, blocks
+
+
+#: sweeps whose blocks repeat a value in a column, or seem to: (outcome,
+#: model, grid), swept for both kinds
+SHARED_CELL_SWEEPS = {
+    # the reliability mean exp(l*p*expm1(-t)) underflows to 0.0 at every t,
+    # so its delta is -inf at every t; the hazard rows' bounds underflow too
+    "mean underflowed at every point": (
+        SdpOutcome(4000, 0.5), HazardModel(HazardFamily.WEIBULL, K=1.0, m=1.0), [1.0, 2.0, 3.0]
+    ),
+    "one-point grid": (SdpOutcome(100, 0.05), HazardModel(HazardFamily.WEIBULL, K=1.0, m=1.0), [2.5]),
+    # the hazard mean l*p over in-regime and out-of-regime rows
+    "one mean over both regimes": (
+        SdpOutcome(100, 0.05), HazardModel(HazardFamily.WEIBULL, K=1.0, m=1.0), [1.0, 5.0, 10.0]
+    ),
+    # the hazard threshold lambda below l*p, where every hazard column holds
+    # one value, and above it, where every hazard row is out of regime
+    "constant below l*p": (SdpOutcome(100, 0.05), HazardModel(HazardFamily.CONSTANT, lam=2.0), [1.0, 5.0, 10.0]),
+    "constant above l*p": (SdpOutcome(100, 0.05), HazardModel(HazardFamily.CONSTANT, lam=8.0), [1.0, 5.0, 10.0]),
+}
 
 
 class TestSweepCsvBytes:
@@ -287,9 +334,47 @@ class TestSweepCsvBytes:
         assert sweep_to_csv(config) == reference_csv(rows)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(csv_rows(), max_size=12))
-    def test_equals_row_at_a_time_writer(self, rows):
-        assert _csv_text(rows) == reference_csv(rows)
+    @given(csv_blocks())
+    def test_equals_row_at_a_time_writer(self, case):
+        times, blocks = case
+        assert _csv_text(times, blocks) == reference_csv([row for block in blocks for row in block])
+
+    @pytest.mark.parametrize("name", SHARED_CELL_SWEEPS)
+    def test_sweep_with_repeated_values(self, name):
+        config = ScenarioConfig(*SHARED_CELL_SWEEPS[name], list(BoundKind))
+        assert sweep_to_csv(config) == reference_csv(run_sweep(config))
+
+    def test_mean_underflowed_at_every_point_writes_each_zero(self):
+        config = ScenarioConfig(*SHARED_CELL_SWEEPS["mean underflowed at every point"], ["reliability"])
+        assert sweep_to_csv(config) == CSV_HEADER + (
+            "\n1,Thm2,0,0.5,-inf,,out-of-regime\n2,Thm2,0,1,-inf,,out-of-regime\n3,Thm2,0,1.5,-inf,,out-of-regime\n"
+        )
+
+    def test_constant_below_mean_shares_every_hazard_cell(self):
+        config = ScenarioConfig(*SHARED_CELL_SWEEPS["constant below l*p"], ["hazard"])
+        row = ",Cor9,5,2,0.59999999999999998,0.40656965974059911,valid\n"
+        assert sweep_to_csv(config) == CSV_HEADER + "\n1" + row + "5" + row + "10" + row
+
+    def test_zeros_of_either_sign_are_not_one_value(self):
+        # 0.0 == -0.0 in each column, but each row writes its own sign
+        rows = [
+            BoundResult("Thm1", -0.0, 0.0, -0.0, 0.0, -1.0, Regime.TRIVIAL, 1.0),
+            BoundResult("Thm1", 0.0, -0.0, 0.0, -0.0, -1.0, Regime.TRIVIAL, 2.0),
+        ]
+        assert _csv_text([1.0, 2.0], [rows]) == reference_csv(rows) == (
+            CSV_HEADER + "\n1,Thm1,-0,0,-0,0,trivial\n2,Thm1,0,-0,0,-0,trivial\n"
+        )
+
+    @pytest.mark.parametrize("tag", ["100%", "%s", "%%", "%.17g"])
+    def test_tag_with_a_percent_is_written_as_is(self, tag):
+        rows = [
+            BoundResult(tag, 5.0, 1.0, 0.8, 0.2, -1.6, Regime.VALID, 1.0),
+            BoundResult(tag, 5.0, 6.0, -0.2, None, None, Regime.OUT_OF_REGIME, 2.0),
+        ]
+        assert _csv_text([1.0, 2.0], [rows]) == reference_csv(rows) == (
+            f"{CSV_HEADER}\n1,{tag},5,1,0.80000000000000004,0.20000000000000001,valid\n"
+            f"2,{tag},5,6,-0.20000000000000001,,out-of-regime\n"
+        )
 
     def test_edge_floats(self):
         rows = [
@@ -297,7 +382,7 @@ class TestSweepCsvBytes:
             BoundResult("Thm4", 0.0, 0.5, -math.inf, None, None, Regime.OUT_OF_REGIME, sys.float_info.max),
             BoundResult("Thm4", 2.5, -0.0, 1.0, sys.float_info.max, 0.0, Regime.TRIVIAL, 5e-324),
         ]
-        assert _csv_text(rows) == reference_csv(rows) == (
+        assert one_point_sweeps(*rows) == reference_csv(rows) == (
             CSV_HEADER + "\n"
             "-0,Thm1,1.7976931348623157e+308,4.9406564584124654e-324,-0,4.9406564584124654e-324,valid\n"
             "1.7976931348623157e+308,Thm4,0,0.5,-inf,,out-of-regime\n"
