@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "oracle": ("BinomialWindow", "TailEstimate", "TailMethod", "VerificationRecord", "verify_bound"),
     "outcome": ("SdpOutcome", "outcome_from_descriptor"),
-    "report": ("FeasibilityReport", "ScenarioConfig", "build_report", "run_sweep", "sweep_to_csv"),
+    "report": ("FeasibilityReport", "ScenarioConfig", "run_sweep", "sweep_to_csv"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

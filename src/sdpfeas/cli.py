@@ -122,10 +122,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     """Run the sweep plus oracle verification and emit a feasibility report."""
-    from .report import build_report
+    from .report import FeasibilityReport
 
     config = _load_config(args)
-    report = build_report(config)
+    report = FeasibilityReport(config)
     _write_output(report.to_json() + "\n", args.out)
     return EXIT_OK if report.all_hold else EXIT_VERIFICATION
 

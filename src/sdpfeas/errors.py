@@ -78,8 +78,8 @@ def _encode(value, depth: int) -> str:
 def indented_json(obj) -> str:
     """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, with
     the C encoder (which ``indent`` turns off) writing every container of
-    scalars; where that raises ValueError (a NaN or infinite float, value or
-    key), this raises InvalidInputError.
+    scalars; where that raises ValueError (a NaN or infinite float) or
+    TypeError (a value or key of a type JSON lacks), InvalidInputError.
 
     Encoded strings escape every newline, so an encoder whose item
     separator is a comma, a newline and the items' indent writes a
@@ -121,6 +121,8 @@ def indented_json(obj) -> str:
         return encode(obj, 0)
     except ValueError:
         raise InvalidInputError("output has no JSON form: it holds a float that is NaN or infinite") from None
+    except TypeError as exc:
+        raise InvalidInputError(f"output has no JSON form: {exc}") from None
 
 
 def _json_key(key) -> str:

@@ -2,10 +2,10 @@
 feasibility report.
 
 A scenario bundles an outcome, a hazard model, a time grid and the
-requested bound kinds; running it yields per-point bound rows, optional
-verification records against the exact and Monte-Carlo oracles, and a
-verdict that classifies each grid point as feasible, infeasible or
-out-of-regime. "Infeasible" means the bound on the probability that
+requested bound kinds. ``FeasibilityReport(config)`` is built from it
+alone: its per-point bound rows, their verification against the exact and
+Monte-Carlo oracles, and a verdict that classifies each grid point, from
+its rows across kinds, as feasible, infeasible or out-of-regime. "Infeasible" means the bound on the probability that
 prediction-based testing beats manual testing fell at or below epsilon;
 epsilon is a tool convention (default 0.05), not a claim from the
 analysis itself.
@@ -33,7 +33,6 @@ __all__ = [
     "FeasibilityReport",
     "run_sweep",
     "run_verification",
-    "build_report",
     "sweep_to_csv",
     "DEFAULT_EPSILON",
 ]
@@ -178,7 +177,13 @@ def run_sweep(config: ScenarioConfig) -> list[BoundResult]:
     return entries
 
 
-def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardModel | None) -> float:
+def _kind_blocks(config: ScenarioConfig, rows: Sequence[BoundResult]) -> list[Sequence[BoundResult]]:
+    """``run_sweep(config)``'s kind-major rows as one block per kind."""
+    size = len(rows) // len(config.kinds)
+    return [rows[start : start + size] for start in range(0, len(rows), size)]
+
+
+def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardModel | None, reliability: bool) -> float:
     """A row's threshold in count units, the one map from a verified row to
     its oracle query Pr[X < count].
 
@@ -187,33 +192,34 @@ def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardMo
     below the family's max_time; at max_time a 0.0 is ld's true zero.
 
     A Y row's count is the closed form of z(t)/zhat(t), (K/Khat)*t**(m -
-    mhat), over m + 1 for Thm4 (whose threshold is H/t = z/(m + 1)): one
-    power, so where m = mhat it is K/Khat correctly rounded. Where K/Khat
-    or the power leaves the float range and the product is not in (0, inf),
-    it comes from the logs, log K - log Khat + (m - mhat)*log t, less
-    log1p(m) for Thm4. A count past the float range is the largest float,
-    the event certain; one that underflows to 0.0 is the smallest float,
-    the event {X = 0}.
+    mhat), over m + 1 for a ``reliability`` row (Thm4, threshold H/t = z/(m
+    + 1)): one power, so where m = mhat it is K/Khat correctly rounded.
+    Where K/Khat or the power leaves the float range and the product is not
+    in (0, inf), it comes from the logs, log K - log Khat + (m - mhat)*log
+    t, less log1p(m) for reliability. A count past the float range is the
+    largest float, the event certain; one that underflows to 0.0 is the
+    smallest float, the event {X = 0}.
     """
     threshold = entry.threshold
     if injection is None:
         return math.ulp(0.0) if threshold == 0 and entry.t < model.max_time else threshold
-    K, m, t, thm4 = model.K, model.m, entry.t, entry.theorem_tag == "Thm4"
+    K, m, t = model.K, model.m, entry.t
     try:
-        count = K / injection.K * t ** (m - injection.m) / (m + 1 if thm4 else 1.0)
+        count = K / injection.K * t ** (m - injection.m) / (m + 1 if reliability else 1.0)
     except OverflowError:
         count = math.inf
     if not 0 < count < math.inf:
         log_count = math.log(K) - math.log(injection.K) + (m - injection.m) * math.log(t)
         try:
-            count = math.exp(log_count - math.log1p(m) if thm4 else log_count)
+            count = math.exp(log_count - math.log1p(m) if reliability else log_count)
         except OverflowError:
             count = math.inf
     return min(max(count, math.ulp(0.0)), sys.float_info.max)
 
 
 def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> list[VerificationRecord]:
-    """Check every in-regime row against the exact and/or MC oracle.
+    """Check every in-regime row of ``entries``, the rows of
+    ``run_sweep(config)``, against the exact and/or MC oracle.
 
     Every bound in the engine is a lower-tail statement about the
     underlying count X (reliability events transform to X < H(t)/t, and
@@ -221,10 +227,16 @@ def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> 
     either variant: ``_count_threshold`` maps each row to its count, and
     one oracle answers every row at that count.
     """
-    checks = [entry for entry in entries if entry.regime is not _OUT_OF_REGIME]
-    if not checks or not (config.verify_exact or config.mc_trials > 0):
+    if not (config.verify_exact or config.mc_trials > 0):
         return []
-    thresholds = [_count_threshold(entry, config.model, config.outcome.injection) for entry in checks]
+    checks, thresholds = [], []
+    for kind, block in zip(config.kinds, _kind_blocks(config, entries)):
+        block = [entry for entry in block if entry.regime is not _OUT_OF_REGIME]
+        reliability = kind is BoundKind.RELIABILITY
+        thresholds += [_count_threshold(e, config.model, config.outcome.injection, reliability) for e in block]
+        checks += block
+    if not checks:
+        return []
     # one oracle sums each distinct k*'s exact tail once, one MC draw answers every MC row
     window = BinomialWindow(config.outcome.l, config.outcome.p)
     if config.mc_trials > 0:
@@ -242,44 +254,42 @@ def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> 
     return records
 
 
-@dataclass
 class FeasibilityReport:
-    scenario: dict
-    rows: list[BoundResult]
-    verification: list[VerificationRecord]
-    epsilon: float
-    timestamp: str
+    """A scenario's sweep, its verification and the UTC time it was built."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.rows = run_sweep(config)
+        self.verification = run_verification(config, self.rows)
+        self.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     @property
     def all_hold(self) -> bool:
         return all(r.holds for r in self.verification)
 
     def verdict(self) -> dict:
-        """Classify each grid point and report each class as [lo, hi]
-        ranges, one per run of consecutive grid points in that class. A row
-        without a t, such as the kernel's, is refused."""
-        by_time: dict[float, list[BoundResult]] = {}
-        for index, row in enumerate(self.rows):
-            if row.t is None:
-                raise InvalidInputError(f"report row {index} has no t: a report holds swept rows")
-            by_time.setdefault(row.t, []).append(row)
+        """Classify each grid point, from its rows across kinds, and report
+        each class as [lo, hi] ranges, one per run of consecutive grid
+        points in that class."""
+        epsilon = self.config.epsilon
         ranges = {"feasible_at": [], "infeasible_at": [], "out_of_regime_at": []}
         previous = None
-        for t in sorted(by_time):
-            bounds = [r.bound for r in by_time[t] if r.regime is not _OUT_OF_REGIME]
+        for point in zip(*_kind_blocks(self.config, self.rows)):
+            bounds = [r.bound for r in point if r.regime is not _OUT_OF_REGIME]
             if not bounds:
                 key = "out_of_regime_at"
-            elif min(bounds) <= self.epsilon:
+            elif min(bounds) <= epsilon:
                 key = "infeasible_at"
             else:
                 key = "feasible_at"
+            t = point[0].t
             if key == previous:
                 ranges[key][-1][1] = t
             else:
                 ranges[key].append([t, t])
             previous = key
         return {
-            "epsilon": self.epsilon,
+            "epsilon": epsilon,
             "note": (
                 "bound <= epsilon means the chance that prediction-based testing "
                 "beats manual testing at this t is small (tool convention)"
@@ -295,7 +305,7 @@ class FeasibilityReport:
             summary["min_slack"] = min(slacks)
             summary["max_slack"] = max(slacks)
         return {
-            "scenario": self.scenario,
+            "scenario": self.config.raw,
             "rows": [row.to_dict() for row in self.rows],
             "verification": [r.to_dict() for r in self.verification],
             "summary": summary,
@@ -305,17 +315,6 @@ class FeasibilityReport:
 
     def to_json(self) -> str:
         return indented_json(self.to_dict())
-
-
-def build_report(config: ScenarioConfig) -> FeasibilityReport:
-    rows = run_sweep(config)
-    return FeasibilityReport(
-        scenario=config.raw,
-        rows=rows,
-        verification=run_verification(config, rows),
-        epsilon=config.epsilon,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
 
 
 def _csv_text(times: Sequence[float], blocks: Iterable[Sequence[BoundResult]]) -> str:
@@ -357,8 +356,5 @@ def sweep_to_csv(config: ScenarioConfig) -> str:
     """The rows of ``run_sweep(config)`` as CSV text. A swept row always has
     a CSV form: a theorem tag, a ``Regime`` member, and numbers that are
     finite but for delta, -inf where a mean underflowed."""
-    rows = run_sweep(config)
-    # one block per kind, each of one row per grid point
-    size = len(rows) // len(config.kinds)
-    blocks = [rows[start : start + size] for start in range(0, len(rows), size)]
+    blocks = _kind_blocks(config, run_sweep(config))
     return _csv_text([e.t for e in blocks[0]], blocks)

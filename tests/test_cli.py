@@ -609,7 +609,7 @@ class TestVerify:
         injection = HazardModel(HazardFamily.WEIBULL, K=K_hat, m=m)
         mu, threshold = 10.0 * K_hat * t**m, K * t**m
         row = BoundResult("Thm3", mu, threshold, 1.0 - threshold / mu, None, None, Regime.OUT_OF_REGIME, t)
-        assert report_module._count_threshold(row, model, injection) == float(Fraction(K) / Fraction(K_hat))
+        assert report_module._count_threshold(row, model, injection, False) == float(Fraction(K) / Fraction(K_hat))
 
     def test_verdict_ranges(self, run, tmp_path):
         scenario = {

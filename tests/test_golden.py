@@ -44,7 +44,7 @@ from sdpfeas.bounds import FORMS, _form
 from sdpfeas.confusion import records_from_csv
 from sdpfeas.errors import indented_json
 from sdpfeas.hazards import FAMILIES
-from sdpfeas.report import FeasibilityReport, ScenarioConfig, build_report, sweep_to_csv
+from sdpfeas.report import FeasibilityReport, ScenarioConfig, sweep_to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -216,8 +216,10 @@ ERROR_CASES = {
     "weibull lambda unused": lambda: HazardModel(W, K=1.0, m=1.0, lam="junk"),
     "li m unused": lambda: HazardModel("li", K=1.0, m=2.0),
     "verify float oracle": lambda: verify_bound(bound_at(X_OUT, HazardModel(W, K=1.0, m=1.0), 1.0), 0.1),
-    "scenario string outcome": lambda: build_report(ScenarioConfig("x", HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"])),
-    "scenario dict model": lambda: build_report(
+    "scenario string outcome": lambda: FeasibilityReport(
+        ScenarioConfig("x", HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"])
+    ),
+    "scenario dict model": lambda: FeasibilityReport(
         ScenarioConfig(X_OUT, {"family": "weibull", "K": 1.0, "m": 1.0}, [1.0], ["hazard"])
     ),
     # an oracle value that is not a probability, and a row with no bound
@@ -236,7 +238,9 @@ ERROR_CASES = {
     "sweep dict outcome": lambda: bound_sweep({"l": 100, "p": 0.05}, HazardModel(W, K=1.0, m=1.0), [1.0]),
     "false omission rate tuple": lambda: false_omission_rate((1, 2, 3, 4)),
     "sweep grid None": lambda: bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), None),
-    "scenario grid None": lambda: build_report(ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), None, ["hazard"])),
+    "scenario grid None": lambda: FeasibilityReport(
+        ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), None, ["hazard"])
+    ),
     # Monte-Carlo provenance on an exact tail, and an MC seed outside the key range
     "tail exact with seed": lambda: verify_tail(0.1, TailMethod.EXACT, seed=5),
     "tail exact with trials": lambda: verify_tail(0.1, TailMethod.EXACT, 100),
@@ -262,9 +266,6 @@ ERROR_CASES = {
     "verify row log bound positive": lambda: verify_row(0.4, 0.5),
     "json nan": lambda: indented_json({"rows": [{"bound": math.nan}]}),
     "json infinity": lambda: indented_json([1.0, math.inf]),
-    "report row mu nan": lambda: FeasibilityReport(
-        {}, [BoundResult("Thm1", math.nan, 2.0, 0.6, None, None, Regime.OUT_OF_REGIME, 1.0)], [], 0.05, ""
-    ).to_json(),
     # a regime that is not a Regime member
     "verify row regime string": lambda: verify_bound(
         BoundResult("Thm1", 5.0, 6.0, -0.2, None, None, "out-of-regime", 1.0), TailEstimate(0.1, TailMethod.EXACT)
@@ -294,13 +295,14 @@ ERROR_CASES = {
         X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"], corrected="yes"
     ),
     "scenario seed negative": lambda: ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"], seed=-1),
-    # a report row without a t, alone and after a swept row
-    "report kernel row": lambda: FeasibilityReport({}, [chernoff_lower_tail(10.0, 2.0)], [], 0.05, "").to_json(),
-    "report kernel row after a swept row": lambda: FeasibilityReport(
-        {}, [*bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0]), chernoff_lower_tail(10.0, 2.0)], [], 0.05, ""
-    ).to_json(),
     # the sweep's rows where its scenario belongs
     "sweep csv of rows": lambda: sweep_to_csv(bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0])),
+    # a value or a key JSON has no form for, in a descriptor built from Python
+    "json set": lambda: FeasibilityReport(
+        ScenarioConfig(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0], ["hazard"], raw={"a": {1, 2}})
+    ).to_json(),
+    "json tuple key": lambda: indented_json({"scenario": {(1, 2): 0}}),
+    "report of rows": lambda: FeasibilityReport(bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0])),
 }
 
 
@@ -309,7 +311,7 @@ def sweep_csv(name: str) -> str:
 
 
 def verify_json(descriptor: dict) -> str:
-    report = build_report(ScenarioConfig.from_descriptor(descriptor)).to_dict()
+    report = FeasibilityReport(ScenarioConfig.from_descriptor(descriptor)).to_dict()
     report.pop("timestamp")
     return json.dumps(report, indent=2) + "\n"
 
@@ -342,7 +344,7 @@ def test_matches_golden(name):
 
 @pytest.mark.parametrize("descriptor", [VERIFY, VERIFY_Y], ids=["x", "y"])
 def test_report_json_is_json_dumps_indent_2(descriptor):
-    report = build_report(ScenarioConfig.from_descriptor(descriptor))
+    report = FeasibilityReport(ScenarioConfig.from_descriptor(descriptor))
     assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
 

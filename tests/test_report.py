@@ -1,15 +1,21 @@
 """``ScenarioConfig`` checks every field it stores, from a descriptor or
 from Python alike: the outcome and the model are built objects, and the
 kinds a non-empty list of distinct bound kinds, stored as members. A
-report refuses a row without a t. Two known defects of the report are
-strict xfails, each naming the ROADMAP item that mends it."""
+report is built from its scenario alone, and its verdict is that of the
+scenario's rows grouped by t. Two known defects of the report are strict
+xfails, each naming the ROADMAP item that mends it."""
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdpfeas import BoundKind, HazardFamily, HazardModel, InvalidInputError, ParseError, SdpOutcome, chernoff_lower_tail
-from sdpfeas.report import FeasibilityReport, ScenarioConfig, build_report, run_sweep
+from sdpfeas import (
+    BoundKind, HazardFamily, HazardModel, InvalidInputError, ParseError, Regime, SdpFeasError, SdpOutcome,
+)
+from sdpfeas.report import FeasibilityReport, ScenarioConfig, run_sweep
+from test_bounds import sweep_cases
 
 OUTCOME = SdpOutcome(l=100, p=0.05)
 MODEL = HazardModel(HazardFamily.WEIBULL, K=1.0, m=1.0)
@@ -65,26 +71,61 @@ def test_descriptor_kinds_are_read_as_python_kinds_are(kinds):
 )
 def test_outcome_and_model_must_be_built_objects(outcome, model, message):
     with pytest.raises(InvalidInputError) as info:
-        build_report(ScenarioConfig(outcome, model, [1.0], ["hazard"]))
+        FeasibilityReport(ScenarioConfig(outcome, model, [1.0], ["hazard"]))
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("swept", [0, 2], ids=["alone", "after-swept-rows"])
-def test_report_row_without_t_is_refused(swept):
-    # the kernel's row has no t: alone its report wrote "infeasible_at":
-    # [[null, null]], and after swept rows sorting the grid raised a TypeError
-    rows = run_sweep(ScenarioConfig(OUTCOME, MODEL, [1.0, 2.0], ["hazard"]))[:swept]
-    report = FeasibilityReport({}, [*rows, chernoff_lower_tail(10.0, 2.0)], [], 0.05, "")
-    for write in (report.verdict, report.to_dict, report.to_json):
-        with pytest.raises(InvalidInputError) as info:
-            write()
-        assert str(info.value) == f"report row {swept} has no t: a report holds swept rows"
+def reference_verdict(rows, epsilon) -> dict:
+    """The verdict's ranges from the rows grouped by t, in sorted t order."""
+    by_time = {}
+    for row in rows:
+        by_time.setdefault(row.t, []).append(row)
+    ranges = {"feasible_at": [], "infeasible_at": [], "out_of_regime_at": []}
+    previous = None
+    for t in sorted(by_time):
+        bounds = [row.bound for row in by_time[t] if row.regime is not Regime.OUT_OF_REGIME]
+        key = "out_of_regime_at" if not bounds else "infeasible_at" if min(bounds) <= epsilon else "feasible_at"
+        if key == previous:
+            ranges[key][-1][1] = t
+        else:
+            ranges[key].append([t, t])
+        previous = key
+    return ranges
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sweep_cases(), epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_verdict_is_that_of_the_rows_grouped_by_t(case, epsilon):
+    outcome, model, grid, kind, corrected = case
+    kinds = [kind, *(other for other in BoundKind if other is not kind)]
+    config = ScenarioConfig(outcome, model, grid, kinds, corrected=corrected, verify_exact=False, epsilon=epsilon)
+    try:
+        rows = run_sweep(config)
+    except SdpFeasError as exc:
+        # a sweep that fails fails the report as it fails alone
+        with pytest.raises(SdpFeasError) as info:
+            FeasibilityReport(config)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    report = FeasibilityReport(config)
+    assert report.rows == rows and report.verification == []
+    summary = report.verdict()
+    assert summary.pop("epsilon") == epsilon and summary.pop("note")
+    assert summary == reference_verdict(rows, epsilon)
+
+
+def test_verdict_writes_an_int_grid_as_floats():
+    # the verdict reads each t from the rows, which hold the grid as floats
+    summary = FeasibilityReport(ScenarioConfig(OUTCOME, MODEL, [1, 2, 30], ["hazard", "reliability"])).verdict()
+    ranges = [summary["feasible_at"], summary["infeasible_at"], summary["out_of_regime_at"]]
+    assert ranges == [[[1.0, 2.0]], [], [[30.0, 30.0]]]
+    assert all(type(t) is float for key in ("feasible_at", "out_of_regime_at") for t in summary[key][0])
 
 
 def exact_report(outcome, model, t):
     """The report of verifying ``model``'s hazard bounds at ``t`` against
     the exact oracle alone: one exact record per in-regime row."""
-    return build_report(ScenarioConfig(outcome, model, [t], ["hazard"]))
+    return FeasibilityReport(ScenarioConfig(outcome, model, [t], ["hazard"]))
 
 
 @pytest.mark.xfail(
