@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -184,6 +185,26 @@ def _form(outcome: SdpOutcome, kind: BoundKind, corrected: bool) -> tuple[str | 
     return sign_mode, FORMS[variant, kind, sign_mode]
 
 
+def read_grid(grid: Iterable[float]) -> list[float]:
+    """A time grid as a list of floats: an iterable (ParseError otherwise)
+    of finite numbers, non-empty, positive and strictly increasing."""
+    try:
+        points = iter(grid)
+    except TypeError:
+        raise ParseError(f"time grid must be iterable, got {type(grid).__name__}") from None
+    grid = [t if type(t) is float else read_number(t, "time grid value") for t in points]
+    if not grid:
+        raise InvalidInputError("time grid is empty")
+    # increasing from > 0 to finite holds no NaN or inf; a value not finite is refused first
+    if not (0 < grid[0] and grid[-1] <= sys.float_info.max and all(map(operator.lt, grid, grid[1:]))):
+        for t in grid:
+            read_number(t, "time grid value")
+        if any(t <= 0 for t in grid):
+            raise InvalidInputError("time grid values must be > 0")
+        raise InvalidInputError("time grid must be strictly increasing")
+    return grid
+
+
 def bound_sweep(
     outcome: SdpOutcome,
     model: HazardModel,
@@ -194,28 +215,15 @@ def bound_sweep(
     """The ``FORMS`` row of (outcome, kind, corrected) over a time grid,
     in one pass; the bound at one t is ``bound_sweep(..., [t], ...)[0]``.
 
-    The grid must be an iterable of finite numbers, non-empty, strictly
-    increasing and positive. Each point costs one mean, one threshold and
-    one kernel call, and makes one row in grid order, out of regime too (a
-    mean that underflowed to 0.0 included). The first point whose mean or
+    The grid is read by ``read_grid``: an iterable of finite numbers,
+    non-empty, strictly increasing and positive. Each point costs one mean,
+    one threshold and one kernel call, and makes one row in grid order, out
+    of regime too (a mean that underflowed to 0.0 included). The first point whose mean or
     threshold fails raises, mean first: a time past ld's domain raises
     InvalidInputError, and an overflow (the as-published Thm4 at moderate
     t, for one) NumericOverflowError naming the bound and t.
     """
-    try:
-        points = iter(grid)
-    except TypeError:
-        raise ParseError(f"time grid must be iterable, got {type(grid).__name__}") from None
-    grid = [t if type(t) is float else read_number(t, "time grid value") for t in points]
-    if not grid:
-        raise InvalidInputError("time grid is empty")
-    # increasing from > 0 to finite holds no NaN or inf; a value not finite is refused first
-    if not (0 < grid[0] and grid[-1] <= sys.float_info.max and all(a < b for a, b in zip(grid, grid[1:]))):
-        for t in grid:
-            read_number(t, "time grid value")
-        if any(t <= 0 for t in grid):
-            raise InvalidInputError("time grid values must be > 0")
-        raise InvalidInputError("time grid must be strictly increasing")
+    grid = read_grid(grid)
     kind = read_choice(kind, "bound kind", BoundKind)
     read_instance(outcome, "outcome", SdpOutcome, "an SdpOutcome")
     read_instance(model, "model", HazardModel, "a HazardModel")
@@ -230,7 +238,7 @@ def bound_sweep(
     tag, mean = form.tag or family_tag, form.mean
     mean_failures, injection = outcome.mean_failures, outcome.injection
     # every t is a finite float > 0, and only ld's domain ends, at K/m
-    end = spec.max_time(model)
+    end = model.max_time
     entries: list[BoundResult] = []
     append, isfinite = entries.append, math.isfinite
     try:

@@ -102,7 +102,7 @@ def cmd_bound(args) -> int:
     config = _load_config(args)
     if len(config.grid) != 1 or len(config.kinds) != 1:
         raise InvalidInputError("'bound' needs a single-point time grid and exactly one kind")
-    entry = run_sweep(config)[0]
+    [[entry]] = run_sweep(config)
     _write_output(indented_json(entry.to_dict()) + "\n", args.out)
     return EXIT_OUT_OF_REGIME if entry.regime is Regime.OUT_OF_REGIME else EXIT_OK
 
@@ -113,7 +113,7 @@ def cmd_sweep(args) -> int:
 
     config = _load_config(args)
     if args.format == "json":
-        text = indented_json([e.to_dict() for e in run_sweep(config)]) + "\n"
+        text = indented_json([e.to_dict() for block in run_sweep(config) for e in block]) + "\n"
     else:
         text = sweep_to_csv(config)
     _write_output(text, args.out)

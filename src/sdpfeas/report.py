@@ -1,14 +1,15 @@
 """Scenario configuration, sweep/verification campaigns and the
 feasibility report.
 
-A scenario bundles an outcome, a hazard model, a time grid and the
-requested bound kinds. ``FeasibilityReport(config)`` is built from it
-alone: its per-point bound rows, their verification against the exact and
-Monte-Carlo oracles, and a verdict that classifies each grid point, from
-its rows across kinds, as feasible, infeasible or out-of-regime. "Infeasible" means the bound on the probability that
-prediction-based testing beats manual testing fell at or below epsilon;
-epsilon is a tool convention (default 0.05), not a claim from the
-analysis itself.
+A scenario bundles an outcome, a hazard model, a checked time grid and
+the requested bound kinds. ``run_sweep(config)`` sweeps it into one block
+of rows per kind, and ``FeasibilityReport(config)`` is built from it
+alone: those blocks, their verification against the exact and Monte-Carlo
+oracles, and a verdict that classifies each grid point, from its rows
+across kinds, as feasible, infeasible or out-of-regime. "Infeasible"
+means the bound on the probability that prediction-based testing beats
+manual testing fell at or below epsilon; epsilon is a tool convention
+(default 0.05), not a claim from the analysis itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from . import __version__ as _version
-from .bounds import _OUT_OF_REGIME, BoundKind, BoundResult, Regime, bound_sweep
+from .bounds import _OUT_OF_REGIME, BoundKind, BoundResult, Regime, bound_sweep, read_grid
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_instance, read_integer
 from .errors import read_json, read_list, read_number, read_object
 from .hazards import HazardModel, model_from_descriptor
@@ -91,13 +92,14 @@ def _build_grid(payload: dict) -> list[float]:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A checked scenario, read from its descriptor alone; ``__post_init__``
-    checks every field but ``grid``, which the sweep reads, and ``raw``, so
-    also what the CLI layers over it through ``dataclasses.replace``, and it
-    stores ``kinds`` as ``BoundKind`` members."""
+    checks every field but ``raw``, which only ``to_json`` writes, so also
+    what the CLI layers over it through ``dataclasses.replace``, and it
+    stores ``kinds`` as ``BoundKind`` members and ``grid`` as a tuple of
+    floats."""
 
     outcome: SdpOutcome
     model: HazardModel
-    grid: list[float]
+    grid: tuple[float, ...]
     kinds: list[BoundKind]
     corrected: bool = True
     verify_exact: bool = True
@@ -121,6 +123,7 @@ class ScenarioConfig:
             read_seed(self.seed, "seed")
         if not 0.0 < read_number(self.epsilon, "epsilon") < 1.0:
             raise InvalidInputError(f"epsilon must lie strictly in (0, 1), got {self.epsilon!r}")
+        object.__setattr__(self, "grid", tuple(read_grid(self.grid)))
 
     @classmethod
     def from_descriptor(cls, payload: dict) -> "ScenarioConfig":
@@ -159,28 +162,12 @@ class ScenarioConfig:
         return cls.from_descriptor(read_json(text))
 
 
-def run_sweep(config: ScenarioConfig) -> list[BoundResult]:
-    """All bound rows for the scenario, kind-major then grid order; a
-    config that is not a ``ScenarioConfig`` raises InvalidInputError."""
+def run_sweep(config: ScenarioConfig) -> list[list[BoundResult]]:
+    """The scenario's sweep, one block of rows per kind in ``config.kinds``
+    order, each in grid order; a config that is not a ``ScenarioConfig``
+    raises InvalidInputError."""
     read_instance(config, "config", ScenarioConfig, "a ScenarioConfig")
-    entries: list[BoundResult] = []
-    for kind in config.kinds:
-        entries.extend(
-            bound_sweep(
-                config.outcome,
-                config.model,
-                config.grid,
-                kind=kind,
-                corrected=config.corrected,
-            )
-        )
-    return entries
-
-
-def _kind_blocks(config: ScenarioConfig, rows: Sequence[BoundResult]) -> list[Sequence[BoundResult]]:
-    """``run_sweep(config)``'s kind-major rows as one block per kind."""
-    size = len(rows) // len(config.kinds)
-    return [rows[start : start + size] for start in range(0, len(rows), size)]
+    return [bound_sweep(config.outcome, config.model, config.grid, kind, config.corrected) for kind in config.kinds]
 
 
 def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardModel | None, reliability: bool) -> float:
@@ -217,8 +204,8 @@ def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardMo
     return min(max(count, math.ulp(0.0)), sys.float_info.max)
 
 
-def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> list[VerificationRecord]:
-    """Check every in-regime row of ``entries``, the rows of
+def run_verification(config: ScenarioConfig, blocks: Sequence[Sequence[BoundResult]]) -> list[VerificationRecord]:
+    """Check every in-regime row of ``blocks``, the blocks of
     ``run_sweep(config)``, against the exact and/or MC oracle.
 
     Every bound in the engine is a lower-tail statement about the
@@ -230,7 +217,7 @@ def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> 
     if not (config.verify_exact or config.mc_trials > 0):
         return []
     checks, thresholds = [], []
-    for kind, block in zip(config.kinds, _kind_blocks(config, entries)):
+    for kind, block in zip(config.kinds, blocks):
         block = [entry for entry in block if entry.regime is not _OUT_OF_REGIME]
         reliability = kind is BoundKind.RELIABILITY
         thresholds += [_count_threshold(e, config.model, config.outcome.injection, reliability) for e in block]
@@ -255,12 +242,13 @@ def run_verification(config: ScenarioConfig, entries: Sequence[BoundResult]) -> 
 
 
 class FeasibilityReport:
-    """A scenario's sweep, its verification and the UTC time it was built."""
+    """A scenario's sweep, one block of rows per kind, its verification and
+    the UTC time it was built."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.rows = run_sweep(config)
-        self.verification = run_verification(config, self.rows)
+        self.blocks = run_sweep(config)
+        self.verification = run_verification(config, self.blocks)
         self.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     @property
@@ -274,7 +262,7 @@ class FeasibilityReport:
         epsilon = self.config.epsilon
         ranges = {"feasible_at": [], "infeasible_at": [], "out_of_regime_at": []}
         previous = None
-        for point in zip(*_kind_blocks(self.config, self.rows)):
+        for t, point in zip(self.config.grid, zip(*self.blocks)):
             bounds = [r.bound for r in point if r.regime is not _OUT_OF_REGIME]
             if not bounds:
                 key = "out_of_regime_at"
@@ -282,7 +270,6 @@ class FeasibilityReport:
                 key = "infeasible_at"
             else:
                 key = "feasible_at"
-            t = point[0].t
             if key == previous:
                 ranges[key][-1][1] = t
             else:
@@ -306,7 +293,7 @@ class FeasibilityReport:
             summary["max_slack"] = max(slacks)
         return {
             "scenario": self.config.raw,
-            "rows": [row.to_dict() for row in self.rows],
+            "rows": [row.to_dict() for block in self.blocks for row in block],
             "verification": [r.to_dict() for r in self.verification],
             "summary": summary,
             "tool_version": _version,
@@ -353,8 +340,9 @@ def _csv_text(times: Sequence[float], blocks: Iterable[Sequence[BoundResult]]) -
 
 
 def sweep_to_csv(config: ScenarioConfig) -> str:
-    """The rows of ``run_sweep(config)`` as CSV text. A swept row always has
-    a CSV form: a theorem tag, a ``Regime`` member, and numbers that are
+    """The blocks of ``run_sweep(config)`` as CSV text. A swept row always
+    has a CSV form: a theorem tag, a ``Regime`` member, and numbers that are
     finite but for delta, -inf where a mean underflowed."""
-    blocks = _kind_blocks(config, run_sweep(config))
-    return _csv_text([e.t for e in blocks[0]], blocks)
+    # run_sweep checks the config before its grid is read
+    blocks = run_sweep(config)
+    return _csv_text(config.grid, blocks)

@@ -129,6 +129,7 @@ class TestCriterion1:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="reliability-side bounds use the expected-reliability factor as "
         "the kernel mean; at small l*p the exact tail Pr[X=0] = (1-p)^l "
         "exceeds the bound (e.g. l=5, p=0.02, t=5, lambda=0.01: exact "
@@ -196,6 +197,7 @@ def _y_campaign(models, kind, threshold_to_query):
 class TestCriterion2:
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the scaled-count hazard bound keeps the unscaled kernel "
         "variance, so any common scale above 1 overstates concentration "
         "(e.g. l=10, p=0.5, scale 10, threshold 25: exact 0.0547 vs "
@@ -216,6 +218,7 @@ class TestCriterion2:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the corrected-sign injected reliability bound inherits the "
         "mean-slot defect of the reliability side; exact tails exceed it "
         "at small l*p",
@@ -461,6 +464,7 @@ class TestCriterion7:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="exp(-(40 - 2)^2 / 80) = exp(-18.05) = 1.44e-8: exponentially "
         "small in l, but the stated 1e-10 cutoff is out of reach at l=800",
     )

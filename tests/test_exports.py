@@ -105,6 +105,7 @@ class TestPackageExports:
         ("hazards", "_evaluate"), ("errors", "DomainError"), ("confusion", "_tally"), ("confusion", "_CHUNK"),
         ("confusion", "_read_header"), ("confusion", "Counter"), ("confusion", "islice"),
         ("report", "_first_fault"), ("report", "_CSV_SPECIAL"), ("report", "_KEYS"), ("report", "build_report"),
+        ("report", "_kind_blocks"),
     ],
 )
 def test_retired_module_name_is_gone(module, name):

@@ -303,6 +303,14 @@ ERROR_CASES = {
     ).to_json(),
     "json tuple key": lambda: indented_json({"scenario": {(1, 2): 0}}),
     "report of rows": lambda: FeasibilityReport(bound_sweep(X_OUT, HazardModel(W, K=1.0, m=1.0), [1.0])),
+    # a grid's start is checked before its points are made: a log grid
+    # would take log10(0.0)
+    "scenario time_grid start 0": lambda: ScenarioConfig.from_descriptor(
+        dict(SWEEPS["weibull"], time_grid={"start": 0.0, "stop": 2.0, "steps": 3})
+    ),
+    "scenario log time_grid start 0": lambda: ScenarioConfig.from_descriptor(
+        dict(SWEEPS["weibull"], time_grid={"start": 0.0, "stop": 2.0, "steps": 3, "spacing": "log"})
+    ),
 }
 
 

@@ -4,8 +4,11 @@ plugin writes its report must not turn one failing test into an
 INTERNALERROR that ends the run with nothing else reported. Every test
 module imports, so a run with ``--continue-on-collection-errors`` cannot
 drop one (say, one that still imports a deleted name) and report only
-passes."""
+passes. Every xfail names the exception it expects, so a strict xfail
+that fails for another reason (a renamed attribute, say) is a failure.
+"""
 
+import ast
 import importlib
 import shutil
 import subprocess
@@ -54,3 +57,33 @@ def test_test_module_imports(name):
     # a module that failed to collect is not in sys.modules, so this
     # imports it again and fails as it did
     importlib.import_module(name)
+
+
+def xfails_without_raises(source: str) -> list:
+    """Line numbers of the ``pytest.mark.xfail`` marks in ``source``, called
+    or bare, that give no ``raises=``."""
+    nodes = list(ast.walk(ast.parse(source)))
+    marks = [node for node in nodes if ast.unparse(node) == "pytest.mark.xfail"]
+    named = [
+        node.func for node in nodes
+        if isinstance(node, ast.Call) and any(keyword.arg == "raises" for keyword in node.keywords)
+    ]
+    return sorted(mark.lineno for mark in marks if not any(mark is func for func in named))
+
+
+def test_xfail_check_sees_a_mark_without_raises():
+    source = """
+@pytest.mark.xfail(strict=True, raises=AssertionError)
+def test_a(): ...
+@pytest.mark.xfail(strict=True, reason="x")
+def test_b(): ...
+@pytest.mark.xfail
+def test_c(): ...
+CASES = [pytest.param(1, marks=pytest.mark.xfail(strict=True))]
+"""
+    assert xfails_without_raises(source) == [4, 6, 8]
+
+
+@pytest.mark.parametrize("name", TEST_MODULES)
+def test_every_xfail_names_the_exception_it_expects(name):
+    assert xfails_without_raises((ROOT / "tests" / f"{name}.py").read_text()) == []

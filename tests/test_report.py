@@ -1,9 +1,10 @@
 """``ScenarioConfig`` checks every field it stores, from a descriptor or
 from Python alike: the outcome and the model are built objects, and the
-kinds a non-empty list of distinct bound kinds, stored as members. A
-report is built from its scenario alone, and its verdict is that of the
-scenario's rows grouped by t. Two known defects of the report are strict
-xfails, each naming the ROADMAP item that mends it."""
+kinds a non-empty list of distinct bound kinds, stored as members. The
+grid is stored as a tuple of floats, so a one-shot iterator serves every
+kind. A report is built from its scenario alone, and its verdict is that
+of the scenario's rows grouped by t. Two known defects of the report are
+strict xfails, each naming the ROADMAP item that mends it."""
 
 import dataclasses
 
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpfeas import (
-    BoundKind, HazardFamily, HazardModel, InvalidInputError, ParseError, Regime, SdpFeasError, SdpOutcome,
+    BoundKind, HazardFamily, HazardModel, InvalidInputError, ParseError, Regime, SdpFeasError, SdpOutcome, bound_sweep,
 )
-from sdpfeas.report import FeasibilityReport, ScenarioConfig, run_sweep
+from sdpfeas.report import FeasibilityReport, ScenarioConfig, run_sweep, run_verification
 from test_bounds import sweep_cases
 
 OUTCOME = SdpOutcome(l=100, p=0.05)
@@ -98,9 +99,16 @@ def reference_verdict(rows, epsilon) -> dict:
 def test_verdict_is_that_of_the_rows_grouped_by_t(case, epsilon):
     outcome, model, grid, kind, corrected = case
     kinds = [kind, *(other for other in BoundKind if other is not kind)]
-    config = ScenarioConfig(outcome, model, grid, kinds, corrected=corrected, verify_exact=False, epsilon=epsilon)
     try:
-        rows = run_sweep(config)
+        config = ScenarioConfig(outcome, model, grid, kinds, corrected=corrected, verify_exact=False, epsilon=epsilon)
+    except SdpFeasError as exc:
+        # a grid the sweep refuses is refused as the scenario is built
+        with pytest.raises(SdpFeasError) as info:
+            bound_sweep(outcome, model, grid, kind, corrected)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    try:
+        blocks = run_sweep(config)
     except SdpFeasError as exc:
         # a sweep that fails fails the report as it fails alone
         with pytest.raises(SdpFeasError) as info:
@@ -108,14 +116,32 @@ def test_verdict_is_that_of_the_rows_grouped_by_t(case, epsilon):
         assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         return
     report = FeasibilityReport(config)
-    assert report.rows == rows and report.verification == []
+    assert report.blocks == blocks and report.verification == []
+    rows = [row for block in blocks for row in block]
     summary = report.verdict()
     assert summary.pop("epsilon") == epsilon and summary.pop("note")
     assert summary == reference_verdict(rows, epsilon)
 
 
+def test_int_grid_is_stored_as_a_tuple_of_floats():
+    config = ScenarioConfig(OUTCOME, MODEL, [1, 2, 30], ["hazard"])
+    assert config.grid == (1.0, 2.0, 30.0) and all(type(t) is float for t in config.grid)
+    assert dataclasses.replace(config, seed=3).grid == config.grid
+
+
+def test_one_shot_grid_serves_every_kind():
+    kinds = ["hazard", "reliability"]
+    report = FeasibilityReport(ScenarioConfig(OUTCOME, MODEL, iter([1.0, 2.0]), kinds))
+    assert [len(block) for block in report.blocks] == [2, 2]
+    assert report.blocks == FeasibilityReport(ScenarioConfig(OUTCOME, MODEL, [1.0, 2.0], kinds)).blocks
+
+
+def test_verification_of_no_blocks_is_empty():
+    assert run_verification(ScenarioConfig(OUTCOME, MODEL, [1.0, 2.0], ["hazard", "reliability"]), []) == []
+
+
 def test_verdict_writes_an_int_grid_as_floats():
-    # the verdict reads each t from the rows, which hold the grid as floats
+    # the verdict reads each t from the grid, which the scenario stores as floats
     summary = FeasibilityReport(ScenarioConfig(OUTCOME, MODEL, [1, 2, 30], ["hazard", "reliability"])).verdict()
     ranges = [summary["feasible_at"], summary["infeasible_at"], summary["out_of_regime_at"]]
     assert ranges == [[[1.0, 2.0]], [], [[30.0, 30.0]]]
@@ -130,6 +156,7 @@ def exact_report(outcome, model, t):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="ROADMAP item 9: K*t is 1 + 1.5e-17 exactly, but the float product is 1.0, "
     "so the record checks Pr[X < 1.0] = Pr[X = 0] = 0.00592, not the event {X <= 1}, 0.0371",
 )
@@ -146,12 +173,13 @@ def test_count_threshold_just_above_an_integer_checks_its_event():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="ROADMAP item 13: feasible_at lists t where the Chernoff upper bound is above epsilon, "
     "here [[80.0, 80.0]] with a bound of 0.117, though the exact tail there is 0.0105 <= 0.05",
 )
 def test_feasible_point_has_no_exact_tail_at_or_below_epsilon():
     report = exact_report(SdpOutcome(l=2000, p=0.01), HazardModel(HazardFamily.WEIBULL, K=0.5, m=0.7), 80.0)
-    checked = [row for row in report.rows if row.bound is not None]
+    checked = [row for block in report.blocks for row in block if row.bound is not None]
     summary = report.verdict()
     assert len(checked) == len(report.verification)
     for row, record in zip(checked, report.verification):

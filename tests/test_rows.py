@@ -319,16 +319,16 @@ class TestSweepCsvBytes:
     @settings(max_examples=200, deadline=None)
     @given(case=sweep_cases())
     def test_sweep_equals_row_at_a_time_writer(self, case):
-        # both kinds, the drawn one first; a sweep that fails writes nothing
-        # and raises as run_sweep does
+        # both kinds, the drawn one first; a scenario or a sweep that fails
+        # writes nothing and raises as building and sweeping it do
         outcome, model, grid, kind, corrected = case
         kinds = [kind, *(other for other in BoundKind if other is not kind)]
-        config = ScenarioConfig(outcome, model, grid, kinds, corrected=corrected)
         try:
-            rows = run_sweep(config)
+            config = ScenarioConfig(outcome, model, grid, kinds, corrected=corrected)
+            rows = [row for block in run_sweep(config) for row in block]
         except SdpFeasError as exc:
             with pytest.raises(type(exc)) as info:
-                sweep_to_csv(config)
+                sweep_to_csv(ScenarioConfig(outcome, model, grid, kinds, corrected=corrected))
             assert str(info.value) == str(exc)
             return
         assert sweep_to_csv(config) == reference_csv(rows)
@@ -342,7 +342,7 @@ class TestSweepCsvBytes:
     @pytest.mark.parametrize("name", SHARED_CELL_SWEEPS)
     def test_sweep_with_repeated_values(self, name):
         config = ScenarioConfig(*SHARED_CELL_SWEEPS[name], list(BoundKind))
-        assert sweep_to_csv(config) == reference_csv(run_sweep(config))
+        assert sweep_to_csv(config) == reference_csv([row for block in run_sweep(config) for row in block])
 
     def test_mean_underflowed_at_every_point_writes_each_zero(self):
         config = ScenarioConfig(*SHARED_CELL_SWEEPS["mean underflowed at every point"], ["reliability"])
