@@ -63,12 +63,14 @@ def xfails_without_raises(source: str) -> list:
     """Line numbers of the ``pytest.mark.xfail`` marks in ``source``, called
     or bare, that give no ``raises=``."""
     nodes = list(ast.walk(ast.parse(source)))
-    marks = [node for node in nodes if ast.unparse(node) == "pytest.mark.xfail"]
-    named = [
-        node.func for node in nodes
+    named = {
+        id(node.func) for node in nodes
         if isinstance(node, ast.Call) and any(keyword.arg == "raises" for keyword in node.keywords)
-    ]
-    return sorted(mark.lineno for mark in marks if not any(mark is func for func in named))
+    }
+    return sorted(
+        node.lineno for node in nodes
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "pytest.mark.xfail" and id(node) not in named
+    )
 
 
 def test_xfail_check_sees_a_mark_without_raises():
