@@ -15,6 +15,8 @@ Each printed form is one row of ``FORMS``, keyed by the outcome's variant
 take the family's tags in ``hazards.FAMILIES``; Y rows are Thm3 (hazard)
 and Thm4 (reliability), weibull models only. The kind fixes the threshold,
 the family's z(t) for a hazard bound and H(t)/t for a reliability bound.
+A row also holds its count: a swept row's threshold in units of X, which
+the oracle checks as Pr[X < count].
 
 ``bound_sweep`` is the one evaluator of that table: it looks up the row
 of an (outcome, kind, sign mode) once per grid, then makes one pass over
@@ -29,6 +31,7 @@ interesting near-zero bounds at large l do not underflow prematurely.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import sys
@@ -144,34 +147,67 @@ def chernoff_lower_tail(mu: float, threshold: float) -> BoundResult:
     return _kernel(mu, threshold, "Chernoff", None, None)
 
 
+def _x_count(row: BoundResult, model: HazardModel, injection: HazardModel | None) -> float:
+    """An X row's count: its threshold, but the smallest float, the event
+    {X = 0}, where it underflowed to 0.0 below max_time (ld's 0.0 at K/m is true)."""
+    threshold = row.threshold
+    return math.ulp(0.0) if threshold == 0 and row.t < model.max_time else threshold
+
+
+def _y_count(row: BoundResult, model: HazardModel, injection: HazardModel, reliability: bool = False) -> float:
+    """A Y row's count, the closed form of z(t)/zhat(t), (K/Khat)*t**(m -
+    mhat), over m + 1 for a ``reliability`` row (Thm4, threshold H/t = z/(m
+    + 1)): one power, so where m = mhat it is K/Khat correctly rounded.
+    Where K/Khat or the power leaves the float range and the product is not
+    in (0, inf), it comes from the logs, log K - log Khat + (m - mhat)*log
+    t, less log1p(m) for reliability. A count past the float range is the
+    largest float, the event certain; one that underflows to 0.0 is the
+    smallest float, the event {X = 0}."""
+    K, m, t = model.K, model.m, row.t
+    try:
+        count = K / injection.K * t ** (m - injection.m) / (m + 1 if reliability else 1.0)
+    except OverflowError:
+        count = math.inf
+    if not 0 < count < math.inf:
+        log_count = math.log(K) - math.log(injection.K) + (m - injection.m) * math.log(t)
+        try:
+            count = math.exp(log_count - math.log1p(m) if reliability else log_count)
+        except OverflowError:
+            count = math.inf
+    return min(max(count, math.ulp(0.0)), sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class BoundForm:
     """One printed form: its theorem tag, None on an X row, whose tag is
-    the family's ``FAMILIES`` tag for the kind; and its mean, a function of
-    (l*p, the outcome's injection, t). The kind fixes the threshold: z(t)
-    for a hazard bound, H(t)/t for a reliability bound."""
+    the family's ``FAMILIES`` tag for the kind; its mean, a function of
+    (l*p, the outcome's injection, t); and its count, a swept row's
+    threshold in units of X, a function of (row, model, injection)."""
 
     tag: str | None
     mean: Callable[[float, HazardModel | None, float], float]
+    count: Callable[[BoundResult, HazardModel, HazardModel | None], float]
 
 
-#: (variant, kind, sign mode) -> the printed form's tag and mean. The hazard
-#: means are l*p (X) and l*p*(Khat*t**mhat) (Y), the injection's closed form,
-#: as in Thm4; the reliability means bound the expected reliability
+#: (variant, kind, sign mode) -> the printed form's tag, mean and count. The
+#: hazard means are l*p (X) and l*p*(Khat*t**mhat) (Y), the injection's closed
+#: form, as in Thm4; the reliability means bound the expected reliability
 #: E[exp(-X*t)] by exp(l*p*(exp(-t) - 1)), strictly inside (0, 1), and
 #: E[exp(-Y*t)] by Thm4. The published Thm4 uses exp(+Khat*t^(mhat+1)) inside
 #: the outer exponent, which contradicts the per-module reliability exp(-Y*t)
 #: and can exceed 1; the corrected form flips that inner sign; only it is
 #: consistent with simulation. Both are kept, clearly labelled.
 FORMS = {
-    ("X", BoundKind.HAZARD, None): BoundForm(None, lambda lp, injection, t: lp),
-    ("X", BoundKind.RELIABILITY, None): BoundForm(None, lambda lp, injection, t: math.exp(lp * math.expm1(-t))),
-    ("Y", BoundKind.HAZARD, None): BoundForm("Thm3", lambda lp, injection, t: lp * (injection.K * t**injection.m)),
+    ("X", BoundKind.HAZARD, None): BoundForm(None, lambda lp, injection, t: lp, _x_count),
+    ("X", BoundKind.RELIABILITY, None): BoundForm(None, lambda lp, injection, t: math.exp(lp * math.expm1(-t)), _x_count),
+    ("Y", BoundKind.HAZARD, None): BoundForm("Thm3", lambda lp, injection, t: lp * (injection.K * t**injection.m), _y_count),
     ("Y", BoundKind.RELIABILITY, "corrected"): BoundForm(
-        "Thm4", lambda lp, injection, t: math.exp(lp * math.expm1(-injection.K * t ** (injection.m + 1)))
+        "Thm4", lambda lp, injection, t: math.exp(lp * math.expm1(-injection.K * t ** (injection.m + 1))),
+        functools.partial(_y_count, reliability=True),
     ),
     ("Y", BoundKind.RELIABILITY, "as-published"): BoundForm(
-        "Thm4", lambda lp, injection, t: math.exp(lp * math.expm1(injection.K * t ** (injection.m + 1)))
+        "Thm4", lambda lp, injection, t: math.exp(lp * math.expm1(injection.K * t ** (injection.m + 1))),
+        functools.partial(_y_count, reliability=True),
     ),
 }
 

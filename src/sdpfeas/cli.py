@@ -63,22 +63,23 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _load_config(args):
-    """The scenario file with SDPFEAS_SEED, where it gives no seed, and then the flags applied, checked alike;
-    the config is built again only where one of them changes a field."""
+    """The scenario file, with SDPFEAS_SEED where it gives no seed (read and checked even under --seed) and the
+    flags over both; the config is built again, once, only where one of them changes a field."""
     import dataclasses
 
+    from .oracle import read_seed
     from .report import ScenarioConfig
 
     config = ScenarioConfig.from_json(_read_text(args.config))
+    flags = {"seed": args.seed, "mc_trials": args.trials, "corrected": args.corrected, "epsilon": args.epsilon}
+    changes = {name: value for name, value in flags.items() if value is not None}
     text = os.environ.get(SEED_ENV_VAR)
     if config.seed is None and text is not None:
         try:
             seed = read_integer_text(text)
         except ValueError:
             raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
-        config = dataclasses.replace(config, seed=seed)
-    flags = {"seed": args.seed, "mc_trials": args.trials, "corrected": args.corrected, "epsilon": args.epsilon}
-    changes = {name: value for name, value in flags.items() if value is not None}
+        changes.setdefault("seed", read_seed(seed, "seed"))
     return dataclasses.replace(config, **changes) if changes else config
 
 

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import datetime
 import math
-import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
 from . import __version__ as _version
-from .bounds import _OUT_OF_REGIME, BoundKind, BoundResult, Regime, bound_sweep, read_grid
+from .bounds import _OUT_OF_REGIME, BoundKind, BoundResult, Regime, _form, bound_sweep, read_grid
 from .errors import InvalidInputError, ParseError, indented_json, read_boolean, read_choice, read_instance, read_integer
 from .errors import read_json, read_list, read_number, read_object
 from .hazards import HazardModel, model_from_descriptor
@@ -170,40 +169,6 @@ def run_sweep(config: ScenarioConfig) -> list[list[BoundResult]]:
     return [bound_sweep(config.outcome, config.model, config.grid, kind, config.corrected) for kind in config.kinds]
 
 
-def _count_threshold(entry: BoundResult, model: HazardModel, injection: HazardModel | None, reliability: bool) -> float:
-    """A row's threshold in count units, the one map from a verified row to
-    its oracle query Pr[X < count].
-
-    An X row's (no ``injection``) count is its threshold, or the smallest
-    float, the event {X = 0}, where the threshold underflowed to 0.0 at a t
-    below the family's max_time; at max_time a 0.0 is ld's true zero.
-
-    A Y row's count is the closed form of z(t)/zhat(t), (K/Khat)*t**(m -
-    mhat), over m + 1 for a ``reliability`` row (Thm4, threshold H/t = z/(m
-    + 1)): one power, so where m = mhat it is K/Khat correctly rounded.
-    Where K/Khat or the power leaves the float range and the product is not
-    in (0, inf), it comes from the logs, log K - log Khat + (m - mhat)*log
-    t, less log1p(m) for reliability. A count past the float range is the
-    largest float, the event certain; one that underflows to 0.0 is the
-    smallest float, the event {X = 0}.
-    """
-    threshold = entry.threshold
-    if injection is None:
-        return math.ulp(0.0) if threshold == 0 and entry.t < model.max_time else threshold
-    K, m, t = model.K, model.m, entry.t
-    try:
-        count = K / injection.K * t ** (m - injection.m) / (m + 1 if reliability else 1.0)
-    except OverflowError:
-        count = math.inf
-    if not 0 < count < math.inf:
-        log_count = math.log(K) - math.log(injection.K) + (m - injection.m) * math.log(t)
-        try:
-            count = math.exp(log_count - math.log1p(m) if reliability else log_count)
-        except OverflowError:
-            count = math.inf
-    return min(max(count, math.ulp(0.0)), sys.float_info.max)
-
-
 def run_verification(config: ScenarioConfig, blocks: Sequence[Sequence[BoundResult]]) -> list[VerificationRecord]:
     """Check every in-regime row of ``blocks``, the blocks of
     ``run_sweep(config)``, against the exact and/or MC oracle.
@@ -211,16 +176,16 @@ def run_verification(config: ScenarioConfig, blocks: Sequence[Sequence[BoundResu
     Every bound in the engine is a lower-tail statement about the
     underlying count X (reliability events transform to X < H(t)/t, and
     Y = zhat(t) * X at fixed t), so one binomial query covers both kinds of
-    either variant: ``_count_threshold`` maps each row to its count, and
-    one oracle answers every row at that count.
+    either variant: each block's ``FORMS`` row maps its rows to their
+    counts, and one oracle answers every row at that count.
     """
     if not (config.verify_exact or config.mc_trials > 0):
         return []
     checks, thresholds = [], []
     for kind, block in zip(config.kinds, blocks):
+        count = _form(config.outcome, kind, config.corrected)[1].count
         block = [entry for entry in block if entry.regime is not _OUT_OF_REGIME]
-        reliability = kind is BoundKind.RELIABILITY
-        thresholds += [_count_threshold(e, config.model, config.outcome.injection, reliability) for e in block]
+        thresholds += [count(e, config.model, config.outcome.injection) for e in block]
         checks += block
     if not checks:
         return []

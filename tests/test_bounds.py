@@ -25,7 +25,7 @@ from sdpfeas import (
     chernoff_lower_tail,
     sweep_to_csv,
 )
-from sdpfeas.bounds import _form
+from sdpfeas.bounds import FORMS, _form
 from sdpfeas.hazards import FAMILIES
 from sdpfeas.report import ScenarioConfig
 
@@ -365,6 +365,31 @@ class TestInjectedVariant:
         assert r.mu == pytest.approx(math.exp(5.0 * (math.e - 1.0)), rel=1e-12)
         assert r.log_bound == pytest.approx(-((r.mu - 0.02) ** 2) / (2 * r.mu), rel=1e-12)
         assert r.bound < 1e-300  # ~exp(-mu/2) at mu ~ 5385
+
+
+def counted_row(threshold, t):
+    """A swept row as a count reads it: only its threshold and t matter."""
+    return BoundResult("tag", 1.0, threshold, 1.0 - threshold, None, None, Regime.OUT_OF_REGIME, t)
+
+
+@pytest.mark.parametrize("key", list(FORMS), ids=["-".join(str(getattr(k, "value", k)) for k in key) for key in FORMS])
+def test_forms_count_is_the_threshold_in_units_of_x(key):
+    count = FORMS[key].count
+    variant, kind, _ = key
+    if variant == "X":
+        # ld's domain ends at K/m = 4.0, where its 0.0 hazard is true
+        ld = HazardModel(HazardFamily.LINEAR_DECREASING, K=2.0, m=0.5)
+        assert count(counted_row(0.75, 1.0), ld, None) == 0.75
+        assert count(counted_row(0.0, 1.0), ld, None) == 5e-324
+        assert count(counted_row(0.0, 4.0), ld, None) == 0.0
+        return
+    # Y = zhat(t)*X, so Y < z(t) is X < z(t)/zhat(t), over m + 1 for Thm4
+    K, m, K_hat, m_hat, t = 3.0, 1.5, 0.5, 0.25, 2.0
+    model = HazardModel(HazardFamily.WEIBULL, K=K, m=m)
+    injection = HazardModel(HazardFamily.WEIBULL, K=K_hat, m=m_hat)
+    thm3 = K / K_hat * t ** (m - m_hat)
+    # a Y count reads the row's t alone, not its threshold
+    assert count(counted_row(math.nan, t), model, injection) == (thm3 if kind is BoundKind.HAZARD else thm3 / (m + 1))
 
 
 def scalar_entry(outcome, model, t, kind, corrected):

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from conftest import bound_at, strict_json
-from sdpfeas import BoundResult, HazardFamily, HazardModel, InvalidInputError, Regime
+from sdpfeas import BoundKind, BoundResult, HazardFamily, HazardModel, InvalidInputError, Regime
 from sdpfeas import oracle as oracle_module
 from sdpfeas import report as report_module
+from sdpfeas.bounds import FORMS
 from sdpfeas.cli import (
     EXIT_ASSUMPTION,
     EXIT_OK,
@@ -472,6 +473,14 @@ class TestVerify:
         _, out, err = run(["verify", "--config", config, "--seed", "5"], expect=EXIT_USAGE)
         assert out == "" and err == "error: SDPFEAS_SEED must be an integer, got 'x'\n"
 
+    def test_out_of_range_env_seed_is_refused_under_a_seed_flag(self, run, tmp_path, monkeypatch):
+        # the env seed is checked against the seed range itself, not by a
+        # config built with it, so --seed does not hide it
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        config = write_scenario(tmp_path, dict(DESK_SCENARIO, verify={"exact": True, "mc_trials": 10}))
+        _, out, err = run(["verify", "--config", config, "--seed", "5"], expect=EXIT_USAGE)
+        assert out == "" and err == "error: seed must lie in the Philox key range [0, 2**128), got -1\n"
+
     def test_scenario_from_json_ignores_the_env_seed(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "123")
         text = json.dumps(dict(DESK_SCENARIO, verify={"exact": True, "mc_trials": 10}))
@@ -485,7 +494,7 @@ class TestVerify:
             ([], "123", [None, 123]),
             (["--seed", "7"], None, [None, 7]),
             (["--trials", "10"], None, [None, None]),
-            (["--seed", "7"], "123", [None, 123, 7]),
+            (["--seed", "7"], "123", [None, 7]),
         ],
         ids=["flagless", "env", "seed-flag", "trials-flag", "env-and-flag"],
     )
@@ -609,7 +618,8 @@ class TestVerify:
         injection = HazardModel(HazardFamily.WEIBULL, K=K_hat, m=m)
         mu, threshold = 10.0 * K_hat * t**m, K * t**m
         row = BoundResult("Thm3", mu, threshold, 1.0 - threshold / mu, None, None, Regime.OUT_OF_REGIME, t)
-        assert report_module._count_threshold(row, model, injection, False) == float(Fraction(K) / Fraction(K_hat))
+        count = FORMS["Y", BoundKind.HAZARD, None].count
+        assert count(row, model, injection) == float(Fraction(K) / Fraction(K_hat))
 
     def test_verdict_ranges(self, run, tmp_path):
         scenario = {

@@ -10,8 +10,9 @@ imports typing at import time. The descriptor readers of the outcome and
 the scenario leave each value to the object that reads it, and the
 functions that run once per sweep row, oracle estimate or verification
 record read no enum member through its class. No estimate, outcome or
-error keeps state that no code reads, and README's "Called from Python"
-table names each entry point's parameters as its signature does."""
+error keeps state that no code reads, README's "Called from Python"
+table names each entry point's parameters as its signature does, and its
+forms table has one row per ``FORMS`` key, with that key's tag."""
 
 import ast
 import dataclasses
@@ -105,7 +106,7 @@ class TestPackageExports:
         ("hazards", "_evaluate"), ("errors", "DomainError"), ("confusion", "_tally"), ("confusion", "_CHUNK"),
         ("confusion", "_read_header"), ("confusion", "Counter"), ("confusion", "islice"),
         ("report", "_first_fault"), ("report", "_CSV_SPECIAL"), ("report", "_KEYS"), ("report", "build_report"),
-        ("report", "_kind_blocks"),
+        ("report", "_kind_blocks"), ("report", "_count_threshold"),
     ],
 )
 def test_retired_module_name_is_gone(module, name):
@@ -117,6 +118,33 @@ def test_family_table_holds_only_the_columns_the_engine_reads():
 
     names = {field.name for field in dataclasses.fields(FamilySpec)}
     assert names == {"hazard_tag", "reliability_tag", "params", "z", "H_over_t", "max_time"}
+
+
+def test_forms_table_holds_only_the_columns_the_engine_reads():
+    from sdpfeas.bounds import BoundForm
+
+    assert {field.name for field in dataclasses.fields(BoundForm)} == {"tag", "mean", "count"}
+
+
+def readme_forms() -> list:
+    """((variant, kind, sign mode), tag cell) of each row of README's forms
+    table, in order; a sign mode of "-" is None."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| variant | kind | sign mode | tag |") :].split("\n\n")[0]
+    rows = []
+    for line in table.splitlines()[2:]:
+        variant, kind, sign_mode, tag = [cell.strip() for cell in line.strip("|").split(" | ")][:4]
+        rows.append(((variant.strip("`"), kind, None if sign_mode == "-" else sign_mode.split("`")[1]), tag))
+    return rows
+
+
+def test_readme_forms_table_has_one_row_per_form_with_its_tag():
+    from sdpfeas.bounds import FORMS
+
+    rows = readme_forms()
+    assert [key for key, _ in rows] == [(variant, kind.value, sign_mode) for variant, kind, sign_mode in FORMS]
+    for (_, tag), form in zip(rows, FORMS.values()):
+        assert tag == f"`{form.tag}`" if form.tag else tag.startswith("the family's")
 
 
 def test_no_write_only_state():
@@ -373,6 +401,8 @@ HOT_PATHS = [
     ("bounds.py", ["_kernel"]),
     ("bounds.py", ["bound_sweep"]),
     ("bounds.py", ["BoundResult", "to_dict"]),
+    ("bounds.py", ["_x_count"]),
+    ("bounds.py", ["_y_count"]),
     ("oracle.py", ["TailEstimate", "__post_init__"]),
     ("oracle.py", ["BinomialWindow", "exact_tail"]),
     ("oracle.py", ["BinomialWindow", "mc_tails"]),
